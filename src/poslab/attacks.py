@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import comb, issuance
 from .rng import make_rng
 
 
@@ -351,3 +352,86 @@ def fork_rate_study(seconds: int = 4 * 10 ** 8, n_outputs: int = 600,
         "pair_events": pair_events,
         "multi_solve_seconds": multi_seconds,
     }
+
+
+# ---------------------------------------------------------------------------
+# the analysis table: `attack` scenarios and reproductions run these entries
+# ---------------------------------------------------------------------------
+
+class Analysis(NamedTuple):
+    required: tuple             # parameter names without a default
+    fn: Callable[[dict, int], dict]   # (params, seed) -> metrics
+
+
+def _claim2(p: dict, seed: int) -> dict:
+    s = min_safe_confirmations_density(p["v"], p["epsilon"], p["rho"], p["k"])
+    return {"s": s, "wait_minutes": confirmation_wait_seconds(
+        s, p.get("g0_seconds", 300)) / 60.0}
+
+
+def _pick(out: dict, *keys) -> dict:
+    return {k: out[k] for k in keys}
+
+
+def _mu(p: dict, seed: int) -> dict:
+    spec = comb.CombSpec(p["comb"], p["kappa"], p.get("w", 1))
+    mu, stderr = comb.last_player_advantage(spec, p["p"],
+                                            p.get("trials", 10 ** 4), seed)
+    return {"mu": mu, "stderr": stderr,
+            "closed_form_concat": 2 * p["p"] - p["p"] ** 2}
+
+
+def _issuance(p: dict, seed: int) -> dict:
+    cost = p.get("cost", 1.0)
+    steps = p.get("steps", 400)
+    params = issuance.IssuanceParams(
+        production_cost_per_coin=cost,
+        demand_value_fn=issuance.constant_demand(p.get("demand", 10 ** 6)),
+        fixed_difficulty=p.get("difficulty", 2e-6),
+        min_gap_seconds=p.get("min_gap", 60.0))
+    value = issuance.simulate_issuance(params, steps, seed)["value"]
+    tail = value[steps // 2:]   # after the burn-in
+    return {"final_value": float(value[-1]), "mean_value": float(tail.mean()),
+            "cost": cost, "max_deviation": float(abs(tail - cost).max() / cost)}
+
+
+ANALYSES = {
+    "claim1": Analysis(
+        ("v", "epsilon", "rho_prime", "delta"),
+        lambda p, seed: {"s": min_safe_confirmations_observed(
+            p["v"], p["epsilon"], p["rho_prime"], p["delta"])}),
+    "claim2": Analysis(("v", "epsilon", "rho", "k"), _claim2),
+    "takeover": Analysis(
+        ("ell", "p", "q"),
+        lambda p, seed: {"exponent": takeover_log_bound(p["ell"], p["p"], p["q"])}),
+    "dense-dos": Analysis(
+        ("ell", "f", "g0_seconds"),
+        lambda p, seed: {"mean_interval_minutes": simulate_withholding_dos(
+            p["ell"], p["f"], p["g0_seconds"], p.get("blocks", 1000), seed) / 60.0}),
+    "ppcoin-mk": Analysis((), lambda p, seed: _pick(simulate_streak_interval(
+        p.get("stake", 0.25), p.get("k", 6), p.get("blocks", 10 ** 6), seed),
+        "mean_gap", "expected")),
+    "fork-rate": Analysis((), lambda p, seed: _pick(fork_rate_study(
+        p.get("seconds", 10 ** 7), seed=seed),
+        "pairwise_interval", "multi_solve_interval")),
+    "timeweight": Analysis(
+        ("version", "stake", "multiplier"),
+        lambda p, seed: {"win_probability": simulate_timeweight_attack(
+            p["version"], p["stake"], p["multiplier"], p.get("trials", 10 ** 4),
+            seed, saturated=p.get("saturated", False))}),
+    "bribe": Analysis(
+        ("v", "epsilon", "rho", "k", "delta", "rho_prime", "s", "mu", "p_success"),
+        lambda p, seed: simulate_bribe_attack(BribeScenario(
+            p["v"], p["epsilon"], p["rho"], p["k"], p["delta"], p["rho_prime"],
+            p["s"]), p["mu"], p["p_success"], seed=seed)),
+    "mu": Analysis(("comb", "kappa", "p"), _mu),
+    "tie-fraction": Analysis(
+        ("comb", "kappa"),
+        lambda p, seed: {"tie_fraction": comb.undetermined_fraction(
+            comb.CombSpec(p["comb"], p["kappa"], p.get("w", 1)))}),
+    "kz-bounds": Analysis(
+        ("ell", "kappa", "epsilon"),
+        lambda p, seed: dict(zip(("achievable", "upper"), comb.coalition_bounds(
+            p["ell"], p["kappa"], p["epsilon"])))),
+    "issuance": Analysis((), _issuance),
+}

@@ -87,10 +87,6 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _run_one_repro(repro_id: str, seed: int):
-    return run_reproduction(repro_id, seed)
-
-
 def cmd_reproduce(args) -> int:
     ids = list(REPRODUCTIONS) if args.id == "all" else [args.id]
     for repro_id in ids:
@@ -101,7 +97,7 @@ def cmd_reproduce(args) -> int:
     seed = args.seed if args.seed is not None else 0
     if args.jobs > 1 and len(ids) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_one_repro, ids, [seed] * len(ids)))
+            results = list(pool.map(run_reproduction, ids, [seed] * len(ids)))
     else:
         results = [run_reproduction(i, seed) for i in ids]
 
@@ -138,11 +134,7 @@ def cmd_list_scenarios(args) -> int:
 
 
 def cmd_validate_config(args) -> int:
-    try:
-        config = _resolve_config(args.config, args.seed)
-    except ConfigError as exc:
-        print("invalid config: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    config = _resolve_config(args.config, args.seed)
     print("ok: scenario %r, protocol %s, seed %d"
           % (config.name, config.protocol, config.seed))
     return EXIT_OK
@@ -158,8 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario rng seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for batch work")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_run = sub.add_parser("run", help="execute a scenario config")
@@ -170,6 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="re-derive a quantitative result")
     p_rep.add_argument("id", help="reproduction id, or 'all'")
+    p_rep.add_argument("--jobs", type=int, default=1,
+                       help="parallel worker processes")
     common(p_rep)
     p_rep.set_defaults(func=cmd_reproduce)
 

@@ -24,7 +24,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .comb import CombSpec, comb_apply
+from .comb import CombSpec, ParamError, comb_apply
 from .fts import satoshi_index, follow_the_satoshi
 from .ledger import (
     Block, BlockTree, EvidenceEntry, LedgerError, LedgerState, Transaction,
@@ -53,9 +53,9 @@ class CoaParams:
 
     def __post_init__(self):
         if self.c0 and not 0 <= self.c1 <= self.c0 // 2:
-            raise ValueError("require 0 <= c1 <= c0/2")
+            raise ParamError("c1", "require 0 <= c1 <= c0/2")
         if self.t0 % 2:
-            raise ValueError("t0 must be even (t0 = 2*t1)")
+            raise ParamError("t0", "t0 must be even (t0 = 2*t1)")
         CombSpec(self.comb_kind, self.kappa, self.w)  # validates the triple
 
     @property
@@ -285,18 +285,11 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
 
     if evidence_effect is not None:
         offense_index, confiscate_uids = evidence_effect
-        total = sum(new.ledger.utxos[u].amount for u in confiscate_uids
-                    if u in new.ledger.utxos)
-        award = min(p.c1, total)
-        new.ledger = new.ledger.confiscate(confiscate_uids, award,
-                                           block.creator, height)
-        new.punished.add(offense_index)
+        effect = _confiscate(new, offense_index, confiscate_uids,
+                             block.creator, height)
         if observer:
-            observer("confiscation", {
-                "offense_index": offense_index, "reporter": block.creator,
-                "confiscated": total, "awarded": award,
-                "destroyed": total - award,
-            })
+            observer("confiscation", dict(effect, offense_index=offense_index,
+                                          reporter=block.creator))
 
     for tx in block.transactions:
         if not new.tx_chain_binding_check(tx, creating_index=block.index):
@@ -362,13 +355,24 @@ def _check_evidence(view: ChainView, block: Block):
     return offense, uids
 
 
+def _confiscate(new: ChainView, offense: int, uids, reporter: str,
+                height: int) -> dict:
+    """Confiscate `uids` in the fresh clone `new`, award c1 of it to the
+    reporter and mark the offense punished; returns the effect."""
+    total = sum(new.ledger.utxos[u].amount for u in uids)
+    award = min(new.params.c1, total)
+    new.ledger = new.ledger.confiscate(uids, award, reporter, height)
+    new.punished.add(offense)
+    return {"confiscated": total, "awarded": award, "destroyed": total - award}
+
+
 def record_double_sign(view: ChainView, evidence: tuple, reporter_index: int,
                        reporter: str) -> tuple:
     """Standalone confiscation effect of presenting double-sign evidence.
 
     Returns (new_view, {confiscated, awarded, destroyed}); raises LedgerError
     on stale or duplicate evidence. Used directly by tests and analyses; block
-    processing embeds the same logic.
+    processing applies the same ``_confiscate``.
     """
     probe = Block(index=reporter_index, prev_digest=b"\x00" * 32, timestamp=0,
                   creator=reporter, double_sign_evidence=evidence)
@@ -376,12 +380,8 @@ def record_double_sign(view: ChainView, evidence: tuple, reporter_index: int,
     if isinstance(ev, str):
         raise LedgerError(ev)
     offense, uids = ev
-    total = sum(view.ledger.utxos[u].amount for u in uids)
-    award = min(view.params.c1, total)
     new = view.clone()
-    new.ledger = new.ledger.confiscate(uids, award, reporter, new.height)
-    new.punished.add(offense)
-    return new, {"confiscated": total, "awarded": award, "destroyed": total - award}
+    return new, _confiscate(new, offense, uids, reporter, view.height)
 
 
 def view_from_path(params: CoaParams, genesis: Block, ledger: LedgerState,

@@ -24,6 +24,14 @@ ITERATED_MAJORITY = "iterated_majority"
 KINDS = (CONCAT, MAJORITY, ITERATED_MAJORITY)
 
 
+class ParamError(ValueError):
+    """A bad protocol parameter; ``name`` is its key in a scenario's params."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
 def _is_power_of_3(w: int) -> bool:
     while w % 3 == 0:
         w //= 3
@@ -38,15 +46,16 @@ class CombSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError("unknown comb kind %r" % self.kind)
+            raise ParamError("comb", "unknown comb kind %r" % self.kind)
         if self.kappa < 1 or self.w < 1:
-            raise ValueError("kappa and w must be positive")
+            raise ParamError("kappa" if self.kappa < 1 else "w",
+                             "kappa and w must be positive")
         if self.kind == CONCAT and self.w != 1:
-            raise ValueError("concat requires w=1")
+            raise ParamError("w", "concat requires w=1")
         if self.kind == MAJORITY and self.w % 2 == 0:
-            raise ValueError("majority requires odd w")
+            raise ParamError("w", "majority requires odd w")
         if self.kind == ITERATED_MAJORITY and not _is_power_of_3(self.w):
-            raise ValueError("iterated majority requires w a power of 3")
+            raise ParamError("w", "iterated majority requires w a power of 3")
 
     @property
     def ell(self) -> int:

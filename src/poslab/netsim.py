@@ -3,8 +3,9 @@
 One scenario = one single-threaded event loop. All randomness flows from the
 scenario seed through labeled substreams, and queue ties at equal timestamps
 are broken by (sender rank, sequence number), so a (config, seed) pair fully
-determines the trace. Strategies are looked up in a registry by id; a
-behavior is instantiated per node from the config.
+determines the trace. A stakeholder's strategy is a bare name that each
+engine reads through ``strategy_of``; analysis scenarios run an entry of
+``attacks.ANALYSES``.
 """
 
 from __future__ import annotations
@@ -15,14 +16,16 @@ import heapq
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from . import attacks, dense, issuance, ppcoin
+from . import attacks, dense
 from .coa import ACCEPT, CoaNode, CoaParams, make_genesis, min_timestamp
+from .comb import ParamError
 from .ledger import Block, canonical_block_digest
 from .rng import make_rng
 
-PROTOCOLS = ("coa", "dense_coa", "ppcoin")
+STRATEGIES = ("honest", "offline", "withhold", "ppcoin-multifork")
+IDLE_STRATEGIES = ("offline", "withhold")   # create no blocks
 
 
 class ConfigError(ValueError):
@@ -41,15 +44,17 @@ class DelayModel:
     max_seconds: float = 2.0
     distribution: str = "uniform"
 
+    def __post_init__(self):
+        if self.distribution != "uniform":
+            raise ConfigError("delays.distribution",
+                              "unknown distribution %r" % self.distribution)
+
     @property
     def mean_seconds(self) -> float:
         return (self.min_seconds + self.max_seconds) / 2.0
 
     def sample(self, rng) -> float:
-        if self.distribution == "uniform":
-            return float(rng.uniform(self.min_seconds, self.max_seconds))
-        raise ConfigError("delays.distribution",
-                          "unknown distribution %r" % self.distribution)
+        return float(rng.uniform(self.min_seconds, self.max_seconds))
 
 
 @dataclass(frozen=True)
@@ -85,9 +90,9 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be an object")
     protocol = raw.get("protocol")
-    if protocol not in PROTOCOLS:
+    if protocol not in ENGINES:
         raise ConfigError("protocol", "must be one of %s, got %r"
-                          % ("/".join(PROTOCOLS), protocol))
+                          % ("/".join(ENGINES), protocol))
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params", "must be an object")
@@ -133,11 +138,39 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     seed = raw.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed", "must be an integer")
+    if protocol == "coa":
+        try:
+            coa_params(params)
+        except ParamError as exc:
+            raise ConfigError("params." + exc.name, str(exc))
+    attack = raw.get("attack")
+    if attack is not None:
+        analysis_of(attack)
     return ScenarioConfig(
         name=raw.get("name", name), protocol=protocol, params=params,
         stake=tuple(stake), behaviors=behaviors, delays=delays,
         clock_drift_max=float(raw.get("clock_drift_max", 2.0)),
-        duration=duration, seed=seed, attack=raw.get("attack"))
+        duration=duration, seed=seed, attack=attack)
+
+
+def analysis_of(attack) -> tuple:
+    """(kind, params, fn) of an ``attack`` block, checked against
+    ``attacks.ANALYSES``; raises ConfigError naming the bad field."""
+    if not isinstance(attack, dict):
+        raise ConfigError("attack", "must be an object with kind and params")
+    kind = attack.get("kind")
+    if kind not in attacks.ANALYSES:
+        raise ConfigError("attack.kind", "unknown analysis kind %r (known: %s)"
+                          % (kind, ", ".join(attacks.ANALYSES)))
+    params = attack.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("attack.params", "must be an object")
+    required, fn = attacks.ANALYSES[kind]
+    for key in required:
+        if key not in params:
+            raise ConfigError("attack.params." + key,
+                              "required by analysis %r" % kind)
+    return kind, params, fn
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -149,47 +182,10 @@ def load_config(path: str) -> ScenarioConfig:
     return config_from_dict(raw, name=path)
 
 
-# ---------------------------------------------------------------------------
-# strategies
-# ---------------------------------------------------------------------------
-
-STRATEGIES: Dict[str, Callable] = {}
-
-
-def register_strategy(strategy_id: str, factory: Callable):
-    if strategy_id in STRATEGIES:
-        raise ValueError("strategy id %r already registered" % strategy_id)
-    STRATEGIES[strategy_id] = factory
-
-
-@dataclass
-class Behavior:
-    strategy: str
-    params: dict
-
-    @property
-    def creates_blocks(self) -> bool:
-        return self.strategy not in ("offline", "withhold")
-
-    @property
-    def forks_all_tips(self) -> bool:
-        return self.strategy == "ppcoin-multifork"
-
-
-def _behavior_factory(strategy_id: str):
-    return lambda params: Behavior(strategy_id, params or {})
-
-
-for _sid in ("honest", "offline", "withhold", "ppcoin-multifork",
-             "bribe-acceptor"):
-    register_strategy(_sid, _behavior_factory(_sid))
-
-
-def behavior_for(config: ScenarioConfig, stakeholder: str) -> Behavior:
+def strategy_of(config: ScenarioConfig, stakeholder: str) -> str:
+    """The stakeholder's strategy name; stakeholders without one are honest."""
     spec = config.behaviors.get(stakeholder)
-    if spec is None:
-        return STRATEGIES["honest"]({})
-    return STRATEGIES[spec["strategy"]](spec.get("params"))
+    return "honest" if spec is None else spec["strategy"]
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +221,7 @@ class SimTrace:
 # CoA event loop
 # ---------------------------------------------------------------------------
 
-def _coa_params(config: ScenarioConfig) -> CoaParams:
-    p = config.params
+def coa_params(p: dict) -> CoaParams:
     return CoaParams(
         kappa=p["kappa"], w=p.get("w", 1), comb_kind=p.get("comb", "concat"),
         g0=p.get("g0_seconds", 300), c0=p.get("c0", 0), c1=p.get("c1", 0),
@@ -235,7 +230,7 @@ def _coa_params(config: ScenarioConfig) -> CoaParams:
 
 
 def _run_coa(config: ScenarioConfig) -> SimTrace:
-    params = _coa_params(config)
+    params = coa_params(config.params)
     genesis, ledger0 = make_genesis(params, list(config.stake))
     rng_delay = make_rng(config.seed, "delay")
     events: List[dict] = []
@@ -250,14 +245,14 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
 
     nodes = {}
     drifts = {}
-    behaviors = {}
+    creates_blocks = {}
     for i, (name, _amount) in enumerate(config.stake):
         nodes[name] = CoaNode(params, genesis, ledger0, node_id=name,
                               observer=observer_for(name))
         drift_rng = make_rng(config.seed, "drift", name)
         drifts[name] = float(drift_rng.uniform(-config.clock_drift_max,
                                                config.clock_drift_max))
-        behaviors[name] = behavior_for(config, name)
+        creates_blocks[name] = strategy_of(config, name) not in IDLE_STRATEGIES
 
     target_blocks = config.duration.get("slots", 50)
     time_limit = config.duration.get(
@@ -274,7 +269,7 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
 
     def schedule_creations(name, now):
         node = nodes[name]
-        if not behaviors[name].creates_blocks:
+        if not creates_blocks[name]:
             return
         view = node.best_view
         lookahead = view.slot_candidates(10)
@@ -385,7 +380,8 @@ def _run_ppcoin(config: ScenarioConfig) -> SimTrace:
     probs = {}
     for name, amount in config.stake:
         probs[name] = (amount / total) / target
-    behaviors = {name: behavior_for(config, name) for name, _a in config.stake}
+    forks_all_tips = {name: strategy_of(config, name) == "ppcoin-multifork"
+                      for name, _a in config.stake}
 
     tips = [0]          # heights of the live tips
     blocks = 0
@@ -396,7 +392,7 @@ def _run_ppcoin(config: ScenarioConfig) -> SimTrace:
         best = max(tips)
         solves = []   # (tip position, stakeholder)
         for name, _amount in config.stake:
-            if behaviors[name].forks_all_tips:
+            if forks_all_tips[name]:
                 work_on = range(len(tips))
             else:
                 work_on = [tips.index(best)]
@@ -442,7 +438,8 @@ def _run_dense(config: ScenarioConfig) -> SimTrace:
     kappa, ell = p["kappa"], p.get("ell", 7)
     g0 = p.get("g0_seconds", 300)
     ledger = LedgerState.from_allocation(list(config.stake))
-    behaviors = {name: behavior_for(config, name) for name, _a in config.stake}
+    idle = {name for name, _a in config.stake
+            if strategy_of(config, name) in IDLE_STRATEGIES}
     rng = make_rng(config.seed, "dense-run")
     seed_val = int(make_rng(config.seed, "dense-seed").integers(0, 1 << kappa))
     blocks = config.duration.get("slots", 30)
@@ -455,8 +452,7 @@ def _run_dense(config: ScenarioConfig) -> SimTrace:
         start = now
         while True:
             members = dense.derive_committee(seed_val, i, t, ledger, ell, kappa)
-            withholds = any(not behaviors[owner].creates_blocks
-                            for owner, _uid in members)
+            withholds = any(owner in idle for owner, _uid in members)
             round_time = config.delays.sample(rng) * 2
             if not withholds:
                 committee = dense.CommitteeRound(i, t, members)
@@ -497,85 +493,16 @@ def _run_dense(config: ScenarioConfig) -> SimTrace:
 # ---------------------------------------------------------------------------
 
 def _run_attack(config: ScenarioConfig) -> SimTrace:
-    kind = config.attack["kind"]
-    p = dict(config.attack.get("params", {}))
-    seed = config.seed
-    if kind == "claim1":
-        s = attacks.min_safe_confirmations_observed(
-            p["v"], p["epsilon"], p["rho_prime"], p["delta"])
-        metrics = {"kind": kind, "s": s}
-    elif kind == "claim2":
-        s = attacks.min_safe_confirmations_density(
-            p["v"], p["epsilon"], p["rho"], p["k"])
-        metrics = {"kind": kind, "s": s,
-                   "wait_minutes": attacks.confirmation_wait_seconds(
-                       s, p.get("g0_seconds", 300)) / 60.0}
-    elif kind == "takeover":
-        metrics = {"kind": kind,
-                   "exponent": attacks.takeover_log_bound(p["ell"], p["p"], p["q"])}
-    elif kind == "dense-dos":
-        mean = attacks.simulate_withholding_dos(
-            p["ell"], p["f"], p["g0_seconds"], p.get("blocks", 1000), seed)
-        metrics = {"kind": kind, "mean_interval_minutes": mean / 60.0}
-    elif kind == "ppcoin-mk":
-        out = attacks.simulate_streak_interval(
-            p.get("stake", 0.25), p.get("k", 6), p.get("blocks", 10 ** 6), seed)
-        metrics = {"kind": kind, "mean_gap": out["mean_gap"],
-                   "expected": out["expected"]}
-    elif kind == "fork-rate":
-        out = attacks.fork_rate_study(p.get("seconds", 10 ** 7), seed=seed)
-        metrics = {"kind": kind,
-                   "pairwise_interval": out["pairwise_interval"],
-                   "multi_solve_interval": out["multi_solve_interval"]}
-    elif kind == "timeweight":
-        win = attacks.simulate_timeweight_attack(
-            p["version"], p["stake"], p["multiplier"],
-            p.get("trials", 10 ** 4), seed, saturated=p.get("saturated", False))
-        metrics = {"kind": kind, "win_probability": win}
-    elif kind == "bribe":
-        scenario = attacks.BribeScenario(
-            p["v"], p["epsilon"], p["rho"], p["k"], p["delta"],
-            p["rho_prime"], p["s"])
-        out = attacks.simulate_bribe_attack(
-            scenario, p["mu"], p["p_success"], seed=seed)
-        metrics = dict(out, kind=kind)
-    elif kind == "mu":
-        from .comb import CombSpec, last_player_advantage
-        spec = CombSpec(p["comb"], p["kappa"], p.get("w", 1))
-        mu, stderr = last_player_advantage(spec, p["p"],
-                                           p.get("trials", 10 ** 4), seed)
-        metrics = {"kind": kind, "mu": mu, "stderr": stderr,
-                   "closed_form_concat": 2 * p["p"] - p["p"] ** 2}
-    elif kind == "kz-bounds":
-        from .comb import coalition_bounds
-        lo, hi = coalition_bounds(p["ell"], p["kappa"], p["epsilon"])
-        metrics = {"kind": kind, "achievable": lo, "upper": hi}
-    elif kind == "issuance":
-        ip = issuance.IssuanceParams(
-            production_cost_per_coin=p.get("cost", 1.0),
-            demand_value_fn=issuance.constant_demand(p.get("demand", 10 ** 6)),
-            fixed_difficulty=p.get("difficulty", 2e-6),
-            min_gap_seconds=p.get("min_gap", 60.0))
-        out = issuance.simulate_issuance(ip, p.get("steps", 400), seed)
-        burn = p.get("steps", 400) // 2
-        value = out["value"][burn:]
-        metrics = {"kind": kind,
-                   "final_value": float(out["value"][-1]),
-                   "mean_value": float(value.mean()),
-                   "cost": p.get("cost", 1.0)}
-    else:
-        raise ConfigError("attack.kind", "unknown attack id %r" % kind)
-    events = [{"event": "analysis", "kind": kind, "params": p}]
+    kind, p, fn = analysis_of(config.attack)
+    metrics = dict(fn(p, config.seed), kind=kind)
+    events = [{"event": "analysis", "kind": kind, "params": dict(p)}]
     return SimTrace(config, events, metrics, {})
+
+
+ENGINES = {"coa": _run_coa, "dense_coa": _run_dense, "ppcoin": _run_ppcoin}
 
 
 def run_scenario(config: ScenarioConfig) -> SimTrace:
     if config.attack is not None:
         return _run_attack(config)
-    if config.protocol == "coa":
-        return _run_coa(config)
-    if config.protocol == "ppcoin":
-        return _run_ppcoin(config)
-    if config.protocol == "dense_coa":
-        return _run_dense(config)
-    raise ConfigError("protocol", "unknown protocol %r" % config.protocol)
+    return ENGINES[config.protocol](config)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
-from . import attacks, comb, issuance
+from . import attacks
 from .netsim import ScenarioConfig, config_from_dict
 
 
@@ -148,103 +148,87 @@ class ReproResult:
                 "pass" if self.passed else "FAIL"]
 
 
-def _repro_claim1(seed: int) -> ReproResult:
+@dataclass(frozen=True)
+class Reproduction:
+    kind: str               # the attacks.ANALYSES entry it runs
+    param_sets: tuple       # one analysis run per entry
+    expected: str
+    tolerance: str
+    verdict: Callable[[dict, dict], tuple]   # (params, metrics) -> (computed, passed)
+
+
+def _within(value: float, want: float, rel: float) -> bool:
+    return abs(value - want) / want <= rel
+
+
+def _mu_verdict(p: dict, m: dict) -> tuple:
+    want = m["closed_form_concat"]
+    return ("p=%.2f: %.4f~%.4f" % (p["p"], m["mu"], want),
+            abs(m["mu"] - want) <= 3 * m["stderr"])
+
+
+def _kz_verdict(p: dict, m: dict) -> tuple:
+    eps, lo, hi = p["epsilon"], m["achievable"], m["upper"]
+    return ("%.3f, %.3f (ε=%.1f)" % (lo, hi, eps),
+            abs(lo - 2 * eps) < 1e-9 and abs(hi - 91.8 * eps) < 1e-9)
+
+
+REPRODUCTIONS: Dict[str, Reproduction] = {
     # delta = K reproduces the density-assumption instance exactly
-    s = attacks.min_safe_confirmations_observed(100, 10, 0.7, 20)
-    return ReproResult("claim1", "S=42", "S=%d" % s, "exact", s == 42)
-
-
-def _repro_claim2(seed: int) -> ReproResult:
-    s = attacks.min_safe_confirmations_density(100, 10, 0.7, 20)
-    wait_h = attacks.confirmation_wait_seconds(s, 300) / 3600.0
-    ok = s == 42 and abs(wait_h - 3.5) < 1e-9
-    return ReproResult("claim2", "S=42, 3.5 h",
-                       "S=%d, %.2f h" % (s, wait_h), "exact", ok)
-
-
-def _repro_takeover(seed: int) -> ReproResult:
-    e = attacks.takeover_log_bound(459, 0.1, 0.2)
-    return ReproResult("takeover", "exponent 371", "%.2f" % e, "±1",
-                       abs(e - 371) <= 1.0)
-
-
-def _repro_dense_dos(seed: int) -> ReproResult:
-    mean_min = attacks.simulate_withholding_dos(23, 0.1, 300.0, 4000,
-                                                seed) / 60.0
-    ok = 40.0 <= mean_min <= 56.4
-    return ReproResult("dense-dos", "below 56.4 min (forks pull it under 56)",
-                       "%.1f min" % mean_min, "[40, 56.4] min", ok)
-
-
-def _repro_ppcoin_mk(seed: int) -> ReproResult:
-    out = attacks.simulate_streak_interval(0.25, 6, 4_000_000, seed)
-    gap = out["mean_gap"]
-    ok = abs(gap - 4096) / 4096 <= 0.15
-    return ReproResult("ppcoin-mk", "4096 blocks", "%.0f" % gap, "±15%", ok)
-
-
-def _repro_fork_rate(seed: int) -> ReproResult:
-    out = attacks.fork_rate_study(4 * 10 ** 8, seed=seed)
-    pw, ms = out["pairwise_interval"], out["multi_solve_interval"]
-    ok = abs(pw - 360000) / 360000 <= 0.2 and abs(ms - 720000) / 720000 <= 0.2
-    return ReproResult("fork-rate", "360000 s pairwise / 720000 s multi-solve",
-                       "%.0f / %.0f s" % (pw, ms), "±20%", ok)
-
-
-def _repro_mu_concat(seed: int) -> ReproResult:
-    rows = []
-    ok = True
-    for p in (0.02, 0.05, 0.1):
-        spec = comb.CombSpec("concat", 8, 1)
-        mu, stderr = comb.last_player_advantage(spec, p, 10 ** 5, seed)
-        want = 2 * p - p * p
-        ok = ok and abs(mu - want) <= 3 * stderr
-        rows.append("p=%.2f: %.4f~%.4f" % (p, mu, want))
-    return ReproResult("mu-concat", "2p-p^2", "; ".join(rows), "3σ", ok)
-
-
-def _repro_mu_majority(seed: int) -> ReproResult:
-    tie = comb.undetermined_fraction(comb.CombSpec("majority", 1, 9))
-    want = 70 / 256
-    return ReproResult("mu-majority", "tie 70/256", "%.6f" % tie, "exact",
-                       tie == want)
-
-
-def _repro_kz_bounds(seed: int) -> ReproResult:
-    eps = 0.1
-    lo, hi = comb.coalition_bounds(459, 51, eps)
-    ok = abs(lo - 2 * eps) < 1e-9 and abs(hi - 91.8 * eps) < 1e-9
-    return ReproResult("kz-bounds", "achievable 2ε, upper 91.8ε",
-                       "%.3f, %.3f (ε=%.1f)" % (lo, hi, eps), "exact", ok)
-
-
-def _repro_issuance(seed: int) -> ReproResult:
-    params = issuance.IssuanceParams(
-        production_cost_per_coin=1.0,
-        demand_value_fn=issuance.constant_demand(10 ** 6),
-        fixed_difficulty=2e-6)
-    out = issuance.simulate_issuance(params, 800, seed)
-    value = out["value"][400:]
-    rel = float(abs(value - 1.0).max())
-    return ReproResult("issuance", "value converges to cost",
-                       "max |value-cost|/cost = %.3f" % rel, "< 0.1", rel < 0.1)
-
-
-REPRODUCTIONS: Dict[str, Callable[[int], ReproResult]] = {
-    "claim1": _repro_claim1,
-    "claim2": _repro_claim2,
-    "takeover": _repro_takeover,
-    "dense-dos": _repro_dense_dos,
-    "ppcoin-mk": _repro_ppcoin_mk,
-    "fork-rate": _repro_fork_rate,
-    "mu-concat": _repro_mu_concat,
-    "mu-majority": _repro_mu_majority,
-    "kz-bounds": _repro_kz_bounds,
-    "issuance": _repro_issuance,
+    "claim1": Reproduction(
+        "claim1", ({"v": 100, "epsilon": 10, "rho_prime": 0.7, "delta": 20},),
+        "S=42", "exact", lambda p, m: ("S=%d" % m["s"], m["s"] == 42)),
+    "claim2": Reproduction(
+        "claim2", ({"v": 100, "epsilon": 10, "rho": 0.7, "k": 20,
+                    "g0_seconds": 300},),
+        "S=42, 3.5 h", "exact",
+        lambda p, m: ("S=%d, %.2f h" % (m["s"], m["wait_minutes"] / 60.0),
+                      m["s"] == 42 and abs(m["wait_minutes"] / 60.0 - 3.5) < 1e-9)),
+    "takeover": Reproduction(
+        "takeover", ({"ell": 459, "p": 0.1, "q": 0.2},), "exponent 371", "±1",
+        lambda p, m: ("%.2f" % m["exponent"], abs(m["exponent"] - 371) <= 1.0)),
+    "dense-dos": Reproduction(
+        "dense-dos", ({"ell": 23, "f": 0.1, "g0_seconds": 300.0, "blocks": 4000},),
+        "below 56.4 min (forks pull it under 56)", "[40, 56.4] min",
+        lambda p, m: ("%.1f min" % m["mean_interval_minutes"],
+                      40.0 <= m["mean_interval_minutes"] <= 56.4)),
+    "ppcoin-mk": Reproduction(
+        "ppcoin-mk", ({"stake": 0.25, "k": 6, "blocks": 4_000_000},),
+        "4096 blocks", "±15%",
+        lambda p, m: ("%.0f" % m["mean_gap"], _within(m["mean_gap"], 4096, 0.15))),
+    "fork-rate": Reproduction(
+        "fork-rate", ({"seconds": 4 * 10 ** 8},),
+        "360000 s pairwise / 720000 s multi-solve", "±20%",
+        lambda p, m: ("%.0f / %.0f s" % (m["pairwise_interval"],
+                                         m["multi_solve_interval"]),
+                      _within(m["pairwise_interval"], 360000, 0.2)
+                      and _within(m["multi_solve_interval"], 720000, 0.2))),
+    "mu-concat": Reproduction(
+        "mu", tuple({"comb": "concat", "kappa": 8, "p": p, "trials": 10 ** 5}
+                    for p in (0.02, 0.05, 0.1)),
+        "2p-p^2", "3σ", _mu_verdict),
+    "mu-majority": Reproduction(
+        "tie-fraction", ({"comb": "majority", "kappa": 1, "w": 9},),
+        "tie 70/256", "exact",
+        lambda p, m: ("%.6f" % m["tie_fraction"], m["tie_fraction"] == 70 / 256)),
+    "kz-bounds": Reproduction(
+        "kz-bounds", ({"ell": 459, "kappa": 51, "epsilon": 0.1},),
+        "achievable 2ε, upper 91.8ε", "exact", _kz_verdict),
+    "issuance": Reproduction(
+        "issuance", ({"cost": 1.0, "demand": 10 ** 6, "difficulty": 2e-6,
+                      "steps": 800},),
+        "value converges to cost", "< 0.1",
+        lambda p, m: ("max |value-cost|/cost = %.3f" % m["max_deviation"],
+                      m["max_deviation"] < 0.1)),
 }
 
 
 def run_reproduction(repro_id: str, seed: int = 0) -> ReproResult:
     if repro_id not in REPRODUCTIONS:
         raise KeyError("unknown reproduction id %r" % repro_id)
-    return REPRODUCTIONS[repro_id](seed)
+    repro = REPRODUCTIONS[repro_id]
+    fn = attacks.ANALYSES[repro.kind].fn
+    outcomes = [repro.verdict(p, fn(p, seed)) for p in repro.param_sets]
+    return ReproResult(repro_id, repro.expected,
+                       "; ".join(text for text, _ok in outcomes),
+                       repro.tolerance, all(ok for _text, ok in outcomes))

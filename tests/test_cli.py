@@ -136,3 +136,37 @@ def test_reproductions_all_pass_quick_subset():
                      "mu-majority"):
         result = run_reproduction(repro_id, seed=0)
         assert result.passed, (repro_id, result.computed)
+
+
+def _config_with(params=None, **kw):
+    config = {
+        "protocol": "coa",
+        "params": dict({"kappa": 4}, **(params or {})),
+        "stake": [["alice", 6], ["bob", 5], ["carol", 5]],
+        "duration": {"slots": 5},
+    }
+    config.update(kw)
+    return config
+
+
+@pytest.mark.parametrize("config, field", [
+    (_config_with({"t0": 7}), "params.t0"),
+    (_config_with({"comb": "tribes"}), "params.comb"),
+    (_config_with({"comb": "majority", "w": 2}), "params.w"),
+    (_config_with({"c0": 4, "c1": 3}), "params.c1"),
+    (_config_with(delays={"distribution": "pareto"}), "delays.distribution"),
+    (_config_with(attack={"kind": "nonsense", "params": {}}), "attack.kind"),
+    (_config_with(attack={"kind": "claim1", "params": {
+        "epsilon": 10, "rho_prime": 0.7, "delta": 20}}), "attack.params.v"),
+    (_config_with(behaviors={"bob": {"strategy": "bribe-acceptor"}}),
+     "behaviors.bob.strategy"),
+])
+def test_rejected_config_names_field_in_validate_and_run(tmp_path, capsys,
+                                                          config, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    for argv in (("validate-config", "--config", str(path)),
+                 ("run", "--config", str(path), "--out", str(tmp_path / "o"))):
+        code, _o, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG_ERROR, (argv[0], err)
+        assert field + ":" in err, (argv[0], err)

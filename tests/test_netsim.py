@@ -2,9 +2,9 @@ import dataclasses
 
 import pytest
 
-from poslab.netsim import (Behavior, ConfigError, DelayModel, STRATEGIES,
-                           ScenarioConfig, behavior_for, config_from_dict,
-                           load_config, register_strategy, run_scenario)
+from poslab.netsim import (ConfigError, DelayModel, STRATEGIES,
+                           config_from_dict, load_config, run_scenario,
+                           strategy_of)
 from poslab.scenarios import get_scenario, scenario_names
 
 
@@ -37,10 +37,11 @@ def test_config_validation_names_offending_field():
         config_from_dict(base_raw(
             behaviors={"mallory": {"strategy": "honest"}}))
     assert e.value.fieldname == "behaviors.mallory"
-    with pytest.raises(ConfigError) as e:
-        config_from_dict(base_raw(
-            behaviors={"alice": {"strategy": "nonsense"}}))
-    assert e.value.fieldname == "behaviors.alice.strategy"
+    for strategy in ("nonsense", "bribe-acceptor"):
+        with pytest.raises(ConfigError) as e:
+            config_from_dict(base_raw(
+                behaviors={"alice": {"strategy": strategy}}))
+        assert e.value.fieldname == "behaviors.alice.strategy"
     with pytest.raises(ConfigError) as e:
         config_from_dict(base_raw(delays={"min": 3.0, "max": 1.0}))
     assert e.value.fieldname == "delays"
@@ -65,17 +66,11 @@ def test_load_config_rejects_bad_json(tmp_path):
         load_config(str(path))
 
 
-def test_duplicate_strategy_id_rejected():
-    with pytest.raises(ValueError):
-        register_strategy("honest", lambda params: Behavior("honest", {}))
-
-
 def test_behavior_defaults_to_honest():
     config = config_from_dict(base_raw(
         behaviors={"bob": {"strategy": "offline"}}))
-    assert behavior_for(config, "alice").strategy == "honest"
-    assert behavior_for(config, "alice").creates_blocks
-    assert not behavior_for(config, "bob").creates_blocks
+    assert strategy_of(config, "alice") == "honest"
+    assert strategy_of(config, "bob") == "offline"
     assert "honest" in STRATEGIES
 
 
@@ -83,6 +78,64 @@ def test_trace_is_deterministic():
     for name in ("coa-baseline", "ppcoin-honest", "dense-baseline", "claim2"):
         config = get_scenario(name)
         assert run_scenario(config).digest() == run_scenario(config).digest()
+
+
+# Trace digest of every bundled scenario at its bundled seed. A change that
+# moves one must say which and why.
+PINNED_DIGESTS = {
+    "bribe-underfunded":
+        "d46202d97566b0fd17e353f2d6f41b67c63cc023b0612694dc34b6aee9e07b50",
+    "claim1":
+        "90ee5271dcfa0ba81e21a7eacadb87ed75516c7d546675f36f5a98d1bbb79772",
+    "claim2":
+        "4435d29b1ef53840f8b3393eb68a4efeaf4d878b00e1c5edaea5590fe8e2b8f9",
+    "coa-baseline":
+        "7a2e85108166a09b2facd80dd55be8e52555b5307e46d33eddf775410d88dadd",
+    "coa-fast":
+        "f66d2674cffc47e8b6663340b4203605092e9a9ceaac4f2140b9aa71008f6a15",
+    "coa-iterated":
+        "a27b9094a902cb498a0d2061ddd79c80c5459315405ffc8a1d3aecbe87fb271b",
+    "coa-majority":
+        "4602e446bd99e9c412060b3a4dd89189d631d76168b31f464f8539f5e124a246",
+    "coa-nodrift":
+        "a0d3e96bccbd1483c0212296449d83afae945bf766b38d030c21d6dfd229e535",
+    "coa-offline":
+        "be0734d98356030e528b1b2decef7ed5b630e8311e1a55539529d0678abb23be",
+    "coa-skewed":
+        "f8618df0d0554bfb7124e69ac61e1c26582b142c1cbcb028bf95fcd600a602d8",
+    "dense-baseline":
+        "bf574db7b8c0677428c81dee6b30cfe2d38fefc532face3e921416d377592b4b",
+    "dense-dos":
+        "df9c84d36f947e44ad2546a694976f8b7c55f204baa3a4788931d81a6b7ec932",
+    "dense-withhold":
+        "dcd74364f2bf4510468c8bca6158854edd8d4e5b68f5f77500497a74800581a6",
+    "fork-rate":
+        "8ab25ae2fe1dc6e21ff4350001212f9e2bf2df26abe1212b11751f27fe6ee0e5",
+    "issuance-equilibrium":
+        "628ac9f2aac590d87ae2ee466616c799ff9afb30ac1a575f95ee092323cd0a98",
+    "kz-bounds":
+        "d0695fdc5f6c8b00fa9ab2d94f0ed57bdbe15faae543259f3f80e9659218d985",
+    "mu-concat":
+        "1d6aa3f21faa176641e20d925ce4f762727252af3ea65ec9923e46e3b881188d",
+    "ppcoin-honest":
+        "5c2081bedd7e2956c67676cb083ec305e28a0fe9d357aad2bc8f3b46a731ec91",
+    "ppcoin-mk":
+        "b6c4aec63f59620b9ef8d01b0d62258bf229098883e820d688d7eb00be596164",
+    "ppcoin-multifork":
+        "0c958e42d77f07002633318e2fadb0091f1685ca523776f3b7a4158f3023d349",
+    "takeover":
+        "eba6a20100d8cfae716db6a436992795d2579cd94b4cc859794df2126825b267",
+    "timeweight-v02":
+        "310d587e0895db2ef73f5da4782a3874af4e8c75b98c512112a7b8a772992d3e",
+    "timeweight-v03-saturated":
+        "0794e92e992b64772d89e59fd442a86bb50e9bfa9f717a15b9ff0b23b5206d73",
+}
+
+
+def test_bundled_digests_are_pinned():
+    digests = {name: run_scenario(get_scenario(name)).digest()
+               for name in scenario_names()}
+    assert digests == PINNED_DIGESTS
 
 
 def test_seed_changes_the_trace():
