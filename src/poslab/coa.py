@@ -115,14 +115,13 @@ class ChainView:
         self.last_block = genesis
         self.last_digest = canonical_block_digest(genesis)
         self.group_bits = []
-        self.seeds = {}              # group number -> seed
-        self.group_last_index = {}   # group number -> slot index of its last block
         self.z_next = 1
         self.pending_blacklist = {}  # activation group -> set of uids
-        self.slot_winners = {}       # slot index -> (owner, uid), incl. skipped slots
-        self.deposits = {}           # slot index -> tuple of frozen deposit uids
         self.punished = set()        # offense indices already confiscated
-        self.path_indices = {0}
+        # slot index -> (owner, uid, uids frozen by its block); the frozen
+        # tuple is empty for a skipped slot and never empty for a block
+        self.slots = {}
+        self.groups = {}             # group number -> (seed, index of its last block)
 
     def clone(self) -> "ChainView":
         out = ChainView.__new__(ChainView)
@@ -135,14 +134,11 @@ class ChainView:
         out.last_block = self.last_block
         out.last_digest = self.last_digest
         out.group_bits = list(self.group_bits)
-        out.seeds = dict(self.seeds)
-        out.group_last_index = dict(self.group_last_index)
         out.z_next = self.z_next
         out.pending_blacklist = {k: set(v) for k, v in self.pending_blacklist.items()}
-        out.slot_winners = dict(self.slot_winners)
-        out.deposits = dict(self.deposits)
         out.punished = set(self.punished)
-        out.path_indices = set(self.path_indices)
+        out.slots = dict(self.slots)
+        out.groups = dict(self.groups)
         return out
 
     # -- slot derivation -----------------------------------------------------
@@ -157,8 +153,9 @@ class ChainView:
         if g == 1:
             return 0, self.genesis_seed
         if g == 2:
-            return self.group_last_index[1], self.genesis_seed
-        return self.group_last_index[g - 2], self.seeds[g - 2]
+            return self.groups[1][1], self.genesis_seed
+        seed, anchor = self.groups[g - 2]
+        return anchor, seed
 
     def derive_slot_candidate(self, z: int) -> tuple:
         """Raw follow-the-satoshi result for derivation offset z of the
@@ -206,9 +203,9 @@ class ChainView:
                                creating_index: Optional[int] = None) -> bool:
         """A transaction is valid only in chains containing the block index it
         names; binding to the block currently being created is allowed."""
-        if tx.latest_block_index in self.path_indices:
-            return True
-        return creating_index is not None and tx.latest_block_index == creating_index
+        index = tx.latest_block_index
+        record = self.slots.get(index)
+        return index in (0, creating_index) or bool(record and record[2])
 
 
 def process_block(view: ChainView, block: Block, local_time: Optional[int] = None,
@@ -266,14 +263,13 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
     new = view.clone()
 
     # strikes for the slots that were skipped by inactive creators
-    for idx, _z, _owner, missed_uid in candidates[:-1]:
-        new.slot_winners[idx] = (_owner, missed_uid)
+    for idx, _z, missed_owner, missed_uid in candidates[:-1]:
+        new.slots[idx] = (missed_owner, missed_uid, ())
         u = new.ledger.utxos[missed_uid]
         strikes = u.strikes + 1
         new.ledger = new.ledger.with_strikes(missed_uid, strikes)
         if strikes >= p.strikes_to_blacklist:
             new.pending_blacklist.setdefault(new.current_group + 2, set()).add(missed_uid)
-    new.slot_winners[block.index] = (owner, uid)
     new.ledger = new.ledger.with_strikes(uid, 0)
 
     # deposit freeze: neither the derived nor the auxiliary output may be
@@ -283,13 +279,12 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
         new.ledger = new.ledger.with_frozen(duid, height + p.t0)
         frozen.append(duid)
 
+    effect = None
     if evidence_effect is not None:
         offense_index, confiscate_uids = evidence_effect
-        effect = _confiscate(new, offense_index, confiscate_uids,
-                             block.creator, height)
-        if observer:
-            observer("confiscation", dict(effect, offense_index=offense_index,
-                                          reporter=block.creator))
+        effect = dict(_confiscate(new, offense_index, confiscate_uids,
+                                  block.creator, height),
+                      offense_index=offense_index, reporter=block.creator)
 
     for tx in block.transactions:
         if not new.tx_chain_binding_check(tx, creating_index=block.index):
@@ -304,19 +299,20 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
             new.ledger = new.ledger.with_frozen(fee_uid, height + p.t0)
             frozen.append(fee_uid)
 
-    new.deposits[block.index] = tuple(frozen)
+    if effect is not None and observer:
+        observer("confiscation", effect)
+    new.slots[block.index] = (owner, uid, tuple(frozen))
     new.group_bits.append(block_bit(block))
     new.height = height
     new.last_index = block.index
     new.last_timestamp = block.timestamp
     new.last_block = block
     new.last_digest = canonical_block_digest(block)
-    new.path_indices.add(block.index)
 
     if len(new.group_bits) == p.ell:
         completed = (height - 1) // p.ell + 1
-        new.seeds[completed] = seed_from_group(new.group_bits, p.comb_spec)
-        new.group_last_index[completed] = block.index
+        new.groups[completed] = (seed_from_group(new.group_bits, p.comb_spec),
+                                 block.index)
         new.group_bits = []
         new.z_next = 1
         # activate blacklists scheduled for the group now opening
@@ -345,10 +341,10 @@ def _check_evidence(view: ChainView, block: Block):
         return "bad-evidence"
     if offense >= block.index or block.index - offense > view.params.t0:
         return "bad-evidence"
-    winner = view.slot_winners.get(offense)
-    if winner is None or winner[0] != a.creator:
+    record = view.slots.get(offense)
+    if record is None or record[0] != a.creator:
         return "bad-evidence"
-    uids = set(view.deposits.get(offense, ())) | {winner[1]}
+    uids = set(record[2]) | {record[1]}
     uids = {u for u in uids if u in view.ledger.utxos}
     if not uids:
         return "bad-evidence"

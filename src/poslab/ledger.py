@@ -411,15 +411,20 @@ class LedgerState:
 
     # -- bookkeeping used by the consensus engines -------------------------
 
-    def with_frozen(self, uid: int, until: int) -> "LedgerState":
+    def _with_utxo(self, uid: int, **changes) -> "LedgerState":
+        """Replace fields of one output; no interval moves, so the new state
+        shares this one's interval index."""
         utxos = dict(self.utxos)
-        utxos[uid] = replace(utxos[uid], frozen_until=until)
-        return self._clone(utxos=utxos)
+        utxos[uid] = replace(utxos[uid], **changes)
+        out = self._clone(utxos=utxos)
+        out._starts, out._index_entries = self._starts, self._index_entries
+        return out
+
+    def with_frozen(self, uid: int, until: int) -> "LedgerState":
+        return self._with_utxo(uid, frozen_until=until)
 
     def with_strikes(self, uid: int, strikes: int) -> "LedgerState":
-        utxos = dict(self.utxos)
-        utxos[uid] = replace(utxos[uid], strikes=strikes)
-        return self._clone(utxos=utxos)
+        return self._with_utxo(uid, strikes=strikes)
 
     def with_blacklisted(self, uids: Iterable[int]) -> "LedgerState":
         uids = {u for u in uids if u in self.utxos}

@@ -26,6 +26,13 @@ from .rng import make_rng
 
 STRATEGIES = ("honest", "offline", "withhold", "ppcoin-multifork")
 IDLE_STRATEGIES = ("offline", "withhold")   # create no blocks
+# protocol -> (the duration it runs when a config gives none, other keys its
+# engine reads); a given duration needs every key of the default
+DURATIONS = {
+    "coa": ({"slots": 50}, ("seconds",)),
+    "dense_coa": ({"slots": 50}, ()),
+    "ppcoin": ({"seconds": 60_000}, ()),
+}
 
 
 class ConfigError(ValueError):
@@ -63,10 +70,10 @@ class ScenarioConfig:
     protocol: str
     params: dict                       # kappa, w, comb, g0_seconds, c0, c1, t0...
     stake: Tuple[Tuple[str, int], ...]
+    duration: dict                     # keys and defaults: DURATIONS[protocol]
     behaviors: dict = field(default_factory=dict)   # stakeholder -> {strategy, params}
     delays: DelayModel = DelayModel()
     clock_drift_max: float = 2.0
-    duration: dict = field(default_factory=lambda: {"slots": 50})
     seed: int = 0
     attack: Optional[dict] = None      # analysis scenarios: {kind, params}
 
@@ -131,10 +138,20 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
                         d.get("distribution", "uniform"))
     if delays.min_seconds < 0 or delays.max_seconds < delays.min_seconds:
         raise ConfigError("delays", "require 0 <= min <= max")
-    duration = raw.get("duration", {"slots": 50})
-    if not isinstance(duration, dict) or \
-            not ({"slots", "seconds"} & set(duration)):
-        raise ConfigError("duration", "must contain 'slots' or 'seconds'")
+    default, optional = DURATIONS[protocol]
+    duration = raw.get("duration", dict(default))
+    if not isinstance(duration, dict) or not duration:
+        raise ConfigError("duration", "must be an object like %r" % default)
+    for key, value in duration.items():
+        if key not in default and key not in optional:
+            raise ConfigError("duration." + key, "not read by protocol %r"
+                              % protocol)
+        if type(value) is not int or value < 1:
+            raise ConfigError("duration." + key, "must be a positive integer")
+    for key in default:
+        if key not in duration:
+            raise ConfigError("duration." + key, "required by protocol %r"
+                              % protocol)
     seed = raw.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed", "must be an integer")
@@ -254,7 +271,7 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
                                                config.clock_drift_max))
         creates_blocks[name] = strategy_of(config, name) not in IDLE_STRATEGIES
 
-    target_blocks = config.duration.get("slots", 50)
+    target_blocks = config.duration["slots"]
     time_limit = config.duration.get(
         "seconds", (target_blocks + 2) * params.g0 * 20)
     queue: list = []
@@ -371,7 +388,7 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
 def _run_ppcoin(config: ScenarioConfig) -> SimTrace:
     total = 1 << config.params["kappa"]
     target = config.params.get("target_interval", 600)
-    seconds = config.duration.get("seconds", 60_000)
+    seconds = config.duration["seconds"]
     max_tips = config.params.get("max_tips", 6)
     rng = make_rng(config.seed, "ppcoin-run")
     events: List[dict] = []
@@ -442,7 +459,7 @@ def _run_dense(config: ScenarioConfig) -> SimTrace:
             if strategy_of(config, name) in IDLE_STRATEGIES}
     rng = make_rng(config.seed, "dense-run")
     seed_val = int(make_rng(config.seed, "dense-seed").integers(0, 1 << kappa))
-    blocks = config.duration.get("slots", 30)
+    blocks = config.duration["slots"]
     events: List[dict] = []
     now = 0.0
     fallbacks = 0

@@ -180,7 +180,7 @@ def test_criterion_09_protocol_invariants():
             assert twin.apply(blk) == ACCEPT
         base.extend(ell)
         twin.extend(ell, ts_extra=offset)
-        assert base.view.seeds[2] == twin.view.seeds[2]
+        assert base.view.groups[2][0] == twin.view.groups[2][0]
         a = [(o, u) for _i, _z, o, u in base.view.slot_candidates(4)]
         b = [(o, u) for _i, _z, o, u in twin.view.slot_candidates(4)]
         assert a == b

@@ -160,6 +160,12 @@ def _config_with(params=None, **kw):
         "epsilon": 10, "rho_prime": 0.7, "delta": 20}}), "attack.params.v"),
     (_config_with(behaviors={"bob": {"strategy": "bribe-acceptor"}}),
      "behaviors.bob.strategy"),
+    (_config_with(duration={"seconds": 10 ** 6}), "duration.slots"),
+    (_config_with(protocol="dense_coa", duration={"seconds": 600}),
+     "duration.seconds"),
+    (_config_with(protocol="ppcoin", duration={"slots": 5}), "duration.slots"),
+    (_config_with(protocol="dense_coa", duration={"slots": 0}),
+     "duration.slots"),
 ])
 def test_rejected_config_names_field_in_validate_and_run(tmp_path, capsys,
                                                           config, field):

@@ -92,7 +92,7 @@ def test_honest_chain_and_recompute_equivalence():
     b.extend(13)
     assert b.view.height == 13
     fresh = view_from_path(params, b.genesis, b.ledger0, b.blocks)
-    assert fresh.seeds == b.view.seeds
+    assert fresh.groups == b.view.groups
     assert fresh.last_digest == b.view.last_digest
     assert fresh.ledger.utxos == b.view.ledger.utxos
     assert fresh.z_next == b.view.z_next
@@ -144,7 +144,7 @@ def test_deposit_frozen_for_t0_blocks():
     b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
     b.extend(1)
     creator = b.blocks[0].creator
-    _owner, uid = b.view.slot_winners[b.blocks[0].index]
+    _owner, uid, _frozen = b.view.slots[b.blocks[0].index]
     u = b.view.ledger.utxos[uid]
     assert u.frozen_until == 1 + params.t0
     # spending it before the freeze expires fails inside a block
@@ -231,7 +231,7 @@ def test_double_sign_confiscation_conservation():
     offender_block = b.blocks[-1]
     evidence = make_evidence(offender_block, offender_block.creator)
     live_before = b.view.ledger.live_total
-    _owner, offender_uid = b.view.slot_winners[offender_block.index]
+    _owner, offender_uid, _frozen = b.view.slots[offender_block.index]
     confiscated = b.view.ledger.utxos[offender_uid].amount
     block = b.craft(evidence=evidence)
     assert b.apply(block) == ACCEPT
@@ -321,11 +321,11 @@ def test_strikes_reset_on_production():
     b.extend(30)
     # any output that produced a block has zero strikes afterwards
     for block in b.blocks:
-        _o, uid = b.view.slot_winners[block.index]
+        _o, uid, _d = b.view.slots[block.index]
         if uid in b.view.ledger.utxos:
             after_production = [
-                i for i in b.view.slot_winners
-                if i > block.index and b.view.slot_winners[i][1] == uid]
+                i for i in b.view.slots
+                if i > block.index and b.view.slots[i][1] == uid]
             if not after_production:
                 assert b.view.ledger.utxos[uid].strikes == 0
 
@@ -351,7 +351,7 @@ def test_interleaving_cement():
         assert twin.apply(twin.craft(gap=gap, ts_extra=17)) == ACCEPT
     assert base.view.current_group == twin.view.current_group == 4
     # group 4 derives from group 2: identical in both chains
-    assert base.view.seeds[2] == twin.view.seeds[2]
+    assert base.view.groups[2][0] == twin.view.groups[2][0]
     base_slots = [(o, u) for _i, _z, o, u in base.view.slot_candidates(8)]
     twin_slots = [(o, u) for _i, _z, o, u in twin.view.slot_candidates(8)]
     assert base_slots == twin_slots
@@ -431,3 +431,107 @@ def test_blacklisted_derivations_consume_no_index_or_time():
     assert block.creator == replacement[2]
     assert block.timestamp == b.view.last_timestamp + params.g0  # no extra G0
     assert b.apply(block) == ACCEPT
+
+
+def test_confiscation_event_only_for_accepted_blocks():
+    params = small_params(c0=2, c1=1)
+    b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
+    b.extend(2)
+    offense = b.blocks[-1]
+    evidence = make_evidence(offense, offense.creator)
+    unbound = Transaction(((0, b"\x00" * 16),), (("alice", 1),),
+                          b.view.last_index + 50)
+    events = []
+    observe = lambda kind, payload: events.append((kind, payload))
+    block = b.craft(evidence=evidence, txs=(unbound,))
+    assert process_block(b.view, block, observer=observe) \
+        == (None, "binding-violation")
+    assert events == []
+    _view, reason = process_block(b.view, b.craft(evidence=evidence),
+                                  observer=observe)
+    assert reason == ACCEPT
+    (kind, payload), = events
+    assert kind == "confiscation"
+    assert set(payload) == {"confiscated", "awarded", "destroyed",
+                            "offense_index", "reporter"}
+
+
+def signed_spend(u, latest=0, fee=0):
+    """A transaction paying output `u` back to its owner, less `fee`."""
+    outputs = ((u.owner, u.amount - fee),)
+    tx = Transaction(((u.uid, b"\x00" * 16),), outputs, latest, fee=fee)
+    return Transaction(((u.uid, sign(u.owner, tx.signing_digest())),),
+                       outputs, latest, fee=fee)
+
+
+def assert_same_view(view, fresh):
+    ours, theirs = dict(vars(view)), dict(vars(fresh))
+    ledger, fresh_ledger = ours.pop("ledger"), theirs.pop("ledger")
+    assert ours == theirs
+    for name in ("utxos", "blacklist", "total_supply", "destroyed", "next_uid"):
+        assert getattr(ledger, name) == getattr(fresh_ledger, name)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fork_tree_views_equal_recompute(seed):
+    """Every view a node holds after shuffled delivery of competing chains
+    equals the recompute from genesis of that view's path."""
+    params = small_params(t0=20)  # nothing solidifies below height 20
+    alloc = [("alice", 6), ("bob", 5), ("carol", 5)]
+    main = Builder(params, alloc)
+    main.extend(3)
+    fee_tx = signed_spend(main.spendable_utxo(), fee=1)
+    assert main.apply(main.craft(txs=(fee_tx,))) == ACCEPT
+    main.extend(4)
+
+    skipper = Builder(params, alloc)        # skipped slots from block 3 on
+    for block in main.blocks[:2]:
+        assert skipper.apply(block) == ACCEPT
+    assert skipper.apply(skipper.craft(gap=2)) == ACCEPT
+    skipper.extend(4, avoid=(main.blocks[2].creator,))
+    sibling = Builder(params, alloc)        # forks off the skipping chain
+    for block in skipper.blocks[:4]:
+        assert sibling.apply(block) == ACCEPT
+    assert sibling.apply(sibling.craft(gap=3)) == ACCEPT
+    sibling.extend(2)
+
+    reporter = Builder(params, alloc)       # double-sign evidence block
+    prefix = len(main.blocks) - 3
+    for block in main.blocks[:prefix]:
+        assert reporter.apply(block) == ACCEPT
+    offense = reporter.blocks[-1]
+    evidence = make_evidence(offense, offense.creator)
+    assert reporter.apply(reporter.craft(evidence=evidence)) == ACCEPT
+    assert reporter.view.punished == {offense.index}
+    reporter.extend(2)
+
+    chains = (main, skipper, sibling, reporter)
+    blocks = {canonical_block_digest(blk): blk
+              for chain in chains for blk in chain.blocks}
+    node = CoaNode(params, main.genesis, main.ledger0)
+    pending = list(blocks.values())
+    rng = make_rng(seed, "fork-tree")
+    while pending:
+        orphans = []
+        for i in rng.permutation(len(pending)):
+            ok, reason = node.receive_block(pending[i])
+            assert reason in (ACCEPT, "orphan"), reason
+            if not ok:
+                orphans.append(pending[i])
+        assert len(orphans) < len(pending)
+        pending = orphans
+    assert len(node.views) == len(blocks) + 1
+    for digest, view in node.views.items():
+        path = [node.tree.blocks[d] for d in node.tree.path(digest)[1:]]
+        assert_same_view(view, view_from_path(params, main.genesis,
+                                              main.ledger0, path))
+
+    # a skipped slot's index is not a block of the chain: binding fails
+    skipped = [i for i, (_o, _u, frozen) in skipper.view.slots.items()
+               if not frozen]
+    assert skipped
+    u = skipper.spendable_utxo()
+    assert skipper.apply(skipper.craft(
+        txs=(signed_spend(u, latest=skipped[0]),))) == "binding-violation"
+    assert skipper.apply(skipper.craft(
+        txs=(signed_spend(u, latest=skipper.blocks[0].index),))) == ACCEPT
