@@ -183,9 +183,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except KeyError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from .comb import CombSpec, ParamError, comb_apply
 from .fts import satoshi_index, follow_the_satoshi
 from .ledger import (
     Block, BlockTree, EvidenceEntry, LedgerError, LedgerState, Transaction,
-    block_bit, canonical_block_digest, validate_block_structure,
+    block_bit, validate_block_structure,
 )
 
 ACCEPT = "accept"
@@ -110,10 +110,7 @@ class ChainView:
         self.ledger = ledger
         self.genesis_seed = genesis.genesis_seed
         self.height = 0
-        self.last_index = 0
-        self.last_timestamp = genesis.timestamp
         self.last_block = genesis
-        self.last_digest = canonical_block_digest(genesis)
         self.group_bits = []
         self.z_next = 1
         self.pending_blacklist = {}  # activation group -> set of uids
@@ -129,10 +126,7 @@ class ChainView:
         out.ledger = self.ledger
         out.genesis_seed = self.genesis_seed
         out.height = self.height
-        out.last_index = self.last_index
-        out.last_timestamp = self.last_timestamp
         out.last_block = self.last_block
-        out.last_digest = self.last_digest
         out.group_bits = list(self.group_bits)
         out.z_next = self.z_next
         out.pending_blacklist = {k: set(v) for k, v in self.pending_blacklist.items()}
@@ -173,7 +167,7 @@ class ChainView:
         """
         out = []
         z = self.z_next
-        idx = self.last_index
+        idx = self.last_block.index
         scanned = 0
         while len(out) < count:
             owner, uid = self.derive_slot_candidate(z)
@@ -191,8 +185,8 @@ class ChainView:
         """The unique non-blacklisted (owner, uid) for a future slot index
         (default: the next one)."""
         if index is None:
-            index = self.last_index + 1
-        gap = index - self.last_index
+            index = self.last_block.index + 1
+        gap = index - self.last_block.index
         if gap < 1:
             raise ValueError("index %d is not in the future" % index)
         return self.slot_candidates(gap)[-1][2:]
@@ -217,11 +211,12 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
     frozen-stake, bad-evidence, binding-violation, bad-transaction.
     """
     p = view.params
-    reason = validate_block_structure(block, view.last_block)
+    last = view.last_block
+    reason = validate_block_structure(block, last)
     if reason != "ok":
         return None, reason
 
-    gap = block.index - view.last_index
+    gap = block.index - last.index
     try:
         candidates = view.slot_candidates(gap)
     except LedgerError:
@@ -231,8 +226,8 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
     if owner != block.creator:
         return None, "wrong-creator"
 
-    if block.timestamp < min_timestamp(view.last_timestamp, block.index,
-                                       view.last_index, p.g0):
+    if block.timestamp < min_timestamp(last.timestamp, block.index, last.index,
+                                       p.g0):
         return None, "too-early"
     if local_time is not None and block.timestamp > local_time + p.timestamp_leniency:
         return None, "future-dated"
@@ -304,10 +299,7 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
     new.slots[block.index] = (owner, uid, tuple(frozen))
     new.group_bits.append(block_bit(block))
     new.height = height
-    new.last_index = block.index
-    new.last_timestamp = block.timestamp
     new.last_block = block
-    new.last_digest = canonical_block_digest(block)
 
     if len(new.group_bits) == p.ell:
         completed = (height - 1) // p.ell + 1
@@ -392,12 +384,6 @@ def view_from_path(params: CoaParams, genesis: Block, ledger: LedgerState,
     return view
 
 
-def fork_choice(tree: BlockTree) -> bytes:
-    """Tip with the largest number of blocks; ties first-seen; respects the
-    solidified prefix."""
-    return tree.best_tip()
-
-
 class CoaNode:
     """One network node: a block tree, per-tip views, and checkpoint state."""
 
@@ -423,7 +409,7 @@ class CoaNode:
         return self.views[self.best_tip]
 
     def receive_block(self, block: Block, local_time: Optional[int] = None) -> tuple:
-        digest = canonical_block_digest(block)
+        digest = block.digest
         if digest in self.tree:
             return True, "duplicate"
         parent = block.prev_digest

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Optional
 
 SIG_LEN = 16
@@ -231,6 +232,12 @@ class Block:
     def signing_digest(self) -> bytes:
         return hashlib.sha256(b"blk:" + self.encode_unsigned()).digest()
 
+    @cached_property
+    def digest(self) -> bytes:
+        """Canonical digest over the full encoding, computed once per block
+        object; ``replace`` and ``signed_by`` build a new object."""
+        return hashlib.sha256(b"dig:" + self.encode()).digest()
+
     def signed_by(self, creator: Optional[str] = None) -> "Block":
         who = creator if creator is not None else self.creator
         return replace(self, signature=sign(who, self.signing_digest()))
@@ -255,19 +262,19 @@ def decode_block(data: bytes) -> Block:
 
 def canonical_block_digest(block: Block) -> bytes:
     """Deterministic digest over the full canonical encoding."""
-    return hashlib.sha256(b"dig:" + block.encode()).digest()
+    return block.digest
 
 
 def block_bit(block: Block) -> int:
     """The per-block lottery bit: most significant bit of the block digest."""
-    return canonical_block_digest(block)[0] >> 7
+    return block.digest[0] >> 7
 
 
 def validate_block_structure(block: Block, parent: Block) -> str:
     """Structural checks against the parent. Returns "ok" or a rejection reason."""
     if block.index <= parent.index:
         return "bad-index"
-    if block.prev_digest != canonical_block_digest(parent):
+    if block.prev_digest != parent.digest:
         return "bad-link"
     if not verify(block.creator, block.signing_digest(), block.signature):
         return "bad-signature"
@@ -428,7 +435,9 @@ class LedgerState:
 
     def with_blacklisted(self, uids: Iterable[int]) -> "LedgerState":
         uids = {u for u in uids if u in self.utxos}
-        return self._clone(blacklist=self.blacklist | uids)
+        out = self._clone(blacklist=self.blacklist | uids)
+        out._starts, out._index_entries = self._starts, self._index_entries
+        return out
 
     def confiscate(self, uids: Iterable[int], award: int, reporter: str,
                    height: int) -> "LedgerState":
@@ -478,11 +487,10 @@ class BlockTree:
     """
 
     def __init__(self, genesis: Block):
-        gd = canonical_block_digest(genesis)
+        gd = genesis.digest
         self.genesis_digest = gd
         self.blocks = {gd: genesis}
         self.parent = {gd: None}
-        self.children = {gd: []}
         self.height = {gd: 0}
         self.arrival = {gd: 0}
         self._seq = 1
@@ -496,13 +504,11 @@ class BlockTree:
         parent = block.prev_digest
         if parent not in self.blocks:
             raise LedgerError("parent unknown")
-        digest = canonical_block_digest(block)
+        digest = block.digest
         if digest in self.blocks:
             return digest
         self.blocks[digest] = block
         self.parent[digest] = parent
-        self.children.setdefault(digest, [])
-        self.children[parent].append(digest)
         self.height[digest] = self.height[parent] + 1
         self.arrival[digest] = self._seq
         self._seq += 1

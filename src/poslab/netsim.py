@@ -15,6 +15,7 @@ import hashlib
 import heapq
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -134,7 +135,10 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
             raise ConfigError("behaviors.%s.strategy" % who,
                               "unknown strategy %r" % sid)
     d = raw.get("delays", {})
-    delays = DelayModel(d.get("min", 0.2), d.get("max", 2.0),
+    if not isinstance(d, dict):
+        raise ConfigError("delays", "must be an object")
+    delays = DelayModel(_number(d, "min", 0.2, "delays.min"),
+                        _number(d, "max", 2.0, "delays.max"),
                         d.get("distribution", "uniform"))
     if delays.min_seconds < 0 or delays.max_seconds < delays.min_seconds:
         raise ConfigError("delays", "require 0 <= min <= max")
@@ -156,6 +160,9 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if not isinstance(seed, int):
         raise ConfigError("seed", "must be an integer")
     if protocol == "coa":
+        for key in ("w", "g0_seconds", "c0", "c1", "t0", "timestamp_leniency"):
+            if key in params and type(params[key]) is not int:
+                raise ConfigError("params." + key, "must be an integer")
         try:
             coa_params(params)
         except ParamError as exc:
@@ -166,8 +173,18 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     return ScenarioConfig(
         name=raw.get("name", name), protocol=protocol, params=params,
         stake=tuple(stake), behaviors=behaviors, delays=delays,
-        clock_drift_max=float(raw.get("clock_drift_max", 2.0)),
+        clock_drift_max=float(_number(raw, "clock_drift_max", 2.0,
+                                      "clock_drift_max")),
         duration=duration, seed=seed, attack=attack)
+
+
+def _number(obj: dict, key: str, default: float, fieldname: str):
+    """``obj[key]`` (or the default) if it is a finite number."""
+    value = obj.get(key, default)
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(fieldname, "must be a finite number, got %r"
+                          % (value,))
+    return value
 
 
 def analysis_of(attack) -> tuple:
@@ -253,19 +270,17 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
     events: List[dict] = []
     rank = {name: i for i, (name, _a) in enumerate(config.stake)}
 
-    def observer_for(name):
-        def observe(kind, payload):
-            if kind in ("confiscation", "blacklist", "solidification",
-                        "block-rejected"):
-                events.append(dict(payload, event=kind, node=name))
-        return observe
+    def observe(kind, payload):
+        if kind in ("confiscation", "blacklist", "solidification",
+                    "block-rejected"):
+            events.append(dict(payload, event=kind))
 
     nodes = {}
     drifts = {}
     creates_blocks = {}
     for i, (name, _amount) in enumerate(config.stake):
         nodes[name] = CoaNode(params, genesis, ledger0, node_id=name,
-                              observer=observer_for(name))
+                              observer=observe)
         drift_rng = make_rng(config.seed, "drift", name)
         drifts[name] = float(drift_rng.uniform(-config.clock_drift_max,
                                                config.clock_drift_max))
@@ -278,7 +293,6 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
     seq = [0]
     scheduled = set()
     reorgs = {name: 0 for name in nodes}
-    accepted_total = [0]
 
     def push(when, sender, kind, payload):
         heapq.heappush(queue, (when, rank.get(sender, -1), seq[0], kind, payload))
@@ -293,8 +307,8 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
         for index, _z, owner, _uid in lookahead:
             if owner != name or (name, index) in scheduled:
                 continue
-            local_min = min_timestamp(view.last_timestamp, index,
-                                      view.last_index, params.g0)
+            local_min = min_timestamp(view.last_block.timestamp, index,
+                                      view.last_block.index, params.g0)
             when = max(now, local_min - drifts[name])
             scheduled.add((name, index))
             push(when, name, "create", {"node": name, "index": index})
@@ -313,7 +327,8 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
             node = nodes[name]
             view = node.best_view
             index = payload["index"]
-            gap = index - view.last_index
+            last = view.last_block
+            gap = index - last.index
             if gap < 1:
                 continue
             cands = view.slot_candidates(gap)
@@ -321,9 +336,8 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
                 continue
             local_now = when + drifts[name]
             ts = max(int(local_now),
-                     min_timestamp(view.last_timestamp, index,
-                                   view.last_index, params.g0))
-            block = Block(index=index, prev_digest=view.last_digest,
+                     min_timestamp(last.timestamp, index, last.index, params.g0))
+            block = Block(index=index, prev_digest=last.digest,
                           timestamp=ts, creator=name).signed_by()
             push(when, name, "deliver", {"dst": name, "block": block,
                                          "src": name})
@@ -340,7 +354,6 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
             ok, reason = node.receive_block(payload["block"],
                                             int(when + drifts[name]) + 1)
             if ok and reason == ACCEPT:
-                accepted_total[0] += 1
                 after = node.best_tip
                 if after != before and not node.tree.is_ancestor(before, after):
                     reorgs[name] += 1

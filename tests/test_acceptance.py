@@ -40,11 +40,12 @@ class Driver:
         self.blocks = []
 
     def craft(self, gap=1, ts_extra=0, txs=(), creator=None):
-        index = self.view.last_index + gap
+        last = self.view.last_block
+        index = last.index + gap
         owner = creator or self.view.slot_candidates(gap)[-1][2]
-        ts = min_timestamp(self.view.last_timestamp, index,
-                           self.view.last_index, self.params.g0) + ts_extra
-        return Block(index=index, prev_digest=self.view.last_digest,
+        ts = min_timestamp(last.timestamp, index, last.index,
+                           self.params.g0) + ts_extra
+        return Block(index=index, prev_digest=last.digest,
                      timestamp=ts, creator=owner,
                      transactions=tuple(txs)).signed_by()
 
@@ -156,8 +157,8 @@ def test_criterion_09_protocol_invariants():
     names = [n for n, _a in ALLOC]
     for _ in range(1000):
         gap = int(rng.integers(1, 6))
-        first = d.view.eligible_creator(d.view.last_index + gap)
-        second = d.view.eligible_creator(d.view.last_index + gap)
+        first = d.view.eligible_creator(d.view.last_block.index + gap)
+        second = d.view.eligible_creator(d.view.last_block.index + gap)
         assert first == second and first[0] in names
         checks += 1
     for _ in range(50):

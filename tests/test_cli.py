@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -166,6 +169,17 @@ def _config_with(params=None, **kw):
     (_config_with(protocol="ppcoin", duration={"slots": 5}), "duration.slots"),
     (_config_with(protocol="dense_coa", duration={"slots": 0}),
      "duration.slots"),
+    (_config_with(delays=5), "delays"),
+    (_config_with(delays={"min": "a"}), "delays.min"),
+    (_config_with(delays={"max": float("inf")}), "delays.max"),
+    (_config_with(clock_drift_max="abc"), "clock_drift_max"),
+    (_config_with(clock_drift_max=float("nan")), "clock_drift_max"),
+    (_config_with({"g0_seconds": "x"}), "params.g0_seconds"),
+    (_config_with({"w": 1.0}), "params.w"),
+    (_config_with({"c0": "4"}), "params.c0"),
+    (_config_with({"c1": None}), "params.c1"),
+    (_config_with({"t0": 8.0}), "params.t0"),
+    (_config_with({"timestamp_leniency": True}), "params.timestamp_leniency"),
 ])
 def test_rejected_config_names_field_in_validate_and_run(tmp_path, capsys,
                                                           config, field):
@@ -176,3 +190,31 @@ def test_rejected_config_names_field_in_validate_and_run(tmp_path, capsys,
         code, _o, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG_ERROR, (argv[0], err)
         assert field + ":" in err, (argv[0], err)
+
+
+def test_key_error_is_not_reported_as_a_config_error(tmp_path, monkeypatch):
+    import poslab.netsim as netsim
+
+    def broken_engine(config):
+        raise KeyError("bug")
+
+    monkeypatch.setitem(netsim.ENGINES, "coa", broken_engine)
+    with pytest.raises(KeyError):
+        main(["run", "--config", "coa-baseline", "--out", str(tmp_path)])
+
+
+def test_digest_does_not_depend_on_the_hash_seed(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    digests = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        subprocess.run([sys.executable, "-m", "poslab.cli", "run", "--config",
+                        "coa-offline", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        digests.append(json.loads((out / "manifest.json").read_text())
+                       ["trace_digest"])
+    assert digests[0] == digests[1]

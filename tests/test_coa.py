@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
-from poslab.coa import (ACCEPT, ChainView, CoaNode, CoaParams, fork_choice,
-                        make_genesis, min_timestamp, process_block,
-                        record_double_sign, seed_from_group, view_from_path)
+from poslab.coa import (ACCEPT, ChainView, CoaNode, CoaParams, make_genesis,
+                        min_timestamp, process_block, record_double_sign,
+                        seed_from_group, view_from_path)
 from poslab.comb import CombSpec
 from poslab.ledger import (Block, EvidenceEntry, LedgerError, Transaction,
-                           canonical_block_digest, sign)
+                           canonical_block_digest, decode_block, sign)
 from poslab.rng import make_rng
 
 
@@ -27,11 +29,12 @@ class Builder:
 
     def craft(self, gap=1, ts_extra=0, txs=(), aux=None, evidence=None,
               creator=None, sign_as=None):
-        index = self.view.last_index + gap
+        last = self.view.last_block
+        index = last.index + gap
         owner = creator or self.view.slot_candidates(gap)[-1][2]
-        ts = min_timestamp(self.view.last_timestamp, index,
-                           self.view.last_index, self.params.g0) + ts_extra
-        block = Block(index=index, prev_digest=self.view.last_digest,
+        ts = min_timestamp(last.timestamp, index, last.index,
+                           self.params.g0) + ts_extra
+        block = Block(index=index, prev_digest=last.digest,
                       timestamp=ts, creator=owner, transactions=tuple(txs),
                       auxiliary_proof=aux, double_sign_evidence=evidence)
         return block.signed_by(sign_as)
@@ -61,6 +64,27 @@ class Builder:
                 if u.uid != next_uid and not u.is_frozen(self.view.height + 1):
                     return u
             self.extend(1)
+
+
+def test_block_digest_is_computed_once_per_block(monkeypatch):
+    params = small_params()
+    b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
+    nodes = [CoaNode(params, b.genesis, b.ledger0, node_id="n%d" % i)
+             for i in range(5)]
+    block = b.craft()
+    encodes = []
+    encode = Block.encode
+    monkeypatch.setattr(Block, "encode",
+                        lambda self: encodes.append(self) or encode(self))
+    for node in nodes:
+        assert node.receive_block(block) == (True, ACCEPT)
+    assert encodes == [block]
+    assert decode_block(block.encode()).digest == block.digest
+    # a new block object gets its own digest, not the one cached on `block`
+    for other in (block.signed_by("mallory"),
+                  replace(block, timestamp=block.timestamp + 1)):
+        assert other.digest == decode_block(other.encode()).digest
+        assert other.digest != block.digest
 
 
 def test_seed_from_group_concat_identity():
@@ -93,7 +117,7 @@ def test_honest_chain_and_recompute_equivalence():
     assert b.view.height == 13
     fresh = view_from_path(params, b.genesis, b.ledger0, b.blocks)
     assert fresh.groups == b.view.groups
-    assert fresh.last_digest == b.view.last_digest
+    assert fresh.last_block.digest == b.view.last_block.digest
     assert fresh.ledger.utxos == b.view.ledger.utxos
     assert fresh.z_next == b.view.z_next
 
@@ -104,7 +128,7 @@ def test_single_eligible_creator_per_slot():
     b.extend(5)
     rng = make_rng(1, "single-creator")
     for _ in range(50):
-        index = b.view.last_index + int(rng.integers(1, 6))
+        index = b.view.last_block.index + int(rng.integers(1, 6))
         first = b.view.eligible_creator(index)
         second = b.view.eligible_creator(index)
         assert first == second and first[0] is not None
@@ -136,7 +160,7 @@ def test_skipped_slots_cost_g0_each():
     block = b.craft(gap=3)
     assert block.timestamp == b.genesis.timestamp + 3 * params.g0
     assert b.apply(block) == ACCEPT
-    assert b.view.last_index == 3
+    assert b.view.last_block.index == 3
 
 
 def test_deposit_frozen_for_t0_blocks():
@@ -195,10 +219,10 @@ def test_chain_binding():
         tx = Transaction(((u.uid, b"\x00" * 16),), ((u.owner, u.amount),), latest)
         return Transaction(((u.uid, sign(u.owner, tx.signing_digest())),),
                            tx.outputs, latest)
-    missing = b.view.last_index + 50
+    missing = b.view.last_block.index + 50
     assert b.apply(b.craft(txs=(bound_tx(missing),))) == "binding-violation"
     # binding to the block being created is allowed
-    next_index = b.view.last_index + 1
+    next_index = b.view.last_block.index + 1
     assert b.apply(b.craft(txs=(bound_tx(next_index),))) == ACCEPT
 
 
@@ -251,7 +275,7 @@ def test_stale_evidence_rejected():
     offense = b.blocks[0]
     evidence = make_evidence(offense, offense.creator)
     b.extend(params.t0)  # now the offense is t0+1 slots in the past
-    assert b.view.last_index - offense.index >= params.t0
+    assert b.view.last_block.index - offense.index >= params.t0
     assert b.apply(b.craft(evidence=evidence)) == "bad-evidence"
 
 
@@ -399,7 +423,7 @@ def test_reorg_allowed_above_solidified():
     assert node.receive_chain(fork.blocks) == 3
     assert node.best_tip != short_tip
     assert node.tree.height[node.best_tip] == 3
-    assert fork_choice(node.tree) == node.best_tip
+    assert node.tree.best_tip() == node.best_tip
 
 
 def test_equal_length_tie_keeps_first_seen():
@@ -429,7 +453,8 @@ def test_blacklisted_derivations_consume_no_index_or_time():
     assert replacement[0] == victim[0]          # same block index
     block = b.craft()
     assert block.creator == replacement[2]
-    assert block.timestamp == b.view.last_timestamp + params.g0  # no extra G0
+    # no extra G0
+    assert block.timestamp == b.view.last_block.timestamp + params.g0
     assert b.apply(block) == ACCEPT
 
 
@@ -440,7 +465,7 @@ def test_confiscation_event_only_for_accepted_blocks():
     offense = b.blocks[-1]
     evidence = make_evidence(offense, offense.creator)
     unbound = Transaction(((0, b"\x00" * 16),), (("alice", 1),),
-                          b.view.last_index + 50)
+                          b.view.last_block.index + 50)
     events = []
     observe = lambda kind, payload: events.append((kind, payload))
     block = b.craft(evidence=evidence, txs=(unbound,))

@@ -111,6 +111,18 @@ def test_confiscation_conservation():
     assert len(some_hole) == 120
 
 
+def test_blacklisting_keeps_the_interval_index():
+    ledger = make_ledger().confiscate([1], award=20, reporter="rep", height=4)
+    ledger.utxo_covering(0)  # builds the index
+    black = ledger.with_blacklisted([0, 3])
+    assert black._starts is ledger._starts
+    assert black._index_entries is ledger._index_entries
+    fresh = LedgerState(black.utxos, black.blacklist, black.total_supply,
+                        black.destroyed, black.next_uid)
+    for i in range(black.total_supply):  # every interval start and hole
+        assert black.utxo_covering(i) == fresh.utxo_covering(i)
+
+
 def test_confiscation_award_cannot_exceed_total():
     ledger = make_ledger()
     with pytest.raises(ConservationError):
