@@ -52,7 +52,15 @@ class CoaParams:
     strikes_to_blacklist: int = 3
 
     def __post_init__(self):
-        if self.c0 and not 0 <= self.c1 <= self.c0 // 2:
+        # (key in a scenario's params, value, least value); t0 = 0 would
+        # leave no checkpoint period (t1 = 0)
+        for name, value, least in (
+                ("g0_seconds", self.g0, 1), ("c0", self.c0, 0),
+                ("c1", self.c1, 0), ("t0", self.t0, 2),
+                ("timestamp_leniency", self.timestamp_leniency, 0)):
+            if value < least:
+                raise ParamError(name, "must be at least %d" % least)
+        if self.c0 and self.c1 > self.c0 // 2:
             raise ParamError("c1", "require 0 <= c1 <= c0/2")
         if self.t0 % 2:
             raise ParamError("t0", "t0 must be even (t0 = 2*t1)")
@@ -265,7 +273,8 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
         new.ledger = new.ledger.with_strikes(missed_uid, strikes)
         if strikes >= p.strikes_to_blacklist:
             new.pending_blacklist.setdefault(new.current_group + 2, set()).add(missed_uid)
-    new.ledger = new.ledger.with_strikes(uid, 0)
+    if new.ledger.utxos[uid].strikes:
+        new.ledger = new.ledger.with_strikes(uid, 0)
 
     # deposit freeze: neither the derived nor the auxiliary output may be
     # spent in the first t0 blocks extending this one
@@ -385,15 +394,23 @@ def view_from_path(params: CoaParams, genesis: Block, ledger: LedgerState,
 
 
 class CoaNode:
-    """One network node: a block tree, per-tip views, and checkpoint state."""
+    """One network node: a block tree, per-tip views, and checkpoint state.
+
+    A view is a pure function of the path its block digest commits to, so
+    the nodes of one run may share a ``shared_views`` table (digest -> view):
+    each node validates a block, then holds the table's view for it.
+    """
 
     def __init__(self, params: CoaParams, genesis: Block, ledger: LedgerState,
-                 node_id: str = "node", observer: Optional[Callable] = None):
+                 node_id: str = "node", observer: Optional[Callable] = None,
+                 shared_views: Optional[dict] = None):
         self.params = params
         self.node_id = node_id
         self.observer = observer
         self.tree = BlockTree(genesis)
-        self.views = {self.tree.genesis_digest: ChainView(params, genesis, ledger)}
+        self.shared_views = {} if shared_views is None else shared_views
+        self.views = {self.tree.genesis_digest: self.shared_views.setdefault(
+            self.tree.genesis_digest, ChainView(params, genesis, ledger))}
         self.checkpoint_heights_seen = set()
 
     def _emit(self, kind: str, payload: dict):
@@ -426,7 +443,7 @@ class CoaNode:
             self._emit("block-rejected", {"index": block.index, "reason": reason})
             return False, reason
         self.tree.add_block(block)
-        self.views[digest] = new_view
+        self.views[digest] = self.shared_views.setdefault(digest, new_view)
         self._emit("block-accepted", {"index": block.index, "height":
                                       self.tree.height[digest],
                                       "creator": block.creator})

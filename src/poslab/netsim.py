@@ -25,6 +25,7 @@ from .comb import ParamError
 from .ledger import Block, canonical_block_digest
 from .rng import make_rng
 
+LOOKAHEAD = 10      # CoA slots a node looks ahead to schedule its blocks
 STRATEGIES = ("honest", "offline", "withhold", "ppcoin-multifork")
 IDLE_STRATEGIES = ("offline", "withhold")   # create no blocks
 # protocol -> (the duration it runs when a config gives none, other keys its
@@ -33,6 +34,13 @@ DURATIONS = {
     "coa": ({"slots": 50}, ("seconds",)),
     "dense_coa": ({"slots": 50}, ()),
     "ppcoin": ({"seconds": 60_000}, ()),
+}
+# protocol -> the integer params its engine reads besides kappa; CoaParams
+# checks the coa values, the other engines need them positive
+INT_PARAMS = {
+    "coa": ("w", "g0_seconds", "c0", "c1", "t0", "timestamp_leniency"),
+    "dense_coa": ("ell", "g0_seconds"),
+    "ppcoin": ("target_interval", "max_tips"),
 }
 
 
@@ -159,10 +167,12 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     seed = raw.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed", "must be an integer")
+    for key in INT_PARAMS[protocol]:
+        if key in params and type(params[key]) is not int:
+            raise ConfigError("params." + key, "must be an integer")
+        if protocol != "coa" and params.get(key, 1) < 1:
+            raise ConfigError("params." + key, "must be positive")
     if protocol == "coa":
-        for key in ("w", "g0_seconds", "c0", "c1", "t0", "timestamp_leniency"):
-            if key in params and type(params[key]) is not int:
-                raise ConfigError("params." + key, "must be an integer")
         try:
             coa_params(params)
         except ParamError as exc:
@@ -278,9 +288,10 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
     nodes = {}
     drifts = {}
     creates_blocks = {}
+    views = {}          # block digest -> the one view all nodes hold for it
     for i, (name, _amount) in enumerate(config.stake):
         nodes[name] = CoaNode(params, genesis, ledger0, node_id=name,
-                              observer=observe)
+                              observer=observe, shared_views=views)
         drift_rng = make_rng(config.seed, "drift", name)
         drifts[name] = float(drift_rng.uniform(-config.clock_drift_max,
                                                config.clock_drift_max))
@@ -293,18 +304,25 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
     seq = [0]
     scheduled = set()
     reorgs = {name: 0 for name in nodes}
+    lookaheads = {}     # tip digest -> the first LOOKAHEAD slot candidates
 
     def push(when, sender, kind, payload):
         heapq.heappush(queue, (when, rank.get(sender, -1), seq[0], kind, payload))
         seq[0] += 1
+
+    def lookahead(view, count=LOOKAHEAD):
+        """The first `count` slot candidates of `view`, derived once per tip."""
+        digest = view.last_block.digest
+        if len(lookaheads.get(digest, ())) < count:
+            lookaheads[digest] = view.slot_candidates(max(count, LOOKAHEAD))
+        return lookaheads[digest][:count]
 
     def schedule_creations(name, now):
         node = nodes[name]
         if not creates_blocks[name]:
             return
         view = node.best_view
-        lookahead = view.slot_candidates(10)
-        for index, _z, owner, _uid in lookahead:
+        for index, _z, owner, _uid in lookahead(view):
             if owner != name or (name, index) in scheduled:
                 continue
             local_min = min_timestamp(view.last_block.timestamp, index,
@@ -331,7 +349,7 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
             gap = index - last.index
             if gap < 1:
                 continue
-            cands = view.slot_candidates(gap)
+            cands = lookahead(view, gap)
             if cands[-1][2] != name:
                 continue
             local_now = when + drifts[name]

@@ -180,6 +180,20 @@ def _config_with(params=None, **kw):
     (_config_with({"c1": None}), "params.c1"),
     (_config_with({"t0": 8.0}), "params.t0"),
     (_config_with({"timestamp_leniency": True}), "params.timestamp_leniency"),
+    (_config_with({"g0_seconds": "x"}, protocol="dense_coa"),
+     "params.g0_seconds"),
+    (_config_with({"ell": "x"}, protocol="dense_coa"), "params.ell"),
+    (_config_with({"target_interval": "x"}, protocol="ppcoin",
+                  duration={"seconds": 600}), "params.target_interval"),
+    (_config_with({"max_tips": 0}, protocol="ppcoin",
+                  duration={"seconds": 600}), "params.max_tips"),
+    (_config_with({"t0": -2}), "params.t0"),
+    (_config_with({"t0": 0}), "params.t0"),
+    (_config_with({"timestamp_leniency": -5}), "params.timestamp_leniency"),
+    (_config_with({"g0_seconds": -5}), "params.g0_seconds"),
+    (_config_with({"g0_seconds": 0}), "params.g0_seconds"),
+    (_config_with({"c0": -1}), "params.c0"),
+    (_config_with({"c1": -1}), "params.c1"),
 ])
 def test_rejected_config_names_field_in_validate_and_run(tmp_path, capsys,
                                                           config, field):

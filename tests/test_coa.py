@@ -1,13 +1,16 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from poslab import coa
 from poslab.coa import (ACCEPT, ChainView, CoaNode, CoaParams, make_genesis,
                         min_timestamp, process_block, record_double_sign,
                         seed_from_group, view_from_path)
 from poslab.comb import CombSpec
-from poslab.ledger import (Block, EvidenceEntry, LedgerError, Transaction,
-                           canonical_block_digest, decode_block, sign)
+from poslab.ledger import (Block, EvidenceEntry, LedgerError, LedgerState,
+                           Transaction, canonical_block_digest, decode_block,
+                           sign)
 from poslab.rng import make_rng
 
 
@@ -354,6 +357,30 @@ def test_strikes_reset_on_production():
                 assert b.view.ledger.utxos[uid].strikes == 0
 
 
+def test_strikes_reset_only_when_the_creator_has_strikes(monkeypatch):
+    params = small_params()
+    b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
+    b.extend(1)
+    _i, _z, missed_owner, missed_uid = b.view.slot_candidates(1)[-1]
+    b.extend(1, avoid=(missed_owner,))
+    assert b.view.ledger.utxos[missed_uid].strikes > 0
+    for _ in range(50):
+        if b.view.slot_candidates(1)[-1][3] == missed_uid:
+            break
+        b.extend(1)
+    resets = []
+    with_strikes = LedgerState.with_strikes
+    monkeypatch.setattr(LedgerState, "with_strikes", lambda self, uid, n:
+                        resets.append((uid, n)) or with_strikes(self, uid, n))
+    b.extend(1)     # the struck output produces: its strikes are cleared
+    assert resets == [(missed_uid, 0)]
+    assert b.view.ledger.utxos[missed_uid].strikes == 0
+    b.extend(1)     # a creator without strikes: the ledger is not copied
+    assert resets == [(missed_uid, 0)]
+    assert_same_view(b.view, view_from_path(params, b.genesis, b.ledger0,
+                                            b.blocks))
+
+
 def test_interleaving_cement():
     """Group g's seed and anchor pin group g+2's slot sequence exactly; a
     mutated group-(g+1) block must not move them."""
@@ -560,3 +587,53 @@ def test_fork_tree_views_equal_recompute(seed):
         txs=(signed_spend(u, latest=skipped[0]),))) == "binding-violation"
     assert skipper.apply(skipper.craft(
         txs=(signed_spend(u, latest=skipper.blocks[0].index),))) == ACCEPT
+
+
+def test_nodes_of_one_run_share_one_view_per_block(monkeypatch):
+    params = small_params(t0=8)
+    b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
+    b.extend(3)
+    late = b.craft(ts_extra=1000)   # future-dated for a clock 1000 s behind
+    sibling = b.craft(gap=2)        # competes with `late`
+    shared = {}
+    nodes = [CoaNode(params, b.genesis, b.ledger0, node_id="n%d" % i,
+                     shared_views=shared) for i in range(3)]
+    validations = Counter()
+    process_block = coa.process_block
+
+    def counting(view, block, local_time=None, observer=None):
+        validations[observer.__self__.node_id, block.digest] += 1
+        return process_block(view, block, local_time, observer)
+
+    monkeypatch.setattr(coa, "process_block", counting)
+    for node in nodes:
+        assert node.receive_chain(b.blocks) == 3
+    behind = late.timestamp - params.timestamp_leniency - 1
+    assert nodes[0].receive_block(late, late.timestamp) == (True, ACCEPT)
+    assert nodes[1].receive_block(late, behind) == (False, "future-dated")
+    assert late.digest not in nodes[1].views
+    assert nodes[1].receive_block(late, late.timestamp) == (True, ACCEPT)
+    assert nodes[2].receive_block(sibling) == (True, ACCEPT)
+    monkeypatch.undo()
+
+    expected = {(n.node_id, blk.digest): 1 for n in nodes for blk in b.blocks}
+    expected.update({("n0", late.digest): 1, ("n1", late.digest): 2,
+                     ("n2", sibling.digest): 1})
+    assert validations == expected
+    for node in nodes:
+        assert set(node.views) == set(node.tree.blocks)
+    assert late.digest not in nodes[2].views
+    assert sibling.digest not in nodes[0].views
+    assert set(shared) == set().union(*(n.views for n in nodes))
+    for digest, view in shared.items():
+        holders = [n for n in nodes if digest in n.views]
+        assert all(n.views[digest] is view for n in holders)
+        tree = holders[0].tree
+        path = [tree.blocks[d] for d in tree.path(digest)[1:]]
+        assert_same_view(view, view_from_path(params, b.genesis, b.ledger0,
+                                              path))
+    # nodes built without a shared table keep views of their own
+    alone = [CoaNode(params, b.genesis, b.ledger0) for _ in range(2)]
+    for node in alone:
+        node.receive_chain(b.blocks)
+    assert alone[0].best_view is not alone[1].best_view

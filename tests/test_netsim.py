@@ -138,6 +138,36 @@ def test_bundled_digests_are_pinned():
     assert digests == PINNED_DIGESTS
 
 
+# Trace digest of the non-attack CoA scenarios at the held-out seed 5694.
+PINNED_COA_DIGESTS_5694 = {
+    "coa-baseline":
+        "ab53e523b808eb9943e356ee13fe221f9350851f2d4614dd863e9c351c0b4c8e",
+    "coa-fast":
+        "609e880febb92d875b0e3317ca2166966a106285759652e966eec1959a1b2826",
+    "coa-iterated":
+        "e6c88e2a650623f042696bdc54474b4afff00dbcc2909781ed62a01cf88a91f7",
+    "coa-majority":
+        "bcda4a43ffe8d3cb84fe6434517d86823c81a2f9dc8418c38441652867465db7",
+    "coa-nodrift":
+        "4541a50de0a0566eaec8db306b9927c47eed082c71822abcf5b6ec048b07b1e7",
+    "coa-offline":
+        "44a654737f04b214a6fc1d82c04babc32fac32fc74a5b2d6ee3390c62a85399b",
+    "coa-skewed":
+        "c3b80715895bfafb5a23c0a392a18582e853db5f63dc6c8a825f909e0be7bcd9",
+}
+
+
+def test_coa_digests_are_pinned_at_seed_5694():
+    assert sorted(PINNED_COA_DIGESTS_5694) == [
+        name for name in sorted(scenario_names())
+        if get_scenario(name).protocol == "coa"
+        and get_scenario(name).attack is None]
+    digests = {name: run_scenario(dataclasses.replace(get_scenario(name),
+                                                      seed=5694)).digest()
+               for name in PINNED_COA_DIGESTS_5694}
+    assert digests == PINNED_COA_DIGESTS_5694
+
+
 def test_seed_changes_the_trace():
     config = get_scenario("coa-baseline")
     other = dataclasses.replace(config, seed=config.seed + 1)
