@@ -63,17 +63,6 @@ def min_safe_confirmations_observed(v, epsilon, rho_prime, delta) -> int:
     return max(s, 0)
 
 
-def min_safe_confirmations_observed_scan(v, epsilon, rho_prime, delta,
-                                         limit: int = 10 ** 6) -> int:
-    """Brute-force oracle for the closed form: linear scan over S."""
-    rp = _as_fraction(rho_prime)
-    ve = _as_fraction(v) / _as_fraction(epsilon)
-    for s in range(limit):
-        if ve < rp * s - delta + 1:
-            return s
-    raise ValueError("no S below the scan limit")
-
-
 def min_safe_confirmations_density(v, epsilon, rho, k) -> int:
     """Smallest S with V < epsilon*(rho*S - K + 1), from the density
     assumption alone (no chain observation needed)."""
@@ -360,13 +349,17 @@ def fork_rate_study(seconds: int = 4 * 10 ** 8, n_outputs: int = 600,
 
 class Analysis(NamedTuple):
     required: tuple             # parameter names without a default
-    fn: Callable[[dict, int], dict]   # (params, seed) -> metrics
+    defaults: dict              # the other parameters, with their defaults
+    fn: Callable[[dict, int], dict]   # (params with defaults, seed) -> metrics
+
+    def run(self, params: dict, seed: int) -> dict:
+        return self.fn(dict(self.defaults, **params), seed)
 
 
 def _claim2(p: dict, seed: int) -> dict:
     s = min_safe_confirmations_density(p["v"], p["epsilon"], p["rho"], p["k"])
-    return {"s": s, "wait_minutes": confirmation_wait_seconds(
-        s, p.get("g0_seconds", 300)) / 60.0}
+    return {"s": s,
+            "wait_minutes": confirmation_wait_seconds(s, p["g0_seconds"]) / 60.0}
 
 
 def _pick(out: dict, *keys) -> dict:
@@ -374,21 +367,18 @@ def _pick(out: dict, *keys) -> dict:
 
 
 def _mu(p: dict, seed: int) -> dict:
-    spec = comb.CombSpec(p["comb"], p["kappa"], p.get("w", 1))
-    mu, stderr = comb.last_player_advantage(spec, p["p"],
-                                            p.get("trials", 10 ** 4), seed)
+    spec = comb.CombSpec(p["comb"], p["kappa"], p["w"])
+    mu, stderr = comb.last_player_advantage(spec, p["p"], p["trials"], seed)
     return {"mu": mu, "stderr": stderr,
             "closed_form_concat": 2 * p["p"] - p["p"] ** 2}
 
 
 def _issuance(p: dict, seed: int) -> dict:
-    cost = p.get("cost", 1.0)
-    steps = p.get("steps", 400)
+    cost, steps = p["cost"], p["steps"]
     params = issuance.IssuanceParams(
         production_cost_per_coin=cost,
-        demand_value_fn=issuance.constant_demand(p.get("demand", 10 ** 6)),
-        fixed_difficulty=p.get("difficulty", 2e-6),
-        min_gap_seconds=p.get("min_gap", 60.0))
+        demand_value_fn=issuance.constant_demand(p["demand"]),
+        fixed_difficulty=p["difficulty"], min_gap_seconds=p["min_gap"])
     value = issuance.simulate_issuance(params, steps, seed)["value"]
     tail = value[steps // 2:]   # after the burn-in
     return {"final_value": float(value[-1]), "mean_value": float(tail.mean()),
@@ -397,41 +387,47 @@ def _issuance(p: dict, seed: int) -> dict:
 
 ANALYSES = {
     "claim1": Analysis(
-        ("v", "epsilon", "rho_prime", "delta"),
+        ("v", "epsilon", "rho_prime", "delta"), {},
         lambda p, seed: {"s": min_safe_confirmations_observed(
             p["v"], p["epsilon"], p["rho_prime"], p["delta"])}),
-    "claim2": Analysis(("v", "epsilon", "rho", "k"), _claim2),
+    "claim2": Analysis(("v", "epsilon", "rho", "k"), {"g0_seconds": 300}, _claim2),
     "takeover": Analysis(
-        ("ell", "p", "q"),
+        ("ell", "p", "q"), {},
         lambda p, seed: {"exponent": takeover_log_bound(p["ell"], p["p"], p["q"])}),
     "dense-dos": Analysis(
-        ("ell", "f", "g0_seconds"),
+        ("ell", "f", "g0_seconds"), {"blocks": 1000},
         lambda p, seed: {"mean_interval_minutes": simulate_withholding_dos(
-            p["ell"], p["f"], p["g0_seconds"], p.get("blocks", 1000), seed) / 60.0}),
-    "ppcoin-mk": Analysis((), lambda p, seed: _pick(simulate_streak_interval(
-        p.get("stake", 0.25), p.get("k", 6), p.get("blocks", 10 ** 6), seed),
-        "mean_gap", "expected")),
-    "fork-rate": Analysis((), lambda p, seed: _pick(fork_rate_study(
-        p.get("seconds", 10 ** 7), seed=seed),
-        "pairwise_interval", "multi_solve_interval")),
+            p["ell"], p["f"], p["g0_seconds"], p["blocks"], seed) / 60.0}),
+    "ppcoin-mk": Analysis(
+        (), {"stake": 0.25, "k": 6, "blocks": 10 ** 6},
+        lambda p, seed: _pick(simulate_streak_interval(
+            p["stake"], p["k"], p["blocks"], seed), "mean_gap", "expected")),
+    "fork-rate": Analysis(
+        (), {"seconds": 10 ** 7},
+        lambda p, seed: _pick(fork_rate_study(p["seconds"], seed=seed),
+                              "pairwise_interval", "multi_solve_interval")),
     "timeweight": Analysis(
-        ("version", "stake", "multiplier"),
+        ("version", "stake", "multiplier"), {"trials": 10 ** 4, "saturated": False},
         lambda p, seed: {"win_probability": simulate_timeweight_attack(
-            p["version"], p["stake"], p["multiplier"], p.get("trials", 10 ** 4),
-            seed, saturated=p.get("saturated", False))}),
+            p["version"], p["stake"], p["multiplier"], p["trials"], seed,
+            saturated=p["saturated"])}),
     "bribe": Analysis(
         ("v", "epsilon", "rho", "k", "delta", "rho_prime", "s", "mu", "p_success"),
+        {},
         lambda p, seed: simulate_bribe_attack(BribeScenario(
             p["v"], p["epsilon"], p["rho"], p["k"], p["delta"], p["rho_prime"],
             p["s"]), p["mu"], p["p_success"], seed=seed)),
-    "mu": Analysis(("comb", "kappa", "p"), _mu),
+    "mu": Analysis(("comb", "kappa", "p"), {"w": 1, "trials": 10 ** 4}, _mu),
     "tie-fraction": Analysis(
-        ("comb", "kappa"),
+        ("comb", "kappa"), {"w": 1},
         lambda p, seed: {"tie_fraction": comb.undetermined_fraction(
-            comb.CombSpec(p["comb"], p["kappa"], p.get("w", 1)))}),
+            comb.CombSpec(p["comb"], p["kappa"], p["w"]))}),
     "kz-bounds": Analysis(
-        ("ell", "kappa", "epsilon"),
+        ("ell", "kappa", "epsilon"), {},
         lambda p, seed: dict(zip(("achievable", "upper"), comb.coalition_bounds(
             p["ell"], p["kappa"], p["epsilon"])))),
-    "issuance": Analysis((), _issuance),
+    "issuance": Analysis(
+        (), {"cost": 1.0, "demand": 10 ** 6, "difficulty": 2e-6,
+             "min_gap": 60.0, "steps": 400},
+        _issuance),
 }

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -16,7 +17,9 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
-from .netsim import ConfigError, ScenarioConfig, load_config, run_scenario
+from . import __version__
+from .netsim import (MAX_EVENTS, ConfigError, ScenarioConfig, load_config,
+                     run_scenario)
 from .scenarios import (REPRODUCTIONS, SCENARIOS, get_scenario,
                         run_reproduction, scenario_names)
 
@@ -70,6 +73,7 @@ def cmd_run(args) -> int:
         _atomic_write(metrics_path, trace.metrics_csv())
     artifacts.append(metrics_path)
 
+    resolved = config.to_dict()
     manifest = {
         "command": "run",
         "config": args.config,
@@ -78,12 +82,20 @@ def cmd_run(args) -> int:
         "out": out_dir,
         "artifacts": [os.path.basename(a) for a in artifacts],
         "trace_digest": trace.digest(),
+        "poslab_version": __version__,
+        "resolved_config": resolved,
+        "config_sha256": hashlib.sha256(json.dumps(
+            resolved, sort_keys=True, separators=(",", ":")).encode()).hexdigest(),
+        "events_dropped": trace.events_dropped,
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
     _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print("scenario %s: digest %s" % (config.name, trace.digest()))
     for key in sorted(trace.metrics):
         print("  %s = %s" % (key, trace.metrics[key]))
+    if trace.events_dropped:
+        print("  (%d events dropped: the trace keeps its first %d)"
+              % (trace.events_dropped, MAX_EVENTS))
     return EXIT_OK
 
 
@@ -135,8 +147,9 @@ def cmd_list_scenarios(args) -> int:
 
 def cmd_validate_config(args) -> int:
     config = _resolve_config(args.config, args.seed)
-    print("ok: scenario %r, protocol %s, seed %d"
-          % (config.name, config.protocol, config.seed))
+    kind = ("analysis %s" % config.attack["kind"] if config.attack is not None
+            else "protocol %s" % config.protocol)
+    print("ok: scenario %r, %s, seed %d" % (config.name, kind, config.seed))
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 from .comb import CombSpec, ParamError, comb_apply
 from .fts import satoshi_index, follow_the_satoshi
 from .ledger import (
-    Block, BlockTree, EvidenceEntry, LedgerError, LedgerState, Transaction,
+    Block, BlockTree, LedgerError, LedgerState, Transaction,
     block_bit, validate_block_structure,
 )
 
@@ -77,13 +77,6 @@ class CoaParams:
     @property
     def comb_spec(self) -> CombSpec:
         return CombSpec(self.comb_kind, self.kappa, self.w)
-
-
-def seed_from_group(bits, spec: CombSpec) -> int:
-    """Form the group seed from exactly ell block bits."""
-    if len(bits) != spec.ell:
-        raise ValueError("expected %d bits, got %d" % (spec.ell, len(bits)))
-    return comb_apply(spec, bits)
 
 
 def min_timestamp(parent_timestamp: int, child_index: int, parent_index: int,
@@ -188,16 +181,6 @@ class ChainView:
             idx += 1
             out.append((idx, z - 1, owner, uid))
         return out
-
-    def eligible_creator(self, index: Optional[int] = None) -> tuple:
-        """The unique non-blacklisted (owner, uid) for a future slot index
-        (default: the next one)."""
-        if index is None:
-            index = self.last_block.index + 1
-        gap = index - self.last_block.index
-        if gap < 1:
-            raise ValueError("index %d is not in the future" % index)
-        return self.slot_candidates(gap)[-1][2:]
 
     # -- chain binding ---------------------------------------------------------
 
@@ -312,7 +295,7 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
 
     if len(new.group_bits) == p.ell:
         completed = (height - 1) // p.ell + 1
-        new.groups[completed] = (seed_from_group(new.group_bits, p.comb_spec),
+        new.groups[completed] = (comb_apply(p.comb_spec, new.group_bits),
                                  block.index)
         new.group_bits = []
         new.z_next = 1
@@ -361,24 +344,6 @@ def _confiscate(new: ChainView, offense: int, uids, reporter: str,
     new.ledger = new.ledger.confiscate(uids, award, reporter, height)
     new.punished.add(offense)
     return {"confiscated": total, "awarded": award, "destroyed": total - award}
-
-
-def record_double_sign(view: ChainView, evidence: tuple, reporter_index: int,
-                       reporter: str) -> tuple:
-    """Standalone confiscation effect of presenting double-sign evidence.
-
-    Returns (new_view, {confiscated, awarded, destroyed}); raises LedgerError
-    on stale or duplicate evidence. Used directly by tests and analyses; block
-    processing applies the same ``_confiscate``.
-    """
-    probe = Block(index=reporter_index, prev_digest=b"\x00" * 32, timestamp=0,
-                  creator=reporter, double_sign_evidence=evidence)
-    ev = _check_evidence(view, probe)
-    if isinstance(ev, str):
-        raise LedgerError(ev)
-    offense, uids = ev
-    new = view.clone()
-    return new, _confiscate(new, offense, uids, reporter, view.height)
 
 
 def view_from_path(params: CoaParams, genesis: Block, ledger: LedgerState,
@@ -449,14 +414,6 @@ class CoaNode:
                                       "creator": block.creator})
         self._solidify_checkpoints(digest)
         return True, ACCEPT
-
-    def receive_chain(self, blocks, local_time: Optional[int] = None) -> int:
-        """Deliver a list of blocks in order; returns how many were accepted."""
-        n = 0
-        for block in blocks:
-            ok, reason = self.receive_block(block, local_time)
-            n += bool(ok)
-        return n
 
     def _solidify_checkpoints(self, digest: bytes):
         t1 = self.params.t1

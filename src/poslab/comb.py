@@ -118,8 +118,8 @@ def kz_width(c: float, eps: float) -> int:
 
 def coalition_bounds(ell: int, kappa: int, eps: float) -> tuple:
     """(achievable, upper bound) coalition sizes for an eps-extractor."""
-    if ell % kappa:
-        raise ValueError("ell must equal kappa*w")
+    if kappa < 2 or ell < 1 or ell % kappa:
+        raise ValueError("require kappa >= 2 and ell = kappa*w with w >= 1")
     achievable = eps * ((ell / kappa) / 3.0) ** ALPHA
     upper = eps * 10.0 * ell / (kappa - 1)
     return achievable, upper

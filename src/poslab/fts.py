@@ -13,23 +13,8 @@ seed packed big-endian into ceil(kappa/8) bytes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
-from .ledger import LedgerState, LedgerError, Utxo
-
-
-@dataclass(frozen=True)
-class SlotDerivationInput:
-    group_anchor: int    # block index of the anchoring group's last block
-    slot_offset: int     # z >= 1
-    seed: int            # kappa-bit value
-    kappa: int
-
-    def __post_init__(self):
-        if self.slot_offset < 1:
-            raise ValueError("slot offset must be >= 1")
-        if not 0 <= self.seed < (1 << self.kappa):
-            raise ValueError("seed does not fit in %d bits" % self.kappa)
+from .ledger import LedgerState
 
 
 def derivation_digest(anchor: int, slot: int, seed: int, kappa: int) -> int:
@@ -60,9 +45,3 @@ def follow_the_satoshi(ledger: LedgerState, index: int) -> tuple:
         return (None, None)
     return (u.owner, u.uid)
 
-
-def derive_slot_winner(ledger: LedgerState, d: SlotDerivationInput) -> tuple:
-    """Deterministically pick the slot's stakeholder: (owner, utxo id)."""
-    idx = satoshi_index(d.group_anchor, d.slot_offset, d.seed, d.kappa,
-                        ledger.total_supply)
-    return follow_the_satoshi(ledger, idx)

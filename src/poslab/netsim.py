@@ -17,7 +17,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import attacks, dense
 from .coa import ACCEPT, CoaNode, CoaParams, make_genesis, min_timestamp
@@ -26,22 +26,12 @@ from .ledger import Block, canonical_block_digest
 from .rng import make_rng
 
 LOOKAHEAD = 10      # CoA slots a node looks ahead to schedule its blocks
+MAX_EVENTS = 2000   # PPCoin and Dense-CoA traces keep their first events only
 STRATEGIES = ("honest", "offline", "withhold", "ppcoin-multifork")
 IDLE_STRATEGIES = ("offline", "withhold")   # create no blocks
-# protocol -> (the duration it runs when a config gives none, other keys its
-# engine reads); a given duration needs every key of the default
-DURATIONS = {
-    "coa": ({"slots": 50}, ("seconds",)),
-    "dense_coa": ({"slots": 50}, ()),
-    "ppcoin": ({"seconds": 60_000}, ()),
-}
-# protocol -> the integer params its engine reads besides kappa; CoaParams
-# checks the coa values, the other engines need them positive
-INT_PARAMS = {
-    "coa": ("w", "g0_seconds", "c0", "c1", "t0", "timestamp_leniency"),
-    "dense_coa": ("ell", "g0_seconds"),
-    "ppcoin": ("target_interval", "max_tips"),
-}
+ENGINE_KEYS = ("name", "protocol", "params", "stake", "behaviors", "delays",
+               "clock_drift_max", "duration", "seed")
+ANALYSIS_KEYS = ("name", "seed", "attack")
 
 
 class ConfigError(ValueError):
@@ -75,18 +65,21 @@ class DelayModel:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """An engine run (``protocol`` set) or an analysis run (``attack`` set)."""
     name: str
-    protocol: str
-    params: dict                       # kappa, w, comb, g0_seconds, c0, c1, t0...
-    stake: Tuple[Tuple[str, int], ...]
-    duration: dict                     # keys and defaults: DURATIONS[protocol]
-    behaviors: dict = field(default_factory=dict)   # stakeholder -> {strategy, params}
+    protocol: Optional[str] = None
+    params: dict = field(default_factory=dict)  # kappa, ENGINES[protocol].params
+    stake: Tuple[Tuple[str, int], ...] = ()
+    duration: dict = field(default_factory=dict)  # keys: ENGINES[protocol]
+    behaviors: dict = field(default_factory=dict)   # stakeholder -> {strategy}
     delays: DelayModel = DelayModel()
     clock_drift_max: float = 2.0
     seed: int = 0
-    attack: Optional[dict] = None      # analysis scenarios: {kind, params}
+    attack: Optional[dict] = None      # {kind, params}
 
     def to_dict(self) -> dict:
+        if self.attack is not None:
+            return {"name": self.name, "seed": self.seed, "attack": self.attack}
         return {
             "name": self.name, "protocol": self.protocol,
             "params": dict(self.params),
@@ -97,24 +90,52 @@ class ScenarioConfig:
                        "distribution": self.delays.distribution},
             "clock_drift_max": self.clock_drift_max,
             "duration": self.duration, "seed": self.seed,
-            "attack": self.attack,
         }
+
+
+def _check_keys(obj: dict, allowed, prefix: str = ""):
+    """Reject the first key of `obj` that nothing reads."""
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(prefix + str(key), "unknown key (known: %s)"
+                              % ", ".join(allowed))
 
 
 def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     """Validate a parsed config; raises ConfigError naming the bad field."""
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be an object")
+    seed = raw.get("seed", 0)
+    if not isinstance(seed, int):
+        raise ConfigError("seed", "must be an integer")
+    if "attack" in raw:
+        _check_keys(raw, ANALYSIS_KEYS)
+        analysis_of(raw["attack"])
+        return ScenarioConfig(name=raw.get("name", name), seed=seed,
+                              attack=raw["attack"])
+    _check_keys(raw, ENGINE_KEYS)
     protocol = raw.get("protocol")
-    if protocol not in ENGINES:
+    if not isinstance(protocol, str) or protocol not in ENGINES:
         raise ConfigError("protocol", "must be one of %s, got %r"
                           % ("/".join(ENGINES), protocol))
+    engine = ENGINES[protocol]
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params", "must be an object")
     kappa = params.get("kappa")
-    if not isinstance(kappa, int) or not 1 <= kappa <= 64:
+    if type(kappa) is not int or not 1 <= kappa <= 64:
         raise ConfigError("params.kappa", "must be an integer in [1, 64]")
+    _check_keys(params, ("kappa",) + engine.params, "params.")
+    for key, value in params.items():
+        if key != "comb" and type(value) is not int:
+            raise ConfigError("params." + key, "must be an integer")
+        if protocol != "coa" and value < 1:
+            raise ConfigError("params." + key, "must be positive")
+    if protocol == "coa":
+        try:
+            coa_params(params)
+        except ParamError as exc:
+            raise ConfigError("params." + exc.name, str(exc))
     stake_raw = raw.get("stake")
     if not isinstance(stake_raw, list) or not stake_raw:
         raise ConfigError("stake", "must be a non-empty list of [name, satoshis]")
@@ -122,7 +143,7 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     for pos, entry in enumerate(stake_raw):
         if (not isinstance(entry, (list, tuple)) or len(entry) != 2
                 or not isinstance(entry[0], str)
-                or not isinstance(entry[1], int) or entry[1] <= 0):
+                or type(entry[1]) is not int or entry[1] <= 0):
             raise ConfigError("stake[%d]" % pos,
                               "expected [name, positive satoshi count], got %r"
                               % (entry,))
@@ -142,50 +163,35 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         if sid not in STRATEGIES:
             raise ConfigError("behaviors.%s.strategy" % who,
                               "unknown strategy %r" % sid)
+        _check_keys(spec, ("strategy",), "behaviors.%s." % who)
     d = raw.get("delays", {})
     if not isinstance(d, dict):
         raise ConfigError("delays", "must be an object")
+    _check_keys(d, ("min", "max", "distribution"), "delays.")
     delays = DelayModel(_number(d, "min", 0.2, "delays.min"),
                         _number(d, "max", 2.0, "delays.max"),
                         d.get("distribution", "uniform"))
     if delays.min_seconds < 0 or delays.max_seconds < delays.min_seconds:
         raise ConfigError("delays", "require 0 <= min <= max")
-    default, optional = DURATIONS[protocol]
-    duration = raw.get("duration", dict(default))
+    drift = _number(raw, "clock_drift_max", 2.0, "clock_drift_max")
+    if drift < 0:
+        raise ConfigError("clock_drift_max", "must not be negative")
+    duration = raw.get("duration", dict(engine.duration))
     if not isinstance(duration, dict) or not duration:
-        raise ConfigError("duration", "must be an object like %r" % default)
+        raise ConfigError("duration", "must be an object like %r"
+                          % engine.duration)
+    _check_keys(duration, tuple(engine.duration) + engine.optional, "duration.")
     for key, value in duration.items():
-        if key not in default and key not in optional:
-            raise ConfigError("duration." + key, "not read by protocol %r"
-                              % protocol)
         if type(value) is not int or value < 1:
             raise ConfigError("duration." + key, "must be a positive integer")
-    for key in default:
+    for key in engine.duration:
         if key not in duration:
             raise ConfigError("duration." + key, "required by protocol %r"
                               % protocol)
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed", "must be an integer")
-    for key in INT_PARAMS[protocol]:
-        if key in params and type(params[key]) is not int:
-            raise ConfigError("params." + key, "must be an integer")
-        if protocol != "coa" and params.get(key, 1) < 1:
-            raise ConfigError("params." + key, "must be positive")
-    if protocol == "coa":
-        try:
-            coa_params(params)
-        except ParamError as exc:
-            raise ConfigError("params." + exc.name, str(exc))
-    attack = raw.get("attack")
-    if attack is not None:
-        analysis_of(attack)
     return ScenarioConfig(
         name=raw.get("name", name), protocol=protocol, params=params,
         stake=tuple(stake), behaviors=behaviors, delays=delays,
-        clock_drift_max=float(_number(raw, "clock_drift_max", 2.0,
-                                      "clock_drift_max")),
-        duration=duration, seed=seed, attack=attack)
+        clock_drift_max=float(drift), duration=duration, seed=seed)
 
 
 def _number(obj: dict, key: str, default: float, fieldname: str):
@@ -198,23 +204,26 @@ def _number(obj: dict, key: str, default: float, fieldname: str):
 
 
 def analysis_of(attack) -> tuple:
-    """(kind, params, fn) of an ``attack`` block, checked against
+    """(kind, params, analysis) of an ``attack`` block, checked against
     ``attacks.ANALYSES``; raises ConfigError naming the bad field."""
     if not isinstance(attack, dict):
         raise ConfigError("attack", "must be an object with kind and params")
+    _check_keys(attack, ("kind", "params"), "attack.")
     kind = attack.get("kind")
-    if kind not in attacks.ANALYSES:
+    if not isinstance(kind, str) or kind not in attacks.ANALYSES:
         raise ConfigError("attack.kind", "unknown analysis kind %r (known: %s)"
                           % (kind, ", ".join(attacks.ANALYSES)))
     params = attack.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("attack.params", "must be an object")
-    required, fn = attacks.ANALYSES[kind]
-    for key in required:
+    analysis = attacks.ANALYSES[kind]
+    for key in analysis.required:
         if key not in params:
             raise ConfigError("attack.params." + key,
                               "required by analysis %r" % kind)
-    return kind, params, fn
+    _check_keys(params, analysis.required + tuple(analysis.defaults),
+                "attack.params.")
+    return kind, params, analysis
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -242,6 +251,7 @@ class SimTrace:
     events: List[dict]
     metrics: Dict[str, object]
     final_chains: Dict[str, list] = field(default_factory=dict)
+    events_dropped: int = 0      # events cut by MAX_EVENTS; not in the digest
 
     def digest(self) -> str:
         payload = json.dumps({"events": self.events, "metrics": self.metrics,
@@ -266,11 +276,8 @@ class SimTrace:
 # ---------------------------------------------------------------------------
 
 def coa_params(p: dict) -> CoaParams:
-    return CoaParams(
-        kappa=p["kappa"], w=p.get("w", 1), comb_kind=p.get("comb", "concat"),
-        g0=p.get("g0_seconds", 300), c0=p.get("c0", 0), c1=p.get("c1", 0),
-        t0=p.get("t0", 8),
-        timestamp_leniency=p.get("timestamp_leniency", 120))
+    renamed = {"comb": "comb_kind", "g0_seconds": "g0"}
+    return CoaParams(**{renamed.get(k, k): v for k, v in p.items()})
 
 
 def _run_coa(config: ScenarioConfig) -> SimTrace:
@@ -473,7 +480,7 @@ def _run_ppcoin(config: ScenarioConfig) -> SimTrace:
         "divergence": tip_count_sum / seconds,
         "mean_interval": seconds / max(1, blocks + fork_blocks),
     }
-    return SimTrace(config, events[:2000], metrics, {"tips": [max(tips)]})
+    return _capped(SimTrace(config, events, metrics, {"tips": [max(tips)]}))
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +497,12 @@ def _run_dense(config: ScenarioConfig) -> SimTrace:
             if strategy_of(config, name) in IDLE_STRATEGIES}
     rng = make_rng(config.seed, "dense-run")
     seed_val = int(make_rng(config.seed, "dense-seed").integers(0, 1 << kappa))
-    blocks = config.duration["slots"]
     events: List[dict] = []
     now = 0.0
     fallbacks = 0
     intervals = []
-    for i in range(1, blocks + 1):
+    stall = []
+    for i in range(1, config.duration["slots"] + 1):
         t = 0
         start = now
         while True:
@@ -525,15 +532,27 @@ def _run_dense(config: ScenarioConfig) -> SimTrace:
             t += 1
             fallbacks += 1
             events.append({"event": "fallback-advanced", "index": i, "t": t})
-            if t > 10_000:
-                raise RuntimeError("no clean committee found")
+            if t > 10_000:      # no clean committee: the chain stalls
+                stall = [{"event": "stall", "index": i, "fallbacks": t}]
+                break
+        if stall:
+            break
     metrics = {
         "protocol": "dense_coa",
-        "blocks": blocks,
+        "blocks": len(intervals),
         "fallbacks": fallbacks,
-        "mean_interval": sum(intervals) / len(intervals),
+        "mean_interval": sum(intervals) / len(intervals) if intervals else 0.0,
     }
-    return SimTrace(config, events[:2000], metrics, {})
+    trace = _capped(SimTrace(config, events, metrics, {}))
+    trace.events += stall      # kept past the cut: it says why the run ended
+    return trace
+
+
+def _capped(trace: SimTrace) -> SimTrace:
+    """Keep the first MAX_EVENTS events of `trace` and count the rest."""
+    trace.events_dropped = max(0, len(trace.events) - MAX_EVENTS)
+    del trace.events[MAX_EVENTS:]
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -541,16 +560,37 @@ def _run_dense(config: ScenarioConfig) -> SimTrace:
 # ---------------------------------------------------------------------------
 
 def _run_attack(config: ScenarioConfig) -> SimTrace:
-    kind, p, fn = analysis_of(config.attack)
-    metrics = dict(fn(p, config.seed), kind=kind)
+    """Run the analysis; a calculator's rejection of its params is a
+    ConfigError, since validation cannot see it without running it."""
+    kind, p, analysis = analysis_of(config.attack)
+    try:
+        metrics = dict(analysis.run(p, config.seed), kind=kind)
+    except ParamError as exc:
+        raise ConfigError("attack.params." + exc.name, str(exc))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("attack.params", str(exc))
     events = [{"event": "analysis", "kind": kind, "params": dict(p)}]
     return SimTrace(config, events, metrics, {})
 
 
-ENGINES = {"coa": _run_coa, "dense_coa": _run_dense, "ppcoin": _run_ppcoin}
+class Engine(NamedTuple):
+    run: Callable[[ScenarioConfig], SimTrace]
+    params: tuple       # read besides kappa; integers, except coa's comb
+    duration: dict      # run when a config gives none; a given one needs its keys
+    optional: tuple = ()    # other duration keys it reads
+
+
+ENGINES = {
+    "coa": Engine(_run_coa, ("w", "comb", "g0_seconds", "c0", "c1", "t0",
+                             "timestamp_leniency"),
+                  {"slots": 50}, ("seconds",)),
+    "dense_coa": Engine(_run_dense, ("ell", "g0_seconds"), {"slots": 50}),
+    "ppcoin": Engine(_run_ppcoin, ("target_interval", "max_tips"),
+                     {"seconds": 60_000}),
+}
 
 
 def run_scenario(config: ScenarioConfig) -> SimTrace:
     if config.attack is not None:
         return _run_attack(config)
-    return ENGINES[config.protocol](config)
+    return ENGINES[config.protocol].run(config)

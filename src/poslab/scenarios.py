@@ -40,15 +40,9 @@ def _coa(name, kappa=12, w=1, comb_kind="concat", g0=300, slots=12, t0=8,
     }
 
 
-def _analysis(name, kind, params, seed=7, kappa=10):
-    return {
-        "name": name, "protocol": "coa",
-        "params": {"kappa": kappa},
-        "stake": _split_stake(kappa, ["s0", "s1"], [1, 1]),
-        "duration": {"slots": 1},
-        "seed": seed,
-        "attack": {"kind": kind, "params": params},
-    }
+def _analysis(name, kind, params, seed=7):
+    return {"name": name, "seed": seed,
+            "attack": {"kind": kind, "params": params}}
 
 
 _RAW_SCENARIOS = [
@@ -227,8 +221,8 @@ def run_reproduction(repro_id: str, seed: int = 0) -> ReproResult:
     if repro_id not in REPRODUCTIONS:
         raise KeyError("unknown reproduction id %r" % repro_id)
     repro = REPRODUCTIONS[repro_id]
-    fn = attacks.ANALYSES[repro.kind].fn
-    outcomes = [repro.verdict(p, fn(p, seed)) for p in repro.param_sets]
+    analysis = attacks.ANALYSES[repro.kind]
+    outcomes = [repro.verdict(p, analysis.run(p, seed)) for p in repro.param_sets]
     return ReproResult(repro_id, repro.expected,
                        "; ".join(text for text, _ok in outcomes),
                        repro.tolerance, all(ok for _text, ok in outcomes))

@@ -12,7 +12,6 @@ from poslab.coa import (ACCEPT, ChainView, CoaNode, CoaParams, make_genesis,
 from poslab.comb import (CombSpec, coalition_bias, coalition_bounds,
                          last_player_advantage, undetermined_fraction)
 from poslab.dense import grinding_log2_cost
-from poslab.fts import SlotDerivationInput, derive_slot_winner
 from poslab.ledger import Block, LedgerState, Transaction, sign
 from poslab.netsim import run_scenario
 from poslab.rng import make_rng
@@ -157,8 +156,8 @@ def test_criterion_09_protocol_invariants():
     names = [n for n, _a in ALLOC]
     for _ in range(1000):
         gap = int(rng.integers(1, 6))
-        first = d.view.eligible_creator(d.view.last_block.index + gap)
-        second = d.view.eligible_creator(d.view.last_block.index + gap)
+        first = d.view.slot_candidates(gap)[-1][2:]
+        second = d.view.slot_candidates(gap)[-1][2:]
         assert first == second and first[0] in names
         checks += 1
     for _ in range(50):
@@ -272,24 +271,26 @@ def test_criterion_10_determinism():
 
 
 def test_criterion_11_fts_proportionality_and_sybil():
+    def genesis_view(alloc, seed):
+        params = CoaParams(kappa=10)
+        return ChainView(params, *make_genesis(params, alloc, genesis_seed=seed))
+
     alloc = [("a", 500), ("b", 300), ("c", 150), ("d", 50)]
-    ledger = LedgerState.from_allocation(alloc)
+    view = genesis_view(alloc, 0x3c)
     counts = {name: 0 for name, _a in alloc}
     n = 10 ** 5
     for z in range(1, n + 1):
-        owner, _uid = derive_slot_winner(
-            ledger, SlotDerivationInput(0, z, seed=0x3c, kappa=10))
+        owner, _uid = view.derive_slot_candidate(z)
         counts[owner] += 1
     observed = [counts[name] for name, _a in alloc]
     expected = [n * a / 1000 for _name, a in alloc]
     _stat, p = stats.chisquare(observed, expected)
 
-    whole = LedgerState.from_allocation([("a", 400), ("b", 624)])
-    split = LedgerState.from_allocation(
-        [("a", 100), ("a", 150), ("a", 150), ("b", 300), ("b", 324)])
+    whole = genesis_view([("a", 400), ("b", 624)], 0x91)
+    split = genesis_view(
+        [("a", 100), ("a", 150), ("a", 150), ("b", 300), ("b", 324)], 0x91)
     sybil_ok = all(
-        derive_slot_winner(whole, SlotDerivationInput(3, z, 0x91, 10))[0]
-        == derive_slot_winner(split, SlotDerivationInput(3, z, 0x91, 10))[0]
+        whole.derive_slot_candidate(z)[0] == split.derive_slot_candidate(z)[0]
         for z in range(1, 3000))
     report(11, "fts-proportionality", p > 0.01 and sybil_ok,
            "chi2 p=%.4f, sybil exact=%s" % (p, sybil_ok))

@@ -2,17 +2,27 @@ import math
 
 import pytest
 
-from poslab.attacks import (BribeScenario, bribe_accepted,
+from poslab.attacks import (BribeScenario, _as_fraction, bribe_accepted,
                             confirmation_wait_seconds, fork_rate_study,
                             measure_delta, min_safe_confirmations_density,
                             min_safe_confirmations_observed,
-                            min_safe_confirmations_observed_scan,
                             simulate_bribe_attack, simulate_streak_interval,
                             simulate_timeweight_attack,
                             simulate_withholding_dos, takeover_log_bound,
                             takeover_q_hat, takeover_tail_montecarlo,
                             timeweight_win_probability)
 from poslab.rng import make_rng
+
+
+def min_safe_confirmations_observed_scan(v, epsilon, rho_prime, delta,
+                                         limit: int = 10 ** 6) -> int:
+    """Brute-force oracle for the closed form: linear scan over S."""
+    rp = _as_fraction(rho_prime)
+    ve = _as_fraction(v) / _as_fraction(epsilon)
+    for s in range(limit):
+        if ve < rp * s - delta + 1:
+            return s
+    raise ValueError("no S below the scan limit")
 
 
 def test_confirmations_known_instances():

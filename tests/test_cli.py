@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -152,15 +153,21 @@ def _config_with(params=None, **kw):
     return config
 
 
+def _analysis(kind, **params):
+    return {"attack": {"kind": kind, "params": params}}
+
+
+CLAIM1 = {"v": 100, "epsilon": 10, "rho_prime": 0.7, "delta": 20}
+
+
 @pytest.mark.parametrize("config, field", [
     (_config_with({"t0": 7}), "params.t0"),
     (_config_with({"comb": "tribes"}), "params.comb"),
     (_config_with({"comb": "majority", "w": 2}), "params.w"),
     (_config_with({"c0": 4, "c1": 3}), "params.c1"),
     (_config_with(delays={"distribution": "pareto"}), "delays.distribution"),
-    (_config_with(attack={"kind": "nonsense", "params": {}}), "attack.kind"),
-    (_config_with(attack={"kind": "claim1", "params": {
-        "epsilon": 10, "rho_prime": 0.7, "delta": 20}}), "attack.params.v"),
+    (_analysis("nonsense"), "attack.kind"),
+    (_analysis("claim1", epsilon=10, rho_prime=0.7, delta=20), "attack.params.v"),
     (_config_with(behaviors={"bob": {"strategy": "bribe-acceptor"}}),
      "behaviors.bob.strategy"),
     (_config_with(duration={"seconds": 10 ** 6}), "duration.slots"),
@@ -194,6 +201,22 @@ def _config_with(params=None, **kw):
     (_config_with({"g0_seconds": 0}), "params.g0_seconds"),
     (_config_with({"c0": -1}), "params.c0"),
     (_config_with({"c1": -1}), "params.c1"),
+    (_config_with(duraton={"slots": 3}), "duraton"),
+    (_config_with({"tO": 4}), "params.tO"),
+    (_config_with(delays={"mn": 0.5}), "delays.mn"),
+    (_config_with(behaviors={"bob": {"strategy": "offline", "params": {}}}),
+     "behaviors.bob.params"),
+    (_analysis("fork-rate", second=10), "attack.params.second"),
+    (dict(_analysis("claim1", **CLAIM1), protocol="coa"), "protocol"),
+    (dict(_analysis("claim1", **CLAIM1), stake=[["alice", 16]]), "stake"),
+    (dict(_analysis("claim1", **CLAIM1), duration={"slots": 1}), "duration"),
+    (_config_with({"kappa": True}, stake=[["alice", 1], ["bob", 1]]),
+     "params.kappa"),
+    (_config_with(clock_drift_max=-5), "clock_drift_max"),
+    (_config_with({"ell": 3}), "params.ell"),
+    (_config_with(protocol="ppcoin", duration={"seconds": 600},
+                  params={"kappa": 4, "t0": 8}), "params.t0"),
+    ({"attack": {"kind": "claim1", "params": CLAIM1, "seed": 3}}, "attack.seed"),
 ])
 def test_rejected_config_names_field_in_validate_and_run(tmp_path, capsys,
                                                           config, field):
@@ -212,7 +235,8 @@ def test_key_error_is_not_reported_as_a_config_error(tmp_path, monkeypatch):
     def broken_engine(config):
         raise KeyError("bug")
 
-    monkeypatch.setitem(netsim.ENGINES, "coa", broken_engine)
+    monkeypatch.setitem(netsim.ENGINES, "coa",
+                        netsim.ENGINES["coa"]._replace(run=broken_engine))
     with pytest.raises(KeyError):
         main(["run", "--config", "coa-baseline", "--out", str(tmp_path)])
 
@@ -232,3 +256,73 @@ def test_digest_does_not_depend_on_the_hash_seed(tmp_path):
         digests.append(json.loads((out / "manifest.json").read_text())
                        ["trace_digest"])
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("attack, field", [
+    (_analysis("takeover", ell=459, p=0.5, q=0.5), "attack.params"),
+    (_analysis("claim1", **dict(CLAIM1, epsilon=0)), "attack.params"),
+    (_analysis("mu", comb="tribes", kappa=8, p=0.05), "attack.params.comb"),
+    (_analysis("claim1", **dict(CLAIM1, v="x")), "attack.params"),
+])
+def test_analysis_param_error_found_by_run_exits_2(tmp_path, capsys, attack,
+                                                   field):
+    path = tmp_path / "analysis.json"
+    path.write_text(json.dumps(attack))
+    code, _o, _e = run_cli(capsys, "validate-config", "--config", str(path))
+    assert code == EXIT_OK
+    code, _o, err = run_cli(capsys, "run", "--config", str(path),
+                            "--out", str(tmp_path / "o"))
+    assert code == EXIT_CONFIG_ERROR
+    assert "config error: %s:" % field in err, err
+
+
+def test_dense_run_without_a_clean_committee_ends_at_a_stall(tmp_path, capsys):
+    config = {"protocol": "dense_coa", "params": {"kappa": 4, "ell": 3},
+              "stake": [["alice", 8], ["bob", 8]],
+              "behaviors": {"alice": {"strategy": "offline"},
+                            "bob": {"strategy": "withhold"}},
+              "duration": {"slots": 3}}
+    path = tmp_path / "stall.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    code, _o, _e = run_cli(capsys, "run", "--config", str(path), "--out",
+                           str(out), "--format", "json")
+    assert code == EXIT_OK
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert (metrics["blocks"], metrics["mean_interval"]) == (0, 0.0)
+    events = (out / "events.jsonl").read_text().splitlines()
+    assert len(events) == 2001
+    assert json.loads(events[-1]) == {"event": "stall", "index": 1,
+                                      "fallbacks": 10_001}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["events_dropped"] == 10_001 - 2000
+
+
+def test_manifest_says_what_ran(tmp_path, capsys):
+    import poslab
+    from poslab.scenarios import get_scenario
+    out = tmp_path / "o"
+    code, stdout, _e = run_cli(capsys, "run", "--config", "ppcoin-multifork",
+                               "--out", str(out))
+    assert code == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["events_dropped"] == 473
+    assert "473 events dropped" in stdout
+    assert manifest["trace_digest"] == (
+        "0c958e42d77f07002633318e2fadb0091f1685ca523776f3b7a4158f3023d349")
+    assert manifest["poslab_version"] == poslab.__version__
+    resolved = get_scenario("ppcoin-multifork").to_dict()
+    assert manifest["resolved_config"] == resolved
+    assert manifest["config_sha256"] == hashlib.sha256(json.dumps(
+        resolved, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    assert len((out / "events.jsonl").read_text().splitlines()) == 2000
+    code, stdout, _e = run_cli(capsys, "run", "--config", "coa-baseline",
+                               "--out", str(out))
+    assert json.loads((out / "manifest.json").read_text())["events_dropped"] == 0
+    assert "dropped" not in stdout
+
+
+def test_validate_config_names_the_analysis_kind(capsys):
+    code, stdout, _e = run_cli(capsys, "validate-config", "--config", "claim2")
+    assert code == EXIT_OK
+    assert "ok: scenario 'claim2', analysis claim2, seed 7" in stdout

@@ -5,12 +5,11 @@ import pytest
 
 from poslab import coa
 from poslab.coa import (ACCEPT, ChainView, CoaNode, CoaParams, make_genesis,
-                        min_timestamp, process_block, record_double_sign,
-                        seed_from_group, view_from_path)
-from poslab.comb import CombSpec
+                        min_timestamp, process_block, view_from_path)
+from poslab.comb import CombSpec, comb_apply
 from poslab.ledger import (Block, EvidenceEntry, LedgerError, LedgerState,
-                           Transaction, canonical_block_digest, decode_block,
-                           sign)
+                           Transaction, block_bit, canonical_block_digest,
+                           decode_block, sign)
 from poslab.rng import make_rng
 
 
@@ -19,6 +18,12 @@ def small_params(**kw):
                     timestamp_leniency=120)
     defaults.update(kw)
     return CoaParams(**defaults)
+
+
+def receive_chain(node, blocks, local_time=None):
+    """Deliver `blocks` to `node` in order; returns how many it accepted or
+    already had."""
+    return sum(node.receive_block(block, local_time)[0] for block in blocks)
 
 
 class Builder:
@@ -92,9 +97,15 @@ def test_block_digest_is_computed_once_per_block(monkeypatch):
 
 def test_seed_from_group_concat_identity():
     spec = CombSpec("concat", 4, 1)
-    assert seed_from_group([1, 0, 1, 1], spec) == 0b1011
+    assert comb_apply(spec, [1, 0, 1, 1]) == 0b1011
     with pytest.raises(ValueError):
-        seed_from_group([1, 0], spec)
+        comb_apply(spec, [1, 0])
+    # a closed group's seed is the comb of its blocks' lottery bits
+    b = Builder(small_params(), [("alice", 6), ("bob", 5), ("carol", 5)])
+    b.extend(4)
+    assert b.view.groups[1] == (
+        comb_apply(spec, [block_bit(blk) for blk in b.blocks]),
+        b.blocks[-1].index)
 
 
 def test_min_timestamp_gap_rule():
@@ -132,8 +143,9 @@ def test_single_eligible_creator_per_slot():
     rng = make_rng(1, "single-creator")
     for _ in range(50):
         index = b.view.last_block.index + int(rng.integers(1, 6))
-        first = b.view.eligible_creator(index)
-        second = b.view.eligible_creator(index)
+        gap = index - b.view.last_block.index
+        first = b.view.slot_candidates(gap)[-1][2:]
+        second = b.view.slot_candidates(gap)[-1][2:]
         assert first == second and first[0] is not None
 
 
@@ -282,18 +294,25 @@ def test_stale_evidence_rejected():
     assert b.apply(b.craft(evidence=evidence)) == "bad-evidence"
 
 
-def test_record_double_sign_standalone():
+def test_confiscation_effect_reported_to_the_observer():
     params = small_params(c0=2, c1=1)
     b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
     b.extend(2)
     offense = b.blocks[-1]
     evidence = make_evidence(offense, offense.creator)
-    view2, effect = record_double_sign(b.view, evidence,
-                                       offense.index + 1, "reporter")
+    block = b.craft(evidence=evidence)
+    seen = []
+    view, reason = process_block(b.view, block, block.timestamp,
+                                 observer=lambda *event: seen.append(event))
+    assert reason == ACCEPT
+    [(kind, effect)] = seen
+    assert kind == "confiscation"
     assert effect["confiscated"] == effect["awarded"] + effect["destroyed"]
     assert effect["awarded"] == params.c1
-    with pytest.raises(LedgerError):
-        record_double_sign(view2, evidence, offense.index + 2, "reporter")
+    assert (effect["offense_index"], effect["reporter"]) == (offense.index,
+                                                             block.creator)
+    b.view = view
+    assert b.apply(b.craft(evidence=evidence)) == "bad-evidence"
 
 
 def test_malformed_evidence_rejected():
@@ -414,7 +433,7 @@ def test_node_orphan_and_duplicate():
     b.extend(3)
     node = CoaNode(params, b.genesis, b.ledger0)
     assert node.receive_block(b.blocks[1]) == (False, "orphan")
-    assert node.receive_chain(b.blocks) == 3
+    assert receive_chain(node, b.blocks) == 3
     assert node.receive_block(b.blocks[0]) == (True, "duplicate")
 
 
@@ -424,7 +443,7 @@ def test_checkpoint_solidification_and_fork_rejection():
     main = Builder(params, alloc)
     main.extend(6)
     node = CoaNode(params, main.genesis, main.ledger0)
-    node.receive_chain(main.blocks)
+    receive_chain(node, main.blocks)
     # first candidate at height 4 solidified height 2, height 6 solidified 4
     assert node.solidified_height == 4
     # a fork branching below the solidified prefix is rejected outright
@@ -442,12 +461,12 @@ def test_reorg_allowed_above_solidified():
     main = Builder(params, alloc)
     main.extend(2)
     node = CoaNode(params, main.genesis, main.ledger0)
-    node.receive_chain(main.blocks)
+    receive_chain(node, main.blocks)
     short_tip = node.best_tip
     # a longer fork skipping the first winner arrives later and wins
     fork = Builder(params, alloc)
     fork.extend(3, avoid=(main.blocks[0].creator,))
-    assert node.receive_chain(fork.blocks) == 3
+    assert receive_chain(node, fork.blocks) == 3
     assert node.best_tip != short_tip
     assert node.tree.height[node.best_tip] == 3
     assert node.tree.best_tip() == node.best_tip
@@ -459,11 +478,11 @@ def test_equal_length_tie_keeps_first_seen():
     main = Builder(params, alloc)
     main.extend(2)
     node = CoaNode(params, main.genesis, main.ledger0)
-    node.receive_chain(main.blocks)
+    receive_chain(node, main.blocks)
     first_tip = node.best_tip
     fork = Builder(params, alloc)
     fork.extend(2, avoid=(main.blocks[0].creator,))
-    node.receive_chain(fork.blocks)
+    receive_chain(node, fork.blocks)
     assert node.tree.height[node.best_tip] == 2
     assert node.best_tip == first_tip
 
@@ -607,7 +626,7 @@ def test_nodes_of_one_run_share_one_view_per_block(monkeypatch):
 
     monkeypatch.setattr(coa, "process_block", counting)
     for node in nodes:
-        assert node.receive_chain(b.blocks) == 3
+        assert receive_chain(node, b.blocks) == 3
     behind = late.timestamp - params.timestamp_leniency - 1
     assert nodes[0].receive_block(late, late.timestamp) == (True, ACCEPT)
     assert nodes[1].receive_block(late, behind) == (False, "future-dated")
@@ -635,5 +654,5 @@ def test_nodes_of_one_run_share_one_view_per_block(monkeypatch):
     # nodes built without a shared table keep views of their own
     alone = [CoaNode(params, b.genesis, b.ledger0) for _ in range(2)]
     for node in alone:
-        node.receive_chain(b.blocks)
+        receive_chain(node, b.blocks)
     assert alone[0].best_view is not alone[1].best_view

@@ -2,23 +2,26 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from poslab.fts import (SlotDerivationInput, derivation_digest, derive_slot_winner,
-                        follow_the_satoshi, satoshi_index)
-from poslab.ledger import LedgerError, LedgerState
+from poslab.coa import ChainView, CoaParams
+from poslab.fts import derivation_digest, follow_the_satoshi, satoshi_index
+from poslab.ledger import Block, LedgerError, LedgerState
 from poslab.rng import make_rng
 
 
+def genesis_view(ledger, seed, kappa):
+    """A chain view at genesis over `ledger`: it derives the slots of group
+    1, anchored at index 0, from the bootstrap `seed`."""
+    genesis = Block(index=0, prev_digest=b"\x00" * 32, timestamp=0,
+                    creator="genesis", genesis_seed=seed)
+    return ChainView(CoaParams(kappa=kappa), genesis, ledger)
+
+
 def test_derivation_is_deterministic():
-    d = SlotDerivationInput(group_anchor=12, slot_offset=3, seed=0x5a5, kappa=12)
     ledger = LedgerState.from_allocation([("a", 10), ("b", 6)])
-    assert derive_slot_winner(ledger, d) == derive_slot_winner(ledger, d)
-
-
-def test_slot_derivation_input_validation():
-    with pytest.raises(ValueError):
-        SlotDerivationInput(0, 0, 1, 8)
-    with pytest.raises(ValueError):
-        SlotDerivationInput(0, 1, 256, 8)
+    first = genesis_view(ledger, 0x5a5, 12).derive_slot_candidate(3)
+    assert first == genesis_view(ledger, 0x5a5, 12).derive_slot_candidate(3)
+    assert first == follow_the_satoshi(
+        ledger, satoshi_index(0, 3, 0x5a5, 12, ledger.total_supply))
 
 
 def test_digest_distinct_inputs():
@@ -47,11 +50,11 @@ def test_proportionality_chi_square():
     """Win frequencies match the stake distribution (p > 0.01 at 10^5 draws)."""
     alloc = [("a", 500), ("b", 300), ("c", 150), ("d", 50)]
     ledger = LedgerState.from_allocation(alloc)
+    view = genesis_view(ledger, 0x3c, 10)
     counts = {name: 0 for name, _a in alloc}
     n = 10 ** 5
     for z in range(1, n + 1):
-        owner, _uid = derive_slot_winner(
-            ledger, SlotDerivationInput(0, z, seed=0x3c, kappa=10))
+        owner, _uid = view.derive_slot_candidate(z)
         counts[owner] += 1
     observed = [counts[name] for name, _a in alloc]
     expected = [n * a / 1000 for _name, a in alloc]
@@ -65,9 +68,11 @@ def test_sybil_invariance_exact():
     split = LedgerState.from_allocation(
         [("a", 100), ("a", 150), ("a", 150), ("b", 300), ("b", 324)])
     assert whole.total_supply == split.total_supply == 1024
+    whole_view = genesis_view(whole, 0x155, 10)
+    split_view = genesis_view(split, 0x155, 10)
     for z in range(1, 4000):
-        d = SlotDerivationInput(7, z, seed=0x155, kappa=10)
-        assert derive_slot_winner(whole, d)[0] == derive_slot_winner(split, d)[0]
+        assert (whole_view.derive_slot_candidate(z)[0]
+                == split_view.derive_slot_candidate(z)[0])
 
 
 def test_repartition_preserves_distribution_after_transactions():
@@ -78,10 +83,12 @@ def test_repartition_preserves_distribution_after_transactions():
     tx = Transaction(((1, b"\x00" * 16),), (("b", 100), ("b", 200), ("b", 124)), 0)
     tx = Transaction(((1, sign("b", tx.signing_digest())),), tx.outputs, 0)
     after = ledger.apply_transaction(tx, 1)
+    before_view = genesis_view(ledger, 9, 10)
+    after_view = genesis_view(after, 9, 10)
     for _ in range(2000):
         z = int(rng.integers(1, 10 ** 6))
-        d = SlotDerivationInput(0, z, seed=9, kappa=10)
-        assert derive_slot_winner(ledger, d)[0] == derive_slot_winner(after, d)[0]
+        assert (before_view.derive_slot_candidate(z)[0]
+                == after_view.derive_slot_candidate(z)[0])
 
 
 def test_satoshi_index_within_supply():

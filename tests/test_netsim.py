@@ -263,3 +263,22 @@ def test_delay_model():
         assert 0.5 <= s <= 1.5
     with pytest.raises(ConfigError):
         DelayModel(0.5, 1.5, "pareto").sample(rng)
+
+
+def test_analysis_config_is_name_seed_and_attack():
+    raw = {"name": "c1", "seed": 3, "attack": {"kind": "claim1", "params": {
+        "v": 100, "epsilon": 10, "rho_prime": 0.7, "delta": 20}}}
+    config = config_from_dict(raw)
+    assert config.protocol is None
+    assert config.to_dict() == raw
+    for key, value in (("protocol", "coa"), ("stake", [["a", 2]]),
+                       ("params", {"kappa": 1}), ("duration", {"slots": 1})):
+        with pytest.raises(ConfigError) as e:
+            config_from_dict(dict(raw, **{key: value}))
+        assert e.value.fieldname == key
+    analyses = [get_scenario(name) for name in scenario_names()
+                if get_scenario(name).attack is not None]
+    assert len(analyses) == 12
+    for config in analyses:
+        assert config.protocol is None
+        assert set(config.to_dict()) == {"name", "seed", "attack"}
