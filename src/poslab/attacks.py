@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import comb, issuance
-from .rng import make_rng
+from .rng import binomial_nonzero, make_rng
 
 
 def _as_fraction(x) -> Fraction:
@@ -313,7 +313,7 @@ def simulate_streak_interval(stake_fraction: float = 0.25, k: int = 6,
 
 def fork_rate_study(seconds: int = 4 * 10 ** 8, n_outputs: int = 600,
                     target_rate: float = 1.0 / 600.0, seed: int = 0,
-                    chunk: int = 2 * 10 ** 7) -> dict:
+                    chunk: int = 2 ** 21) -> dict:
     """Simulate per-second solve counts and report both fork-interval
     conventions.
 
@@ -330,7 +330,7 @@ def fork_rate_study(seconds: int = 4 * 10 ** 8, n_outputs: int = 600,
     done = 0
     while done < seconds:
         m = min(chunk, seconds - done)
-        k = rng.binomial(n_outputs, q, size=m)
+        _at, k = binomial_nonzero(rng, n_outputs, q, m)
         pair_events += int((k * (k - 1)).sum())
         multi_seconds += int((k >= 2).sum())
         done += m
@@ -384,6 +384,11 @@ def _issuance(p: dict, seed: int) -> dict:
     return {"final_value": float(value[-1]), "mean_value": float(tail.mean()),
             "cost": cost, "max_deviation": float(abs(tail - cost).max() / cost)}
 
+
+# the type of an analysis parameter, by name; any other is a finite number
+PARAM_TYPES = {"comb": "string", "version": "string", "saturated": "bool",
+               "seconds": "count", "blocks": "count", "trials": "count",
+               "steps": "count"}
 
 ANALYSES = {
     "claim1": Analysis(

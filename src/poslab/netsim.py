@@ -23,10 +23,11 @@ from . import attacks, dense
 from .coa import ACCEPT, CoaNode, CoaParams, make_genesis, min_timestamp
 from .comb import ParamError
 from .ledger import Block, canonical_block_digest
-from .rng import make_rng
+from .rng import make_rng, quiet_rows
 
 LOOKAHEAD = 10      # CoA slots a node looks ahead to schedule its blocks
 MAX_EVENTS = 2000   # PPCoin and Dense-CoA traces keep their first events only
+QUIET_BATCH = 32    # PPCoin seconds drawn per batch when skipping quiet ones
 STRATEGIES = ("honest", "offline", "withhold", "ppcoin-multifork")
 IDLE_STRATEGIES = ("offline", "withhold")   # create no blocks
 ENGINE_KEYS = ("name", "protocol", "params", "stake", "behaviors", "delays",
@@ -106,13 +107,15 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be an object")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise ConfigError("seed", "must be an integer")
+    name = raw.get("name", name)
+    if not isinstance(name, str):
+        raise ConfigError("name", "must be a string")
     if "attack" in raw:
         _check_keys(raw, ANALYSIS_KEYS)
         analysis_of(raw["attack"])
-        return ScenarioConfig(name=raw.get("name", name), seed=seed,
-                              attack=raw["attack"])
+        return ScenarioConfig(name=name, seed=seed, attack=raw["attack"])
     _check_keys(raw, ENGINE_KEYS)
     protocol = raw.get("protocol")
     if not isinstance(protocol, str) or protocol not in ENGINES:
@@ -189,7 +192,7 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
             raise ConfigError("duration." + key, "required by protocol %r"
                               % protocol)
     return ScenarioConfig(
-        name=raw.get("name", name), protocol=protocol, params=params,
+        name=name, protocol=protocol, params=params,
         stake=tuple(stake), behaviors=behaviors, delays=delays,
         clock_drift_max=float(drift), duration=duration, seed=seed)
 
@@ -201,6 +204,15 @@ def _number(obj: dict, key: str, default: float, fieldname: str):
         raise ConfigError(fieldname, "must be a finite number, got %r"
                           % (value,))
     return value
+
+
+_PARAM_CHECKS = {   # attacks.PARAM_TYPES value -> (what it means, test)
+    "number": ("a finite number",
+               lambda v: type(v) in (int, float) and math.isfinite(v)),
+    "count": ("a positive integer", lambda v: type(v) is int and v >= 1),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: type(v) is bool),
+}
 
 
 def analysis_of(attack) -> tuple:
@@ -223,6 +235,11 @@ def analysis_of(attack) -> tuple:
                               "required by analysis %r" % kind)
     _check_keys(params, analysis.required + tuple(analysis.defaults),
                 "attack.params.")
+    for key, value in params.items():
+        what, ok = _PARAM_CHECKS[attacks.PARAM_TYPES.get(key, "number")]
+        if not ok(value):
+            raise ConfigError("attack.params." + key, "must be %s, got %r"
+                              % (what, value))
     return kind, params, analysis
 
 
@@ -442,18 +459,22 @@ def _run_ppcoin(config: ScenarioConfig) -> SimTrace:
     blocks = 0
     fork_blocks = 0
     tip_count_sum = 0
-    for t in range(seconds):
-        tip_count_sum += len(tips)
+    t = 0
+    while t < seconds:
         best = max(tips)
-        solves = []   # (tip position, stakeholder)
-        for name, _amount in config.stake:
-            if forks_all_tips[name]:
-                work_on = range(len(tips))
-            else:
-                work_on = [tips.index(best)]
-            for tip_idx in work_on:
-                if rng.random() < probs[name]:
-                    solves.append((tip_idx, name))
+        trials = [(tip_idx, name) for name, _amount in config.stake
+                  for tip_idx in (range(len(tips)) if forks_all_tips[name]
+                                  else [tips.index(best)])]
+        # the tips, and so the trials, change only in a second with a solve
+        quiet = quiet_rows(rng, [probs[name] for _i, name in trials],
+                           min(QUIET_BATCH, seconds - t))
+        tip_count_sum += quiet * len(tips)
+        t += quiet
+        if t == seconds:
+            break
+        tip_count_sum += len(tips)
+        solves = [(tip_idx, name) for tip_idx, name in trials
+                  if rng.random() < probs[name]]
         base = list(tips)
         for tip_idx, name in solves:
             h = base[tip_idx] + 1
@@ -472,6 +493,7 @@ def _run_ppcoin(config: ScenarioConfig) -> SimTrace:
         best = max(tips)
         tips = sorted((h for h in tips if h >= best - 2),
                       reverse=True)[:max_tips]
+        t += 1
     metrics = {
         "protocol": "ppcoin",
         "blocks": blocks + fork_blocks,

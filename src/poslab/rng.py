@@ -1,15 +1,28 @@
-"""Deterministic random number generation.
+"""Deterministic random number generation and exact batched samplers.
 
 All randomness in a run flows from a single 64-bit seed. Independent
 substreams are derived by hashing the seed together with a label path, so
 scenario components can draw without coupling to each other's consumption
 order. Philox is counter-based, which keeps runs bit-reproducible across
 platforms.
+
+It is also the home of the exact batched samplers that let the per-second
+stake lotteries skip the seconds without a solve. Their contract: they read
+the same 64-bit words as the per-draw calls they replace, return the same
+values and leave the generator in the same state, so no digest depends on
+which ran. ``binomial_nonzero`` replays numpy's binomial inversion (one word
+per draw, U = (word >> 11) * 2^-53, and the draw is 0 iff U <= (1-p)^n);
+``quiet_rows`` reads the words of ``Generator.random``. Both rest on numpy's
+algorithms, not its API: the equivalence tests in ``tests/test_attacks.py``
+and ``tests/test_netsim.py`` compare them with the per-draw calls word for
+word, so a numpy upgrade that changes either algorithm fails there.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+from typing import Sequence
 
 import numpy as np
 
@@ -23,3 +36,75 @@ def derive_key(seed: int, *labels: object) -> int:
 def make_rng(seed: int, *labels: object) -> np.random.Generator:
     """Create a deterministic generator for the given seed and substream labels."""
     return np.random.Generator(np.random.Philox(key=derive_key(seed, *labels)))
+
+
+def _inversion_bound(n: int, p: float, q: float) -> int:
+    """numpy's cut-off for one inversion draw; past it numpy draws again."""
+    return int(min(n, n * p + 10.0 * math.sqrt(n * p * q + 1)))
+
+
+def _zero_limit(qn: float) -> int:
+    """The largest word whose U = (word >> 11) * 2^-53 is <= qn."""
+    return min((int(qn * 2.0 ** 53) << 11) | 0x7FF, 2 ** 64 - 1)
+
+
+def binomial_nonzero(rng: np.random.Generator, n: int, p: float,
+                     size: int) -> tuple:
+    """(positions, values) of the non-zero entries of
+    ``rng.binomial(n, p, size)``, drawn from the same words.
+
+    In numpy's inversion regime (0 < p <= 1/2, 0 < n*p <= 30) each word is
+    tested against the integer threshold of U <= (1-p)^n, and only the hits
+    replay numpy's float recurrence. Elsewhere, or when a hit would pass
+    numpy's bound and make it draw again, the draws come from
+    ``rng.binomial`` itself.
+    """
+    if n > 0 and 0.0 < p <= 0.5 and p * n <= 30.0:
+        saved = rng.bit_generator.state
+        found = _inversion_nonzero(rng.bit_generator.random_raw(size), n, p)
+        if found is not None:
+            return found
+        rng.bit_generator.state = saved
+    k = rng.binomial(n, p, size)
+    at = np.flatnonzero(k)
+    return at, k[at]
+
+
+def _inversion_nonzero(words: np.ndarray, n: int, p: float):
+    """(positions, values) of the non-zero draws numpy's inversion makes
+    from `words`, or None if one of them would need another word."""
+    q = 1.0 - p
+    qn = math.exp(n * math.log(q))
+    bound = _inversion_bound(n, p, q)
+    at = np.flatnonzero(words > np.uint64(_zero_limit(qn)))
+    u = (words[at] >> np.uint64(11)) * 2.0 ** -53
+    x = np.zeros(len(at), np.int64)
+    px = np.full(len(at), qn)
+    live = u > px
+    while live.any():
+        x[live] += 1
+        if x.max() > bound:
+            return None
+        xl = x[live]
+        u[live] -= px[live]
+        px[live] = ((n - xl + 1) * p * px[live]) / (xl * q)
+        live = u > px
+    return at, x
+
+
+def quiet_rows(rng: np.random.Generator, probs: Sequence[float],
+               rows: int) -> int:
+    """Skip the leading rows of `rows` rows of trials in which no trial hits.
+
+    Row r is ``[rng.random() < p for p in probs]``. Returns the index of the
+    first row with a hit and leaves `rng` at the start of that row, or
+    returns `rows` with every row drawn.
+    """
+    saved = rng.bit_generator.state
+    hit = (rng.random((rows, len(probs))) < probs).any(axis=1)
+    if not hit.any():
+        return rows
+    first = int(hit.argmax())
+    rng.bit_generator.state = saved
+    rng.bit_generator.random_raw(first * len(probs))
+    return first

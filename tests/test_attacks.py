@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from poslab import attacks, rng as rng_module
 from poslab.attacks import (BribeScenario, _as_fraction, bribe_accepted,
                             confirmation_wait_seconds, fork_rate_study,
                             measure_delta, min_safe_confirmations_density,
@@ -11,7 +13,7 @@ from poslab.attacks import (BribeScenario, _as_fraction, bribe_accepted,
                             simulate_withholding_dos, takeover_log_bound,
                             takeover_q_hat, takeover_tail_montecarlo,
                             timeweight_win_probability)
-from poslab.rng import make_rng
+from poslab.rng import binomial_nonzero, derive_key, make_rng
 
 
 def min_safe_confirmations_observed_scan(v, epsilon, rho_prime, delta,
@@ -207,3 +209,82 @@ def test_fork_rate_small_run():
     # expected 360000 and 720000 seconds; a short run stays within 3x
     assert 120_000 < out["pairwise_interval"] < 1_080_000
     assert out["multi_solve_interval"] > out["pairwise_interval"]
+
+
+def test_fork_rate_outputs_are_pinned():
+    for seconds, seed, counts in ((4 * 10 ** 7, 0, (90, 45)),
+                                  (4 * 10 ** 6, 9, (10, 5))):
+        out = fork_rate_study(seconds=seconds, seed=seed)
+        assert (out["pair_events"], out["multi_solve_seconds"]) == counts
+
+
+FORK_Q = 1.0 - (1.0 - 1.0 / 600) ** (1.0 / 600)
+
+
+class CountingGenerator(np.random.Generator):
+    """A Philox generator that counts its ``binomial`` calls."""
+    binomial_calls = 0
+
+    def binomial(self, *args, **kwargs):
+        self.binomial_calls += 1
+        return super().binomial(*args, **kwargs)
+
+
+def _pair(seed):
+    return tuple(CountingGenerator(np.random.Philox(key=derive_key(seed, "bin")))
+                 for _ in range(2))
+
+
+def _state(rng):
+    return repr(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("n, p", [(600, FORK_Q), (10, 0.3), (60, 0.5),
+                                  (61, 0.5), (600, 0.7), (0, 0.3), (5, 0.0)])
+def test_binomial_nonzero_equals_numpy_word_for_word(n, p):
+    for seed in range(3):
+        for size in (1, 7, 1001, 2 ** 16 + 3):
+            oracle, fast = _pair(seed)
+            k = oracle.binomial(n, p, size)
+            at, values = binomial_nonzero(fast, n, p, size)
+            assert np.array_equal(at, np.flatnonzero(k))
+            assert np.array_equal(values, k[at])
+            assert _state(fast) == _state(oracle)
+            # the inversion regime reads the words itself
+            assert fast.binomial_calls == (n == 0 or p == 0 or p > 0.5
+                                           or n * p > 30)
+
+
+def test_zero_limit_is_the_last_word_that_draws_zero():
+    for qn in ((1.0 - FORK_Q) ** 600, 0.5, 0.3 ** 10, 2.0 ** -53, 0.0, 1.0):
+        limit = rng_module._zero_limit(qn)
+        assert (limit >> 11) * 2.0 ** -53 <= qn
+        assert limit == 2 ** 64 - 1 or ((limit + 1) >> 11) * 2.0 ** -53 > qn
+
+
+def test_binomial_nonzero_redraws_when_numpy_would_restart(monkeypatch):
+    # with a bound of 0 every non-zero draw is one numpy would redraw
+    monkeypatch.setattr(rng_module, "_inversion_bound", lambda n, p, q: 0)
+    for n, p, size in ((10, 0.3, 1001), (600, FORK_Q, 2 ** 16 + 3)):
+        oracle, fast = _pair(4)
+        k = oracle.binomial(n, p, size)
+        at, values = binomial_nonzero(fast, n, p, size)
+        assert fast.binomial_calls == 1
+        assert np.array_equal(at, np.flatnonzero(k))
+        assert np.array_equal(values, k[at])
+        assert _state(fast) == _state(oracle)
+
+
+def test_fork_rate_study_reads_the_words_of_per_second_binomials(monkeypatch):
+    used = []
+    monkeypatch.setattr(attacks, "make_rng",
+                        lambda *labels: used.append(make_rng(*labels))
+                        or used[-1])
+    seconds, n = 3 * 10 ** 6 + 5, 600
+    out = fork_rate_study(seconds=seconds, n_outputs=n, seed=3, chunk=2 ** 20)
+    oracle = make_rng(3, "forks", n, seconds)
+    k = np.concatenate([oracle.binomial(n, FORK_Q, size=m)
+                        for m in (2 * 10 ** 6, 10 ** 6 + 5)])
+    assert out["pair_events"] == int((k * (k - 1)).sum())
+    assert out["multi_solve_seconds"] == int((k >= 2).sum())
+    assert _state(used[0]) == _state(oracle)

@@ -217,6 +217,28 @@ CLAIM1 = {"v": 100, "epsilon": 10, "rho_prime": 0.7, "delta": 20}
     (_config_with(protocol="ppcoin", duration={"seconds": 600},
                   params={"kappa": 4, "t0": 8}), "params.t0"),
     ({"attack": {"kind": "claim1", "params": CLAIM1, "seed": 3}}, "attack.seed"),
+    (dict(_analysis("claim1", **CLAIM1), seed=True), "seed"),
+    (_config_with(seed=2.0), "seed"),
+    (dict(_analysis("claim1", **CLAIM1), name=5), "name"),
+    (_config_with(name=["coa"]), "name"),
+    (_analysis("claim2", v=100, epsilon=10, rho=0.7, k=20, g0_seconds="x"),
+     "attack.params.g0_seconds"),
+    (_analysis("claim1", **dict(CLAIM1, v="x")), "attack.params.v"),
+    (_analysis("claim1", **dict(CLAIM1, epsilon=True)), "attack.params.epsilon"),
+    (_analysis("claim1", **dict(CLAIM1, delta=float("inf"))),
+     "attack.params.delta"),
+    (_analysis("mu", comb=5, kappa=8, p=0.05), "attack.params.comb"),
+    (_analysis("timeweight", version=2, stake=0.2, multiplier=2),
+     "attack.params.version"),
+    (_analysis("timeweight", version="v0.2", stake=0.2, multiplier=2,
+               saturated="no"), "attack.params.saturated"),
+    (_analysis("fork-rate", seconds=10.5), "attack.params.seconds"),
+    (_analysis("fork-rate", seconds=0), "attack.params.seconds"),
+    (_analysis("dense-dos", ell=3, f=0.1, g0_seconds=300, blocks=True),
+     "attack.params.blocks"),
+    (_analysis("mu", comb="concat", kappa=8, p=0.05, trials=-1),
+     "attack.params.trials"),
+    (_analysis("issuance", steps="400"), "attack.params.steps"),
 ])
 def test_rejected_config_names_field_in_validate_and_run(tmp_path, capsys,
                                                           config, field):
@@ -262,7 +284,7 @@ def test_digest_does_not_depend_on_the_hash_seed(tmp_path):
     (_analysis("takeover", ell=459, p=0.5, q=0.5), "attack.params"),
     (_analysis("claim1", **dict(CLAIM1, epsilon=0)), "attack.params"),
     (_analysis("mu", comb="tribes", kappa=8, p=0.05), "attack.params.comb"),
-    (_analysis("claim1", **dict(CLAIM1, v="x")), "attack.params"),
+    (_analysis("claim1", **dict(CLAIM1, rho_prime=1.5)), "attack.params"),
 ])
 def test_analysis_param_error_found_by_run_exits_2(tmp_path, capsys, attack,
                                                    field):

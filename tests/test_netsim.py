@@ -1,10 +1,14 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poslab.netsim import (ConfigError, DelayModel, STRATEGIES,
+from poslab import netsim
+from poslab.netsim import (ConfigError, DelayModel, STRATEGIES, SimTrace,
                            config_from_dict, load_config, run_scenario,
                            strategy_of)
+from poslab.rng import make_rng
 from poslab.scenarios import get_scenario, scenario_names
 
 
@@ -282,3 +286,116 @@ def test_analysis_config_is_name_seed_and_attack():
     for config in analyses:
         assert config.protocol is None
         assert set(config.to_dict()) == {"name", "seed", "attack"}
+
+
+def run_ppcoin_per_second(config):
+    """The PPCoin lottery drawn one trial at a time, second by second: the
+    oracle for ``netsim._run_ppcoin``. Returns the trace and its rng."""
+    total = 1 << config.params["kappa"]
+    target = config.params.get("target_interval", 600)
+    seconds = config.duration["seconds"]
+    max_tips = config.params.get("max_tips", 6)
+    rng = make_rng(config.seed, "ppcoin-run")
+    events = []
+    probs = {}
+    for name, amount in config.stake:
+        probs[name] = (amount / total) / target
+    forks_all_tips = {name: strategy_of(config, name) == "ppcoin-multifork"
+                      for name, _a in config.stake}
+
+    tips = [0]
+    blocks = 0
+    fork_blocks = 0
+    tip_count_sum = 0
+    for t in range(seconds):
+        tip_count_sum += len(tips)
+        best = max(tips)
+        solves = []
+        for name, _amount in config.stake:
+            if forks_all_tips[name]:
+                work_on = range(len(tips))
+            else:
+                work_on = [tips.index(best)]
+            for tip_idx in work_on:
+                if rng.random() < probs[name]:
+                    solves.append((tip_idx, name))
+        base = list(tips)
+        for tip_idx, name in solves:
+            h = base[tip_idx] + 1
+            if h > max(tips):
+                tips[tip_idx] = h
+                blocks += 1
+                events.append({"event": "block-accept", "time": t,
+                               "node": name, "height": h})
+            else:
+                fork_blocks += 1
+                events.append({"event": "fork", "time": t, "node": name,
+                               "height": h})
+                if len(tips) < max_tips:
+                    tips.append(h)
+        best = max(tips)
+        tips = sorted((h for h in tips if h >= best - 2),
+                      reverse=True)[:max_tips]
+    metrics = {
+        "protocol": "ppcoin",
+        "blocks": blocks + fork_blocks,
+        "canonical_blocks": blocks,
+        "fork_blocks": fork_blocks,
+        "divergence": tip_count_sum / seconds,
+        "mean_interval": seconds / max(1, blocks + fork_blocks),
+    }
+    trace = netsim._capped(SimTrace(config, events, metrics,
+                                    {"tips": [max(tips)]}))
+    return trace, rng
+
+
+@st.composite
+def ppcoin_configs(draw):
+    kappa = draw(st.integers(1, 6))
+    total = 1 << kappa
+    holders = draw(st.integers(1, min(4, total)))
+    cuts = sorted(draw(st.lists(st.integers(1, total - 1), unique=True,
+                                min_size=holders - 1, max_size=holders - 1)))
+    stake = [["h%d" % i, hi - lo]
+             for i, (lo, hi) in enumerate(zip([0] + cuts, cuts + [total]))]
+    behaviors = draw(st.dictionaries(
+        st.sampled_from([name for name, _a in stake]),
+        st.fixed_dictionaries({"strategy": st.sampled_from(STRATEGIES)})))
+    return config_from_dict({
+        "protocol": "ppcoin", "stake": stake, "behaviors": behaviors,
+        "params": {"kappa": kappa,
+                   "target_interval": draw(st.integers(1, 40)),
+                   "max_tips": draw(st.integers(1, 6))},
+        "duration": {"seconds": draw(st.integers(1, 3000))},
+        "seed": draw(st.integers(0, 2 ** 16))})
+
+
+def _ppcoin_run_and_rng(config, monkeypatch):
+    used = []
+    monkeypatch.setattr(netsim, "make_rng",
+                        lambda *labels: used.append(make_rng(*labels))
+                        or used[-1])
+    trace = run_scenario(config)
+    return trace, used[0]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(ppcoin_configs())
+def test_ppcoin_run_equals_the_per_second_lottery(config):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        trace, rng = _ppcoin_run_and_rng(config, monkeypatch)
+    oracle, oracle_rng = run_ppcoin_per_second(config)
+    assert trace.digest() == oracle.digest()
+    assert trace.events_dropped == oracle.events_dropped
+    assert (repr(rng.bit_generator.state)
+            == repr(oracle_rng.bit_generator.state))
+
+
+@pytest.mark.parametrize("name", ["ppcoin-honest", "ppcoin-multifork"])
+def test_bundled_ppcoin_runs_equal_the_per_second_lottery(name, monkeypatch):
+    config = dataclasses.replace(get_scenario(name), seed=5694)
+    trace, rng = _ppcoin_run_and_rng(config, monkeypatch)
+    oracle, oracle_rng = run_ppcoin_per_second(config)
+    assert trace.digest() == oracle.digest()
+    assert (repr(rng.bit_generator.state)
+            == repr(oracle_rng.bit_generator.state))
