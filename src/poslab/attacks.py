@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import comb, issuance
+from . import comb, issuance, ppcoin
 from .rng import binomial_nonzero, make_rng
 
 
@@ -292,16 +292,19 @@ def simulate_streak_interval(stake_fraction: float = 0.25, k: int = 6,
     """
     if not 0 < stake_fraction < 1:
         raise ValueError("stake fraction must be in (0,1)")
+    if k < 1:
+        raise ValueError("streak length k must be at least 1")
     rng = make_rng(seed, "streak", stake_fraction, k)
     wins = rng.random(n_blocks) < stake_fraction
-    c = np.cumsum(np.concatenate(([0], wins.astype(np.int64))))
-    full = (c[k:] - c[:-k]) == k
-    count = int(full.sum())
+    # after pass j, wins[i] says whether blocks i..i+j all won
+    for j in range(1, min(k, n_blocks)):
+        wins[:n_blocks - j] &= wins[1:n_blocks - j + 1]
+    count = int(np.count_nonzero(wins[:max(n_blocks - k + 1, 0)]))
     if count == 0:
         raise ValueError("no streaks observed; increase n_blocks")
     return {
         "mean_gap": n_blocks / count,
-        "expected": (1.0 / stake_fraction) ** k,
+        "expected": ppcoin.expected_reorg_interval(1.0 / stake_fraction, k),
         "streaks": count,
         "blocks": n_blocks,
     }
@@ -388,7 +391,8 @@ def _issuance(p: dict, seed: int) -> dict:
 # the type of an analysis parameter, by name; any other is a finite number
 PARAM_TYPES = {"comb": "string", "version": "string", "saturated": "bool",
                "seconds": "count", "blocks": "count", "trials": "count",
-               "steps": "count"}
+               "steps": "count", "k": "count", "kappa": "count",
+               "ell": "count", "w": "count"}
 
 ANALYSES = {
     "claim1": Analysis(

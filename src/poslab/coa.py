@@ -32,6 +32,8 @@ from .ledger import (
 )
 
 ACCEPT = "accept"
+MAX_SCAN = 100_000          # derivations past z_next before a view gives up
+STRIKES_TO_BLACKLIST = 3    # missed slots that blacklist an output
 
 
 def default_genesis_seed(kappa: int) -> int:
@@ -49,7 +51,6 @@ class CoaParams:
     c1: int = 0                   # confiscation award, 0 <= c1 <= c0/2
     t0: int = 8                   # double-spend safety bound, blocks (even)
     timestamp_leniency: int = 120
-    strikes_to_blacklist: int = 3
 
     def __post_init__(self):
         # (key in a scenario's params, value, least value); t0 = 0 would
@@ -100,8 +101,11 @@ def make_genesis(params: CoaParams, allocation, timestamp: int = 0,
 class ChainView:
     """Derived state for one chain path: a pure function of the blocks.
 
-    Mutability is internal; ``process_block`` works on a clone, so a view can
-    back multiple competing children.
+    A view is a value. ``process_block`` extends a shallow clone and replaces
+    every container it changes, so a view never changes once it is returned
+    and can back many competing children. Its slot schedule is a pure
+    function of the view too: ``slot_candidates`` derives it once and
+    extends it when asked for more.
     """
 
     def __init__(self, params: CoaParams, genesis: Block, ledger: LedgerState):
@@ -112,28 +116,21 @@ class ChainView:
         self.genesis_seed = genesis.genesis_seed
         self.height = 0
         self.last_block = genesis
-        self.group_bits = []
+        self.group_bits = ()
         self.z_next = 1
-        self.pending_blacklist = {}  # activation group -> set of uids
-        self.punished = set()        # offense indices already confiscated
+        self.pending_blacklist = {}  # activation group -> frozenset of uids
+        self.punished = frozenset()  # offense indices already confiscated
         # slot index -> (owner, uid, uids frozen by its block); the frozen
         # tuple is empty for a skipped slot and never empty for a block
         self.slots = {}
         self.groups = {}             # group number -> (seed, index of its last block)
+        self._schedule = []          # the slot candidates derived so far
 
     def clone(self) -> "ChainView":
+        """A shallow copy with no schedule, for ``process_block`` to extend."""
         out = ChainView.__new__(ChainView)
-        out.params = self.params
-        out.ledger = self.ledger
-        out.genesis_seed = self.genesis_seed
-        out.height = self.height
-        out.last_block = self.last_block
-        out.group_bits = list(self.group_bits)
-        out.z_next = self.z_next
-        out.pending_blacklist = {k: set(v) for k, v in self.pending_blacklist.items()}
-        out.punished = set(self.punished)
-        out.slots = dict(self.slots)
-        out.groups = dict(self.groups)
+        out.__dict__.update(self.__dict__)
+        out._schedule = []
         return out
 
     # -- slot derivation -----------------------------------------------------
@@ -160,27 +157,25 @@ class ChainView:
                             self.ledger.total_supply)
         return follow_the_satoshi(self.ledger, idx)
 
-    def slot_candidates(self, count: int, _max_scan: int = 100_000) -> list:
+    def slot_candidates(self, count: int) -> list:
         """Eligible creators for the next `count` slot indices.
 
         Returns [(index, z, owner, uid)]; blacklisted or destroyed
         derivations are skipped without consuming an index.
         """
-        out = []
-        z = self.z_next
-        idx = self.last_block.index
-        scanned = 0
-        while len(out) < count:
-            owner, uid = self.derive_slot_candidate(z)
+        schedule = self._schedule
+        idx, z = schedule[-1][:2] if schedule else (self.last_block.index,
+                                                    self.z_next - 1)
+        while len(schedule) < count:
             z += 1
-            scanned += 1
-            if scanned > _max_scan:
+            if z - self.z_next >= MAX_SCAN:
                 raise LedgerError("no eligible creator found (all stake blacklisted?)")
+            owner, uid = self.derive_slot_candidate(z)
             if uid is None or uid in self.ledger.blacklist:
                 continue
             idx += 1
-            out.append((idx, z - 1, owner, uid))
-        return out
+            schedule.append((idx, z, owner, uid))
+        return schedule[:count]
 
     # -- chain binding ---------------------------------------------------------
 
@@ -247,15 +242,19 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
         evidence_effect = ev
 
     new = view.clone()
+    new.slots = dict(view.slots)
 
     # strikes for the slots that were skipped by inactive creators
+    activation = view.current_group + 2
     for idx, _z, missed_owner, missed_uid in candidates[:-1]:
         new.slots[idx] = (missed_owner, missed_uid, ())
         u = new.ledger.utxos[missed_uid]
         strikes = u.strikes + 1
         new.ledger = new.ledger.with_strikes(missed_uid, strikes)
-        if strikes >= p.strikes_to_blacklist:
-            new.pending_blacklist.setdefault(new.current_group + 2, set()).add(missed_uid)
+        if strikes >= STRIKES_TO_BLACKLIST:
+            pending = new.pending_blacklist
+            new.pending_blacklist = {**pending, activation: pending.get(
+                activation, frozenset()) | {missed_uid}}
     if new.ledger.utxos[uid].strikes:
         new.ledger = new.ledger.with_strikes(uid, 0)
 
@@ -289,24 +288,25 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
     if effect is not None and observer:
         observer("confiscation", effect)
     new.slots[block.index] = (owner, uid, tuple(frozen))
-    new.group_bits.append(block_bit(block))
+    new.group_bits = view.group_bits + (block_bit(block),)
     new.height = height
     new.last_block = block
 
     if len(new.group_bits) == p.ell:
         completed = (height - 1) // p.ell + 1
-        new.groups[completed] = (comb_apply(p.comb_spec, new.group_bits),
-                                 block.index)
-        new.group_bits = []
+        new.groups = {**view.groups, completed: (
+            comb_apply(p.comb_spec, new.group_bits), block.index)}
+        new.group_bits = ()
         new.z_next = 1
         # activate blacklists scheduled for the group now opening
         opening = completed + 1
-        for activation in sorted(new.pending_blacklist):
-            if activation <= opening:
-                uids = new.pending_blacklist.pop(activation)
-                new.ledger = new.ledger.with_blacklisted(uids)
-                if observer:
-                    observer("blacklist", {"uids": sorted(uids), "group": opening})
+        pending = new.pending_blacklist
+        new.pending_blacklist = {g: u for g, u in pending.items() if g > opening}
+        for group in sorted(g for g in pending if g <= opening):
+            uids = pending[group]
+            new.ledger = new.ledger.with_blacklisted(uids)
+            if observer:
+                observer("blacklist", {"uids": sorted(uids), "group": opening})
     else:
         new.z_next = candidates[-1][1] + 1
 
@@ -342,7 +342,7 @@ def _confiscate(new: ChainView, offense: int, uids, reporter: str,
     total = sum(new.ledger.utxos[u].amount for u in uids)
     award = min(new.params.c1, total)
     new.ledger = new.ledger.confiscate(uids, award, reporter, height)
-    new.punished.add(offense)
+    new.punished = new.punished | {offense}
     return {"confiscated": total, "awarded": award, "destroyed": total - award}
 
 
@@ -409,9 +409,6 @@ class CoaNode:
             return False, reason
         self.tree.add_block(block)
         self.views[digest] = self.shared_views.setdefault(digest, new_view)
-        self._emit("block-accepted", {"index": block.index, "height":
-                                      self.tree.height[digest],
-                                      "creator": block.creator})
         self._solidify_checkpoints(digest)
         return True, ACCEPT
 

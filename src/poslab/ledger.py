@@ -490,7 +490,6 @@ class BlockTree:
         gd = genesis.digest
         self.genesis_digest = gd
         self.blocks = {gd: genesis}
-        self.parent = {gd: None}
         self.height = {gd: 0}
         self.arrival = {gd: 0}
         self._seq = 1
@@ -508,7 +507,6 @@ class BlockTree:
         if digest in self.blocks:
             return digest
         self.blocks[digest] = block
-        self.parent[digest] = parent
         self.height[digest] = self.height[parent] + 1
         self.arrival[digest] = self._seq
         self._seq += 1
@@ -518,22 +516,22 @@ class BlockTree:
 
     def path(self, digest: bytes) -> list:
         """Digests from genesis to the given block, inclusive."""
-        out = []
-        while digest is not None:
+        out = [digest]
+        while digest != self.genesis_digest:
+            digest = self.blocks[digest].prev_digest
             out.append(digest)
-            digest = self.parent[digest]
         out.reverse()
         return out
 
     def is_ancestor(self, ancestor: bytes, digest: bytes) -> bool:
         ah = self.height[ancestor]
-        while digest is not None and self.height[digest] > ah:
-            digest = self.parent[digest]
+        while self.height[digest] > ah:
+            digest = self.blocks[digest].prev_digest
         return digest == ancestor
 
     def ancestor_at_height(self, digest: bytes, height: int) -> bytes:
         while self.height[digest] > height:
-            digest = self.parent[digest]
+            digest = self.blocks[digest].prev_digest
         if self.height[digest] != height:
             raise LedgerError("no ancestor at height %d" % height)
         return digest

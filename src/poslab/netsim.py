@@ -305,9 +305,7 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
     rank = {name: i for i, (name, _a) in enumerate(config.stake)}
 
     def observe(kind, payload):
-        if kind in ("confiscation", "blacklist", "solidification",
-                    "block-rejected"):
-            events.append(dict(payload, event=kind))
+        events.append(dict(payload, event=kind))
 
     nodes = {}
     drifts = {}
@@ -327,26 +325,18 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
     queue: list = []
     seq = [0]
     scheduled = set()
-    reorgs = {name: 0 for name in nodes}
-    lookaheads = {}     # tip digest -> the first LOOKAHEAD slot candidates
+    reorgs = 0
 
     def push(when, sender, kind, payload):
         heapq.heappush(queue, (when, rank.get(sender, -1), seq[0], kind, payload))
         seq[0] += 1
-
-    def lookahead(view, count=LOOKAHEAD):
-        """The first `count` slot candidates of `view`, derived once per tip."""
-        digest = view.last_block.digest
-        if len(lookaheads.get(digest, ())) < count:
-            lookaheads[digest] = view.slot_candidates(max(count, LOOKAHEAD))
-        return lookaheads[digest][:count]
 
     def schedule_creations(name, now):
         node = nodes[name]
         if not creates_blocks[name]:
             return
         view = node.best_view
-        for index, _z, owner, _uid in lookahead(view):
+        for index, _z, owner, _uid in view.slot_candidates(LOOKAHEAD):
             if owner != name or (name, index) in scheduled:
                 continue
             local_min = min_timestamp(view.last_block.timestamp, index,
@@ -373,7 +363,7 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
             gap = index - last.index
             if gap < 1:
                 continue
-            cands = lookahead(view, gap)
+            cands = view.slot_candidates(gap)
             if cands[-1][2] != name:
                 continue
             local_now = when + drifts[name]
@@ -398,7 +388,7 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
             if ok and reason == ACCEPT:
                 after = node.best_tip
                 if after != before and not node.tree.is_ancestor(before, after):
-                    reorgs[name] += 1
+                    reorgs += 1
                     events.append({"event": "reorg", "time": round(when, 6),
                                    "node": name})
                 events.append({"event": "block-accept", "time": round(when, 6),
@@ -424,7 +414,7 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
         "protocol": "coa",
         "blocks": len(chain) - 1,
         "mean_interval": (sum(intervals) / len(intervals)) if intervals else 0.0,
-        "reorgs": sum(reorgs.values()),
+        "reorgs": reorgs,
         "fork_blocks": len(ref.tree.blocks) - len(chain),
         "conservation_ok": conservation_ok,
         "solidified_height": ref.solidified_height,

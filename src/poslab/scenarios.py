@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
-from . import attacks
+from . import attacks, comb
 from .netsim import ScenarioConfig, config_from_dict
 
 
@@ -189,7 +189,8 @@ REPRODUCTIONS: Dict[str, Reproduction] = {
     "ppcoin-mk": Reproduction(
         "ppcoin-mk", ({"stake": 0.25, "k": 6, "blocks": 4_000_000},),
         "4096 blocks", "±15%",
-        lambda p, m: ("%.0f" % m["mean_gap"], _within(m["mean_gap"], 4096, 0.15))),
+        lambda p, m: ("%.0f" % m["mean_gap"],
+                      _within(m["mean_gap"], m["expected"], 0.15))),
     "fork-rate": Reproduction(
         "fork-rate", ({"seconds": 4 * 10 ** 8},),
         "360000 s pairwise / 720000 s multi-solve", "±20%",
@@ -204,7 +205,8 @@ REPRODUCTIONS: Dict[str, Reproduction] = {
     "mu-majority": Reproduction(
         "tie-fraction", ({"comb": "majority", "kappa": 1, "w": 9},),
         "tie 70/256", "exact",
-        lambda p, m: ("%.6f" % m["tie_fraction"], m["tie_fraction"] == 70 / 256)),
+        lambda p, m: ("%.6f" % m["tie_fraction"],
+                      m["tie_fraction"] == comb.majority_tie_probability(p["w"]))),
     "kz-bounds": Reproduction(
         "kz-bounds", ({"ell": 459, "kappa": 51, "epsilon": 0.1},),
         "achievable 2ε, upper 91.8ε", "exact", _kz_verdict),

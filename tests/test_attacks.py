@@ -204,6 +204,26 @@ def test_streak_interval_small_case():
     assert out["mean_gap"] == pytest.approx(8.0, rel=0.05)
 
 
+def test_streak_count_equals_brute_force():
+    for fraction, k, n_blocks, seed in ((0.7, 1, 40, 0), (0.7, 3, 50, 1),
+                                        (0.6, 2, 7, 2), (0.8, 5, 200, 3),
+                                        (0.9, 6, 6, 4), (0.5, 4, 1000, 5)):
+        wins = make_rng(seed, "streak", fraction, k).random(n_blocks) < fraction
+        want = sum(all(wins[i:i + k]) for i in range(n_blocks - k + 1))
+        if not want:
+            with pytest.raises(ValueError):
+                simulate_streak_interval(fraction, k, n_blocks, seed)
+            continue
+        out = simulate_streak_interval(fraction, k, n_blocks, seed)
+        assert out["streaks"] == want
+        assert out["mean_gap"] == n_blocks / want
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            simulate_streak_interval(0.5, k, 100, 0)
+    with pytest.raises(ValueError):   # no window of length k fits
+        simulate_streak_interval(0.99, 5, 4, 0)
+
+
 def test_fork_rate_small_run():
     out = fork_rate_study(seconds=4 * 10 ** 6, seed=9)
     # expected 360000 and 720000 seconds; a short run stays within 3x

@@ -239,6 +239,11 @@ CLAIM1 = {"v": 100, "epsilon": 10, "rho_prime": 0.7, "delta": 20}
     (_analysis("mu", comb="concat", kappa=8, p=0.05, trials=-1),
      "attack.params.trials"),
     (_analysis("issuance", steps="400"), "attack.params.steps"),
+    (_analysis("ppcoin-mk", k=2.5), "attack.params.k"),
+    (_analysis("mu", comb="concat", kappa=8.0, p=0.05), "attack.params.kappa"),
+    (_analysis("kz-bounds", ell=4.5, kappa=51, epsilon=0.1), "attack.params.ell"),
+    (_analysis("tie-fraction", comb="majority", kappa=1, w=3.0),
+     "attack.params.w"),
 ])
 def test_rejected_config_names_field_in_validate_and_run(tmp_path, capsys,
                                                           config, field):

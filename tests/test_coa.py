@@ -1,7 +1,10 @@
+import copy
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from poslab import coa
 from poslab.coa import (ACCEPT, ChainView, CoaNode, CoaParams, make_genesis,
@@ -10,6 +13,7 @@ from poslab.comb import CombSpec, comb_apply
 from poslab.ledger import (Block, EvidenceEntry, LedgerError, LedgerState,
                            Transaction, block_bit, canonical_block_digest,
                            decode_block, sign)
+from poslab.netsim import LOOKAHEAD
 from poslab.rng import make_rng
 
 
@@ -493,6 +497,7 @@ def test_blacklisted_derivations_consume_no_index_or_time():
     b.extend(1)
     # blacklist an output by hand; derivation skips it without an index gap
     victim = b.view.slot_candidates(1)[-1]
+    b.view = b.view.clone()
     b.view.ledger = b.view.ledger.with_blacklisted([victim[3]])
     replacement = b.view.slot_candidates(1)[-1]
     assert replacement[3] != victim[3]
@@ -535,11 +540,16 @@ def signed_spend(u, latest=0, fee=0):
                        outputs, latest, fee=fee)
 
 
+LEDGER_FIELDS = ("utxos", "blacklist", "total_supply", "destroyed", "next_uid")
+
+
 def assert_same_view(view, fresh):
     ours, theirs = dict(vars(view)), dict(vars(fresh))
     ledger, fresh_ledger = ours.pop("ledger"), theirs.pop("ledger")
+    del ours["_schedule"], theirs["_schedule"]
     assert ours == theirs
-    for name in ("utxos", "blacklist", "total_supply", "destroyed", "next_uid"):
+    assert view.slot_candidates(LOOKAHEAD) == fresh.slot_candidates(LOOKAHEAD)
+    for name in LEDGER_FIELDS:
         assert getattr(ledger, name) == getattr(fresh_ledger, name)
 
 
@@ -656,3 +666,115 @@ def test_nodes_of_one_run_share_one_view_per_block(monkeypatch):
     for node in alone:
         receive_chain(node, b.blocks)
     assert alone[0].best_view is not alone[1].best_view
+
+
+def view_state(view):
+    """A deep copy of a view's fields, its ledger's and schedule's included."""
+    state = {k: v for k, v in vars(view).items() if k != "ledger"}
+    state["ledger"] = {name: getattr(view.ledger, name) for name in LEDGER_FIELDS}
+    return copy.deepcopy(state)
+
+
+@st.composite
+def fork_trees(draw):
+    """(params, genesis, ledger, blocks) of a random fork tree: each block
+    extends an earlier one after skipped slots, with a drawn timestamp, and
+    now and then a fee transaction or double-sign evidence."""
+    params = small_params(t0=draw(st.sampled_from((2, 4, 8))),
+                          c0=draw(st.sampled_from((0, 2))), c1=1)
+    genesis, ledger0 = make_genesis(params, [("alice", 6), ("bob", 5),
+                                             ("carol", 5)])
+    tips = [(ChainView(params, genesis, ledger0), ())]   # (view, path)
+    blocks = []
+    for _ in range(draw(st.integers(1, 12))):
+        # forks off one of the last four views, so paths grow long too
+        view, path = tips[draw(st.integers(max(0, len(tips) - 4),
+                                           len(tips) - 1))]
+        last = view.last_block
+        gap = draw(st.integers(1, 3))
+        _i, _z, creator, uid = view.slot_candidates(gap)[-1]
+        index = last.index + gap
+        plain = Block(index=index, prev_digest=last.digest, creator=creator,
+                      timestamp=min_timestamp(last.timestamp, index, last.index,
+                                              params.g0)
+                      + draw(st.integers(0, 40)))
+        extra = draw(st.sampled_from(("none", "fee", "evidence")))
+        recent = [blk for blk in path if index - blk.index <= params.t0]
+        block = plain
+        if extra == "fee":
+            spendable = [u for _k, u in sorted(view.ledger.utxos.items())
+                         if u.uid != uid and u.amount > 1
+                         and not u.is_frozen(view.height + 1)]
+            if spendable:
+                spend = signed_spend(draw(st.sampled_from(spendable)), fee=1)
+                block = replace(plain, transactions=(spend,))
+        elif extra == "evidence" and recent:
+            offense = draw(st.sampled_from(recent))
+            block = replace(plain, double_sign_evidence=make_evidence(
+                offense, offense.creator))
+        child, reason = process_block(view, block.signed_by())
+        if reason != ACCEPT and block is not plain:   # say, stale evidence
+            child, reason = process_block(view, plain.signed_by())
+        if reason == "understaked":     # a 1-coin fee output won the slot
+            continue
+        assert reason == ACCEPT, reason
+        block = child.last_block
+        blocks.append(block)
+        tips.append((child, path + (block,)))
+    return params, genesis, ledger0, blocks
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fork_trees(), st.data())
+def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
+    """Nodes with per-node clocks receive a random fork tree in random order.
+    Every view they hold equals the recompute of its path and never changes
+    once returned, supply is conserved, and nodes that share one view table
+    decide exactly as nodes that keep their own."""
+    params, genesis, ledger0, blocks = tree
+    count = data.draw(st.integers(2, 3))
+    clocks = data.draw(st.lists(st.integers(-100, 20), min_size=count,
+                                max_size=count))
+    late = data.draw(st.lists(st.integers(-60, 60), min_size=len(blocks),
+                              max_size=len(blocks)))
+    order = data.draw(st.permutations(range(len(blocks))))
+    shared = {}
+    runs = [[CoaNode(params, genesis, ledger0, node_id="n%d" % i,
+                     shared_views=table)
+             for i in range(count)] for table in (shared, None)]
+    decisions = ([], [])
+    snapshots = {}      # id of a returned view -> (view, its state then)
+    for nodes, log in zip(runs, decisions):
+        for node in nodes:
+            view = node.best_view
+            snapshots.setdefault(id(view), (view, view_state(view)))
+        accepted = True
+        while accepted:     # redeliver until a pass accepts nothing new
+            accepted = False
+            for b in order:
+                for node, clock in zip(nodes, clocks):
+                    if blocks[b].digest in node.tree:
+                        continue
+                    outcome = node.receive_block(
+                        blocks[b], blocks[b].timestamp + clock + late[b])
+                    log.append((node.node_id, b) + outcome)
+                    if outcome[1] == ACCEPT:
+                        accepted = True
+                        view = node.views[blocks[b].digest]
+                        snapshots.setdefault(id(view), (view, view_state(view)))
+    assert decisions[0] == decisions[1]
+    for view, then in snapshots.values():
+        now = view_state(view)
+        schedule = now.pop("_schedule")
+        assert schedule[:len(then["_schedule"])] == then.pop("_schedule")
+        assert now == then
+    for node in runs[0] + runs[1]:
+        for digest, view in node.views.items():
+            path = [node.tree.blocks[d] for d in node.tree.path(digest)[1:]]
+            assert_same_view(view, view_from_path(params, genesis, ledger0,
+                                                  path))
+            ledger = view.ledger
+            live = sum(u.amount for u in ledger.utxos.values())
+            assert live == ledger.live_total
+            assert live + ledger.destroyed == 1 << params.kappa

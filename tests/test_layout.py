@@ -20,8 +20,6 @@ UNREFERENCED = {
         "exact output bias of a coalition (acceptance criterion 8)",
     ("comb", "kz_width"):
         "the extractor's group width formula, 3*(c/eps)^(1/alpha)",
-    ("comb", "majority_tie_probability"):
-        "closed form of the majority tie fraction",
     ("dense", "assemble_dense_block"):
         "Dense-CoA block assembly; the engine does not build real blocks yet",
     ("dense", "validate_dense_block"):
@@ -44,8 +42,6 @@ UNREFERENCED = {
         "reader of the genesis allocation file format",
     ("ppcoin", "calibrate_d0"):
         "stake-kernel target calibration of the PPCoin reference model",
-    ("ppcoin", "expected_reorg_interval"):
-        "the paper's closed form M^k that the ppcoin-mk analysis simulates",
     ("ppcoin", "kernel_eligibility"):
         "the stake-kernel inequality of the PPCoin reference model",
     ("ppcoin", "predictability_horizon"):

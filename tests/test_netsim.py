@@ -142,6 +142,64 @@ def test_bundled_digests_are_pinned():
     assert digests == PINNED_DIGESTS
 
 
+# Trace digest of every bundled scenario at seed 0.
+PINNED_DIGESTS_SEED_0 = {
+    "bribe-underfunded":
+        "eec81c2085b2f0731a63ddf31310c7ff9b9025f75be8c1b5e8a4db5f9d951c75",
+    "claim1":
+        "90ee5271dcfa0ba81e21a7eacadb87ed75516c7d546675f36f5a98d1bbb79772",
+    "claim2":
+        "4435d29b1ef53840f8b3393eb68a4efeaf4d878b00e1c5edaea5590fe8e2b8f9",
+    "coa-baseline":
+        "1ee1bf41e8cb229377e9d637aeeb67ef896a653829aa90d0c462b2cd20657375",
+    "coa-fast":
+        "f3650240ac8e9b8a701f2379abed80d1317842bfb7d5469620adab0f9cf0a2b6",
+    "coa-iterated":
+        "4d08d9926609c8b8a9d9284946cc41a5cf24a360ea93a0aa70867638522efe83",
+    "coa-majority":
+        "77232deed860f1715f6b174ebc350d69feeb89f587b17316d4ec2fcf922a6eff",
+    "coa-nodrift":
+        "aad729a292bca0c7f3cf5f0af25d662167e33e47967b2d15a022854e76d81d17",
+    "coa-offline":
+        "c0d41e3c2a58674b40439a29ad984b53014d7a78d182a624c0849cd7571ad391",
+    "coa-skewed":
+        "53d9870b38bb96b6ebf2e5f7c0017d118cbf2f4f1631115d9e10aa04810d415e",
+    "dense-baseline":
+        "f3589fe215c1227303e06ea5c7751d61102939747c2924a0c32f94b2a104c254",
+    "dense-dos":
+        "a73ecbe3c7b191beb14f3cc2c8e05fea2e6490f1e1a5297c22a83d278efe71bc",
+    "dense-withhold":
+        "4effec4be9172c87895f3e90a6858b11d5ff43b9ad668500ae9a99f5ea524632",
+    "fork-rate":
+        "b18f9d415978774db344b67703ab9cab01f532a70566f2e280b88d1dcb2cdce6",
+    "issuance-equilibrium":
+        "74c5c5d96ff65f539dda72a780cf4bf2fa5a3976df323db47a48afc5d3a768dc",
+    "kz-bounds":
+        "d0695fdc5f6c8b00fa9ab2d94f0ed57bdbe15faae543259f3f80e9659218d985",
+    "mu-concat":
+        "731842043cc6c69fadfb5ef2990bffa75cf36159f1938ebd3b330b524e7cdda0",
+    "ppcoin-honest":
+        "13009e0259d38265efbc4f2c1df165054f550e917e0854f41d69f4501222011d",
+    "ppcoin-mk":
+        "7fa5733ba4c1f6f2687a60814665de3616d7916e6d509fc6071d00c444cf7f7c",
+    "ppcoin-multifork":
+        "8208bc4f0035d5c9705e4644dabdb9b1a847e2dd0c85d0e642410eb8600e9191",
+    "takeover":
+        "eba6a20100d8cfae716db6a436992795d2579cd94b4cc859794df2126825b267",
+    "timeweight-v02":
+        "c536cca1ad429e6d2127711721de1675945948d3f788f91de887d167e74e02b0",
+    "timeweight-v03-saturated":
+        "0302739d23216722ffe078761ee25993d622fa72cda4eeb9aa7ea463f86afd75",
+}
+
+
+def test_bundled_digests_are_pinned_at_seed_0():
+    digests = {name: run_scenario(dataclasses.replace(get_scenario(name),
+                                                      seed=0)).digest()
+               for name in scenario_names()}
+    assert digests == PINNED_DIGESTS_SEED_0
+
+
 # Trace digest of the non-attack CoA scenarios at the held-out seed 5694.
 PINNED_COA_DIGESTS_5694 = {
     "coa-baseline":
