@@ -105,7 +105,9 @@ class ChainView:
     every container it changes, so a view never changes once it is returned
     and can back many competing children. Its slot schedule is a pure
     function of the view too: ``slot_candidates`` derives it once and
-    extends it when asked for more.
+    extends it when asked for more. So is the outcome of each block offered
+    to it, bar the receiving node's clock: ``process_block`` validates a
+    block once per view and keeps the outcome.
     """
 
     def __init__(self, params: CoaParams, genesis: Block, ledger: LedgerState):
@@ -125,12 +127,17 @@ class ChainView:
         self.slots = {}
         self.groups = {}             # group number -> (seed, index of its last block)
         self._schedule = []          # the slot candidates derived so far
+        # block digest -> (child view or None, reason, events); events is
+        # None for a block rejected before the clock check
+        self._outcomes = {}
 
     def clone(self) -> "ChainView":
-        """A shallow copy with no schedule, for ``process_block`` to extend."""
+        """A shallow copy with no schedule and no outcomes, for
+        ``process_block`` to extend."""
         out = ChainView.__new__(ChainView)
         out.__dict__.update(self.__dict__)
         out._schedule = []
+        out._outcomes = {}
         return out
 
     # -- slot derivation -----------------------------------------------------
@@ -195,28 +202,52 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
     Returns (new_view, "accept") or (None, reason). Typed reasons: the
     structural ones plus wrong-creator, too-early, future-dated, understaked,
     frozen-stake, bad-evidence, binding-violation, bad-transaction.
+
+    The outcome without the clock is computed once per (view, block) and
+    kept on the view, so every caller holding the view gets the same child
+    object. ``future-dated`` is decided per call against `local_time`, and
+    an accepted block's ``confiscation`` and ``blacklist`` events go to
+    each caller's `observer`.
     """
+    outcome = view._outcomes.get(block.digest)
+    if outcome is None:
+        outcome = view._outcomes[block.digest] = _validate(view, block)
+    new, reason, events = outcome
+    # a reason decided before the clock check stands for every caller
+    if events is not None and local_time is not None \
+            and block.timestamp > local_time + view.params.timestamp_leniency:
+        return None, "future-dated"
+    if new is None:
+        return None, reason
+    if observer:
+        for kind, payload in events:
+            observer(kind, payload)
+    return new, ACCEPT
+
+
+def _validate(view: ChainView, block: Block) -> tuple:
+    """The clock-free outcome of `block` on `view`: (new_view, "accept",
+    events), (None, reason, ()) or, for a reason decided before the clock
+    check, (None, reason, None)."""
     p = view.params
     last = view.last_block
     reason = validate_block_structure(block, last)
     if reason != "ok":
-        return None, reason
+        return None, reason, None
 
     gap = block.index - last.index
     try:
         candidates = view.slot_candidates(gap)
     except LedgerError:
-        return None, "wrong-creator"
+        return None, "wrong-creator", None
     slot_index, _z, owner, uid = candidates[-1]
     assert slot_index == block.index
     if owner != block.creator:
-        return None, "wrong-creator"
+        return None, "wrong-creator", None
 
     if block.timestamp < min_timestamp(last.timestamp, block.index, last.index,
                                        p.g0):
-        return None, "too-early"
-    if local_time is not None and block.timestamp > local_time + p.timestamp_leniency:
-        return None, "future-dated"
+        return None, "too-early", None
 
     # The freeze restricts spending and auxiliary use; the derived winner may
     # still create a block while its previous deposit freeze is running (the
@@ -229,16 +260,16 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
         aux = view.ledger.utxos.get(aux_uid) if aux_uid is not None else None
         if aux is None or aux.owner != block.creator \
                 or aux.amount < p.c0 - derived.amount:
-            return None, "understaked"
+            return None, "understaked", ()
         if aux.is_frozen(height):
-            return None, "frozen-stake"
+            return None, "frozen-stake", ()
         deposit_uids.append(aux_uid)
 
     evidence_effect = None
     if block.double_sign_evidence is not None:
         ev = _check_evidence(view, block)
         if isinstance(ev, str):
-            return None, ev
+            return None, ev, ()
         evidence_effect = ev
 
     new = view.clone()
@@ -265,28 +296,27 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
         new.ledger = new.ledger.with_frozen(duid, height + p.t0)
         frozen.append(duid)
 
-    effect = None
+    events = []
     if evidence_effect is not None:
         offense_index, confiscate_uids = evidence_effect
-        effect = dict(_confiscate(new, offense_index, confiscate_uids,
-                                  block.creator, height),
-                      offense_index=offense_index, reporter=block.creator)
+        events.append(("confiscation", dict(
+            _confiscate(new, offense_index, confiscate_uids, block.creator,
+                        height),
+            offense_index=offense_index, reporter=block.creator)))
 
     for tx in block.transactions:
         if not new.tx_chain_binding_check(tx, creating_index=block.index):
-            return None, "binding-violation"
+            return None, "binding-violation", ()
         try:
             new.ledger = new.ledger.apply_transaction(tx, height,
                                                       fee_recipient=block.creator)
         except LedgerError:
-            return None, "bad-transaction"
+            return None, "bad-transaction", ()
         if tx.fee:
             fee_uid = new.ledger.next_uid - 1
             new.ledger = new.ledger.with_frozen(fee_uid, height + p.t0)
             frozen.append(fee_uid)
 
-    if effect is not None and observer:
-        observer("confiscation", effect)
     new.slots[block.index] = (owner, uid, tuple(frozen))
     new.group_bits = view.group_bits + (block_bit(block),)
     new.height = height
@@ -305,12 +335,12 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
         for group in sorted(g for g in pending if g <= opening):
             uids = pending[group]
             new.ledger = new.ledger.with_blacklisted(uids)
-            if observer:
-                observer("blacklist", {"uids": sorted(uids), "group": opening})
+            events.append(("blacklist", {"uids": sorted(uids),
+                                         "group": opening}))
     else:
         new.z_next = candidates[-1][1] + 1
 
-    return new, ACCEPT
+    return new, ACCEPT, tuple(events)
 
 
 def _check_evidence(view: ChainView, block: Block):
@@ -361,21 +391,18 @@ def view_from_path(params: CoaParams, genesis: Block, ledger: LedgerState,
 class CoaNode:
     """One network node: a block tree, per-tip views, and checkpoint state.
 
-    A view is a pure function of the path its block digest commits to, so
-    the nodes of one run may share a ``shared_views`` table (digest -> view):
-    each node validates a block, then holds the table's view for it.
+    A node starts from a genesis view. Nodes that start from the same one
+    share every view after it, since a view keeps the outcome of each block
+    offered to it (see ``process_block``).
     """
 
-    def __init__(self, params: CoaParams, genesis: Block, ledger: LedgerState,
-                 node_id: str = "node", observer: Optional[Callable] = None,
-                 shared_views: Optional[dict] = None):
-        self.params = params
+    def __init__(self, genesis: ChainView, node_id: str = "node",
+                 observer: Optional[Callable] = None):
+        self.params = genesis.params
         self.node_id = node_id
         self.observer = observer
-        self.tree = BlockTree(genesis)
-        self.shared_views = {} if shared_views is None else shared_views
-        self.views = {self.tree.genesis_digest: self.shared_views.setdefault(
-            self.tree.genesis_digest, ChainView(params, genesis, ledger))}
+        self.tree = BlockTree(genesis.last_block)
+        self.views = {self.tree.genesis_digest: genesis}
         self.checkpoint_heights_seen = set()
 
     def _emit(self, kind: str, payload: dict):
@@ -408,7 +435,7 @@ class CoaNode:
             self._emit("block-rejected", {"index": block.index, "reason": reason})
             return False, reason
         self.tree.add_block(block)
-        self.views[digest] = self.shared_views.setdefault(digest, new_view)
+        self.views[digest] = new_view
         self._solidify_checkpoints(digest)
         return True, ACCEPT
 

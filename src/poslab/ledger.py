@@ -355,7 +355,7 @@ class LedgerState:
 
     @property
     def live_total(self) -> int:
-        return self.total_supply - self.destroyed
+        return sum(u.amount for u in self.utxos.values())
 
     # -- transactions ------------------------------------------------------
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import attacks, dense
-from .coa import ACCEPT, CoaNode, CoaParams, make_genesis, min_timestamp
+from .coa import (ACCEPT, ChainView, CoaNode, CoaParams, make_genesis,
+                  min_timestamp)
 from .comb import ParamError
 from .ledger import Block, canonical_block_digest
 from .rng import make_rng, quiet_rows
@@ -310,10 +311,9 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
     nodes = {}
     drifts = {}
     creates_blocks = {}
-    views = {}          # block digest -> the one view all nodes hold for it
+    genesis_view = ChainView(params, genesis, ledger0)
     for i, (name, _amount) in enumerate(config.stake):
-        nodes[name] = CoaNode(params, genesis, ledger0, node_id=name,
-                              observer=observe, shared_views=views)
+        nodes[name] = CoaNode(genesis_view, node_id=name, observer=observe)
         drift_rng = make_rng(config.seed, "drift", name)
         drifts[name] = float(drift_rng.uniform(-config.clock_drift_max,
                                                config.clock_drift_max))

@@ -239,7 +239,7 @@ def test_criterion_09_protocol_invariants():
     for case in range(40):
         main = Driver(params, ALLOC, ts0=case * 17)
         main.extend(6)
-        node = CoaNode(params, main.genesis, main.ledger0)
+        node = CoaNode(ChainView(params, main.genesis, main.ledger0))
         solid = 0
         for blk in main.blocks:
             ok, reason = node.receive_block(blk)

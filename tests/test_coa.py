@@ -81,7 +81,7 @@ class Builder:
 def test_block_digest_is_computed_once_per_block(monkeypatch):
     params = small_params()
     b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
-    nodes = [CoaNode(params, b.genesis, b.ledger0, node_id="n%d" % i)
+    nodes = [CoaNode(ChainView(params, b.genesis, b.ledger0), node_id="n%d" % i)
              for i in range(5)]
     block = b.craft()
     encodes = []
@@ -217,11 +217,12 @@ def test_understaked_and_auxiliary_proof():
         pytest.fail("uid 0 never won a slot with an unfrozen auxiliary")
     assert b.apply(b.craft()) == "understaked"
     aux_uid = 1
-    # frozen auxiliary is refused
-    saved = b.view.ledger
-    b.view.ledger = saved.with_frozen(aux_uid, until=b.view.height + 10)
+    # frozen auxiliary is refused (checked on a clone: a view is a value)
+    saved = b.view
+    b.view = saved.clone()
+    b.view.ledger = b.view.ledger.with_frozen(aux_uid, until=b.view.height + 10)
     assert b.apply(b.craft(aux=aux_uid)) == "frozen-stake"
-    b.view.ledger = saved
+    b.view = saved
     block = b.craft(aux=aux_uid)
     assert b.apply(block) == ACCEPT
     # both outputs are now frozen as the deposit
@@ -435,7 +436,7 @@ def test_node_orphan_and_duplicate():
     params = small_params()
     b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
     b.extend(3)
-    node = CoaNode(params, b.genesis, b.ledger0)
+    node = CoaNode(ChainView(params, b.genesis, b.ledger0))
     assert node.receive_block(b.blocks[1]) == (False, "orphan")
     assert receive_chain(node, b.blocks) == 3
     assert node.receive_block(b.blocks[0]) == (True, "duplicate")
@@ -446,7 +447,7 @@ def test_checkpoint_solidification_and_fork_rejection():
     alloc = [("alice", 6), ("bob", 5), ("carol", 5)]
     main = Builder(params, alloc)
     main.extend(6)
-    node = CoaNode(params, main.genesis, main.ledger0)
+    node = CoaNode(ChainView(params, main.genesis, main.ledger0))
     receive_chain(node, main.blocks)
     # first candidate at height 4 solidified height 2, height 6 solidified 4
     assert node.solidified_height == 4
@@ -464,7 +465,7 @@ def test_reorg_allowed_above_solidified():
     alloc = [("alice", 6), ("bob", 5), ("carol", 5)]
     main = Builder(params, alloc)
     main.extend(2)
-    node = CoaNode(params, main.genesis, main.ledger0)
+    node = CoaNode(ChainView(params, main.genesis, main.ledger0))
     receive_chain(node, main.blocks)
     short_tip = node.best_tip
     # a longer fork skipping the first winner arrives later and wins
@@ -481,7 +482,7 @@ def test_equal_length_tie_keeps_first_seen():
     alloc = [("alice", 6), ("bob", 5), ("carol", 5)]
     main = Builder(params, alloc)
     main.extend(2)
-    node = CoaNode(params, main.genesis, main.ledger0)
+    node = CoaNode(ChainView(params, main.genesis, main.ledger0))
     receive_chain(node, main.blocks)
     first_tip = node.best_tip
     fork = Builder(params, alloc)
@@ -546,7 +547,8 @@ LEDGER_FIELDS = ("utxos", "blacklist", "total_supply", "destroyed", "next_uid")
 def assert_same_view(view, fresh):
     ours, theirs = dict(vars(view)), dict(vars(fresh))
     ledger, fresh_ledger = ours.pop("ledger"), theirs.pop("ledger")
-    del ours["_schedule"], theirs["_schedule"]
+    for cache in ("_schedule", "_outcomes"):
+        del ours[cache], theirs[cache]
     assert ours == theirs
     assert view.slot_candidates(LOOKAHEAD) == fresh.slot_candidates(LOOKAHEAD)
     for name in LEDGER_FIELDS:
@@ -589,7 +591,7 @@ def test_fork_tree_views_equal_recompute(seed):
     chains = (main, skipper, sibling, reporter)
     blocks = {canonical_block_digest(blk): blk
               for chain in chains for blk in chain.blocks}
-    node = CoaNode(params, main.genesis, main.ledger0)
+    node = CoaNode(ChainView(params, main.genesis, main.ledger0))
     pending = list(blocks.values())
     rng = make_rng(seed, "fork-tree")
     while pending:
@@ -619,59 +621,115 @@ def test_fork_tree_views_equal_recompute(seed):
 
 
 def test_nodes_of_one_run_share_one_view_per_block(monkeypatch):
+    """Nodes built on one genesis view call ``process_block`` once per
+    delivery, but the validation body runs once per (parent view, block) and
+    they all hold its one child view; ``future-dated`` is still decided on
+    each node's own clock."""
     params = small_params(t0=8)
     b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
     b.extend(3)
     late = b.craft(ts_extra=1000)   # future-dated for a clock 1000 s behind
     sibling = b.craft(gap=2)        # competes with `late`
-    shared = {}
-    nodes = [CoaNode(params, b.genesis, b.ledger0, node_id="n%d" % i,
-                     shared_views=shared) for i in range(3)]
-    validations = Counter()
-    process_block = coa.process_block
+    genesis = ChainView(params, b.genesis, b.ledger0)
+    nodes = [CoaNode(genesis, node_id="n%d" % i) for i in range(3)]
+    calls, bodies = Counter(), Counter()
+    process_block, validate = coa.process_block, coa._validate
 
     def counting(view, block, local_time=None, observer=None):
-        validations[observer.__self__.node_id, block.digest] += 1
+        calls[observer.__self__.node_id, block.digest] += 1
         return process_block(view, block, local_time, observer)
 
+    def validating(view, block):
+        bodies[id(view), block.digest] += 1
+        return validate(view, block)
+
     monkeypatch.setattr(coa, "process_block", counting)
+    monkeypatch.setattr(coa, "_validate", validating)
     for node in nodes:
         assert receive_chain(node, b.blocks) == 3
     behind = late.timestamp - params.timestamp_leniency - 1
-    assert nodes[0].receive_block(late, late.timestamp) == (True, ACCEPT)
+    # the first node to see `late` is behind: its rejection is not shared
     assert nodes[1].receive_block(late, behind) == (False, "future-dated")
     assert late.digest not in nodes[1].views
+    assert nodes[0].receive_block(late, late.timestamp) == (True, ACCEPT)
+    assert nodes[1].receive_block(late, behind) == (False, "future-dated")
     assert nodes[1].receive_block(late, late.timestamp) == (True, ACCEPT)
     assert nodes[2].receive_block(sibling) == (True, ACCEPT)
     monkeypatch.undo()
 
     expected = {(n.node_id, blk.digest): 1 for n in nodes for blk in b.blocks}
-    expected.update({("n0", late.digest): 1, ("n1", late.digest): 2,
+    expected.update({("n0", late.digest): 1, ("n1", late.digest): 3,
                      ("n2", sibling.digest): 1})
-    assert validations == expected
+    assert calls == expected
+    tip = nodes[0].views[b.blocks[-1].digest]
+    parents = [genesis] + [nodes[0].views[blk.digest] for blk in b.blocks]
+    assert bodies == Counter(
+        [(id(view), blk.digest) for view, blk in zip(parents, b.blocks)]
+        + [(id(tip), late.digest), (id(tip), sibling.digest)])
     for node in nodes:
         assert set(node.views) == set(node.tree.blocks)
     assert late.digest not in nodes[2].views
     assert sibling.digest not in nodes[0].views
-    assert set(shared) == set().union(*(n.views for n in nodes))
-    for digest, view in shared.items():
+    for digest in set().union(*(n.views for n in nodes)):
         holders = [n for n in nodes if digest in n.views]
+        view = holders[0].views[digest]
         assert all(n.views[digest] is view for n in holders)
         tree = holders[0].tree
         path = [tree.blocks[d] for d in tree.path(digest)[1:]]
         assert_same_view(view, view_from_path(params, b.genesis, b.ledger0,
                                               path))
-    # nodes built without a shared table keep views of their own
-    alone = [CoaNode(params, b.genesis, b.ledger0) for _ in range(2)]
+    # nodes on genesis views of their own share no view
+    alone = [CoaNode(ChainView(params, b.genesis, b.ledger0)) for _ in range(2)]
     for node in alone:
         receive_chain(node, b.blocks)
-    assert alone[0].best_view is not alone[1].best_view
+    assert not {id(v) for v in alone[0].views.values()} \
+        & {id(v) for v in alone[1].views.values()}
+
+
+def test_nodes_sharing_a_genesis_view_each_emit_their_events():
+    """Confiscation and blacklist events come from the one validation of a
+    block, and every node that accepts it emits them under its own id."""
+    params = small_params(c0=2, c1=1)
+    b = Builder(params, [("lazy", 5), ("alice", 4), ("bob", 4), ("carol", 3)])
+    lazy_uid = 0
+    for _ in range(400):
+        b.extend(1, avoid=("lazy",))
+        if lazy_uid in b.view.ledger.blacklist:
+            break
+    else:
+        pytest.fail("lazy was never blacklisted")
+    offense = b.blocks[-1]
+    assert b.apply(b.craft(evidence=make_evidence(offense, offense.creator))) \
+        == ACCEPT
+    genesis = ChainView(params, b.genesis, b.ledger0)
+    seen = []
+    nodes = [CoaNode(genesis, node_id=name,
+                     observer=lambda kind, payload: seen.append((kind, payload)))
+             for name in ("n0", "n1")]
+    for block in b.blocks:
+        for node in nodes:
+            assert node.receive_block(block) == (True, ACCEPT)
+    assert nodes[0].best_view is nodes[1].best_view
+    by_node = {name: [(kind, {k: v for k, v in payload.items() if k != "node"})
+                      for kind, payload in seen if payload["node"] == name]
+               for name in ("n0", "n1")}
+    assert len(seen) == len(by_node["n0"]) + len(by_node["n1"])
+    assert by_node["n0"] == by_node["n1"]
+    kinds = [kind for kind, _payload in by_node["n0"]]
+    assert "blacklist" in kinds and "confiscation" in kinds
+    assert any(lazy_uid in payload["uids"] for kind, payload in by_node["n0"]
+               if kind == "blacklist")
 
 
 def view_state(view):
-    """A deep copy of a view's fields, its ledger's and schedule's included."""
-    state = {k: v for k, v in vars(view).items() if k != "ledger"}
+    """A deep copy of a view's fields, its ledger's and schedule's included,
+    with each kept block outcome's child view recorded by identity."""
+    state = {k: v for k, v in vars(view).items()
+             if k not in ("ledger", "_outcomes")}
     state["ledger"] = {name: getattr(view.ledger, name) for name in LEDGER_FIELDS}
+    state["_outcomes"] = {
+        digest: (None if new is None else id(new), reason, events)
+        for digest, (new, reason, events) in view._outcomes.items()}
     return copy.deepcopy(state)
 
 
@@ -730,8 +788,9 @@ def fork_trees(draw):
 def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
     """Nodes with per-node clocks receive a random fork tree in random order.
     Every view they hold equals the recompute of its path and never changes
-    once returned, supply is conserved, and nodes that share one view table
-    decide exactly as nodes that keep their own."""
+    once returned, supply is conserved, and nodes built on one genesis view
+    (one validation per parent view and block) decide and emit exactly as
+    nodes built on one genesis view each."""
     params, genesis, ledger0, blocks = tree
     count = data.draw(st.integers(2, 3))
     clocks = data.draw(st.lists(st.integers(-100, 20), min_size=count,
@@ -739,42 +798,58 @@ def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
     late = data.draw(st.lists(st.integers(-60, 60), min_size=len(blocks),
                               max_size=len(blocks)))
     order = data.draw(st.permutations(range(len(blocks))))
-    shared = {}
-    runs = [[CoaNode(params, genesis, ledger0, node_id="n%d" % i,
-                     shared_views=table)
-             for i in range(count)] for table in (shared, None)]
-    decisions = ([], [])
+    shared = ChainView(params, genesis, ledger0)
+    logs = ([], [])
+
+    def node(i, genesis_view, log):
+        return CoaNode(genesis_view, node_id="n%d" % i,
+                       observer=lambda kind, payload: log.append((kind, payload)))
+
+    runs = [[node(i, shared, logs[0]) for i in range(count)],
+            [node(i, ChainView(params, genesis, ledger0), logs[1])
+             for i in range(count)]]
     snapshots = {}      # id of a returned view -> (view, its state then)
-    for nodes, log in zip(runs, decisions):
-        for node in nodes:
-            view = node.best_view
+    for nodes, log in zip(runs, logs):
+        for n in nodes:
+            view = n.best_view
             snapshots.setdefault(id(view), (view, view_state(view)))
         accepted = True
         while accepted:     # redeliver until a pass accepts nothing new
             accepted = False
             for b in order:
-                for node, clock in zip(nodes, clocks):
-                    if blocks[b].digest in node.tree:
+                for n, clock in zip(nodes, clocks):
+                    if blocks[b].digest in n.tree:
                         continue
-                    outcome = node.receive_block(
+                    outcome = n.receive_block(
                         blocks[b], blocks[b].timestamp + clock + late[b])
-                    log.append((node.node_id, b) + outcome)
+                    log.append((n.node_id, b) + outcome)
                     if outcome[1] == ACCEPT:
                         accepted = True
-                        view = node.views[blocks[b].digest]
+                        view = n.views[blocks[b].digest]
                         snapshots.setdefault(id(view), (view, view_state(view)))
-    assert decisions[0] == decisions[1]
+    assert logs[0] == logs[1]
     for view, then in snapshots.values():
         now = view_state(view)
         schedule = now.pop("_schedule")
         assert schedule[:len(then["_schedule"])] == then.pop("_schedule")
+        outcomes, written = now.pop("_outcomes"), then.pop("_outcomes")
+        assert {digest: outcomes[digest] for digest in written} == written
         assert now == then
-    for node in runs[0] + runs[1]:
-        for digest, view in node.views.items():
-            path = [node.tree.blocks[d] for d in node.tree.path(digest)[1:]]
+        for digest, (new, _reason, _events) in view._outcomes.items():
+            if new is not None:     # kept on the view the block extends
+                assert new.last_block.digest == digest
+                assert new.last_block.prev_digest == view.last_block.digest
+    for nodes, one_view_per_block in zip(runs, (True, False)):
+        held = [{id(v) for v in n.views.values()} for n in nodes]
+        digests = [set(n.views) for n in nodes]
+        if one_view_per_block:
+            assert len(set().union(*held)) == len(set().union(*digests))
+        else:
+            assert len(set().union(*held)) == sum(map(len, held))
+    for n in runs[0] + runs[1]:
+        for digest, view in n.views.items():
+            path = [n.tree.blocks[d] for d in n.tree.path(digest)[1:]]
             assert_same_view(view, view_from_path(params, genesis, ledger0,
                                                   path))
             ledger = view.ledger
-            live = sum(u.amount for u in ledger.utxos.values())
-            assert live == ledger.live_total
-            assert live + ledger.destroyed == 1 << params.kappa
+            assert ledger.live_total + ledger.destroyed == 1 << params.kappa

@@ -56,6 +56,17 @@ def test_transaction_apply_and_conservation():
     assert 0 in ledger.utxos
 
 
+def test_live_total_sums_the_outputs_held():
+    ledger = make_ledger()
+    assert ledger.live_total + ledger.destroyed == ledger.total_supply
+    # a ledger that lost an output fails the supply check
+    lost = LedgerState({uid: u for uid, u in ledger.utxos.items() if uid != 1},
+                       ledger.blacklist, ledger.total_supply, ledger.destroyed,
+                       ledger.next_uid)
+    assert lost.live_total == 125
+    assert lost.live_total + lost.destroyed != lost.total_supply
+
+
 def test_transaction_bad_amounts_rejected():
     ledger = make_ledger()
     tx = signed_tx(ledger, [0], [("dave", 60)], fee=5)  # 100 != 65
