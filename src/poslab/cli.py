@@ -41,9 +41,21 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+def _make_out_dir(path: str) -> str:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("--out", "cannot create directory %r: %s"
+                          % (path, exc.strerror))
+    return path
+
+
 def _resolve_config(spec: str, seed_override: Optional[int]) -> ScenarioConfig:
     if os.path.exists(spec):
-        config = load_config(spec)
+        try:
+            config = load_config(spec)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("--config", "cannot read %r: %s" % (spec, exc))
     elif spec in SCENARIOS:
         config = get_scenario(spec)
     else:
@@ -55,9 +67,9 @@ def _resolve_config(spec: str, seed_override: Optional[int]) -> ScenarioConfig:
 
 def cmd_run(args) -> int:
     config = _resolve_config(args.config, args.seed)
+    out_dir = _make_out_dir(args.out or ".")
     trace = run_scenario(config)
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    digest = trace.digest()
     artifacts = []
 
     events_path = os.path.join(out_dir, "events.jsonl")
@@ -81,7 +93,7 @@ def cmd_run(args) -> int:
         "seed": config.seed,
         "out": out_dir,
         "artifacts": [os.path.basename(a) for a in artifacts],
-        "trace_digest": trace.digest(),
+        "trace_digest": digest,
         "poslab_version": __version__,
         "resolved_config": resolved,
         "config_sha256": hashlib.sha256(json.dumps(
@@ -90,7 +102,7 @@ def cmd_run(args) -> int:
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
     _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    print("scenario %s: digest %s" % (config.name, trace.digest()))
+    print("scenario %s: digest %s" % (config.name, digest))
     for key in sorted(trace.metrics):
         print("  %s = %s" % (key, trace.metrics[key]))
     if trace.events_dropped:
@@ -106,9 +118,15 @@ def cmd_reproduce(args) -> int:
             print("unknown reproduction id %r; known: %s"
                   % (repro_id, ", ".join(REPRODUCTIONS)), file=sys.stderr)
             return EXIT_CONFIG_ERROR
+    if args.jobs < 1:
+        raise ConfigError("--jobs", "must be at least 1, got %d" % args.jobs)
+    if args.out:
+        _make_out_dir(args.out)
     seed = args.seed if args.seed is not None else 0
-    if args.jobs > 1 and len(ids) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork-started pool starts all its workers at the first submit
+    workers = min(args.jobs, len(ids))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_reproduction, ids, [seed] * len(ids)))
     else:
         results = [run_reproduction(i, seed) for i in ids]
@@ -126,7 +144,6 @@ def cmd_reproduce(args) -> int:
         writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "reproduce." + args.format)
         _atomic_write(path, text)
     print(text, end="")

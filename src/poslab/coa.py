@@ -403,7 +403,6 @@ class CoaNode:
         self.observer = observer
         self.tree = BlockTree(genesis.last_block)
         self.views = {self.tree.genesis_digest: genesis}
-        self.checkpoint_heights_seen = set()
 
     def _emit(self, kind: str, payload: dict):
         if self.observer:
@@ -440,16 +439,14 @@ class CoaNode:
         return True, ACCEPT
 
     def _solidify_checkpoints(self, digest: bytes):
+        """Checkpoint when `digest` is the new best at a height k*t1, k >= 2:
+        the first block to reach a height is always the new best."""
         t1 = self.params.t1
         h = self.tree.height[digest]
-        if h < 2 * t1 or h % t1 or h in self.checkpoint_heights_seen:
+        if digest != self.tree.best or h < 2 * t1 or h % t1:
             return
-        self.checkpoint_heights_seen.add(h)
-        ancestor = self.tree.ancestor_at_height(digest, h - t1)
-        if self.tree.is_ancestor(self.tree.solidified_prefix, ancestor) \
-                and self.tree.height[ancestor] > self.tree.height[self.tree.solidified_prefix]:
-            self.tree.solidify(ancestor)
-            self._emit("solidification", {"height": h - t1})
+        self.tree.solidify(self.tree.ancestor_at_height(digest, h - t1))
+        self._emit("solidification", {"height": h - t1})
 
     @property
     def solidified_height(self) -> int:

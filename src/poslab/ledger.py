@@ -482,8 +482,10 @@ class LedgerState:
 class BlockTree:
     """Fork-choice structure over received blocks.
 
-    Heights count produced blocks from genesis (genesis has height 0).
-    Arrival order is recorded so equal-length ties replay deterministically.
+    Heights count produced blocks from genesis (genesis has height 0). The
+    best tip is kept as blocks arrive: a block replaces it only when it is
+    strictly higher and descends from the solidified prefix, so of the
+    highest such blocks the first seen stays best.
     """
 
     def __init__(self, genesis: Block):
@@ -491,9 +493,7 @@ class BlockTree:
         self.genesis_digest = gd
         self.blocks = {gd: genesis}
         self.height = {gd: 0}
-        self.arrival = {gd: 0}
-        self._seq = 1
-        self.tips = {gd}
+        self.best = gd
         self.solidified_prefix = gd
 
     def __contains__(self, digest: bytes) -> bool:
@@ -507,11 +507,10 @@ class BlockTree:
         if digest in self.blocks:
             return digest
         self.blocks[digest] = block
-        self.height[digest] = self.height[parent] + 1
-        self.arrival[digest] = self._seq
-        self._seq += 1
-        self.tips.discard(parent)
-        self.tips.add(digest)
+        height = self.height[digest] = self.height[parent] + 1
+        if height > self.height[self.best] \
+                and self.is_ancestor(self.solidified_prefix, digest):
+            self.best = digest
         return digest
 
     def path(self, digest: bytes) -> list:
@@ -538,18 +537,12 @@ class BlockTree:
 
     def best_tip(self) -> bytes:
         """Tip with most blocks, respecting the solidified prefix; ties first-seen."""
-        best = None
-        for tip in self.tips:
-            if not self.is_ancestor(self.solidified_prefix, tip):
-                continue
-            if best is None or (self.height[tip], -self.arrival[tip]) > \
-                    (self.height[best], -self.arrival[best]):
-                best = tip
-        return best
+        return self.best
 
     def solidify(self, digest: bytes) -> None:
-        if not self.is_ancestor(self.solidified_prefix, digest):
-            raise LedgerError("solidified prefix may only extend")
+        if not (self.is_ancestor(self.solidified_prefix, digest)
+                and self.is_ancestor(digest, self.best)):
+            raise LedgerError("solidified prefix may only extend up the best chain")
         self.solidified_prefix = digest
 
 

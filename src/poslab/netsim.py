@@ -386,8 +386,9 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
             ok, reason = node.receive_block(payload["block"],
                                             int(when + drifts[name]) + 1)
             if ok and reason == ACCEPT:
-                after = node.best_tip
-                if after != before and not node.tree.is_ancestor(before, after):
+                # a new best tip is the block just accepted, one above `before`
+                if node.best_tip != before \
+                        and payload["block"].prev_digest != before:
                     reorgs += 1
                     events.append({"event": "reorg", "time": round(when, 6),
                                    "node": name})

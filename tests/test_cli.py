@@ -103,6 +103,78 @@ def test_reproduce_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in stdout
 
 
+@pytest.mark.parametrize("jobs, workers", [("2", 2), ("5000", 3)])
+def test_reproduce_pool_has_no_more_workers_than_reproductions(
+        monkeypatch, capsys, jobs, workers):
+    import poslab.cli as cli
+    from poslab.scenarios import ReproResult
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "REPRODUCTIONS", dict.fromkeys(("a", "b", "c")))
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli, "run_reproduction", lambda repro_id, seed:
+                        ReproResult(repro_id, "x", "x", "exact", True))
+    code, _o, _e = run_cli(capsys, "reproduce", "all", "--jobs", jobs)
+    assert code == EXIT_OK
+    assert sizes == [workers]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_reproduce_rejects_jobs_below_one(monkeypatch, capsys, jobs):
+    import poslab.cli as cli
+    monkeypatch.setattr(cli, "run_reproduction", None)   # never reached
+    code, _o, err = run_cli(capsys, "reproduce", "claim1", "--jobs", jobs)
+    assert code == EXIT_CONFIG_ERROR
+    assert "--jobs" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--config", "coa-baseline", "--out", "{file}"),
+    ("run", "--config", "coa-baseline", "--out", "{file}/sub"),
+    ("reproduce", "claim1", "--out", "{file}"),
+    ("reproduce", "claim1", "--out", "{file}/sub"),
+])
+def test_out_that_cannot_be_a_directory_is_a_config_error(
+        tmp_path, monkeypatch, capsys, argv):
+    import poslab.cli as cli
+    # the directory is made before any work starts
+    monkeypatch.setattr(cli, "run_scenario", None)
+    monkeypatch.setattr(cli, "run_reproduction", None)
+    path = tmp_path / "afile"
+    path.write_text("x")
+    code, _o, err = run_cli(capsys, *(a.format(file=path) for a in argv))
+    assert code == EXIT_CONFIG_ERROR
+    assert "--out" in err
+
+
+@pytest.mark.parametrize("command", ["run", "validate-config"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, command, kind):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"protocol": "\xff\xfe"}')
+    code, _o, err = run_cli(capsys, command, "--config", str(path),
+                            *(("--out", str(tmp_path / "out"))
+                              if command == "run" else ()))
+    assert code == EXIT_CONFIG_ERROR
+    assert "--config" in err
+
+
 def test_list_scenarios(capsys):
     code, stdout, _e = run_cli(capsys, "list-scenarios")
     assert code == EXIT_OK

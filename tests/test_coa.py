@@ -733,6 +733,23 @@ def view_state(view):
     return copy.deepcopy(state)
 
 
+def height_in(tree):
+    """Height of a block of `tree`, counted along its path."""
+    return lambda digest: len(tree.path(digest)) - 1
+
+
+def first_seen_longest(tree, accepts):
+    """The fork choice by scan: of the blocks in `accepts` (in accept order)
+    that descend from the solidified prefix, the first of greatest height."""
+    best = None
+    for digest in accepts:
+        if tree.solidified_prefix in tree.path(digest) and (
+                best is None
+                or height_in(tree)(digest) > height_in(tree)(best)):
+            best = digest
+    return best
+
+
 @st.composite
 def fork_trees(draw):
     """(params, genesis, ledger, blocks) of a random fork tree: each block
@@ -790,7 +807,9 @@ def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
     Every view they hold equals the recompute of its path and never changes
     once returned, supply is conserved, and nodes built on one genesis view
     (one validation per parent view and block) decide and emit exactly as
-    nodes built on one genesis view each."""
+    nodes built on one genesis view each. After every delivery the best tip
+    is the scanned fork choice, and checkpoints fire exactly at the first
+    block to reach each height k*t1, k >= 2."""
     params, genesis, ledger0, blocks = tree
     count = data.draw(st.integers(2, 3))
     clocks = data.draw(st.lists(st.integers(-100, 20), min_size=count,
@@ -813,6 +832,7 @@ def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
         for n in nodes:
             view = n.best_view
             snapshots.setdefault(id(view), (view, view_state(view)))
+        accepts = {n: [genesis.digest] for n in nodes}     # in accept order
         accepted = True
         while accepted:     # redeliver until a pass accepts nothing new
             accepted = False
@@ -820,13 +840,25 @@ def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
                 for n, clock in zip(nodes, clocks):
                     if blocks[b].digest in n.tree:
                         continue
+                    start = len(log)
                     outcome = n.receive_block(
                         blocks[b], blocks[b].timestamp + clock + late[b])
+                    fired = [entry[1]["height"] for entry in log[start:]
+                             if entry[0] == "solidification"]
                     log.append((n.node_id, b) + outcome)
+                    reached = max(map(height_in(n.tree), accepts[n]))
+                    checkpoints = []    # the first block at k*t1, k >= 2
                     if outcome[1] == ACCEPT:
                         accepted = True
+                        accepts[n].append(blocks[b].digest)
+                        height = height_in(n.tree)(blocks[b].digest)
+                        if height > reached and height >= 2 * params.t1 \
+                                and height % params.t1 == 0:
+                            checkpoints = [height - params.t1]
                         view = n.views[blocks[b].digest]
                         snapshots.setdefault(id(view), (view, view_state(view)))
+                    assert fired == checkpoints
+                    assert n.best_tip == first_seen_longest(n.tree, accepts[n])
     assert logs[0] == logs[1]
     for view, then in snapshots.values():
         now = view_state(view)

@@ -243,6 +243,12 @@ def test_solidified_prefix_excludes_forks():
     assert tree.best_tip() == a[-1]
     with pytest.raises(LedgerError):
         tree.solidify(b[-1])
+    # a block above the prefix but off the best chain cannot be solidified
+    c = build_chain(tree, a[1], 1, 3, ts0=13)
+    assert tree.is_ancestor(a[1], c[0]) and not tree.is_ancestor(c[0], a[-1])
+    with pytest.raises(LedgerError):
+        tree.solidify(c[0])
+    assert tree.solidified_prefix == a[1]
 
 
 def test_genesis_allocation_file_roundtrip():
