@@ -12,8 +12,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import resource
 import sys
 import tempfile
+import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
@@ -68,7 +70,9 @@ def _resolve_config(spec: str, seed_override: Optional[int]) -> ScenarioConfig:
 def cmd_run(args) -> int:
     config = _resolve_config(args.config, args.seed)
     out_dir = _make_out_dir(args.out or ".")
+    start = time.perf_counter()
     trace = run_scenario(config)
+    run_seconds = time.perf_counter() - start
     digest = trace.digest()
     artifacts = []
 
@@ -99,6 +103,10 @@ def cmd_run(args) -> int:
         "config_sha256": hashlib.sha256(json.dumps(
             resolved, sort_keys=True, separators=(",", ":")).encode()).hexdigest(),
         "events_dropped": trace.events_dropped,
+        "run_seconds": round(run_seconds, 6),
+        # the peak of the whole process so far, in MB (Linux reports KiB)
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
     _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")

@@ -389,11 +389,14 @@ def view_from_path(params: CoaParams, genesis: Block, ledger: LedgerState,
 
 
 class CoaNode:
-    """One network node: a block tree, per-tip views, and checkpoint state.
+    """One network node: a block tree, the views it can still extend, and
+    checkpoint state.
 
-    A node starts from a genesis view. Nodes that start from the same one
-    share every view after it, since a view keeps the outcome of each block
-    offered to it (see ``process_block``).
+    ``views`` holds a view for each block the tree marks live (the
+    solidified prefix and its descendants), and each checkpoint prunes it
+    to the tree's new marks. A node starts from a genesis view. Nodes that
+    start from the same one share every view after it, since a view keeps
+    the outcome of each block offered to it (see ``process_block``).
     """
 
     def __init__(self, genesis: ChainView, node_id: str = "node",
@@ -424,7 +427,7 @@ class CoaNode:
         if parent not in self.tree:
             self._emit("block-rejected", {"index": block.index, "reason": "orphan"})
             return False, "orphan"
-        if not self.tree.is_ancestor(self.tree.solidified_prefix, parent):
+        if parent not in self.views:
             self._emit("block-rejected", {"index": block.index,
                                           "reason": "below-solidified"})
             return False, "below-solidified"
@@ -446,6 +449,7 @@ class CoaNode:
         if digest != self.tree.best or h < 2 * t1 or h % t1:
             return
         self.tree.solidify(self.tree.ancestor_at_height(digest, h - t1))
+        self.views = {d: self.views[d] for d in self.tree.live}
         self._emit("solidification", {"height": h - t1})
 
     @property

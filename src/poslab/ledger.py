@@ -482,10 +482,12 @@ class LedgerState:
 class BlockTree:
     """Fork-choice structure over received blocks.
 
-    Heights count produced blocks from genesis (genesis has height 0). The
-    best tip is kept as blocks arrive: a block replaces it only when it is
-    strictly higher and descends from the solidified prefix, so of the
-    highest such blocks the first seen stays best.
+    Heights count produced blocks from genesis (genesis has height 0).
+    ``live`` marks the solidified prefix and the blocks that descend from
+    it: a block is marked when its parent is, and ``solidify`` narrows the
+    marks to the new prefix. The best tip is kept as blocks arrive: a marked
+    block replaces it only when it is strictly higher, so of the highest
+    marked blocks the first seen stays best.
     """
 
     def __init__(self, genesis: Block):
@@ -495,6 +497,7 @@ class BlockTree:
         self.height = {gd: 0}
         self.best = gd
         self.solidified_prefix = gd
+        self.live = {gd}
 
     def __contains__(self, digest: bytes) -> bool:
         return digest in self.blocks
@@ -508,9 +511,10 @@ class BlockTree:
             return digest
         self.blocks[digest] = block
         height = self.height[digest] = self.height[parent] + 1
-        if height > self.height[self.best] \
-                and self.is_ancestor(self.solidified_prefix, digest):
-            self.best = digest
+        if parent in self.live:
+            self.live.add(digest)
+            if height > self.height[self.best]:
+                self.best = digest
         return digest
 
     def path(self, digest: bytes) -> list:
@@ -540,10 +544,16 @@ class BlockTree:
         return self.best
 
     def solidify(self, digest: bytes) -> None:
-        if not (self.is_ancestor(self.solidified_prefix, digest)
-                and self.is_ancestor(digest, self.best)):
+        """Move the prefix up the best chain to `digest` and unmark every
+        block that does not descend from it."""
+        live = {digest}
+        for d in sorted(self.live, key=self.height.__getitem__):  # parents first
+            if self.blocks[d].prev_digest in live:
+                live.add(d)
+        if digest not in self.live or self.best not in live:
             raise LedgerError("solidified prefix may only extend up the best chain")
         self.solidified_prefix = digest
+        self.live = live
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,7 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
         drifts[name] = float(drift_rng.uniform(-config.clock_drift_max,
                                                config.clock_drift_max))
         creates_blocks[name] = strategy_of(config, name) not in IDLE_STRATEGIES
+    del genesis_view    # a view holds its children: this name would keep every view
 
     target_blocks = config.duration["slots"]
     time_limit = config.duration.get(

@@ -29,14 +29,20 @@ def test_run_bundled_scenario_writes_artifacts(tmp_path, capsys):
 
 
 def test_run_same_seed_same_digest(tmp_path, capsys):
-    digests = []
+    """Two runs write the same events and manifest, bar `out` and the
+    measured `run_seconds` and `peak_rss_mb`, which are positive."""
+    manifests, events = [], []
     for sub in ("a", "b"):
-        out = str(tmp_path / sub)
+        out = tmp_path / sub
         run_cli(capsys, "run", "--config", "coa-baseline", "--seed", "5",
-                "--out", out)
-        digests.append(json.loads(
-            (tmp_path / sub / "manifest.json").read_text())["trace_digest"])
-    assert digests[0] == digests[1]
+                "--out", str(out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest.pop("run_seconds") > 0
+        assert manifest.pop("peak_rss_mb") > 0
+        manifests.append(dict(manifest, out=None))
+        events.append((out / "events.jsonl").read_text())
+    assert manifests[0] == manifests[1]
+    assert events[0] == events[1]
 
 
 def test_run_json_format(tmp_path, capsys):

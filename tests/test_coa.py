@@ -460,6 +460,28 @@ def test_checkpoint_solidification_and_fork_rejection():
     assert node.solidified_height == 4
 
 
+def test_checkpoint_prunes_the_views_of_dead_forks():
+    """A checkpoint keeps only the views that descend from the new prefix,
+    so a fork that branched below it goes even where it is higher than the
+    prefix. The tree keeps the fork's blocks: a block extending one is
+    below-solidified, not an orphan."""
+    params = small_params(t0=4)  # t1 = 2
+    alloc = [("alice", 6), ("bob", 5), ("carol", 5)]
+    main = Builder(params, alloc)
+    main.extend(4)
+    fork = Builder(params, alloc)
+    fork.extend(4, avoid=(main.blocks[0].creator,))
+    node = CoaNode(ChainView(params, main.genesis, main.ledger0))
+    assert receive_chain(node, main.blocks[:3] + fork.blocks[:3]) == 6
+    assert set(node.views) == set(node.tree.blocks)
+    assert receive_chain(node, main.blocks[3:]) == 1
+    assert node.solidified_height == 2
+    assert set(node.views) == {blk.digest for blk in main.blocks[1:]}
+    dead = fork.blocks[2].digest
+    assert dead in node.tree and node.tree.height[dead] == 3
+    assert node.receive_block(fork.blocks[3]) == (False, "below-solidified")
+
+
 def test_reorg_allowed_above_solidified():
     params = small_params(t0=8)  # t1 = 4: nothing solid before height 8
     alloc = [("alice", 6), ("bob", 5), ("carol", 5)]
@@ -809,7 +831,8 @@ def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
     (one validation per parent view and block) decide and emit exactly as
     nodes built on one genesis view each. After every delivery the best tip
     is the scanned fork choice, and checkpoints fire exactly at the first
-    block to reach each height k*t1, k >= 2."""
+    block to reach each height k*t1, k >= 2, and the node holds a view for
+    exactly the blocks that descend from its solidified prefix."""
     params, genesis, ledger0, blocks = tree
     count = data.draw(st.integers(2, 3))
     clocks = data.draw(st.lists(st.integers(-100, 20), min_size=count,
@@ -859,6 +882,9 @@ def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
                         snapshots.setdefault(id(view), (view, view_state(view)))
                     assert fired == checkpoints
                     assert n.best_tip == first_seen_longest(n.tree, accepts[n])
+                    assert set(n.views) == {
+                        d for d in n.tree.blocks
+                        if n.tree.solidified_prefix in n.tree.path(d)}
     assert logs[0] == logs[1]
     for view, then in snapshots.values():
         now = view_state(view)

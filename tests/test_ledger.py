@@ -249,6 +249,10 @@ def test_solidified_prefix_excludes_forks():
     with pytest.raises(LedgerError):
         tree.solidify(c[0])
     assert tree.solidified_prefix == a[1]
+    # the marks are the prefix and its descendants; solidifying narrows them
+    assert tree.live == set(a[1:]) | {c[0]}
+    tree.solidify(a[2])
+    assert tree.live == set(a[2:])
 
 
 def test_genesis_allocation_file_roundtrip():

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poslab import netsim
+from poslab.coa import ChainView
 from poslab.netsim import (ConfigError, DelayModel, STRATEGIES, SimTrace,
                            config_from_dict, load_config, run_scenario,
                            strategy_of)
@@ -251,6 +253,33 @@ def test_coa_baseline_interval_and_consistency():
     longest = chains[-1]
     for c in chains:
         assert longest[:len(c)] == c
+
+
+def test_coa_views_alive_do_not_grow_with_the_chain(monkeypatch):
+    """A CoA run keeps only the views its nodes can still extend: the
+    ChainViews alive when the trace is built stay within a few t0, with
+    forks and reorgs, however long the chain."""
+    t0 = 4
+    alive = []
+
+    def views_alive():
+        gc.collect()
+        return sum(isinstance(obj, ChainView) for obj in gc.get_objects())
+
+    def count_then_build(*args):
+        alive[-1] = views_alive() - alive[-1]
+        return SimTrace(*args)
+
+    monkeypatch.setattr(netsim, "SimTrace", count_then_build)
+    for slots in (150, 450):
+        config = config_from_dict(base_raw(
+            params={"kappa": 4, "g0_seconds": 300, "t0": t0},
+            delays={"min": 0.2, "max": 320.0}, duration={"slots": slots}))
+        alive.append(views_alive())
+        trace = run_scenario(config)
+        assert trace.metrics["blocks"] > slots // 2
+        assert trace.metrics["reorgs"] > 0
+    assert max(alive) <= 3 * t0, alive
 
 
 def test_coa_offline_creators_stretch_intervals():
