@@ -27,8 +27,8 @@ from typing import Callable, Optional
 from .comb import CombSpec, ParamError, comb_apply
 from .fts import satoshi_index, follow_the_satoshi
 from .ledger import (
-    Block, BlockTree, LedgerError, LedgerState, Transaction,
-    block_bit, validate_block_structure,
+    Block, BlockTree, LedgerError, LedgerState, block_bit,
+    validate_block_structure,
 )
 
 ACCEPT = "accept"
@@ -184,16 +184,6 @@ class ChainView:
             schedule.append((idx, z, owner, uid))
         return schedule[:count]
 
-    # -- chain binding ---------------------------------------------------------
-
-    def tx_chain_binding_check(self, tx: Transaction,
-                               creating_index: Optional[int] = None) -> bool:
-        """A transaction is valid only in chains containing the block index it
-        names; binding to the block currently being created is allowed."""
-        index = tx.latest_block_index
-        record = self.slots.get(index)
-        return index in (0, creating_index) or bool(record and record[2])
-
 
 def process_block(view: ChainView, block: Block, local_time: Optional[int] = None,
                   observer: Optional[Callable] = None) -> tuple:
@@ -300,12 +290,15 @@ def _validate(view: ChainView, block: Block) -> tuple:
     if evidence_effect is not None:
         offense_index, confiscate_uids = evidence_effect
         events.append(("confiscation", dict(
-            _confiscate(new, offense_index, confiscate_uids, block.creator,
-                        height),
+            _confiscate(new, offense_index, confiscate_uids, block.creator),
             offense_index=offense_index, reporter=block.creator)))
 
     for tx in block.transactions:
-        if not new.tx_chain_binding_check(tx, creating_index=block.index):
+        # chain binding: a transaction is valid only in chains holding the
+        # block index it names, or the block being created
+        bound = tx.latest_block_index
+        record = new.slots.get(bound)
+        if bound not in (0, block.index) and not (record and record[2]):
             return None, "binding-violation", ()
         try:
             new.ledger = new.ledger.apply_transaction(tx, height,
@@ -365,13 +358,12 @@ def _check_evidence(view: ChainView, block: Block):
     return offense, uids
 
 
-def _confiscate(new: ChainView, offense: int, uids, reporter: str,
-                height: int) -> dict:
+def _confiscate(new: ChainView, offense: int, uids, reporter: str) -> dict:
     """Confiscate `uids` in the fresh clone `new`, award c1 of it to the
     reporter and mark the offense punished; returns the effect."""
     total = sum(new.ledger.utxos[u].amount for u in uids)
     award = min(new.params.c1, total)
-    new.ledger = new.ledger.confiscate(uids, award, reporter, height)
+    new.ledger = new.ledger.confiscate(uids, award, reporter)
     new.punished = new.punished | {offense}
     return {"confiscated": total, "awarded": award, "destroyed": total - award}
 

@@ -60,10 +60,6 @@ class CommitteeRound:
     def ell(self) -> int:
         return len(self.members)
 
-    @property
-    def start_index(self) -> int:
-        return self.fallback_counter * self.ell + 1
-
     def add_commit(self, member_pos: int, commitment: bytes):
         if not 0 <= member_pos < self.ell:
             raise ValueError("no such committee member")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -118,7 +118,6 @@ class Utxo:
     uid: int
     owner: str
     intervals: tuple
-    creation_height: int
     strikes: int = 0
     frozen_until: Optional[int] = None
 
@@ -137,25 +136,15 @@ class Transaction:
     latest_block_index: int
     fee: int = 0
 
-    def encode_core(self) -> bytes:
-        """Encoding of everything except the input signatures (signing payload)."""
-        out = [_u32(len(self.inputs))]
-        for uid, _tag in self.inputs:
-            out.append(_u64(uid))
-        out.append(_u32(len(self.outputs)))
-        for owner, amount in self.outputs:
-            out.append(_s(owner) + _u64(amount))
-        out.append(_u64(self.latest_block_index))
-        out.append(_u64(self.fee))
-        return b"".join(out)
-
     def signing_digest(self) -> bytes:
-        return hashlib.sha256(b"tx:" + self.encode_core()).digest()
+        return hashlib.sha256(b"tx:" + self.encode(signed=False)).digest()
 
-    def encode(self) -> bytes:
+    def encode(self, signed: bool = True) -> bytes:
+        """The canonical encoding; without the input signatures it is the
+        signing payload (the unsigned encoding)."""
         out = [_u32(len(self.inputs))]
         for uid, tag in self.inputs:
-            out.append(_u64(uid) + tag)
+            out.append(_u64(uid) + tag if signed else _u64(uid))
         out.append(_u32(len(self.outputs)))
         for owner, amount in self.outputs:
             out.append(_s(owner) + _u64(amount))
@@ -285,6 +274,26 @@ def validate_block_structure(block: Block, parent: Block) -> str:
 # ledger state
 # ---------------------------------------------------------------------------
 
+def _carve(intervals: list, amounts: list) -> list:
+    """Cut each amount in turn off the sorted `intervals`, lowest index
+    first; returns one tuple of [start, end) pieces per amount."""
+    cursor = iter(sorted(intervals))
+    cur = next(cursor, None)
+    out = []
+    for need in amounts:
+        pieces = []
+        while need > 0:
+            if cur is None:
+                raise ConservationError("ran out of input intervals")
+            s, e = cur
+            take = min(need, e - s)
+            pieces.append((s, s + take))
+            need -= take
+            cur = (s + take, e) if s + take < e else next(cursor, None)
+        out.append(tuple(pieces))
+    return out
+
+
 class LedgerState:
     """Interval map from satoshi indices to unspent outputs.
 
@@ -306,7 +315,7 @@ class LedgerState:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def from_allocation(allocation: Iterable, height: int = 0) -> "LedgerState":
+    def from_allocation(allocation: Iterable) -> "LedgerState":
         """Build a genesis ledger from (owner, amount) pairs, packed contiguously."""
         utxos = {}
         pos = 0
@@ -314,19 +323,19 @@ class LedgerState:
         for owner, amount in allocation:
             if amount <= 0:
                 raise LedgerError("allocation amounts must be positive: %r" % owner)
-            utxos[uid] = Utxo(uid, owner, ((pos, pos + amount),), height)
+            utxos[uid] = Utxo(uid, owner, ((pos, pos + amount),))
             pos += amount
             uid += 1
         return LedgerState(utxos, frozenset(), pos, 0, uid)
 
-    def _clone(self, utxos=None, blacklist=None, destroyed=None, next_uid=None):
-        return LedgerState(
-            utxos if utxos is not None else self.utxos,
-            blacklist if blacklist is not None else self.blacklist,
-            self.total_supply,
-            destroyed if destroyed is not None else self.destroyed,
-            next_uid if next_uid is not None else self.next_uid,
-        )
+    def _derive(self, moved: bool, **fields) -> "LedgerState":
+        """This state with `fields` replaced. It shares this state's
+        interval index unless an interval `moved`."""
+        out = LedgerState.__new__(LedgerState)
+        out.__dict__.update(self.__dict__, **fields)
+        if moved:
+            out._starts = out._index_entries = None
+        return out
 
     # -- interval index ----------------------------------------------------
 
@@ -394,38 +403,23 @@ class LedgerState:
             del utxos[uid]
         blacklist = self.blacklist - spent if self.blacklist & spent else self.blacklist
 
-        in_intervals.sort()
         payouts = list(tx.outputs)
         if tx.fee:
             payouts.append((fee_recipient, tx.fee))
         uid = self.next_uid
-        cursor = iter(in_intervals)
-        cur = next(cursor, None)
-        for owner, amount in payouts:
-            pieces = []
-            need = amount
-            while need > 0:
-                if cur is None:
-                    raise ConservationError("ran out of input intervals")
-                s, e = cur
-                take = min(need, e - s)
-                pieces.append((s, s + take))
-                need -= take
-                cur = (s + take, e) if s + take < e else next(cursor, None)
-            utxos[uid] = Utxo(uid, owner, tuple(pieces), height)
+        for (owner, _amount), pieces in zip(
+                payouts, _carve(in_intervals, [a for _o, a in payouts])):
+            utxos[uid] = Utxo(uid, owner, pieces)
             uid += 1
-        return self._clone(utxos=utxos, blacklist=blacklist, next_uid=uid)
+        return self._derive(True, utxos=utxos, blacklist=blacklist, next_uid=uid)
 
     # -- bookkeeping used by the consensus engines -------------------------
 
     def _with_utxo(self, uid: int, **changes) -> "LedgerState":
-        """Replace fields of one output; no interval moves, so the new state
-        shares this one's interval index."""
+        """Replace fields of one output; no interval moves."""
         utxos = dict(self.utxos)
         utxos[uid] = replace(utxos[uid], **changes)
-        out = self._clone(utxos=utxos)
-        out._starts, out._index_entries = self._starts, self._index_entries
-        return out
+        return self._derive(False, utxos=utxos)
 
     def with_frozen(self, uid: int, until: int) -> "LedgerState":
         return self._with_utxo(uid, frozen_until=until)
@@ -435,44 +429,28 @@ class LedgerState:
 
     def with_blacklisted(self, uids: Iterable[int]) -> "LedgerState":
         uids = {u for u in uids if u in self.utxos}
-        out = self._clone(blacklist=self.blacklist | uids)
-        out._starts, out._index_entries = self._starts, self._index_entries
-        return out
+        return self._derive(False, blacklist=self.blacklist | uids)
 
-    def confiscate(self, uids: Iterable[int], award: int, reporter: str,
-                   height: int) -> "LedgerState":
+    def confiscate(self, uids: Iterable[int], award: int,
+                   reporter: str) -> "LedgerState":
         """Destroy the given outputs, carving ``award`` satoshis out for the reporter.
 
         Returns the new state; the amount destroyed is the confiscated total
         minus the award.
         """
+        uids = set(uids)
         utxos = dict(self.utxos)
-        intervals = []
-        total = 0
-        for uid in uids:
-            u = utxos.pop(uid, None)
-            if u is None:
-                continue
-            total += u.amount
-            intervals.extend(u.intervals)
+        seized = [utxos.pop(uid) for uid in uids if uid in utxos]
+        total = sum(u.amount for u in seized)
         if award > total:
             raise ConservationError("award %d exceeds confiscated %d" % (award, total))
-        intervals.sort()
         uid = self.next_uid
-        if award > 0 and total > 0:
-            pieces = []
-            need = award
-            for s, e in intervals:
-                take = min(need, e - s)
-                pieces.append((s, s + take))
-                need -= take
-                if need == 0:
-                    break
-            utxos[uid] = Utxo(uid, reporter, tuple(pieces), height)
+        if award > 0:
+            [pieces] = _carve([iv for u in seized for iv in u.intervals], [award])
+            utxos[uid] = Utxo(uid, reporter, pieces)
             uid += 1
-        blacklist = self.blacklist - set(uids)
-        return LedgerState(utxos, blacklist, self.total_supply,
-                           self.destroyed + (total - award), uid)
+        return self._derive(True, utxos=utxos, blacklist=self.blacklist - uids,
+                            destroyed=self.destroyed + total - award, next_uid=uid)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ One scenario = one single-threaded event loop. All randomness flows from the
 scenario seed through labeled substreams, and queue ties at equal timestamps
 are broken by (sender rank, sequence number), so a (config, seed) pair fully
 determines the trace. A stakeholder's strategy is a bare name that each
-engine reads through ``strategy_of``; analysis scenarios run an entry of
-``attacks.ANALYSES``.
+engine reads through ``strategy_of``, one of those its ``ENGINES`` entry
+lists; analysis scenarios run an entry of ``attacks.ANALYSES``.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .rng import make_rng, quiet_rows
 LOOKAHEAD = 10      # CoA slots a node looks ahead to schedule its blocks
 MAX_EVENTS = 2000   # PPCoin and Dense-CoA traces keep their first events only
 QUIET_BATCH = 32    # PPCoin seconds drawn per batch when skipping quiet ones
-STRATEGIES = ("honest", "offline", "withhold", "ppcoin-multifork")
-IDLE_STRATEGIES = ("offline", "withhold")   # create no blocks
 ENGINE_KEYS = ("name", "protocol", "params", "stake", "behaviors", "delays",
                "clock_drift_max", "duration", "seed")
 ANALYSIS_KEYS = ("name", "seed", "attack")
@@ -56,10 +54,6 @@ class DelayModel:
         if self.distribution != "uniform":
             raise ConfigError("delays.distribution",
                               "unknown distribution %r" % self.distribution)
-
-    @property
-    def mean_seconds(self) -> float:
-        return (self.min_seconds + self.max_seconds) / 2.0
 
     def sample(self, rng) -> float:
         return float(rng.uniform(self.min_seconds, self.max_seconds))
@@ -164,9 +158,10 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         if who not in names:
             raise ConfigError("behaviors.%s" % who, "unknown stakeholder")
         sid = spec.get("strategy") if isinstance(spec, dict) else None
-        if sid not in STRATEGIES:
+        if sid not in engine.strategies:
             raise ConfigError("behaviors.%s.strategy" % who,
-                              "unknown strategy %r" % sid)
+                              "protocol %r runs %s, got %r"
+                              % (protocol, "/".join(engine.strategies), sid))
         _check_keys(spec, ("strategy",), "behaviors.%s." % who)
     d = raw.get("delays", {})
     if not isinstance(d, dict):
@@ -317,7 +312,7 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
         drift_rng = make_rng(config.seed, "drift", name)
         drifts[name] = float(drift_rng.uniform(-config.clock_drift_max,
                                                config.clock_drift_max))
-        creates_blocks[name] = strategy_of(config, name) not in IDLE_STRATEGIES
+        creates_blocks[name] = strategy_of(config, name) == "honest"
     del genesis_view    # a view holds its children: this name would keep every view
 
     target_blocks = config.duration["slots"]
@@ -326,6 +321,7 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
     queue: list = []
     seq = [0]
     scheduled = set()
+    held = {name: {} for name in nodes}   # parent digest -> blocks waiting
     reorgs = 0
 
     def push(when, sender, kind, payload):
@@ -368,8 +364,14 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
             if cands[-1][2] != name:
                 continue
             local_now = when + drifts[name]
-            ts = max(int(local_now),
-                     min_timestamp(last.timestamp, index, last.index, params.g0))
+            earliest = min_timestamp(last.timestamp, index, last.index, params.g0)
+            leniency = params.timestamp_leniency
+            if earliest > int(local_now) + 1 + leniency:
+                # its own delivery would be future-dated: wait for the clock
+                scheduled.add((name, index))
+                push(earliest - leniency - drifts[name], name, "create", payload)
+                continue
+            ts = max(int(local_now), earliest)
             block = Block(index=index, prev_digest=last.digest,
                           timestamp=ts, creator=name).signed_by()
             push(when, name, "deliver", {"dst": name, "block": block,
@@ -383,22 +385,30 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
         elif kind == "deliver":
             name = payload["dst"]
             node = nodes[name]
-            before = node.best_tip
-            ok, reason = node.receive_block(payload["block"],
-                                            int(when + drifts[name]) + 1)
-            if ok and reason == ACCEPT:
+            block = payload["block"]
+            if block.prev_digest not in node.tree:
+                # hold it until the node accepts its parent
+                held[name].setdefault(block.prev_digest, []).append(block)
+                continue
+            ready = [block]
+            for block in ready:     # grows by the held children accepted
+                before = node.best_tip
+                ok, reason = node.receive_block(block,
+                                                int(when + drifts[name]) + 1)
+                if not (ok and reason == ACCEPT):
+                    continue
                 # a new best tip is the block just accepted, one above `before`
-                if node.best_tip != before \
-                        and payload["block"].prev_digest != before:
+                if node.best_tip != before and block.prev_digest != before:
                     reorgs += 1
                     events.append({"event": "reorg", "time": round(when, 6),
                                    "node": name})
                 events.append({"event": "block-accept", "time": round(when, 6),
-                               "node": name, "index": payload["block"].index,
-                               "creator": payload["block"].creator})
+                               "node": name, "index": block.index,
+                               "creator": block.creator})
                 best_height = max(best_height,
                                   node.tree.height[node.best_tip])
                 schedule_creations(name, when)
+                ready.extend(held[name].pop(block.digest, ()))
 
     # metrics off an arbitrary (deterministic) reference node
     ref = nodes[config.stake[0][0]]
@@ -508,7 +518,7 @@ def _run_dense(config: ScenarioConfig) -> SimTrace:
     g0 = p.get("g0_seconds", 300)
     ledger = LedgerState.from_allocation(list(config.stake))
     idle = {name for name, _a in config.stake
-            if strategy_of(config, name) in IDLE_STRATEGIES}
+            if strategy_of(config, name) != "honest"}
     rng = make_rng(config.seed, "dense-run")
     seed_val = int(make_rng(config.seed, "dense-seed").integers(0, 1 << kappa))
     events: List[dict] = []
@@ -591,16 +601,19 @@ class Engine(NamedTuple):
     run: Callable[[ScenarioConfig], SimTrace]
     params: tuple       # read besides kappa; integers, except coa's comb
     duration: dict      # run when a config gives none; a given one needs its keys
+    strategies: tuple   # the strategies it runs; "honest" is the default
     optional: tuple = ()    # other duration keys it reads
 
 
 ENGINES = {
     "coa": Engine(_run_coa, ("w", "comb", "g0_seconds", "c0", "c1", "t0",
                              "timestamp_leniency"),
-                  {"slots": 50}, ("seconds",)),
-    "dense_coa": Engine(_run_dense, ("ell", "g0_seconds"), {"slots": 50}),
+                  {"slots": 50}, ("honest", "offline", "withhold"),
+                  ("seconds",)),
+    "dense_coa": Engine(_run_dense, ("ell", "g0_seconds"), {"slots": 50},
+                        ("honest", "offline", "withhold")),
     "ppcoin": Engine(_run_ppcoin, ("target_interval", "max_tips"),
-                     {"seconds": 60_000}),
+                     {"seconds": 60_000}, ("honest", "ppcoin-multifork")),
 }
 
 

@@ -195,7 +195,7 @@ def test_criterion_09_protocol_invariants():
         victims = [u for u in ledger.utxos if rng.random() < 0.5] or [0]
         total = sum(ledger.utxos[u].amount for u in victims)
         award = int(rng.integers(0, total + 1))
-        new = ledger.confiscate(victims, award, "rep", height=1)
+        new = ledger.confiscate(victims, award, "rep")
         assert new.live_total + new.destroyed == sum(amounts)
         assert new.destroyed == total - award
         checks += 1

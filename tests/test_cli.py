@@ -322,6 +322,14 @@ CLAIM1 = {"v": 100, "epsilon": 10, "rho_prime": 0.7, "delta": 20}
     (_analysis("kz-bounds", ell=4.5, kappa=51, epsilon=0.1), "attack.params.ell"),
     (_analysis("tie-fraction", comb="majority", kappa=1, w=3.0),
      "attack.params.w"),
+    (_config_with(protocol="ppcoin", duration={"seconds": 600},
+                  behaviors={"bob": {"strategy": "offline"}}),
+     "behaviors.bob.strategy"),
+    (_config_with(behaviors={"bob": {"strategy": "ppcoin-multifork"}}),
+     "behaviors.bob.strategy"),
+    (_config_with(protocol="dense_coa",
+                  behaviors={"bob": {"strategy": "ppcoin-multifork"}}),
+     "behaviors.bob.strategy"),
 ])
 def test_rejected_config_names_field_in_validate_and_run(tmp_path, capsys,
                                                           config, field):

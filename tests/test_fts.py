@@ -41,7 +41,7 @@ def test_out_of_range_index_raises():
 
 def test_destroyed_hole_returns_none():
     ledger = LedgerState.from_allocation([("a", 4), ("b", 4)])
-    burned = ledger.confiscate([0], award=0, reporter="r", height=1)
+    burned = ledger.confiscate([0], award=0, reporter="r")
     assert follow_the_satoshi(burned, 1) == (None, None)
     assert follow_the_satoshi(burned, 5)[0] == "b"
 

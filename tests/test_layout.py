@@ -1,5 +1,5 @@
-"""Every top-level definition in ``src/poslab`` is used by the package, or is
-listed below with the reason it stays."""
+"""Every top-level definition and class member in ``src/poslab`` is used by
+the package, or is listed below with the reason it stays."""
 
 import ast
 import pathlib
@@ -53,6 +53,16 @@ UNREFERENCED = {
 }
 
 
+# (module, "Class.member") -> why a member no src/ code reads stays
+UNREAD_MEMBERS = {
+    ("attacks", "BribeScenario.k"):
+        "claim 2's density window: the bribe analysis takes claim 2's inputs "
+        "but reads only delta and rho'; dropping k moves bribe-underfunded's pin",
+    ("ledger", "BlockTree.is_ancestor"):
+        "ancestry query that perfbench's tracer wraps and the tests call",
+}
+
+
 def _defined_names(stmt) -> list:
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [stmt.name]
@@ -92,3 +102,35 @@ def test_every_definition_is_used_or_listed():
     assert sorted(found - set(UNREFERENCED)) == [], "unused: add a caller, " \
         "delete it, or list it in UNREFERENCED with a reason"
     assert sorted(set(UNREFERENCED) - found) == [], "stale UNREFERENCED entry"
+
+
+def _members(cls) -> list:
+    """The annotated fields (of a dataclass or NamedTuple), methods and
+    properties of a class, bar dunders."""
+    names = [stmt.name for stmt in cls.body
+             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    names += [stmt.target.id for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def unread_members() -> set:
+    """(module, "Class.member") of each class member that no code in
+    src/poslab reads by attribute name."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return {(module, "%s.%s" % (stmt.name, member))
+            for module, tree in trees.items() for stmt in tree.body
+            if isinstance(stmt, ast.ClassDef)
+            for member in _members(stmt) if member not in read}
+
+
+def test_every_class_member_is_read_or_listed():
+    found = unread_members()
+    assert sorted(found - set(UNREAD_MEMBERS)) == [], "unread: add a " \
+        "reader, delete it, or list it in UNREAD_MEMBERS with a reason"
+    assert sorted(set(UNREAD_MEMBERS) - found) == [], "stale UNREAD_MEMBERS entry"

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from poslab.ledger import (
@@ -112,7 +114,7 @@ def test_spending_clears_blacklist():
 
 def test_confiscation_conservation():
     ledger = make_ledger()
-    new = ledger.confiscate([0, 1], award=30, reporter="rep", height=4)
+    new = ledger.confiscate([0, 1], award=30, reporter="rep")
     assert new.destroyed == 150 - 30
     assert new.live_total == 175 - 120
     reporter = [u for u in new.utxos.values() if u.owner == "rep"]
@@ -123,21 +125,64 @@ def test_confiscation_conservation():
 
 
 def test_blacklisting_keeps_the_interval_index():
-    ledger = make_ledger().confiscate([1], award=20, reporter="rep", height=4)
+    ledger = make_ledger().confiscate([1], award=20, reporter="rep")
     ledger.utxo_covering(0)  # builds the index
     black = ledger.with_blacklisted([0, 3])
-    assert black._starts is ledger._starts
-    assert black._index_entries is ledger._index_entries
-    fresh = LedgerState(black.utxos, black.blacklist, black.total_supply,
-                        black.destroyed, black.next_uid)
-    for i in range(black.total_supply):  # every interval start and hole
-        assert black.utxo_covering(i) == fresh.utxo_covering(i)
+    # states whose intervals stay put share the index; the others rebuild it
+    tx = signed_tx(ledger, [2], [("dave", 25)])
+    derived = {
+        "with_blacklisted": (black, True),
+        "with_frozen": (ledger.with_frozen(0, until=9), True),
+        "with_strikes": (ledger.with_strikes(3, 2), True),
+        "apply_transaction": (ledger.apply_transaction(tx, 1), False),
+        "confiscate": (ledger.confiscate([0], award=5, reporter="r2"), False),
+    }
+    for name, (state, shares) in derived.items():
+        assert (state._starts is ledger._starts) is shares, name
+        assert (state._index_entries is ledger._index_entries) is shares, name
+        fresh = LedgerState(state.utxos, state.blacklist, state.total_supply,
+                            state.destroyed, state.next_uid)
+        for i in range(state.total_supply):  # every interval start and hole
+            assert state.utxo_covering(i) == fresh.utxo_covering(i), name
+
+
+def test_transaction_block_and_carve_bytes_are_pinned():
+    """No engine run carries a transaction, so the trace digests would miss
+    a changed transaction layout or carve order; these pins catch both."""
+    ledger = make_ledger()
+    tx = signed_tx(ledger, [0, 2], [("dave", 70), ("erin", 51)], latest=7,
+                   fee=4)
+    assert hashlib.sha256(tx.encode()).hexdigest() == \
+        "b8d967ed548f419b4efc27dbd783fb8d87f5a98fb83cfff6f7a88574bcfebb3f"
+    assert tx.signing_digest().hex() == \
+        "d275dd06acf3b67f505c16ff01c38630333d11d17225022bb10e31b40feb8893"
+    evidence = tuple(EvidenceEntry(5, "bob", d, sign("bob", d))
+                     for d in (b"\x01" * 32, b"\x02" * 32))
+    block = Block(9, b"\x03" * 32, 2700, "bob", (tx,), auxiliary_proof=1,
+                  double_sign_evidence=evidence).signed_by()
+    assert block.digest.hex() == \
+        "7df325776cf3ae06ffd7c08d4ec6c883a42b602c62936913d828a8cc77b3d3cb"
+
+    paid = ledger.apply_transaction(tx, 3, fee_recipient="bob")
+    assert [(u.uid, u.owner, u.intervals) for u in paid.utxos.values()] == [
+        (1, "bob", ((100, 150),)),
+        (3, "dave", ((0, 70),)),
+        (4, "erin", ((70, 100), (150, 171))),
+        (5, "bob", ((171, 175),)),
+    ]
+    seized = paid.confiscate([4, 1], award=60, reporter="rep")
+    assert [(u.uid, u.owner, u.intervals) for u in seized.utxos.values()] == [
+        (3, "dave", ((0, 70),)),
+        (5, "bob", ((171, 175),)),
+        (6, "rep", ((70, 100), (100, 130))),
+    ]
+    assert (seized.destroyed, seized.next_uid) == (41, 7)
 
 
 def test_confiscation_award_cannot_exceed_total():
     ledger = make_ledger()
     with pytest.raises(ConservationError):
-        ledger.confiscate([2], award=26, reporter="rep", height=1)
+        ledger.confiscate([2], award=26, reporter="rep")
 
 
 def test_interval_carving_random_roundtrips():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from poslab import netsim
 from poslab.coa import ChainView
-from poslab.netsim import (ConfigError, DelayModel, STRATEGIES, SimTrace,
+from poslab.netsim import (ENGINES, ConfigError, DelayModel, SimTrace,
                            config_from_dict, load_config, run_scenario,
                            strategy_of)
 from poslab.rng import make_rng
@@ -43,11 +43,21 @@ def test_config_validation_names_offending_field():
         config_from_dict(base_raw(
             behaviors={"mallory": {"strategy": "honest"}}))
     assert e.value.fieldname == "behaviors.mallory"
-    for strategy in ("nonsense", "bribe-acceptor"):
+    for strategy in ("nonsense", "bribe-acceptor", "ppcoin-multifork"):
         with pytest.raises(ConfigError) as e:
             config_from_dict(base_raw(
                 behaviors={"alice": {"strategy": strategy}}))
         assert e.value.fieldname == "behaviors.alice.strategy"
+    # each engine runs only its own strategies
+    for protocol, duration, strategy in (
+            ("ppcoin", {"seconds": 100}, "offline"),
+            ("ppcoin", {"seconds": 100}, "withhold"),
+            ("dense_coa", {"slots": 2}, "ppcoin-multifork")):
+        with pytest.raises(ConfigError) as e:
+            config_from_dict(base_raw(
+                protocol=protocol, params={"kappa": 4}, duration=duration,
+                behaviors={"bob": {"strategy": strategy}}))
+        assert e.value.fieldname == "behaviors.bob.strategy"
     with pytest.raises(ConfigError) as e:
         config_from_dict(base_raw(delays={"min": 3.0, "max": 1.0}))
     assert e.value.fieldname == "delays"
@@ -77,7 +87,7 @@ def test_behavior_defaults_to_honest():
         behaviors={"bob": {"strategy": "offline"}}))
     assert strategy_of(config, "alice") == "honest"
     assert strategy_of(config, "bob") == "offline"
-    assert "honest" in STRATEGIES
+    assert all("honest" in engine.strategies for engine in ENGINES.values())
 
 
 def test_trace_is_deterministic():
@@ -258,7 +268,8 @@ def test_coa_baseline_interval_and_consistency():
 def test_coa_views_alive_do_not_grow_with_the_chain(monkeypatch):
     """A CoA run keeps only the views its nodes can still extend: the
     ChainViews alive when the trace is built stay within a few t0, with
-    forks and reorgs, however long the chain."""
+    forks and reorgs, however long the chain. Under delays far above G0 a
+    node holds a block until its parent arrives, so no chain stalls."""
     t0 = 4
     alive = []
 
@@ -271,14 +282,20 @@ def test_coa_views_alive_do_not_grow_with_the_chain(monkeypatch):
         return SimTrace(*args)
 
     monkeypatch.setattr(netsim, "SimTrace", count_then_build)
-    for slots in (150, 450):
+    inputs = [(320.0, {}, 150), (320.0, {}, 450),
+              (700.0, {"carol": {"strategy": "offline"}}, 450)]
+    for max_delay, behaviors, slots in inputs:
         config = config_from_dict(base_raw(
             params={"kappa": 4, "g0_seconds": 300, "t0": t0},
-            delays={"min": 0.2, "max": 320.0}, duration={"slots": slots}))
+            delays={"min": 0.2, "max": max_delay}, behaviors=behaviors,
+            duration={"slots": slots}))
         alive.append(views_alive())
         trace = run_scenario(config)
         assert trace.metrics["blocks"] > slots // 2
         assert trace.metrics["reorgs"] > 0
+        assert not [e for e in trace.events if e.get("reason") == "orphan"]
+        heights = [len(chain) - 1 for chain in trace.final_chains.values()]
+        assert min(heights) >= slots - t0, heights
     assert max(alive) <= 3 * t0, alive
 
 
@@ -346,7 +363,6 @@ def test_trace_serialization_formats():
 
 def test_delay_model():
     d = DelayModel(0.5, 1.5)
-    assert d.mean_seconds == 1.0
     from poslab.rng import make_rng
     rng = make_rng(0, "delay-test")
     for _ in range(100):
@@ -447,7 +463,8 @@ def ppcoin_configs(draw):
              for i, (lo, hi) in enumerate(zip([0] + cuts, cuts + [total]))]
     behaviors = draw(st.dictionaries(
         st.sampled_from([name for name, _a in stake]),
-        st.fixed_dictionaries({"strategy": st.sampled_from(STRATEGIES)})))
+        st.fixed_dictionaries({"strategy": st.sampled_from(
+            ENGINES["ppcoin"].strategies)})))
     return config_from_dict({
         "protocol": "ppcoin", "stake": stake, "behaviors": behaviors,
         "params": {"kappa": kappa,

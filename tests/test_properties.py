@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from poslab.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
-from poslab.netsim import STRATEGIES
+from poslab.netsim import ENGINES
 
 HOLDERS = ("a", "b", "c", "d")
 WRONG_VALUES = ("x", None, [], {}, True, 1.5, -1)
@@ -57,7 +57,8 @@ def engine_configs(draw):
         duration = {"seconds": draw(st.integers(1, 2000))}
     behaviors = draw(st.dictionaries(
         st.sampled_from([name for name, _a in stake]),
-        st.fixed_dictionaries({"strategy": st.sampled_from(STRATEGIES)})))
+        st.fixed_dictionaries({"strategy": st.sampled_from(
+            ENGINES[protocol].strategies)})))
     low = draw(st.floats(0, 3))
     return {
         "protocol": protocol, "params": dict(params, kappa=kappa),
