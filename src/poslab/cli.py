@@ -123,9 +123,8 @@ def cmd_reproduce(args) -> int:
     ids = list(REPRODUCTIONS) if args.id == "all" else [args.id]
     for repro_id in ids:
         if repro_id not in REPRODUCTIONS:
-            print("unknown reproduction id %r; known: %s"
-                  % (repro_id, ", ".join(REPRODUCTIONS)), file=sys.stderr)
-            return EXIT_CONFIG_ERROR
+            raise ConfigError("id", "unknown reproduction id %r; known: %s"
+                              % (repro_id, ", ".join(REPRODUCTIONS)))
     if args.jobs < 1:
         raise ConfigError("--jobs", "must be at least 1, got %d" % args.jobs)
     if args.out:

@@ -29,9 +29,8 @@ from .rng import make_rng, quiet_rows
 LOOKAHEAD = 10      # CoA slots a node looks ahead to schedule its blocks
 MAX_EVENTS = 2000   # PPCoin and Dense-CoA traces keep their first events only
 QUIET_BATCH = 32    # PPCoin seconds drawn per batch when skipping quiet ones
-ENGINE_KEYS = ("name", "protocol", "params", "stake", "behaviors", "delays",
-               "clock_drift_max", "duration", "seed")
-ANALYSIS_KEYS = ("name", "seed", "attack")
+ENGINE_KEYS = ("name", "protocol", "params", "stake", "behaviors", "duration",
+               "seed")      # plus the keys in its Engine's network
 
 
 class ConfigError(ValueError):
@@ -74,9 +73,10 @@ class ScenarioConfig:
     attack: Optional[dict] = None      # {kind, params}
 
     def to_dict(self) -> dict:
+        """The config file form, with only the keys its engine reads."""
         if self.attack is not None:
             return {"name": self.name, "seed": self.seed, "attack": self.attack}
-        return {
+        full = {
             "name": self.name, "protocol": self.protocol,
             "params": dict(self.params),
             "stake": [[s, int(a)] for s, a in self.stake],
@@ -87,155 +87,127 @@ class ScenarioConfig:
             "clock_drift_max": self.clock_drift_max,
             "duration": self.duration, "seed": self.seed,
         }
+        keys = ENGINE_KEYS + ENGINES[self.protocol].network
+        return {key: value for key, value in full.items() if key in keys}
 
 
-def _check_keys(obj: dict, allowed, prefix: str = ""):
-    """Reject the first key of `obj` that nothing reads."""
+_KINDS = {   # kind of a config value -> (what it must be, its test)
+    "number": ("a finite number",
+               lambda v: type(v) in (int, float) and math.isfinite(v)),
+    "count": ("a positive integer", lambda v: type(v) is int and v >= 1),
+    "integer": ("an integer", lambda v: type(v) is int),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+}
+
+_TOP = {    # every top-level key of either config shape -> its kind
+    "name": "string", "seed": "integer", "attack": "object", "protocol": "string",
+    "params": "object", "stake": "list", "behaviors": "object",
+    "duration": "object", "delays": "object", "clock_drift_max": "number"}
+
+
+def _is(kind: str, value) -> bool:
+    return _KINDS[kind][1](value)
+
+
+def _section(obj, kinds: dict, prefix: str = "", required=()) -> dict:
+    """`obj` if it is an object with every `required` key, whose keys `kinds`
+    maps to the kinds of their values; else a ConfigError naming the field."""
+    if not _is("object", obj):
+        raise ConfigError(prefix[:-1] or "<root>", "must be an object")
     for key in obj:
-        if key not in allowed:
+        if key not in kinds:
             raise ConfigError(prefix + str(key), "unknown key (known: %s)"
-                              % ", ".join(allowed))
+                              % ", ".join(kinds))
+    for key, value in obj.items():
+        if not _is(kinds[key], value):
+            raise ConfigError(prefix + key, "must be %s, got %r"
+                              % (_KINDS[kinds[key]][0], value))
+    for key in required:
+        if key not in obj:
+            raise ConfigError(prefix + key, "required")
+    return obj
 
 
 def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     """Validate a parsed config; raises ConfigError naming the bad field."""
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "config must be an object")
-    seed = raw.get("seed", 0)
-    if type(seed) is not int:
-        raise ConfigError("seed", "must be an integer")
-    name = raw.get("name", name)
-    if not isinstance(name, str):
-        raise ConfigError("name", "must be a string")
+    _section(raw, _TOP)
+    name, seed = raw.get("name", name), raw.get("seed", 0)
     if "attack" in raw:
-        _check_keys(raw, ANALYSIS_KEYS)
+        _section(raw, {key: _TOP[key] for key in ("name", "seed", "attack")})
         analysis_of(raw["attack"])
         return ScenarioConfig(name=name, seed=seed, attack=raw["attack"])
-    _check_keys(raw, ENGINE_KEYS)
     protocol = raw.get("protocol")
-    if not isinstance(protocol, str) or protocol not in ENGINES:
+    if protocol not in ENGINES:
         raise ConfigError("protocol", "must be one of %s, got %r"
                           % ("/".join(ENGINES), protocol))
     engine = ENGINES[protocol]
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("params", "must be an object")
-    kappa = params.get("kappa")
-    if type(kappa) is not int or not 1 <= kappa <= 64:
-        raise ConfigError("params.kappa", "must be an integer in [1, 64]")
-    _check_keys(params, ("kappa",) + engine.params, "params.")
-    for key, value in params.items():
-        if key != "comb" and type(value) is not int:
-            raise ConfigError("params." + key, "must be an integer")
-        if protocol != "coa" and value < 1:
-            raise ConfigError("params." + key, "must be positive")
+    _section(raw, {key: _TOP[key] for key in ENGINE_KEYS + engine.network},
+             required=("stake",))
+    params = _section(raw.get("params", {}), {"kappa": "count", **engine.params},
+                      "params.", required=("kappa",))
+    kappa = params["kappa"]
+    if kappa > 64:
+        raise ConfigError("params.kappa", "must be at most 64, got %d" % kappa)
     if protocol == "coa":
         try:
             coa_params(params)
         except ParamError as exc:
             raise ConfigError("params." + exc.name, str(exc))
-    stake_raw = raw.get("stake")
-    if not isinstance(stake_raw, list) or not stake_raw:
-        raise ConfigError("stake", "must be a non-empty list of [name, satoshis]")
-    stake = []
-    for pos, entry in enumerate(stake_raw):
-        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                or not isinstance(entry[0], str)
-                or type(entry[1]) is not int or entry[1] <= 0):
-            raise ConfigError("stake[%d]" % pos,
-                              "expected [name, positive satoshi count], got %r"
-                              % (entry,))
-        stake.append((entry[0], entry[1]))
+    for pos, entry in enumerate(raw["stake"]):
+        if not (_is("list", entry) and len(entry) == 2
+                and _is("string", entry[0]) and _is("count", entry[1])):
+            raise ConfigError("stake[%d]" % pos, "expected [name, positive "
+                              "satoshi count], got %r" % (entry,))
+    stake = tuple(map(tuple, raw["stake"]))
     total = sum(a for _s, a in stake)
     if total != 1 << kappa:
         raise ConfigError("stake", "allocation sums to %d, must equal 2^kappa = %d"
                           % (total, 1 << kappa))
-    behaviors = raw.get("behaviors", {})
-    if not isinstance(behaviors, dict):
-        raise ConfigError("behaviors", "must map stakeholder to strategy")
-    names = {s for s, _a in stake}
+    behaviors = _section(raw.get("behaviors", {}), dict.fromkeys(
+        (s for s, _a in stake), "object"), "behaviors.")
     for who, spec in behaviors.items():
-        if who not in names:
-            raise ConfigError("behaviors.%s" % who, "unknown stakeholder")
-        sid = spec.get("strategy") if isinstance(spec, dict) else None
-        if sid not in engine.strategies:
-            raise ConfigError("behaviors.%s.strategy" % who,
-                              "protocol %r runs %s, got %r"
-                              % (protocol, "/".join(engine.strategies), sid))
-        _check_keys(spec, ("strategy",), "behaviors.%s." % who)
-    d = raw.get("delays", {})
-    if not isinstance(d, dict):
-        raise ConfigError("delays", "must be an object")
-    _check_keys(d, ("min", "max", "distribution"), "delays.")
-    delays = DelayModel(_number(d, "min", 0.2, "delays.min"),
-                        _number(d, "max", 2.0, "delays.max"),
-                        d.get("distribution", "uniform"))
+        prefix = "behaviors.%s." % who
+        _section(spec, {"strategy": "string"}, prefix, required=("strategy",))
+        if spec["strategy"] not in engine.strategies:
+            raise ConfigError(prefix + "strategy", "protocol %r runs %s, got %r" % (
+                protocol, "/".join(engine.strategies), spec["strategy"]))
+    d = _section(raw.get("delays", {}), {"min": "number", "max": "number",
+                                         "distribution": "string"}, "delays.")
+    delays = DelayModel(**{{"min": "min_seconds", "max": "max_seconds"}.get(
+        key, key): value for key, value in d.items()})
     if delays.min_seconds < 0 or delays.max_seconds < delays.min_seconds:
         raise ConfigError("delays", "require 0 <= min <= max")
-    drift = _number(raw, "clock_drift_max", 2.0, "clock_drift_max")
+    drift = raw.get("clock_drift_max", ScenarioConfig.clock_drift_max)
     if drift < 0:
         raise ConfigError("clock_drift_max", "must not be negative")
     duration = raw.get("duration", dict(engine.duration))
-    if not isinstance(duration, dict) or not duration:
-        raise ConfigError("duration", "must be an object like %r"
-                          % engine.duration)
-    _check_keys(duration, tuple(engine.duration) + engine.optional, "duration.")
-    for key, value in duration.items():
-        if type(value) is not int or value < 1:
-            raise ConfigError("duration." + key, "must be a positive integer")
-    for key in engine.duration:
-        if key not in duration:
-            raise ConfigError("duration." + key, "required by protocol %r"
-                              % protocol)
+    if not duration:
+        raise ConfigError("duration", "must name its keys, like %r" % engine.duration)
+    _section(duration, dict.fromkeys([*engine.duration, *engine.optional], "count"),
+             "duration.", required=tuple(engine.duration))
     return ScenarioConfig(
         name=name, protocol=protocol, params=params,
-        stake=tuple(stake), behaviors=behaviors, delays=delays,
+        stake=stake, behaviors=behaviors, delays=delays,
         clock_drift_max=float(drift), duration=duration, seed=seed)
-
-
-def _number(obj: dict, key: str, default: float, fieldname: str):
-    """``obj[key]`` (or the default) if it is a finite number."""
-    value = obj.get(key, default)
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ConfigError(fieldname, "must be a finite number, got %r"
-                          % (value,))
-    return value
-
-
-_PARAM_CHECKS = {   # attacks.PARAM_TYPES value -> (what it means, test)
-    "number": ("a finite number",
-               lambda v: type(v) in (int, float) and math.isfinite(v)),
-    "count": ("a positive integer", lambda v: type(v) is int and v >= 1),
-    "string": ("a string", lambda v: isinstance(v, str)),
-    "bool": ("true or false", lambda v: type(v) is bool),
-}
 
 
 def analysis_of(attack) -> tuple:
     """(kind, params, analysis) of an ``attack`` block, checked against
     ``attacks.ANALYSES``; raises ConfigError naming the bad field."""
-    if not isinstance(attack, dict):
-        raise ConfigError("attack", "must be an object with kind and params")
-    _check_keys(attack, ("kind", "params"), "attack.")
-    kind = attack.get("kind")
-    if not isinstance(kind, str) or kind not in attacks.ANALYSES:
+    _section(attack, {"kind": "string", "params": "object"}, "attack.",
+             required=("kind",))
+    kind = attack["kind"]
+    if kind not in attacks.ANALYSES:
         raise ConfigError("attack.kind", "unknown analysis kind %r (known: %s)"
                           % (kind, ", ".join(attacks.ANALYSES)))
-    params = attack.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("attack.params", "must be an object")
     analysis = attacks.ANALYSES[kind]
-    for key in analysis.required:
-        if key not in params:
-            raise ConfigError("attack.params." + key,
-                              "required by analysis %r" % kind)
-    _check_keys(params, analysis.required + tuple(analysis.defaults),
-                "attack.params.")
-    for key, value in params.items():
-        what, ok = _PARAM_CHECKS[attacks.PARAM_TYPES.get(key, "number")]
-        if not ok(value):
-            raise ConfigError("attack.params." + key, "must be %s, got %r"
-                              % (what, value))
+    params = _section(attack.get("params", {}), {
+        key: attacks.PARAM_TYPES.get(key, "number")
+        for key in analysis.required + tuple(analysis.defaults)},
+        "attack.params.", required=analysis.required)
     return kind, params, analysis
 
 
@@ -599,20 +571,24 @@ def _run_attack(config: ScenarioConfig) -> SimTrace:
 
 class Engine(NamedTuple):
     run: Callable[[ScenarioConfig], SimTrace]
-    params: tuple       # read besides kappa; integers, except coa's comb
+    params: dict        # the kind of each param it reads besides kappa
     duration: dict      # run when a config gives none; a given one needs its keys
     strategies: tuple   # the strategies it runs; "honest" is the default
     optional: tuple = ()    # other duration keys it reads
+    network: tuple = ()     # which of delays and clock_drift_max it reads
 
 
 ENGINES = {
-    "coa": Engine(_run_coa, ("w", "comb", "g0_seconds", "c0", "c1", "t0",
-                             "timestamp_leniency"),
+    "coa": Engine(_run_coa, {"w": "count", "comb": "string", "g0_seconds": "count",
+                             "c0": "integer", "c1": "integer", "t0": "integer",
+                             "timestamp_leniency": "integer"},
                   {"slots": 50}, ("honest", "offline", "withhold"),
-                  ("seconds",)),
-    "dense_coa": Engine(_run_dense, ("ell", "g0_seconds"), {"slots": 50},
-                        ("honest", "offline", "withhold")),
-    "ppcoin": Engine(_run_ppcoin, ("target_interval", "max_tips"),
+                  ("seconds",), ("delays", "clock_drift_max")),
+    "dense_coa": Engine(_run_dense, {"ell": "count", "g0_seconds": "count"},
+                        {"slots": 50}, ("honest", "offline", "withhold"),
+                        network=("delays",)),
+    "ppcoin": Engine(_run_ppcoin, {"target_interval": "count",
+                                   "max_tips": "count"},
                      {"seconds": 60_000}, ("honest", "ppcoin-multifork")),
 }
 

@@ -94,6 +94,7 @@ def test_reproduce_unknown_id(capsys):
     code, _o, err = run_cli(capsys, "reproduce", "nonsense")
     assert code == EXIT_CONFIG_ERROR
     assert "nonsense" in err
+    assert "config error: id:" in err
 
 
 def test_reproduce_failure_exit_code(monkeypatch, capsys):
@@ -330,6 +331,26 @@ CLAIM1 = {"v": 100, "epsilon": 10, "rho_prime": 0.7, "delta": 20}
     (_config_with(protocol="dense_coa",
                   behaviors={"bob": {"strategy": "ppcoin-multifork"}}),
      "behaviors.bob.strategy"),
+    (_config_with({"kappa": 65}), "params.kappa"),
+    ({k: v for k, v in _config_with().items() if k != "params"},
+     "params.kappa"),
+    (dict(_config_with(), params=[4]), "params"),
+    (_config_with(stake=[]), "stake"),
+    (_config_with(stake="alice"), "stake"),
+    (_config_with(behaviors=["bob"]), "behaviors"),
+    (_config_with(behaviors={"bob": {}}), "behaviors.bob.strategy"),
+    (_config_with(behaviors={"bob": "offline"}), "behaviors.bob"),
+    (_config_with(protocol=["coa"]), "protocol"),
+    ({"attack": "claim1"}, "attack"),
+    ({"attack": {"kind": ["claim1"], "params": CLAIM1}}, "attack.kind"),
+    ({"attack": {"kind": "claim1", "params": [1]}}, "attack.params"),
+    (_config_with(duration=[5]), "duration"),
+    (_config_with(protocol="ppcoin", duration={"seconds": 600},
+                  delays={"min": 50, "max": 900}), "delays"),
+    (_config_with(protocol="ppcoin", duration={"seconds": 600},
+                  clock_drift_max=500), "clock_drift_max"),
+    (_config_with(protocol="dense_coa", clock_drift_max=500),
+     "clock_drift_max"),
 ])
 def test_rejected_config_names_field_in_validate_and_run(tmp_path, capsys,
                                                           config, field):
@@ -426,6 +447,8 @@ def test_manifest_says_what_ran(tmp_path, capsys):
     assert manifest["poslab_version"] == poslab.__version__
     resolved = get_scenario("ppcoin-multifork").to_dict()
     assert manifest["resolved_config"] == resolved
+    # ppcoin reads neither delays nor a clock drift
+    assert not {"delays", "clock_drift_max"} & set(resolved)
     assert manifest["config_sha256"] == hashlib.sha256(json.dumps(
         resolved, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     assert len((out / "events.jsonl").read_text().splitlines()) == 2000

@@ -1,10 +1,14 @@
 """Every top-level definition and class member in ``src/poslab`` is used by
-the package, or is listed below with the reason it stays."""
+the package, or is listed below with the reason it stays; every name a
+config may hold is documented."""
 
 import ast
 import pathlib
 
+from poslab import attacks, netsim
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "poslab"
+FORMATS = SRC.parent.parent / "docs" / "formats.md"
 
 # (module, name) -> why a definition with no reference elsewhere in src/ stays
 UNREFERENCED = {
@@ -134,3 +138,21 @@ def test_every_class_member_is_read_or_listed():
     assert sorted(found - set(UNREAD_MEMBERS)) == [], "unread: add a " \
         "reader, delete it, or list it in UNREAD_MEMBERS with a reason"
     assert sorted(set(UNREAD_MEMBERS) - found) == [], "stale UNREAD_MEMBERS entry"
+
+
+def config_names() -> set:
+    """Each protocol, param, duration key and strategy of ``netsim.ENGINES``,
+    each kind and param of ``attacks.ANALYSES`` and each ``netsim._KINDS``."""
+    names = set(netsim._KINDS)
+    for protocol, engine in netsim.ENGINES.items():
+        names |= {protocol, *engine.params, *engine.duration, *engine.optional,
+                  *engine.strategies}
+    for kind, analysis in attacks.ANALYSES.items():
+        names |= {kind, *analysis.required, *analysis.defaults}
+    return names
+
+
+def test_config_docs_name_every_registered_name():
+    text = FORMATS.read_text()
+    missing = sorted(n for n in config_names() if "`%s`" % n not in text)
+    assert missing == [], "document these in docs/formats.md"

@@ -60,13 +60,12 @@ def engine_configs(draw):
         st.fixed_dictionaries({"strategy": st.sampled_from(
             ENGINES[protocol].strategies)})))
     low = draw(st.floats(0, 3))
-    return {
-        "protocol": protocol, "params": dict(params, kappa=kappa),
-        "stake": stake, "behaviors": behaviors,
-        "delays": {"min": low, "max": low + draw(st.floats(0, 3))},
-        "clock_drift_max": draw(st.floats(0, 5)),
-        "duration": duration, "seed": draw(st.integers(0, 2 ** 16)),
-    }
+    network = {"delays": {"min": low, "max": low + draw(st.floats(0, 3))},
+               "clock_drift_max": draw(st.floats(0, 5))}
+    return dict({key: network[key] for key in ENGINES[protocol].network},
+                protocol=protocol, params=dict(params, kappa=kappa),
+                stake=stake, behaviors=behaviors, duration=duration,
+                seed=draw(st.integers(0, 2 ** 16)))
 
 
 NUMBER = st.one_of(st.integers(-5, 1000), st.floats(-1, 1000))
