@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 reproduction failure, 2 config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -16,7 +17,6 @@ import resource
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from . import __version__
@@ -30,17 +30,24 @@ EXIT_REPRO_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 
 
-def _atomic_write(path: str, text: str):
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """A text file that replaces `path` only once the block completes."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: str, text: str):
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _make_out_dir(path: str) -> str:
@@ -72,12 +79,12 @@ def cmd_run(args) -> int:
     out_dir = _make_out_dir(args.out or ".")
     start = time.perf_counter()
     trace = run_scenario(config)
-    run_seconds = time.perf_counter() - start
-    digest = trace.digest()
+    ran = time.perf_counter()
     artifacts = []
 
     events_path = os.path.join(out_dir, "events.jsonl")
-    _atomic_write(events_path, trace.events_jsonl())
+    with _atomic_open(events_path) as fh:
+        digest = trace.digest(events_out=fh)
     artifacts.append(events_path)
 
     if args.format == "json":
@@ -88,6 +95,7 @@ def cmd_run(args) -> int:
         metrics_path = os.path.join(out_dir, "metrics.csv")
         _atomic_write(metrics_path, trace.metrics_csv())
     artifacts.append(metrics_path)
+    written = time.perf_counter()
 
     resolved = config.to_dict()
     manifest = {
@@ -102,8 +110,10 @@ def cmd_run(args) -> int:
         "resolved_config": resolved,
         "config_sha256": hashlib.sha256(json.dumps(
             resolved, sort_keys=True, separators=(",", ":")).encode()).hexdigest(),
+        "events": len(trace.events),
         "events_dropped": trace.events_dropped,
-        "run_seconds": round(run_seconds, 6),
+        "run_seconds": round(ran - start, 6),
+        "write_seconds": round(written - ran, 6),
         # the peak of the whole process so far, in MB (Linux reports KiB)
         "peak_rss_mb": round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
@@ -133,6 +143,7 @@ def cmd_reproduce(args) -> int:
     # a fork-started pool starts all its workers at the first submit
     workers = min(args.jobs, len(ids))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_reproduction, ids, [seed] * len(ids)))
     else:

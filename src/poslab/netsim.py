@@ -54,8 +54,13 @@ class DelayModel:
             raise ConfigError("delays.distribution",
                               "unknown distribution %r" % self.distribution)
 
-    def sample(self, rng) -> float:
-        return float(rng.uniform(self.min_seconds, self.max_seconds))
+    def sample(self, rng, count: Optional[int] = None):
+        """One delay, or a list of `count` delays drawn in one call: the
+        same floats as `count` single draws, leaving `rng` in the same
+        state."""
+        if count is None:
+            return float(rng.uniform(self.min_seconds, self.max_seconds))
+        return rng.uniform(self.min_seconds, self.max_seconds, count).tolist()
 
 
 @dataclass(frozen=True)
@@ -230,6 +235,10 @@ def strategy_of(config: ScenarioConfig, stakeholder: str) -> str:
 # trace
 # ---------------------------------------------------------------------------
 
+# the trace's canonical JSON: sorted keys, no spaces
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 @dataclass
 class SimTrace:
     config: ScenarioConfig
@@ -238,14 +247,22 @@ class SimTrace:
     final_chains: Dict[str, list] = field(default_factory=dict)
     events_dropped: int = 0      # events cut by MAX_EVENTS; not in the digest
 
-    def digest(self) -> str:
-        payload = json.dumps({"events": self.events, "metrics": self.metrics,
-                              "chains": self.final_chains},
-                             sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-    def events_jsonl(self) -> str:
-        return "\n".join(json.dumps(e, sort_keys=True) for e in self.events) + "\n"
+    def digest(self, events_out=None) -> str:
+        """SHA-256 of the canonical JSON (sorted keys, no spaces) of the
+        chains, events and metrics, hashed one event at a time. Each event's
+        encoding also goes to the text file `events_out`, one per line, if
+        given: the events.jsonl form."""
+        h = hashlib.sha256(b'{"chains":%s,"events":[' % _canonical(
+            self.final_chains).encode())
+        sep = b""
+        for event in self.events:
+            line = _canonical(event)
+            h.update(sep + line.encode())
+            sep = b","
+            if events_out is not None:
+                events_out.write(line + "\n")
+        h.update(b'],"metrics":%s}' % _canonical(self.metrics).encode())
+        return h.hexdigest()
 
     def metrics_csv(self) -> str:
         buf = io.StringIO()
@@ -348,10 +365,11 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
                           timestamp=ts, creator=name).signed_by()
             push(when, name, "deliver", {"dst": name, "block": block,
                                          "src": name})
-            for other in nodes:
-                if other != name:
-                    push(when + config.delays.sample(rng_delay), name,
-                         "deliver", {"dst": other, "block": block, "src": name})
+            others = [other for other in nodes if other != name]
+            for other, delay in zip(others, config.delays.sample(
+                    rng_delay, len(others))):
+                push(when + delay, name, "deliver",
+                     {"dst": other, "block": block, "src": name})
             events.append({"event": "send", "time": round(when, 6),
                            "node": name, "index": index})
         elif kind == "deliver":

@@ -30,7 +30,8 @@ def test_run_bundled_scenario_writes_artifacts(tmp_path, capsys):
 
 def test_run_same_seed_same_digest(tmp_path, capsys):
     """Two runs write the same events and manifest, bar `out` and the
-    measured `run_seconds` and `peak_rss_mb`, which are positive."""
+    measured `run_seconds`, `write_seconds` and `peak_rss_mb`, which are
+    positive."""
     manifests, events = [], []
     for sub in ("a", "b"):
         out = tmp_path / sub
@@ -38,6 +39,7 @@ def test_run_same_seed_same_digest(tmp_path, capsys):
                 "--out", str(out))
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest.pop("run_seconds") > 0
+        assert manifest.pop("write_seconds") > 0
         assert manifest.pop("peak_rss_mb") > 0
         manifests.append(dict(manifest, out=None))
         events.append((out / "events.jsonl").read_text())
@@ -113,6 +115,8 @@ def test_reproduce_failure_exit_code(monkeypatch, capsys):
 @pytest.mark.parametrize("jobs, workers", [("2", 2), ("5000", 3)])
 def test_reproduce_pool_has_no_more_workers_than_reproductions(
         monkeypatch, capsys, jobs, workers):
+    import concurrent.futures
+
     import poslab.cli as cli
     from poslab.scenarios import ReproResult
     sizes = []
@@ -131,7 +135,7 @@ def test_reproduce_pool_has_no_more_workers_than_reproductions(
             return map(fn, *iterables)
 
     monkeypatch.setattr(cli, "REPRODUCTIONS", dict.fromkeys(("a", "b", "c")))
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli, "run_reproduction", lambda repro_id, seed:
                         ReproResult(repro_id, "x", "x", "exact", True))
     code, _o, _e = run_cli(capsys, "reproduce", "all", "--jobs", jobs)
@@ -441,6 +445,8 @@ def test_manifest_says_what_ran(tmp_path, capsys):
     assert code == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["events_dropped"] == 473
+    assert manifest["events"] == 2000
+    assert manifest["write_seconds"] > 0
     assert "473 events dropped" in stdout
     assert manifest["trace_digest"] == (
         "0c958e42d77f07002633318e2fadb0091f1685ca523776f3b7a4158f3023d349")

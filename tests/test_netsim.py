@@ -1,5 +1,8 @@
 import dataclasses
 import gc
+import hashlib
+import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -353,7 +356,9 @@ def test_all_bundled_scenarios_validate():
 
 def test_trace_serialization_formats():
     trace = run_scenario(get_scenario("claim1"))
-    jsonl = trace.events_jsonl()
+    buf = io.StringIO()
+    trace.digest(events_out=buf)
+    jsonl = buf.getvalue()
     assert jsonl.endswith("\n") and jsonl.count("\n") == len(trace.events)
     csv_text = trace.metrics_csv()
     header, row = csv_text.strip().splitlines()
@@ -370,6 +375,55 @@ def test_delay_model():
         assert 0.5 <= s <= 1.5
     with pytest.raises(ConfigError):
         DelayModel(0.5, 1.5, "pareto").sample(rng)
+
+
+def digest_oracle(trace):
+    """The trace digest's defining formula: sha256 of the canonical JSON of
+    events, metrics and chains."""
+    payload = json.dumps({"events": trace.events, "metrics": trace.metrics,
+                          "chains": trace.final_chains},
+                         sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def stormy_coa_config():
+    """A CoA run whose trace has rejections, reorgs and blacklists: delays
+    above G0 and clocks up to 100 s apart."""
+    return config_from_dict(base_raw(
+        params={"kappa": 4, "g0_seconds": 300, "t0": 4},
+        delays={"min": 0.2, "max": 400.0}, clock_drift_max=100.0,
+        duration={"slots": 60}, seed=2))
+
+
+@pytest.mark.parametrize("name", [n for n in scenario_names()
+                                  if get_scenario(n).protocol] + ["stormy"])
+def test_digest_hashes_each_event_line_of_events_jsonl(name):
+    """The digest streamed from one encoding per event equals the formula
+    over the whole trace, and each events.jsonl line reads back as its
+    event."""
+    if name == "stormy":
+        trace = run_scenario(stormy_coa_config())
+        kinds = {e["event"] for e in trace.events}
+        assert {"block-rejected", "reorg", "blacklist"} <= kinds
+    else:
+        trace = run_scenario(get_scenario(name))
+    out = io.StringIO()
+    assert trace.digest(events_out=out) == digest_oracle(trace) == trace.digest()
+    lines = out.getvalue().splitlines()
+    assert [json.loads(line) for line in lines] == trace.events
+    assert lines == [json.dumps(e, sort_keys=True, separators=(",", ":"))
+                     for e in trace.events]
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 99])
+def test_batched_delays_equal_scalar_draws(n):
+    d = DelayModel(0.2, 2.0)
+    batched, scalar = make_rng(3, "delay"), make_rng(3, "delay")
+    drawn = d.sample(batched, n)
+    assert drawn == [d.sample(scalar) for _ in range(n)]
+    assert all(type(x) is float for x in drawn)
+    # the Philox state holds short arrays: their repr shows every word
+    assert repr(batched.bit_generator.state) == repr(scalar.bit_generator.state)
 
 
 def test_analysis_config_is_name_seed_and_attack():
