@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import comb, issuance, ppcoin
-from .rng import binomial_nonzero, make_rng
+from .rng import binomial_nonzero, make_rng, map_word_chunks
 
 
 def _as_fraction(x) -> Fraction:
@@ -282,6 +282,9 @@ def simulate_timeweight_attack(version: str, stake_fraction: float,
 # private streaks (the M^k statistic)
 # ---------------------------------------------------------------------------
 
+STREAK_CHUNK = 2 ** 18     # blocks drawn per rng.random call
+
+
 def simulate_streak_interval(stake_fraction: float = 0.25, k: int = 6,
                              n_blocks: int = 4_000_000, seed: int = 0) -> dict:
     """Mean block gap between k-long attacker streaks.
@@ -295,7 +298,10 @@ def simulate_streak_interval(stake_fraction: float = 0.25, k: int = 6,
     if k < 1:
         raise ValueError("streak length k must be at least 1")
     rng = make_rng(seed, "streak", stake_fraction, k)
-    wins = rng.random(n_blocks) < stake_fraction
+    wins = np.empty(n_blocks, bool)
+    for start in range(0, n_blocks, STREAK_CHUNK):   # no float64 copy of it all
+        stop = min(start + STREAK_CHUNK, n_blocks)
+        np.less(rng.random(stop - start), stake_fraction, out=wins[start:stop])
     # after pass j, wins[i] says whether blocks i..i+j all won
     for j in range(1, min(k, n_blocks)):
         wins[:n_blocks - j] &= wins[1:n_blocks - j + 1]
@@ -316,7 +322,7 @@ def simulate_streak_interval(stake_fraction: float = 0.25, k: int = 6,
 
 def fork_rate_study(seconds: int = 4 * 10 ** 8, n_outputs: int = 600,
                     target_rate: float = 1.0 / 600.0, seed: int = 0,
-                    chunk: int = 2 ** 21) -> dict:
+                    chunk: int = 2 ** 18) -> dict:
     """Simulate per-second solve counts and report both fork-interval
     conventions.
 
@@ -324,19 +330,19 @@ def fork_rate_study(seconds: int = 4 * 10 ** 8, n_outputs: int = 600,
     so Pr[>= 1 solve] = target_rate. Pairwise convention: mean seconds per
     ordered solver pair, sum k(k-1); expected ~ 1/rate^2 = 360000 s at the
     10-minute target. Multi-solve convention: mean seconds between seconds
-    with >= 2 solves; expected ~ 2/rate^2 = 720000 s.
+    with >= 2 solves; expected ~ 2/rate^2 = 720000 s. The seconds are drawn
+    in chunks of `chunk` seconds (one word each) on every usable core.
     """
     q = 1.0 - (1.0 - target_rate) ** (1.0 / n_outputs)
     rng = make_rng(seed, "forks", n_outputs, seconds)
-    pair_events = 0
-    multi_seconds = 0
-    done = 0
-    while done < seconds:
-        m = min(chunk, seconds - done)
-        _at, k = binomial_nonzero(rng, n_outputs, q, m)
-        pair_events += int((k * (k - 1)).sum())
-        multi_seconds += int((k >= 2).sum())
-        done += m
+
+    def count(gen, m):
+        _at, k = binomial_nonzero(gen, n_outputs, q, m)
+        return int((k * (k - 1)).sum()), int((k >= 2).sum())
+
+    counts = map_word_chunks(rng, seconds, chunk, count)
+    pair_events = sum(c[0] for c in counts)
+    multi_seconds = sum(c[1] for c in counts)
     return {
         "seconds": seconds,
         "pairwise_interval": seconds / pair_events if pair_events else math.inf,

@@ -74,6 +74,19 @@ def _resolve_config(spec: str, seed_override: Optional[int]) -> ScenarioConfig:
     return config
 
 
+def _peak_rss_mb(who) -> float:
+    """The peak RSS so far, in MB (Linux reports KiB), of this process
+    (RUSAGE_SELF) or of its largest waited-for child (RUSAGE_CHILDREN)."""
+    return round(resource.getrusage(who).ru_maxrss / 1024, 1)
+
+
+def _timed_reproduction(repro_id: str, seed: int) -> tuple:
+    """(result, wall seconds) of one reproduction, timed where it runs."""
+    start = time.perf_counter()
+    result = run_reproduction(repro_id, seed)
+    return result, time.perf_counter() - start
+
+
 def cmd_run(args) -> int:
     config = _resolve_config(args.config, args.seed)
     out_dir = _make_out_dir(args.out or ".")
@@ -114,9 +127,7 @@ def cmd_run(args) -> int:
         "events_dropped": trace.events_dropped,
         "run_seconds": round(ran - start, 6),
         "write_seconds": round(written - ran, 6),
-        # the peak of the whole process so far, in MB (Linux reports KiB)
-        "peak_rss_mb": round(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
     _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -145,9 +156,10 @@ def cmd_reproduce(args) -> int:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_reproduction, ids, [seed] * len(ids)))
+            timed = list(pool.map(_timed_reproduction, ids, [seed] * len(ids)))
     else:
-        results = [run_reproduction(i, seed) for i in ids]
+        timed = [_timed_reproduction(i, seed) for i in ids]
+    results = [r for r, _s in timed]
 
     rows = [r.row() for r in results]
     header = ["id", "expected", "computed", "tolerance", "verdict"]
@@ -162,8 +174,23 @@ def cmd_reproduce(args) -> int:
         writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
-        path = os.path.join(args.out, "reproduce." + args.format)
-        _atomic_write(path, text)
+        table = "reproduce." + args.format
+        _atomic_write(os.path.join(args.out, table), text)
+        peak = _peak_rss_mb(resource.RUSAGE_SELF)
+        if workers > 1:
+            peak = max(peak, _peak_rss_mb(resource.RUSAGE_CHILDREN))
+        manifest = {
+            "command": "reproduce",
+            "id": args.id,
+            "seed": seed,
+            "jobs": args.jobs,
+            "artifacts": [table],
+            "poslab_version": __version__,
+            "seconds": {i: round(s, 6) for i, (_r, s) in zip(ids, timed)},
+            "peak_rss_mb": peak,
+        }
+        _atomic_write(os.path.join(args.out, "manifest.json"),
+                      json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(text, end="")
     if all(r.passed for r in results):
         return EXIT_OK
@@ -209,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("reproduce", help="re-derive a quantitative result")
     p_rep.add_argument("id", help="reproduction id, or 'all'")
     p_rep.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes")
+                       help="parallel worker processes (fork-rate also "
+                       "uses every free core in its own process)")
     common(p_rep)
     p_rep.set_defaults(func=cmd_reproduce)
 

@@ -16,13 +16,24 @@ per draw, U = (word >> 11) * 2^-53, and the draw is 0 iff U <= (1-p)^n);
 algorithms, not its API: the equivalence tests in ``tests/test_attacks.py``
 and ``tests/test_netsim.py`` compare them with the per-draw calls word for
 word, so a numpy upgrade that changes either algorithm fails there.
+
+``map_word_chunks`` runs such a sampler on every usable core. It cuts a
+stream into fixed chunks of words and gives each chunk a generator advanced
+to the chunk's first word, so the chunks read the same words as one serial
+loop over them. A chunk that reads more words than its share (a sampler that
+falls back to ``rng.binomial`` because numpy would restart a draw) is caught
+by its end state, and every chunk from the next one on is re-run serially
+from the true state. The results, and the state the stream is left in, are
+therefore the serial loop's, whatever the number of threads or their order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Sequence
+import os
+import threading
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -108,3 +119,82 @@ def quiet_rows(rng: np.random.Generator, probs: Sequence[float],
     rng.bit_generator.state = saved
     rng.bit_generator.random_raw(first * len(probs))
     return first
+
+
+def usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _mark(gen: np.random.Generator) -> tuple:
+    """Where a Philox generator stands in its stream."""
+    state = gen.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["buffer_pos"],
+            state["has_uint32"])
+
+
+def map_word_chunks(rng: np.random.Generator, words: int, chunk: int,
+                    fn: Callable[[np.random.Generator, int], object]) -> list:
+    """``[fn(gen, m) for each chunk]`` over the next `words` words of `rng`,
+    in chunk order, leaving `rng` after the last word the chunks read.
+
+    Chunk i holds words [i*chunk, i*chunk + m) with m = min(chunk, words -
+    i*chunk); fn should read exactly m words from `gen`. The chunks run on
+    the calling thread and ``usable_cores() - 1`` helper threads, so fn must
+    be thread-safe and should spend its time in numpy calls that release the
+    GIL. `rng` must be a Philox generator at the start of a counter step
+    (4 words), as a fresh one is.
+    """
+    state = rng.bit_generator.state
+    if chunk <= 0 or chunk % 4:
+        raise ValueError("chunk must be a positive multiple of 4 words")
+    if state["bit_generator"] != "Philox" or state["buffer_pos"] != 4 \
+            or state["has_uint32"]:
+        raise ValueError("map_word_chunks needs a Philox stream at a "
+                         "counter step")
+    starts = range(0, words, chunk)
+    sizes = [min(chunk, words - s) for s in starts]
+    n = len(starts)
+    if n == 0:
+        return []
+    gens, marks, results, errors = [None] * n, [None] * n, [None] * n, []
+    todo = iter(range(n))
+    lock = threading.Lock()
+
+    def work():
+        while not errors:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                bits = np.random.Philox()
+                bits.state = state
+                bits.advance(starts[i] // 4)
+                gens[i] = np.random.Generator(bits)
+                marks[i] = _mark(gens[i])
+                results[i] = fn(gens[i], sizes[i])
+            except BaseException as exc:
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(usable_cores(), n) - 1)]
+    for t in helpers:
+        t.start()
+    work()
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[0]
+    gen = gens[-1]
+    for i in range(1, n):
+        if _mark(gens[i - 1]) != marks[i]:   # chunk i-1 read other words
+            gen = gens[i - 1]
+            for j in range(i, n):
+                results[j] = fn(gen, sizes[j])
+            break
+    rng.bit_generator.state = gen.bit_generator.state
+    return results

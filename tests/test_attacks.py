@@ -308,3 +308,96 @@ def test_fork_rate_study_reads_the_words_of_per_second_binomials(monkeypatch):
     assert out["pair_events"] == int((k * (k - 1)).sum())
     assert out["multi_solve_seconds"] == int((k >= 2).sum())
     assert _state(used[0]) == _state(oracle)
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_fork_rate_study_in_many_chunks_reads_per_second_binomials(
+        monkeypatch, cores):
+    monkeypatch.setattr(rng_module, "usable_cores", lambda: cores)
+    used, calls = [], []
+    monkeypatch.setattr(attacks, "make_rng",
+                        lambda *labels: used.append(make_rng(*labels))
+                        or used[-1])
+    monkeypatch.setattr(attacks, "binomial_nonzero",
+                        lambda *args: calls.append(args[3])
+                        or binomial_nonzero(*args))
+    # 41 chunks, the last one 151 words: a multiple of neither 2^12 nor 4
+    seconds, n, rate = 40 * 2 ** 12 + 151, 50, 0.3
+    out = fork_rate_study(seconds=seconds, n_outputs=n, target_rate=rate,
+                          seed=6, chunk=2 ** 12)
+    oracle = make_rng(6, "forks", n, seconds)
+    k = oracle.binomial(n, 1.0 - (1.0 - rate) ** (1.0 / n), size=seconds)
+    assert out["pair_events"] == int((k * (k - 1)).sum()) > 0
+    assert out["multi_solve_seconds"] == int((k >= 2).sum()) > 0
+    assert _state(used[0]) == _state(oracle)
+    # each chunk started at its own words, so none was drawn twice
+    assert sorted(calls) == [151] + [2 ** 12] * 40
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_map_word_chunks_redoes_the_chunks_after_an_over_read(
+        monkeypatch, cores):
+    monkeypatch.setattr(rng_module, "usable_cores", lambda: cores)
+    words, chunk = 9 * 64 + 22, 64                 # ten chunks
+    stream = make_rng(2, "map").bit_generator.random_raw(words + 1)
+    greedy = stream[4 * chunk]                     # chunk 4's first word
+    calls = []
+
+    def fn(gen, m):
+        calls.append(m)
+        got = gen.bit_generator.random_raw(m)
+        if got[0] == greedy:                       # read one word too many
+            gen.bit_generator.random_raw(1)
+        return got
+
+    serial = make_rng(2, "map")
+    want = [fn(serial, min(chunk, words - s)) for s in range(0, words, chunk)]
+    assert want[5][0] == stream[5 * chunk + 1]     # the serial loop shifted
+    rng = make_rng(2, "map")
+    calls.clear()
+    got = rng_module.map_word_chunks(rng, words, chunk, fn)
+    assert len(got) == len(want) == 10
+    assert len(calls) == 10 + 5                    # chunks 5-9 ran again
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert _state(rng) == _state(serial)
+
+
+def test_fork_rate_study_does_not_depend_on_the_core_count(monkeypatch):
+    import threading
+    helpers = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            helpers.append(self)
+            super().start()
+
+    monkeypatch.setattr(rng_module.threading, "Thread", CountedThread)
+    outs = []
+    for cores in (1, 4):
+        monkeypatch.setattr(rng_module, "usable_cores", lambda: cores)
+        helpers.clear()
+        outs.append(fork_rate_study(seconds=2 * 10 ** 6 + 1, n_outputs=50,
+                                    target_rate=0.3, seed=1, chunk=2 ** 14))
+        assert len(helpers) == cores - 1           # plus the calling thread
+    assert outs[0] == outs[1]
+    assert outs[0]["pair_events"] > 0
+
+
+def test_map_word_chunks_rejects_a_stream_inside_a_counter_step():
+    rng = make_rng(0, "map")
+    with pytest.raises(ValueError):
+        rng_module.map_word_chunks(rng, 16, 6, lambda gen, m: m)
+    rng.bit_generator.random_raw(1)
+    with pytest.raises(ValueError):
+        rng_module.map_word_chunks(rng, 16, 8, lambda gen, m: m)
+    assert rng_module.map_word_chunks(make_rng(0, "map"), 0, 8,
+                                      lambda gen, m: m) == []
+
+
+@pytest.mark.parametrize("k", [1, 6])
+@pytest.mark.parametrize("n_blocks", [1000, 2 * attacks.STREAK_CHUNK + 1001])
+def test_streak_count_equals_one_shot_draws(k, n_blocks):
+    wins = make_rng(7, "streak", 0.5, k).random(n_blocks) < 0.5
+    windows = np.convolve(wins, np.ones(k, int), "valid")
+    out = simulate_streak_interval(0.5, k, n_blocks, seed=7)
+    assert out["streaks"] == int((windows == k).sum())

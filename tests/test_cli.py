@@ -92,6 +92,35 @@ def test_reproduce_single_and_all(tmp_path, capsys):
     assert payload[0]["verdict"] == "pass"
 
 
+def test_reproduce_manifest_times_every_id_and_leaves_the_table_alone(
+        tmp_path, monkeypatch, capsys):
+    import poslab.cli as cli
+    from poslab import __version__
+    from poslab.scenarios import ReproResult
+    monkeypatch.setattr(cli, "run_reproduction", lambda repro_id, seed:
+                        ReproResult(repro_id, "1", "1.0", "exact", True))
+    out = tmp_path / "rep"
+    code, stdout, _e = run_cli(capsys, "reproduce", "all", "--seed", "3",
+                               "--out", str(out), "--format", "json")
+    assert code == EXIT_OK
+    # the table holds the rows and nothing else, as it did before the manifest
+    table = [{"id": i, "expected": "1", "computed": "1.0",
+              "tolerance": "exact", "verdict": "pass"} for i in REPRODUCTIONS]
+    assert (out / "reproduce.json").read_text() == stdout \
+        == json.dumps(table, indent=2) + "\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["seconds"]) == sorted(REPRODUCTIONS)
+    assert all(s >= 0 for s in manifest["seconds"].values())
+    assert manifest["peak_rss_mb"] > 0
+    assert (manifest["seed"], manifest["jobs"], manifest["poslab_version"],
+            manifest["artifacts"]) == (3, 1, __version__, ["reproduce.json"])
+    code, _o, _e = run_cli(capsys, "reproduce", "claim2", "--out",
+                           str(tmp_path / "one"))
+    manifest = json.loads((tmp_path / "one" / "manifest.json").read_text())
+    assert list(manifest["seconds"]) == ["claim2"]
+    assert manifest["artifacts"] == ["reproduce.csv"]
+
+
 def test_reproduce_unknown_id(capsys):
     code, _o, err = run_cli(capsys, "reproduce", "nonsense")
     assert code == EXIT_CONFIG_ERROR
