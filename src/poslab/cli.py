@@ -11,6 +11,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import resource
@@ -20,8 +21,8 @@ import time
 from typing import Optional
 
 from . import __version__
-from .netsim import (MAX_EVENTS, ConfigError, ScenarioConfig, load_config,
-                     run_scenario)
+from .netsim import (MAX_EVENTS, ConfigError, ScenarioConfig, canonical_json,
+                     load_config, run_scenario)
 from .scenarios import (REPRODUCTIONS, SCENARIOS, get_scenario,
                         run_reproduction, scenario_names)
 
@@ -48,6 +49,19 @@ def _atomic_open(path: str):
 def _atomic_write(path: str, text: str):
     with _atomic_open(path) as fh:
         fh.write(text)
+
+
+def _json_text(obj) -> str:
+    """The metrics and manifest form: sorted keys, two-space indent."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _make_out_dir(path: str) -> str:
@@ -100,13 +114,10 @@ def cmd_run(args) -> int:
         digest = trace.digest(events_out=fh)
     artifacts.append(events_path)
 
-    if args.format == "json":
-        metrics_path = os.path.join(out_dir, "metrics.json")
-        _atomic_write(metrics_path,
-                      json.dumps(trace.metrics, sort_keys=True, indent=2) + "\n")
-    else:
-        metrics_path = os.path.join(out_dir, "metrics.csv")
-        _atomic_write(metrics_path, trace.metrics_csv())
+    metrics_path = os.path.join(out_dir, "metrics." + args.format)
+    keys = sorted(trace.metrics)
+    _atomic_write(metrics_path, _json_text(trace.metrics) if args.format == "json"
+                  else _csv_text(keys, [[trace.metrics[k] for k in keys]]))
     artifacts.append(metrics_path)
     written = time.perf_counter()
 
@@ -121,8 +132,8 @@ def cmd_run(args) -> int:
         "trace_digest": digest,
         "poslab_version": __version__,
         "resolved_config": resolved,
-        "config_sha256": hashlib.sha256(json.dumps(
-            resolved, sort_keys=True, separators=(",", ":")).encode()).hexdigest(),
+        "config_sha256": hashlib.sha256(
+            canonical_json(resolved).encode()).hexdigest(),
         "events": len(trace.events),
         "events_dropped": trace.events_dropped,
         "run_seconds": round(ran - start, 6),
@@ -130,9 +141,9 @@ def cmd_run(args) -> int:
         "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
-    _atomic_write(manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _atomic_write(manifest_path, _json_text(manifest))
     print("scenario %s: digest %s" % (config.name, digest))
-    for key in sorted(trace.metrics):
+    for key in keys:
         print("  %s = %s" % (key, trace.metrics[key]))
     if trace.events_dropped:
         print("  (%d events dropped: the trace keeps its first %d)"
@@ -167,12 +178,7 @@ def cmd_reproduce(args) -> int:
         payload = [dict(zip(header, row)) for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        import io
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
+        text = _csv_text(header, rows)
     if args.out:
         table = "reproduce." + args.format
         _atomic_write(os.path.join(args.out, table), text)
@@ -189,8 +195,7 @@ def cmd_reproduce(args) -> int:
             "seconds": {i: round(s, 6) for i, (_r, s) in zip(ids, timed)},
             "peak_rss_mb": peak,
         }
-        _atomic_write(os.path.join(args.out, "manifest.json"),
-                      json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        _atomic_write(os.path.join(args.out, "manifest.json"), _json_text(manifest))
     print(text, end="")
     if all(r.passed for r in results):
         return EXIT_OK

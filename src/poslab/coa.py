@@ -127,8 +127,7 @@ class ChainView:
         self.slots = {}
         self.groups = {}             # group number -> (seed, index of its last block)
         self._schedule = []          # the slot candidates derived so far
-        # block digest -> (child view or None, reason, events); events is
-        # None for a block rejected before the clock check
+        # block digest -> (child view or None, reason, events)
         self._outcomes = {}
 
     def clone(self) -> "ChainView":
@@ -193,20 +192,19 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
     structural ones plus wrong-creator, too-early, future-dated, understaked,
     frozen-stake, bad-evidence, binding-violation, bad-transaction.
 
-    The outcome without the clock is computed once per (view, block) and
-    kept on the view, so every caller holding the view gets the same child
-    object. ``future-dated`` is decided per call against `local_time`, and
-    an accepted block's ``confiscation`` and ``blacklist`` events go to
-    each caller's `observer`.
+    ``future-dated`` is decided first, per call against `local_time`, and
+    wins over every other reason. The rest of the outcome is computed once
+    per (view, block) and kept on the view, so every caller holding the
+    view gets the same child object; an accepted block's ``confiscation``
+    and ``blacklist`` events go to each caller's `observer`.
     """
+    if local_time is not None \
+            and block.timestamp > local_time + view.params.timestamp_leniency:
+        return None, "future-dated"
     outcome = view._outcomes.get(block.digest)
     if outcome is None:
         outcome = view._outcomes[block.digest] = _validate(view, block)
     new, reason, events = outcome
-    # a reason decided before the clock check stands for every caller
-    if events is not None and local_time is not None \
-            and block.timestamp > local_time + view.params.timestamp_leniency:
-        return None, "future-dated"
     if new is None:
         return None, reason
     if observer:
@@ -217,27 +215,26 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
 
 def _validate(view: ChainView, block: Block) -> tuple:
     """The clock-free outcome of `block` on `view`: (new_view, "accept",
-    events), (None, reason, ()) or, for a reason decided before the clock
-    check, (None, reason, None)."""
+    events) or (None, reason, ())."""
     p = view.params
     last = view.last_block
     reason = validate_block_structure(block, last)
     if reason != "ok":
-        return None, reason, None
+        return None, reason, ()
 
     gap = block.index - last.index
     try:
         candidates = view.slot_candidates(gap)
     except LedgerError:
-        return None, "wrong-creator", None
+        return None, "wrong-creator", ()
     slot_index, _z, owner, uid = candidates[-1]
     assert slot_index == block.index
     if owner != block.creator:
-        return None, "wrong-creator", None
+        return None, "wrong-creator", ()
 
     if block.timestamp < min_timestamp(last.timestamp, block.index, last.index,
                                        p.g0):
-        return None, "too-early", None
+        return None, "too-early", ()
 
     # The freeze restricts spending and auxiliary use; the derived winner may
     # still create a block while its previous deposit freeze is running (the

@@ -83,8 +83,7 @@ def comb_apply(spec: CombSpec, bits) -> int:
         raise ValueError("expected %d bits, got shape %r" % (spec.ell, arr.shape))
     if not np.all((arr == 0) | (arr == 1)):
         raise ValueError("inputs must be bits")
-    out = _group_bits(spec, arr)
-    return int(out.dot(1 << np.arange(spec.kappa - 1, -1, -1, dtype=np.uint64)))
+    return int(comb_apply_batch(spec, arr[None])[0])
 
 
 def comb_apply_batch(spec: CombSpec, bits: np.ndarray) -> np.ndarray:
@@ -146,12 +145,18 @@ def undetermined_fraction(spec: CombSpec) -> float:
         raise ValueError("exhaustive enumeration limited to small w")
     n = 1 << (w - 1)
     prefixes = ((np.arange(n)[:, None] >> np.arange(w - 2, -1, -1)) & 1).astype(np.uint8)
-    one_group = CombSpec(spec.kind, 1, w)
-    lo = _group_bits(one_group, np.concatenate(
-        [prefixes, np.zeros((n, 1), np.uint8)], axis=1))
-    hi = _group_bits(one_group, np.concatenate(
-        [prefixes, np.ones((n, 1), np.uint8)], axis=1))
-    return float(np.mean(lo[:, 0] != hi[:, 0]))
+    return float(np.mean(_last_bit_decides(spec, prefixes)))
+
+
+def _last_bit_decides(spec: CombSpec, prefixes: np.ndarray) -> np.ndarray:
+    """Per (w-1)-bit prefix row, whether the group's output differs between
+    a last bit of 0 and of 1."""
+    one_group = CombSpec(spec.kind, 1, spec.w)
+    n = len(prefixes)
+    lo, hi = (_group_bits(one_group, np.concatenate(
+        [prefixes, np.full((n, 1), bit, np.uint8)], axis=1))[:, 0]
+        for bit in (0, 1))
+    return lo != hi
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +182,7 @@ def last_player_advantage(spec: CombSpec, p: float, trials: int,
     # candidate bits iff that group's output flips.
     prefix = rng.integers(0, 2, size=(trials, w - 1), dtype=np.uint8) \
         if w > 1 else np.zeros((trials, 0), np.uint8)
-    one_group = CombSpec(spec.kind, 1, w)
-    lo = _group_bits(one_group, np.concatenate(
-        [prefix, np.zeros((trials, 1), np.uint8)], axis=1))[:, 0]
-    hi = _group_bits(one_group, np.concatenate(
-        [prefix, np.ones((trials, 1), np.uint8)], axis=1))[:, 0]
-    differ = lo != hi
+    differ = _last_bit_decides(spec, prefix)
     first = rng.random(trials) < p
     second = rng.random(trials) < p
     success = np.where(differ, first | second, first)

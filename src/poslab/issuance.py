@@ -31,7 +31,6 @@ class IssuanceParams:
     demand_value_fn: Callable[[float], float]
     fixed_difficulty: float          # blocks per miner-second
     min_gap_seconds: float = 60.0
-    maturity_n: int = 120            # n > 100 is prudent without retargeting
     coins_per_block: float = 50.0
     step_seconds: float = 3600.0
     adjust_rate: float = 0.25        # fraction of the miner-population gap closed per step
@@ -40,8 +39,6 @@ class IssuanceParams:
     last_pow_step: Optional[int] = None  # issuance stops for good after this step
 
     def __post_init__(self):
-        if self.maturity_n < 1:
-            raise ValueError("maturity_n must be >= 1")
         if self.min_gap_seconds < 0:
             raise ValueError("min_gap_seconds must be >= 0")
 

@@ -533,28 +533,3 @@ class BlockTree:
         self.solidified_prefix = digest
         self.live = live
 
-
-# ---------------------------------------------------------------------------
-# genesis allocation files
-# ---------------------------------------------------------------------------
-
-def parse_genesis_allocation(text: str) -> list:
-    """Parse an allocation file: one "owner amount" pair per line, # comments."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise LedgerError("line %d: expected 'owner amount', got %r" % (lineno, raw))
-        try:
-            amount = int(parts[1])
-        except ValueError:
-            raise LedgerError("line %d: bad amount %r" % (lineno, parts[1]))
-        out.append((parts[0], amount))
-    return out
-
-
-def format_genesis_allocation(allocation: Iterable) -> str:
-    return "".join("%s %d\n" % (owner, amount) for owner, amount in allocation)

@@ -10,10 +10,8 @@ lists; analysis scenarios run an entry of ``attacks.ANALYSES``.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import heapq
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -54,12 +52,9 @@ class DelayModel:
             raise ConfigError("delays.distribution",
                               "unknown distribution %r" % self.distribution)
 
-    def sample(self, rng, count: Optional[int] = None):
-        """One delay, or a list of `count` delays drawn in one call: the
-        same floats as `count` single draws, leaving `rng` in the same
-        state."""
-        if count is None:
-            return float(rng.uniform(self.min_seconds, self.max_seconds))
+    def sample(self, rng, count: int) -> list:
+        """`count` delays drawn in one call: the same floats as `count`
+        single draws, leaving `rng` in the same state."""
         return rng.uniform(self.min_seconds, self.max_seconds, count).tolist()
 
 
@@ -236,12 +231,11 @@ def strategy_of(config: ScenarioConfig, stakeholder: str) -> str:
 # ---------------------------------------------------------------------------
 
 # the trace's canonical JSON: sorted keys, no spaces
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass
 class SimTrace:
-    config: ScenarioConfig
     events: List[dict]
     metrics: Dict[str, object]
     final_chains: Dict[str, list] = field(default_factory=dict)
@@ -252,25 +246,17 @@ class SimTrace:
         chains, events and metrics, hashed one event at a time. Each event's
         encoding also goes to the text file `events_out`, one per line, if
         given: the events.jsonl form."""
-        h = hashlib.sha256(b'{"chains":%s,"events":[' % _canonical(
+        h = hashlib.sha256(b'{"chains":%s,"events":[' % canonical_json(
             self.final_chains).encode())
         sep = b""
         for event in self.events:
-            line = _canonical(event)
+            line = canonical_json(event)
             h.update(sep + line.encode())
             sep = b","
             if events_out is not None:
                 events_out.write(line + "\n")
-        h.update(b'],"metrics":%s}' % _canonical(self.metrics).encode())
+        h.update(b'],"metrics":%s}' % canonical_json(self.metrics).encode())
         return h.hexdigest()
-
-    def metrics_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        keys = sorted(self.metrics)
-        writer.writerow(keys)
-        writer.writerow([self.metrics[k] for k in keys])
-        return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +349,12 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
             ts = max(int(local_now), earliest)
             block = Block(index=index, prev_digest=last.digest,
                           timestamp=ts, creator=name).signed_by()
-            push(when, name, "deliver", {"dst": name, "block": block,
-                                         "src": name})
+            push(when, name, "deliver", {"dst": name, "block": block})
             others = [other for other in nodes if other != name]
             for other, delay in zip(others, config.delays.sample(
                     rng_delay, len(others))):
                 push(when + delay, name, "deliver",
-                     {"dst": other, "block": block, "src": name})
+                     {"dst": other, "block": block})
             events.append({"event": "send", "time": round(when, 6),
                            "node": name, "index": index})
         elif kind == "deliver":
@@ -425,7 +410,7 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
         metrics["blocks_by_%s" % who] = n
     chains = {name: [d.hex()[:16] for d in n.tree.path(n.best_tip)]
               for name, n in nodes.items()}
-    return SimTrace(config, events, metrics, chains)
+    return SimTrace(events, metrics, chains)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +479,7 @@ def _run_ppcoin(config: ScenarioConfig) -> SimTrace:
         "divergence": tip_count_sum / seconds,
         "mean_interval": seconds / max(1, blocks + fork_blocks),
     }
-    return _capped(SimTrace(config, events, metrics, {"tips": [max(tips)]}))
+    return _capped(SimTrace(events, metrics, {"tips": [max(tips)]}))
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +500,18 @@ def _run_dense(config: ScenarioConfig) -> SimTrace:
     now = 0.0
     fallbacks = 0
     intervals = []
-    stall = []
+    # with no honest holder no committee is clean: the chain stalls at once
+    stall = [] if any(name not in idle for name, _a in config.stake) else [
+        {"event": "stall", "index": 1, "fallbacks": 0}]
     for i in range(1, config.duration["slots"] + 1):
+        if stall:
+            break
         t = 0
         start = now
         while True:
             members = dense.derive_committee(seed_val, i, t, ledger, ell, kappa)
             withholds = any(owner in idle for owner, _uid in members)
-            round_time = config.delays.sample(rng) * 2
+            round_time = config.delays.sample(rng, 1)[0] * 2
             if not withholds:
                 committee = dense.CommitteeRound(i, t, members)
                 secrets = {}
@@ -549,15 +538,13 @@ def _run_dense(config: ScenarioConfig) -> SimTrace:
             if t > 10_000:      # no clean committee: the chain stalls
                 stall = [{"event": "stall", "index": i, "fallbacks": t}]
                 break
-        if stall:
-            break
     metrics = {
         "protocol": "dense_coa",
         "blocks": len(intervals),
         "fallbacks": fallbacks,
         "mean_interval": sum(intervals) / len(intervals) if intervals else 0.0,
     }
-    trace = _capped(SimTrace(config, events, metrics, {}))
+    trace = _capped(SimTrace(events, metrics, {}))
     trace.events += stall      # kept past the cut: it says why the run ended
     return trace
 
@@ -584,7 +571,7 @@ def _run_attack(config: ScenarioConfig) -> SimTrace:
     except (TypeError, ValueError) as exc:
         raise ConfigError("attack.params", str(exc))
     events = [{"event": "analysis", "kind": kind, "params": dict(p)}]
-    return SimTrace(config, events, metrics, {})
+    return SimTrace(events, metrics, {})
 
 
 class Engine(NamedTuple):

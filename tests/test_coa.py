@@ -173,6 +173,38 @@ def test_too_early_and_future_dated():
     assert b.apply(ok) == ACCEPT
 
 
+@pytest.mark.parametrize("fault", ["wrong-creator", "too-early"])
+def test_future_dated_is_decided_before_any_other_rule(monkeypatch, fault):
+    """A block future-dated for the receiving clock is rejected as such
+    whatever else is wrong with it, and no validation body runs; a clock
+    that admits it gets the block's own fault."""
+    params = small_params()
+    b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
+    if fault == "wrong-creator":
+        winner = b.view.slot_candidates(1)[-1][2]
+        impostor = next(n for n in ("alice", "bob", "carol") if n != winner)
+        block = b.craft(creator=impostor, sign_as=impostor)
+    else:
+        block = b.craft(ts_extra=-1)
+    bodies = []
+    validate = coa._validate
+
+    def validating(view, blk):
+        bodies.append(blk.digest)
+        return validate(view, blk)
+
+    monkeypatch.setattr(coa, "_validate", validating)
+    behind = block.timestamp - params.timestamp_leniency - 1
+    assert b.apply(block, local_time=behind) == "future-dated"
+    assert bodies == [] and b.view._outcomes == {}
+    assert b.apply(block, local_time=behind + 1) == fault
+    assert bodies == [block.digest]
+    # the kept rejection does not outrank a clock that is behind
+    assert b.apply(block, local_time=behind) == "future-dated"
+    assert b.apply(block) == fault
+    assert bodies == [block.digest]
+
+
 def test_skipped_slots_cost_g0_each():
     params = small_params()
     b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])

@@ -40,10 +40,6 @@ UNREFERENCED = {
         "module-level name of Block.digest that perfbench's tracer wraps",
     ("ledger", "decode_block"):
         "inverse of Block.encode (docs/formats.md)",
-    ("ledger", "format_genesis_allocation"):
-        "writer of the genesis allocation file format",
-    ("ledger", "parse_genesis_allocation"):
-        "reader of the genesis allocation file format",
     ("ppcoin", "calibrate_d0"):
         "stake-kernel target calibration of the PPCoin reference model",
     ("ppcoin", "kernel_eligibility"):

@@ -5,8 +5,8 @@ import pytest
 from poslab.ledger import (
     Block, BlockTree, ConservationError, DoubleSpendError, EvidenceEntry,
     FrozenOutputError, LedgerError, LedgerState, Transaction,
-    canonical_block_digest, decode_block, format_genesis_allocation,
-    parse_genesis_allocation, sign, validate_block_structure, verify,
+    canonical_block_digest, decode_block, sign, validate_block_structure,
+    verify,
 )
 from poslab.rng import make_rng
 
@@ -298,14 +298,3 @@ def test_solidified_prefix_excludes_forks():
     assert tree.live == set(a[1:]) | {c[0]}
     tree.solidify(a[2])
     assert tree.live == set(a[2:])
-
-
-def test_genesis_allocation_file_roundtrip():
-    text = "# comment\nalice 4096\nbob 2048 # trailing\n\ncarol 1\n"
-    alloc = parse_genesis_allocation(text)
-    assert alloc == [("alice", 4096), ("bob", 2048), ("carol", 1)]
-    assert parse_genesis_allocation(format_genesis_allocation(alloc)) == alloc
-    with pytest.raises(LedgerError):
-        parse_genesis_allocation("alice\n")
-    with pytest.raises(LedgerError):
-        parse_genesis_allocation("alice ten\n")

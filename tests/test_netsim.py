@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poslab import netsim
+from poslab import cli, netsim
 from poslab.coa import ChainView
 from poslab.netsim import (ENGINES, ConfigError, DelayModel, SimTrace,
                            config_from_dict, load_config, run_scenario,
@@ -354,27 +354,33 @@ def test_all_bundled_scenarios_validate():
         assert config_from_dict(config.to_dict()).name == config.name
 
 
-def test_trace_serialization_formats():
+def test_trace_serialization_formats(tmp_path):
+    """events.jsonl has one line per event; the CLI writes the metrics as a
+    sorted CSV header and one value row, or as sorted, indented JSON."""
     trace = run_scenario(get_scenario("claim1"))
     buf = io.StringIO()
     trace.digest(events_out=buf)
     jsonl = buf.getvalue()
     assert jsonl.endswith("\n") and jsonl.count("\n") == len(trace.events)
-    csv_text = trace.metrics_csv()
-    header, row = csv_text.strip().splitlines()
-    assert len(header.split(",")) == len(row.split(","))
-    assert "kind" in header
+    keys = sorted(trace.metrics)
+    assert "kind" in keys
+    for fmt in ("csv", "json"):
+        assert cli.main(["run", "--config", "claim1", "--out", str(tmp_path),
+                         "--format", fmt]) == 0
+    assert (tmp_path / "metrics.csv").read_bytes() == (
+        "%s\r\n%s\r\n" % (",".join(keys), ",".join(
+            str(trace.metrics[k]) for k in keys))).encode()
+    assert (tmp_path / "metrics.json").read_text() == json.dumps(
+        trace.metrics, sort_keys=True, indent=2) + "\n"
 
 
 def test_delay_model():
     d = DelayModel(0.5, 1.5)
     from poslab.rng import make_rng
     rng = make_rng(0, "delay-test")
-    for _ in range(100):
-        s = d.sample(rng)
-        assert 0.5 <= s <= 1.5
+    assert all(0.5 <= s <= 1.5 for s in d.sample(rng, 100))
     with pytest.raises(ConfigError):
-        DelayModel(0.5, 1.5, "pareto").sample(rng)
+        DelayModel(0.5, 1.5, "pareto")
 
 
 def digest_oracle(trace):
@@ -420,7 +426,8 @@ def test_batched_delays_equal_scalar_draws(n):
     d = DelayModel(0.2, 2.0)
     batched, scalar = make_rng(3, "delay"), make_rng(3, "delay")
     drawn = d.sample(batched, n)
-    assert drawn == [d.sample(scalar) for _ in range(n)]
+    assert drawn == [float(scalar.uniform(d.min_seconds, d.max_seconds))
+                     for _ in range(n)]
     assert all(type(x) is float for x in drawn)
     # the Philox state holds short arrays: their repr shows every word
     assert repr(batched.bit_generator.state) == repr(scalar.bit_generator.state)
@@ -501,8 +508,7 @@ def run_ppcoin_per_second(config):
         "divergence": tip_count_sum / seconds,
         "mean_interval": seconds / max(1, blocks + fork_blocks),
     }
-    trace = netsim._capped(SimTrace(config, events, metrics,
-                                    {"tips": [max(tips)]}))
+    trace = netsim._capped(SimTrace(events, metrics, {"tips": [max(tips)]}))
     return trace, rng
 
 
