@@ -409,11 +409,15 @@ class CoaNode:
         return self.views[self.best_tip]
 
     def receive_block(self, block: Block, local_time: Optional[int] = None) -> tuple:
+        """Offer `block` to this node; returns (ok, reason). An accepted
+        block that is the new best at a height k*t1, k >= 2, checkpoints the
+        node: the first block to reach a height is always the new best."""
+        tree = self.tree
         digest = block.digest
-        if digest in self.tree:
+        if digest in tree.blocks:
             return True, "duplicate"
         parent = block.prev_digest
-        if parent not in self.tree:
+        if parent not in tree.blocks:
             self._emit("block-rejected", {"index": block.index, "reason": "orphan"})
             return False, "orphan"
         if parent not in self.views:
@@ -425,21 +429,15 @@ class CoaNode:
         if reason != ACCEPT:
             self._emit("block-rejected", {"index": block.index, "reason": reason})
             return False, reason
-        self.tree.add_block(block)
+        tree.add_block(block)
         self.views[digest] = new_view
-        self._solidify_checkpoints(digest)
-        return True, ACCEPT
-
-    def _solidify_checkpoints(self, digest: bytes):
-        """Checkpoint when `digest` is the new best at a height k*t1, k >= 2:
-        the first block to reach a height is always the new best."""
         t1 = self.params.t1
-        h = self.tree.height[digest]
-        if digest != self.tree.best or h < 2 * t1 or h % t1:
-            return
-        self.tree.solidify(self.tree.ancestor_at_height(digest, h - t1))
-        self.views = {d: self.views[d] for d in self.tree.live}
-        self._emit("solidification", {"height": h - t1})
+        h = tree.height[digest]
+        if digest == tree.best and h >= 2 * t1 and h % t1 == 0:
+            tree.solidify(tree.ancestor_at_height(digest, h - t1))
+            self.views = {d: self.views[d] for d in tree.live}
+            self._emit("solidification", {"height": h - t1})
+        return True, ACCEPT
 
     @property
     def solidified_height(self) -> int:

@@ -236,27 +236,34 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 @dataclass
 class SimTrace:
-    events: List[dict]
+    events: List[str]            # each event's canonical JSON line
     metrics: Dict[str, object]
     final_chains: Dict[str, list] = field(default_factory=dict)
     events_dropped: int = 0      # events cut by MAX_EVENTS; not in the digest
 
     def digest(self, events_out=None) -> str:
         """SHA-256 of the canonical JSON (sorted keys, no spaces) of the
-        chains, events and metrics, hashed one event at a time. Each event's
-        encoding also goes to the text file `events_out`, one per line, if
-        given: the events.jsonl form."""
+        chains, events and metrics, hashed one event line at a time. Each
+        line also goes to the text file `events_out`, if given: the
+        events.jsonl form."""
         h = hashlib.sha256(b'{"chains":%s,"events":[' % canonical_json(
             self.final_chains).encode())
-        sep = b""
-        for event in self.events:
-            line = canonical_json(event)
-            h.update(sep + line.encode())
-            sep = b","
+        sep = ""
+        for line in self.events:
+            h.update((sep + line).encode())
+            sep = ","
             if events_out is not None:
                 events_out.write(line + "\n")
         h.update(b'],"metrics":%s}' % canonical_json(self.metrics).encode())
         return h.hexdigest()
+
+
+# a block-accept event's canonical line as a %-format built from its sorted
+# keys: fill in the creator's JSON, the index, the node's JSON and the time's
+# float.__repr__ (how the JSON encoder writes a float)
+ACCEPT_LINE = "{%s}" % ",".join(
+    '"%s":%s' % (key, '"block-accept"' if key == "event" else "%s")
+    for key in sorted(("creator", "event", "index", "node", "time")))
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +279,12 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
     params = coa_params(config.params)
     genesis, ledger0 = make_genesis(params, list(config.stake))
     rng_delay = make_rng(config.seed, "delay")
-    events: List[dict] = []
+    events: List[str] = []
     rank = {name: i for i, (name, _a) in enumerate(config.stake)}
+    name_json = {name: canonical_json(name) for name, _a in config.stake}
 
     def observe(kind, payload):
-        events.append(dict(payload, event=kind))
+        events.append(canonical_json(dict(payload, event=kind)))
 
     nodes = {}
     drifts = {}
@@ -304,10 +312,9 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
         seq[0] += 1
 
     def schedule_creations(name, now):
-        node = nodes[name]
         if not creates_blocks[name]:
             return
-        view = node.best_view
+        view = nodes[name].best_view
         for index, _z, owner, _uid in view.slot_candidates(LOOKAHEAD):
             if owner != name or (name, index) in scheduled:
                 continue
@@ -355,45 +362,48 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
                     rng_delay, len(others))):
                 push(when + delay, name, "deliver",
                      {"dst": other, "block": block})
-            events.append({"event": "send", "time": round(when, 6),
-                           "node": name, "index": index})
+            events.append(canonical_json({"event": "send", "time": round(
+                when, 6), "node": name, "index": index}))
         elif kind == "deliver":
             name = payload["dst"]
             node = nodes[name]
+            tree = node.tree
             block = payload["block"]
-            if block.prev_digest not in node.tree:
+            if block.prev_digest not in tree.blocks:
                 # hold it until the node accepts its parent
                 held[name].setdefault(block.prev_digest, []).append(block)
                 continue
+            at = round(when, 6)
+            stamp = float.__repr__(at)
+            clock = int(when + drifts[name]) + 1
             ready = [block]
             for block in ready:     # grows by the held children accepted
-                before = node.best_tip
-                ok, reason = node.receive_block(block,
-                                                int(when + drifts[name]) + 1)
+                before = tree.best
+                ok, reason = node.receive_block(block, clock)
                 if not (ok and reason == ACCEPT):
                     continue
                 # a new best tip is the block just accepted, one above `before`
-                if node.best_tip != before and block.prev_digest != before:
+                if tree.best != before and block.prev_digest != before:
                     reorgs += 1
-                    events.append({"event": "reorg", "time": round(when, 6),
-                                   "node": name})
-                events.append({"event": "block-accept", "time": round(when, 6),
-                               "node": name, "index": block.index,
-                               "creator": block.creator})
-                best_height = max(best_height,
-                                  node.tree.height[node.best_tip])
+                    events.append(canonical_json({"event": "reorg", "time": at,
+                                                  "node": name}))
+                events.append(ACCEPT_LINE % (name_json[block.creator],
+                                             block.index, name_json[name], stamp))
+                best_height = max(best_height, tree.height[tree.best])
                 schedule_creations(name, when)
                 ready.extend(held[name].pop(block.digest, ()))
 
     # metrics off an arbitrary (deterministic) reference node
     ref = nodes[config.stake[0][0]]
-    chain = [ref.tree.blocks[d] for d in ref.tree.path(ref.best_tip)]
+    chain = [ref.tree.blocks[d] for d in ref.tree.path(ref.tree.best)]
     timestamps = [b.timestamp for b in chain]
     intervals = [b - a for a, b in zip(timestamps, timestamps[1:])]
     total_supply = 1 << config.params["kappa"]
-    conservation_ok = all(
-        n.best_view.ledger.live_total + n.best_view.ledger.destroyed
-        == total_supply for n in nodes.values())
+    # nodes on one tip share its view and its path: check each distinct
+    # ledger once, and walk each distinct tip once below
+    ledgers = {id(n.best_view.ledger): n.best_view.ledger for n in nodes.values()}
+    conservation_ok = all(ledger.live_total + ledger.destroyed == total_supply
+                          for ledger in ledgers.values())
     per_creator: Dict[str, int] = {}
     for b in chain[1:]:
         per_creator[b.creator] = per_creator.get(b.creator, 0) + 1
@@ -408,8 +418,10 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
     }
     for who, n in sorted(per_creator.items()):
         metrics["blocks_by_%s" % who] = n
-    chains = {name: [d.hex()[:16] for d in n.tree.path(n.best_tip)]
-              for name, n in nodes.items()}
+    tips = {n.tree.best: n.tree for n in nodes.values()}  # tip -> a tree holding it
+    paths = {tip: [d.hex()[:16] for d in tree.path(tip)]
+             for tip, tree in tips.items()}
+    chains = {name: paths[n.tree.best] for name, n in nodes.items()}
     return SimTrace(events, metrics, chains)
 
 
@@ -479,7 +491,7 @@ def _run_ppcoin(config: ScenarioConfig) -> SimTrace:
         "divergence": tip_count_sum / seconds,
         "mean_interval": seconds / max(1, blocks + fork_blocks),
     }
-    return _capped(SimTrace(events, metrics, {"tips": [max(tips)]}))
+    return _capped(events, metrics, {"tips": [max(tips)]})
 
 
 # ---------------------------------------------------------------------------
@@ -544,16 +556,17 @@ def _run_dense(config: ScenarioConfig) -> SimTrace:
         "fallbacks": fallbacks,
         "mean_interval": sum(intervals) / len(intervals) if intervals else 0.0,
     }
-    trace = _capped(SimTrace(events, metrics, {}))
-    trace.events += stall      # kept past the cut: it says why the run ended
+    trace = _capped(events, metrics, {})
+    # kept past the cut: it says why the run ended
+    trace.events += map(canonical_json, stall)
     return trace
 
 
-def _capped(trace: SimTrace) -> SimTrace:
-    """Keep the first MAX_EVENTS events of `trace` and count the rest."""
-    trace.events_dropped = max(0, len(trace.events) - MAX_EVENTS)
-    del trace.events[MAX_EVENTS:]
-    return trace
+def _capped(events: List[dict], metrics: dict, chains: dict) -> SimTrace:
+    """The trace of the first MAX_EVENTS `events`, encoded, counting the
+    rest as dropped."""
+    return SimTrace([canonical_json(e) for e in events[:MAX_EVENTS]], metrics,
+                    chains, max(0, len(events) - MAX_EVENTS))
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +583,7 @@ def _run_attack(config: ScenarioConfig) -> SimTrace:
         raise ConfigError("attack.params." + exc.name, str(exc))
     except (TypeError, ValueError) as exc:
         raise ConfigError("attack.params", str(exc))
-    events = [{"event": "analysis", "kind": kind, "params": dict(p)}]
+    events = [canonical_json({"event": "analysis", "kind": kind, "params": p})]
     return SimTrace(events, metrics, {})
 
 

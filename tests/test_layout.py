@@ -60,6 +60,8 @@ UNREAD_MEMBERS = {
         "but reads only delta and rho'; dropping k moves bribe-underfunded's pin",
     ("ledger", "BlockTree.is_ancestor"):
         "ancestry query that perfbench's tracer wraps and the tests call",
+    ("netsim", "ConfigError.fieldname"):
+        "the bad field's name, for callers and tests to read off the error",
 }
 
 
@@ -105,13 +107,18 @@ def test_every_definition_is_used_or_listed():
 
 
 def _members(cls) -> list:
-    """The annotated fields (of a dataclass or NamedTuple), methods and
-    properties of a class, bar dunders."""
+    """The annotated fields (of a dataclass or NamedTuple), methods,
+    properties and ``self.<name> = ...`` attributes of a class, bar
+    dunders."""
     names = [stmt.name for stmt in cls.body
              if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))]
     names += [stmt.target.id for stmt in cls.body
               if isinstance(stmt, ast.AnnAssign)
               and isinstance(stmt.target, ast.Name)]
+    names += [node.attr for stmt in cls.body for node in ast.walk(stmt)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"]
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 

@@ -10,11 +10,16 @@ from hypothesis import strategies as st
 
 from poslab import cli, netsim
 from poslab.coa import ChainView
-from poslab.netsim import (ENGINES, ConfigError, DelayModel, SimTrace,
-                           config_from_dict, load_config, run_scenario,
-                           strategy_of)
+from poslab.netsim import (ACCEPT_LINE, ENGINES, ConfigError, DelayModel,
+                           SimTrace, canonical_json, config_from_dict,
+                           load_config, run_scenario, strategy_of)
 from poslab.rng import make_rng
 from poslab.scenarios import get_scenario, scenario_names
+
+
+def parsed_events(trace) -> list:
+    """The events of `trace`, read back from their canonical lines."""
+    return [json.loads(line) for line in trace.events]
 
 
 def base_raw(**kw):
@@ -296,7 +301,8 @@ def test_coa_views_alive_do_not_grow_with_the_chain(monkeypatch):
         trace = run_scenario(config)
         assert trace.metrics["blocks"] > slots // 2
         assert trace.metrics["reorgs"] > 0
-        assert not [e for e in trace.events if e.get("reason") == "orphan"]
+        assert not [e for e in parsed_events(trace)
+                    if e.get("reason") == "orphan"]
         heights = [len(chain) - 1 for chain in trace.final_chains.values()]
         assert min(heights) >= slots - t0, heights
     assert max(alive) <= 3 * t0, alive
@@ -311,10 +317,9 @@ def test_coa_offline_creators_stretch_intervals():
 
 def test_coa_causality_and_delay_bounds():
     config = get_scenario("coa-baseline")
-    trace = run_scenario(config)
-    sends = {e["index"]: e["time"] for e in trace.events
-             if e["event"] == "send"}
-    for e in trace.events:
+    events = parsed_events(run_scenario(config))
+    sends = {e["index"]: e["time"] for e in events if e["event"] == "send"}
+    for e in events:
         if e["event"] == "block-accept":
             lag = e["time"] - sends[e["index"]]
             assert -1e-9 <= lag <= config.delays.max_seconds + 1e-9
@@ -386,7 +391,8 @@ def test_delay_model():
 def digest_oracle(trace):
     """The trace digest's defining formula: sha256 of the canonical JSON of
     events, metrics and chains."""
-    payload = json.dumps({"events": trace.events, "metrics": trace.metrics,
+    payload = json.dumps({"events": parsed_events(trace),
+                          "metrics": trace.metrics,
                           "chains": trace.final_chains},
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -404,21 +410,44 @@ def stormy_coa_config():
 @pytest.mark.parametrize("name", [n for n in scenario_names()
                                   if get_scenario(n).protocol] + ["stormy"])
 def test_digest_hashes_each_event_line_of_events_jsonl(name):
-    """The digest streamed from one encoding per event equals the formula
-    over the whole trace, and each events.jsonl line reads back as its
-    event."""
+    """The digest streamed from the stored event lines equals the formula
+    over the parsed events, and each events.jsonl line is the canonical
+    encoding of the event it parses to."""
     if name == "stormy":
         trace = run_scenario(stormy_coa_config())
-        kinds = {e["event"] for e in trace.events}
+        kinds = {e["event"] for e in parsed_events(trace)}
         assert {"block-rejected", "reorg", "blacklist"} <= kinds
     else:
         trace = run_scenario(get_scenario(name))
     out = io.StringIO()
     assert trace.digest(events_out=out) == digest_oracle(trace) == trace.digest()
     lines = out.getvalue().splitlines()
-    assert [json.loads(line) for line in lines] == trace.events
-    assert lines == [json.dumps(e, sort_keys=True, separators=(",", ":"))
-                     for e in trace.events]
+    assert lines == trace.events
+    assert lines == [json.dumps(json.loads(line), sort_keys=True,
+                                separators=(",", ":")) for line in lines]
+
+
+names = st.text() | st.sampled_from(
+    ['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t", "é", "名前", "\U0001f600",
+     "%s", "%%"])
+times = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [300.0, 0.0, -0.0, 1e-07, 1e+16, 1e16 + 2, 5e-324, 123456.789012])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(creator=names, node=names, index=st.integers(), time=times)
+def test_block_accept_line_is_the_canonical_json_of_its_event(
+        creator, node, index, time):
+    """The block-accept format, filled as the CoA loop fills it, is the
+    canonical encoding of the same event."""
+    line = ACCEPT_LINE % (canonical_json(creator), index, canonical_json(node),
+                          float.__repr__(time))
+    assert line == canonical_json({"event": "block-accept", "time": time,
+                                   "node": node, "index": index,
+                                   "creator": creator})
+    assert json.loads(line) == {"event": "block-accept", "time": time,
+                                "node": node, "index": index,
+                                "creator": creator}
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 99])
@@ -508,7 +537,7 @@ def run_ppcoin_per_second(config):
         "divergence": tip_count_sum / seconds,
         "mean_interval": seconds / max(1, blocks + fork_blocks),
     }
-    trace = netsim._capped(SimTrace(events, metrics, {"tips": [max(tips)]}))
+    trace = netsim._capped(events, metrics, {"tips": [max(tips)]})
     return trace, rng
 
 
