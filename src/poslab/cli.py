@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import marshal
 import os
 import resource
 import sys
@@ -32,12 +33,13 @@ EXIT_CONFIG_ERROR = 2
 
 
 @contextlib.contextmanager
-def _atomic_open(path: str):
-    """A text file that replaces `path` only once the block completes."""
+def _atomic_open(path: str, mode: str = "w"):
+    """A file (text unless `mode` says "wb") that replaces `path` only once
+    the block completes."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, mode) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -105,7 +107,12 @@ def cmd_run(args) -> int:
     config = _resolve_config(args.config, args.seed)
     out_dir = _make_out_dir(args.out or ".")
     start = time.perf_counter()
-    trace = run_scenario(config)
+    if args.profile:
+        import cProfile     # only here, so importing the CLI stays as cheap
+        profiler = cProfile.Profile()
+        trace = profiler.runcall(run_scenario, config)
+    else:
+        trace = run_scenario(config)
     ran = time.perf_counter()
     artifacts = []
 
@@ -119,6 +126,13 @@ def cmd_run(args) -> int:
     _atomic_write(metrics_path, _json_text(trace.metrics) if args.format == "json"
                   else _csv_text(keys, [[trace.metrics[k] for k in keys]]))
     artifacts.append(metrics_path)
+
+    if args.profile:
+        profile_path = os.path.join(out_dir, "profile.pstats")
+        profiler.create_stats()
+        with _atomic_open(profile_path, "wb") as fh:
+            marshal.dump(profiler.stats, fh)    # what Profile.dump_stats writes
+        artifacts.append(profile_path)
     written = time.perf_counter()
 
     resolved = config.to_dict()
@@ -235,6 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario config")
     p_run.add_argument("--config", required=True,
                        help="config file path or bundled scenario name")
+    p_run.add_argument("--profile", action="store_true",
+                       help="run the simulation under cProfile and write "
+                       "profile.pstats next to the trace")
     common(p_run)
     p_run.set_defaults(func=cmd_run)
 

@@ -32,6 +32,7 @@ from .ledger import (
 )
 
 ACCEPT = "accept"
+LOOKAHEAD = 10              # slots a node looks ahead to schedule its blocks
 MAX_SCAN = 100_000          # derivations past z_next before a view gives up
 STRIKES_TO_BLACKLIST = 3    # missed slots that blacklist an output
 
@@ -127,15 +128,17 @@ class ChainView:
         self.slots = {}
         self.groups = {}             # group number -> (seed, index of its last block)
         self._schedule = []          # the slot candidates derived so far
+        self._owners = None          # see ``creations``; built on first request
         # block digest -> (child view or None, reason, events)
         self._outcomes = {}
 
     def clone(self) -> "ChainView":
-        """A shallow copy with no schedule and no outcomes, for
+        """A shallow copy with no schedule, no owner map and no outcomes, for
         ``process_block`` to extend."""
         out = ChainView.__new__(ChainView)
         out.__dict__.update(self.__dict__)
         out._schedule = []
+        out._owners = None
         out._outcomes = {}
         return out
 
@@ -146,22 +149,21 @@ class ChainView:
         """Group number of the next block to be produced (1-based)."""
         return self.height // self.params.ell + 1
 
-    def _group_context(self) -> tuple:
+    def slot_derivation(self) -> Callable:
+        """The current group's raw follow-the-satoshi result as a function
+        of the derivation offset z, with the group's anchor, seed and supply
+        resolved once; reports blacklisted winners (the caller skips them)."""
         g = self.current_group
         if g == 1:
-            return 0, self.genesis_seed
-        if g == 2:
-            return self.groups[1][1], self.genesis_seed
-        seed, anchor = self.groups[g - 2]
-        return anchor, seed
-
-    def derive_slot_candidate(self, z: int) -> tuple:
-        """Raw follow-the-satoshi result for derivation offset z of the
-        current group; reports blacklisted winners (the caller skips them)."""
-        anchor, seed = self._group_context()
-        idx = satoshi_index(anchor, z, seed, self.params.kappa,
-                            self.ledger.total_supply)
-        return follow_the_satoshi(self.ledger, idx)
+            anchor, seed = 0, self.genesis_seed
+        elif g == 2:
+            anchor, seed = self.groups[1][1], self.genesis_seed
+        else:
+            seed, anchor = self.groups[g - 2]
+        kappa, ledger = self.params.kappa, self.ledger
+        supply = ledger.total_supply
+        return lambda z: follow_the_satoshi(
+            ledger, satoshi_index(anchor, z, seed, kappa, supply))
 
     def slot_candidates(self, count: int) -> list:
         """Eligible creators for the next `count` slot indices.
@@ -170,18 +172,37 @@ class ChainView:
         derivations are skipped without consuming an index.
         """
         schedule = self._schedule
-        idx, z = schedule[-1][:2] if schedule else (self.last_block.index,
-                                                    self.z_next - 1)
-        while len(schedule) < count:
-            z += 1
-            if z - self.z_next >= MAX_SCAN:
-                raise LedgerError("no eligible creator found (all stake blacklisted?)")
-            owner, uid = self.derive_slot_candidate(z)
-            if uid is None or uid in self.ledger.blacklist:
-                continue
-            idx += 1
-            schedule.append((idx, z, owner, uid))
+        if len(schedule) < count:
+            idx, z = schedule[-1][:2] if schedule else (self.last_block.index,
+                                                        self.z_next - 1)
+            derive, blacklist = self.slot_derivation(), self.ledger.blacklist
+            limit = self.z_next + MAX_SCAN
+            while len(schedule) < count:
+                z += 1
+                if z >= limit:
+                    raise LedgerError(
+                        "no eligible creator found (all stake blacklisted?)")
+                owner, uid = derive(z)
+                if uid is None or uid in blacklist:
+                    continue
+                idx += 1
+                schedule.append((idx, z, owner, uid))
         return schedule[:count]
+
+    def creations(self, owner: str) -> list:
+        """[(index, earliest timestamp)] of `owner`'s slots among the next
+        LOOKAHEAD slot indices. The first request maps every owner, so a
+        view scans its lookahead once however many nodes hold it."""
+        if self._owners is None:
+            self._owners = self._map_owners()
+        return self._owners.get(owner, [])
+
+    def _map_owners(self) -> dict:
+        last, owners = self.last_block, {}
+        for index, _z, owner, _uid in self.slot_candidates(LOOKAHEAD):
+            owners.setdefault(owner, []).append((index, min_timestamp(
+                last.timestamp, index, last.index, self.params.g0)))
+        return owners
 
 
 def process_block(view: ChainView, block: Block, local_time: Optional[int] = None,
@@ -401,12 +422,8 @@ class CoaNode:
             self.observer(kind, dict(payload, node=self.node_id))
 
     @property
-    def best_tip(self) -> bytes:
-        return self.tree.best_tip()
-
-    @property
     def best_view(self) -> ChainView:
-        return self.views[self.best_tip]
+        return self.views[self.tree.best]
 
     def receive_block(self, block: Block, local_time: Optional[int] = None) -> tuple:
         """Offer `block` to this node; returns (ok, reason). An accepted

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -24,7 +25,6 @@ from .comb import ParamError
 from .ledger import Block, canonical_block_digest
 from .rng import make_rng, quiet_rows
 
-LOOKAHEAD = 10      # CoA slots a node looks ahead to schedule its blocks
 MAX_EVENTS = 2000   # PPCoin and Dense-CoA traces keep their first events only
 QUIET_BATCH = 32    # PPCoin seconds drawn per batch when skipping quiet ones
 ENGINE_KEYS = ("name", "protocol", "params", "stake", "behaviors", "duration",
@@ -258,12 +258,20 @@ class SimTrace:
         return h.hexdigest()
 
 
-# a block-accept event's canonical line as a %-format built from its sorted
-# keys: fill in the creator's JSON, the index, the node's JSON and the time's
-# float.__repr__ (how the JSON encoder writes a float)
-ACCEPT_LINE = "{%s}" % ",".join(
-    '"%s":%s' % (key, '"block-accept"' if key == "event" else "%s")
-    for key in sorted(("creator", "event", "index", "node", "time")))
+def _line_format(event: str, *keys: str) -> str:
+    """An `event`'s canonical line as a %-format over its `keys` in sorted
+    order: fill in names as canonical_json encodes them and times as their
+    float.__repr__ (how the JSON encoder writes a float)."""
+    return "{%s}" % ",".join(
+        '"%s":%s' % (key, '"%s"' % event if key == "event" else "%s")
+        for key in sorted(keys + ("event",)))
+
+
+# CoA's three per-node events: (creator, index, node, time), (index, node,
+# time) and (height, node)
+ACCEPT_LINE = _line_format("block-accept", "creator", "index", "node", "time")
+SEND_LINE = _line_format("send", "index", "node", "time")
+SOLIDIFICATION_LINE = _line_format("solidification", "height", "node")
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +292,11 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
     name_json = {name: canonical_json(name) for name, _a in config.stake}
 
     def observe(kind, payload):
-        events.append(canonical_json(dict(payload, event=kind)))
+        if kind == "solidification":
+            events.append(SOLIDIFICATION_LINE % (payload["height"],
+                                                 name_json[payload["node"]]))
+        else:
+            events.append(canonical_json(dict(payload, event=kind)))
 
     nodes = {}
     drifts = {}
@@ -301,28 +313,25 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
     target_blocks = config.duration["slots"]
     time_limit = config.duration.get(
         "seconds", (target_blocks + 2) * params.g0 * 20)
+    # (time, sender's rank, sequence, kind, (node, index) or (dst, block))
     queue: list = []
-    seq = [0]
+    seq = itertools.count()
     scheduled = set()
     held = {name: {} for name in nodes}   # parent digest -> blocks waiting
     reorgs = 0
 
-    def push(when, sender, kind, payload):
-        heapq.heappush(queue, (when, rank.get(sender, -1), seq[0], kind, payload))
-        seq[0] += 1
+    def push_create(when, name, index):
+        heapq.heappush(queue, (when, rank[name], next(seq), "create",
+                               (name, index)))
 
     def schedule_creations(name, now):
         if not creates_blocks[name]:
             return
-        view = nodes[name].best_view
-        for index, _z, owner, _uid in view.slot_candidates(LOOKAHEAD):
-            if owner != name or (name, index) in scheduled:
+        for index, earliest in nodes[name].best_view.creations(name):
+            if (name, index) in scheduled:
                 continue
-            local_min = min_timestamp(view.last_block.timestamp, index,
-                                      view.last_block.index, params.g0)
-            when = max(now, local_min - drifts[name])
             scheduled.add((name, index))
-            push(when, name, "create", {"node": name, "index": index})
+            push_create(max(now, earliest - drifts[name]), name, index)
 
     for name in nodes:
         schedule_creations(name, 0.0)
@@ -333,11 +342,9 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
         if when > time_limit or best_height >= target_blocks:
             break
         if kind == "create":
-            name = payload["node"]
-            scheduled.discard((name, payload["index"]))
-            node = nodes[name]
-            view = node.best_view
-            index = payload["index"]
+            name, index = payload
+            scheduled.discard(payload)
+            view = nodes[name].best_view
             last = view.last_block
             gap = index - last.index
             if gap < 1:
@@ -350,25 +357,26 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
             leniency = params.timestamp_leniency
             if earliest > int(local_now) + 1 + leniency:
                 # its own delivery would be future-dated: wait for the clock
-                scheduled.add((name, index))
-                push(earliest - leniency - drifts[name], name, "create", payload)
+                scheduled.add(payload)
+                push_create(earliest - leniency - drifts[name], name, index)
                 continue
             ts = max(int(local_now), earliest)
             block = Block(index=index, prev_digest=last.digest,
                           timestamp=ts, creator=name).signed_by()
-            push(when, name, "deliver", {"dst": name, "block": block})
+            sender = rank[name]
+            heapq.heappush(queue, (when, sender, next(seq), "deliver",
+                                   (name, block)))
             others = [other for other in nodes if other != name]
             for other, delay in zip(others, config.delays.sample(
                     rng_delay, len(others))):
-                push(when + delay, name, "deliver",
-                     {"dst": other, "block": block})
-            events.append(canonical_json({"event": "send", "time": round(
-                when, 6), "node": name, "index": index}))
+                heapq.heappush(queue, (when + delay, sender, next(seq),
+                                       "deliver", (other, block)))
+            events.append(SEND_LINE % (index, name_json[name],
+                                       float.__repr__(round(when, 6))))
         elif kind == "deliver":
-            name = payload["dst"]
+            name, block = payload
             node = nodes[name]
             tree = node.tree
-            block = payload["block"]
             if block.prev_digest not in tree.blocks:
                 # hold it until the node accepts its parent
                 held[name].setdefault(block.prev_digest, []).append(block)

@@ -276,22 +276,21 @@ def test_criterion_11_fts_proportionality_and_sybil():
         return ChainView(params, *make_genesis(params, alloc, genesis_seed=seed))
 
     alloc = [("a", 500), ("b", 300), ("c", 150), ("d", 50)]
-    view = genesis_view(alloc, 0x3c)
+    derive = genesis_view(alloc, 0x3c).slot_derivation()
     counts = {name: 0 for name, _a in alloc}
     n = 10 ** 5
     for z in range(1, n + 1):
-        owner, _uid = view.derive_slot_candidate(z)
+        owner, _uid = derive(z)
         counts[owner] += 1
     observed = [counts[name] for name, _a in alloc]
     expected = [n * a / 1000 for _name, a in alloc]
     _stat, p = stats.chisquare(observed, expected)
 
-    whole = genesis_view([("a", 400), ("b", 624)], 0x91)
+    whole = genesis_view([("a", 400), ("b", 624)], 0x91).slot_derivation()
     split = genesis_view(
-        [("a", 100), ("a", 150), ("a", 150), ("b", 300), ("b", 324)], 0x91)
-    sybil_ok = all(
-        whole.derive_slot_candidate(z)[0] == split.derive_slot_candidate(z)[0]
-        for z in range(1, 3000))
+        [("a", 100), ("a", 150), ("a", 150), ("b", 300), ("b", 324)],
+        0x91).slot_derivation()
+    sybil_ok = all(whole(z)[0] == split(z)[0] for z in range(1, 3000))
     report(11, "fts-proportionality", p > 0.01 and sybil_ok,
            "chi2 p=%.4f, sybil exact=%s" % (p, sybil_ok))
 

@@ -47,6 +47,27 @@ def test_run_same_seed_same_digest(tmp_path, capsys):
     assert events[0] == events[1]
 
 
+def test_run_profile_writes_pstats_and_keeps_the_digest(tmp_path, capsys):
+    """--profile adds profile.pstats, which pstats loads, to the artifacts;
+    the trace is the same as without the flag."""
+    import pstats
+    digests, events = [], []
+    for sub, flags in (("plain", ()), ("profiled", ("--profile",))):
+        out = tmp_path / sub
+        code, _o, _e = run_cli(capsys, "run", "--config", "coa-baseline",
+                               "--out", str(out), *flags)
+        assert code == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        digests.append(manifest["trace_digest"])
+        events.append((out / "events.jsonl").read_text())
+    assert digests[0] == digests[1] and events[0] == events[1]
+    assert manifest["artifacts"] == ["events.jsonl", "metrics.csv",
+                                     "profile.pstats"]
+    stats = pstats.Stats(str(tmp_path / "profiled" / "profile.pstats"))
+    assert any(name == "run_scenario" for _f, _l, name in stats.stats)
+    assert not (tmp_path / "plain" / "profile.pstats").exists()
+
+
 def test_run_json_format(tmp_path, capsys):
     out = str(tmp_path / "runj")
     code, _o, _e = run_cli(capsys, "run", "--config", "claim1", "--out", out,

@@ -7,13 +7,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from poslab import coa
-from poslab.coa import (ACCEPT, ChainView, CoaNode, CoaParams, make_genesis,
-                        min_timestamp, process_block, view_from_path)
+from poslab.coa import (ACCEPT, LOOKAHEAD, ChainView, CoaNode, CoaParams,
+                        make_genesis, min_timestamp, process_block,
+                        view_from_path)
 from poslab.comb import CombSpec, comb_apply
 from poslab.ledger import (Block, EvidenceEntry, LedgerError, LedgerState,
                            Transaction, block_bit, canonical_block_digest,
                            decode_block, sign)
-from poslab.netsim import LOOKAHEAD
 from poslab.rng import make_rng
 
 
@@ -521,14 +521,14 @@ def test_reorg_allowed_above_solidified():
     main.extend(2)
     node = CoaNode(ChainView(params, main.genesis, main.ledger0))
     receive_chain(node, main.blocks)
-    short_tip = node.best_tip
+    short_tip = node.tree.best
     # a longer fork skipping the first winner arrives later and wins
     fork = Builder(params, alloc)
     fork.extend(3, avoid=(main.blocks[0].creator,))
     assert receive_chain(node, fork.blocks) == 3
-    assert node.best_tip != short_tip
-    assert node.tree.height[node.best_tip] == 3
-    assert node.tree.best_tip() == node.best_tip
+    assert node.tree.best != short_tip
+    assert node.tree.height[node.tree.best] == 3
+    assert node.tree.best_tip() == node.tree.best
 
 
 def test_equal_length_tie_keeps_first_seen():
@@ -538,12 +538,12 @@ def test_equal_length_tie_keeps_first_seen():
     main.extend(2)
     node = CoaNode(ChainView(params, main.genesis, main.ledger0))
     receive_chain(node, main.blocks)
-    first_tip = node.best_tip
+    first_tip = node.tree.best
     fork = Builder(params, alloc)
     fork.extend(2, avoid=(main.blocks[0].creator,))
     receive_chain(node, fork.blocks)
-    assert node.tree.height[node.best_tip] == 2
-    assert node.best_tip == first_tip
+    assert node.tree.height[node.tree.best] == 2
+    assert node.tree.best == first_tip
 
 
 def test_blacklisted_derivations_consume_no_index_or_time():
@@ -601,12 +601,22 @@ LEDGER_FIELDS = ("utxos", "blacklist", "total_supply", "destroyed", "next_uid")
 def assert_same_view(view, fresh):
     ours, theirs = dict(vars(view)), dict(vars(fresh))
     ledger, fresh_ledger = ours.pop("ledger"), theirs.pop("ledger")
-    for cache in ("_schedule", "_outcomes"):
+    for cache in ("_schedule", "_owners", "_outcomes"):
         del ours[cache], theirs[cache]
     assert ours == theirs
     assert view.slot_candidates(LOOKAHEAD) == fresh.slot_candidates(LOOKAHEAD)
     for name in LEDGER_FIELDS:
         assert getattr(ledger, name) == getattr(fresh_ledger, name)
+
+
+def scanned_creations(view):
+    """owner -> [(index, earliest timestamp)] over the view's next LOOKAHEAD
+    slots, derived afresh on a clone."""
+    last, owners = view.last_block, {}
+    for index, _z, owner, _uid in view.clone().slot_candidates(LOOKAHEAD):
+        owners.setdefault(owner, []).append((index, min_timestamp(
+            last.timestamp, index, last.index, view.params.g0)))
+    return owners
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -662,6 +672,13 @@ def test_fork_tree_views_equal_recompute(seed):
         path = [node.tree.blocks[d] for d in node.tree.path(digest)[1:]]
         assert_same_view(view, view_from_path(params, main.genesis,
                                               main.ledger0, path))
+        # the owner map, built on the first request, is a fresh scan of the
+        # lookahead; a clone starts without one
+        scanned = scanned_creations(view)
+        for owner, _amount in alloc:
+            assert view.creations(owner) == scanned.get(owner, [])
+        assert view._owners == scanned
+        assert view.clone()._owners is None
 
     # a skipped slot's index is not a block of the chain: binding fails
     skipped = [i for i, (_o, _u, frozen) in skipper.view.slots.items()
@@ -913,7 +930,7 @@ def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
                         view = n.views[blocks[b].digest]
                         snapshots.setdefault(id(view), (view, view_state(view)))
                     assert fired == checkpoints
-                    assert n.best_tip == first_seen_longest(n.tree, accepts[n])
+                    assert n.tree.best == first_seen_longest(n.tree, accepts[n])
                     assert set(n.views) == {
                         d for d in n.tree.blocks
                         if n.tree.solidified_prefix in n.tree.path(d)}
@@ -922,6 +939,7 @@ def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
         now = view_state(view)
         schedule = now.pop("_schedule")
         assert schedule[:len(then["_schedule"])] == then.pop("_schedule")
+        assert then.pop("_owners") in (None, now.pop("_owners"))
         outcomes, written = now.pop("_outcomes"), then.pop("_outcomes")
         assert {digest: outcomes[digest] for digest in written} == written
         assert now == then

@@ -18,8 +18,8 @@ def genesis_view(ledger, seed, kappa):
 
 def test_derivation_is_deterministic():
     ledger = LedgerState.from_allocation([("a", 10), ("b", 6)])
-    first = genesis_view(ledger, 0x5a5, 12).derive_slot_candidate(3)
-    assert first == genesis_view(ledger, 0x5a5, 12).derive_slot_candidate(3)
+    first = genesis_view(ledger, 0x5a5, 12).slot_derivation()(3)
+    assert first == genesis_view(ledger, 0x5a5, 12).slot_derivation()(3)
     assert first == follow_the_satoshi(
         ledger, satoshi_index(0, 3, 0x5a5, 12, ledger.total_supply))
 
@@ -50,11 +50,11 @@ def test_proportionality_chi_square():
     """Win frequencies match the stake distribution (p > 0.01 at 10^5 draws)."""
     alloc = [("a", 500), ("b", 300), ("c", 150), ("d", 50)]
     ledger = LedgerState.from_allocation(alloc)
-    view = genesis_view(ledger, 0x3c, 10)
+    derive = genesis_view(ledger, 0x3c, 10).slot_derivation()
     counts = {name: 0 for name, _a in alloc}
     n = 10 ** 5
     for z in range(1, n + 1):
-        owner, _uid = view.derive_slot_candidate(z)
+        owner, _uid = derive(z)
         counts[owner] += 1
     observed = [counts[name] for name, _a in alloc]
     expected = [n * a / 1000 for _name, a in alloc]
@@ -68,11 +68,10 @@ def test_sybil_invariance_exact():
     split = LedgerState.from_allocation(
         [("a", 100), ("a", 150), ("a", 150), ("b", 300), ("b", 324)])
     assert whole.total_supply == split.total_supply == 1024
-    whole_view = genesis_view(whole, 0x155, 10)
-    split_view = genesis_view(split, 0x155, 10)
+    whole_derive = genesis_view(whole, 0x155, 10).slot_derivation()
+    split_derive = genesis_view(split, 0x155, 10).slot_derivation()
     for z in range(1, 4000):
-        assert (whole_view.derive_slot_candidate(z)[0]
-                == split_view.derive_slot_candidate(z)[0])
+        assert whole_derive(z)[0] == split_derive(z)[0]
 
 
 def test_repartition_preserves_distribution_after_transactions():
@@ -83,12 +82,11 @@ def test_repartition_preserves_distribution_after_transactions():
     tx = Transaction(((1, b"\x00" * 16),), (("b", 100), ("b", 200), ("b", 124)), 0)
     tx = Transaction(((1, sign("b", tx.signing_digest())),), tx.outputs, 0)
     after = ledger.apply_transaction(tx, 1)
-    before_view = genesis_view(ledger, 9, 10)
-    after_view = genesis_view(after, 9, 10)
+    before_derive = genesis_view(ledger, 9, 10).slot_derivation()
+    after_derive = genesis_view(after, 9, 10).slot_derivation()
     for _ in range(2000):
         z = int(rng.integers(1, 10 ** 6))
-        assert (before_view.derive_slot_candidate(z)[0]
-                == after_view.derive_slot_candidate(z)[0])
+        assert before_derive(z)[0] == after_derive(z)[0]
 
 
 def test_satoshi_index_within_supply():

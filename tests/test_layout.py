@@ -58,6 +58,8 @@ UNREAD_MEMBERS = {
     ("attacks", "BribeScenario.k"):
         "claim 2's density window: the bribe analysis takes claim 2's inputs "
         "but reads only delta and rho'; dropping k moves bribe-underfunded's pin",
+    ("ledger", "BlockTree.best_tip"):
+        "the fork-choice query that perfbench's tracer wraps and the tests call",
     ("ledger", "BlockTree.is_ancestor"):
         "ancestry query that perfbench's tracer wraps and the tests call",
     ("netsim", "ConfigError.fieldname"):

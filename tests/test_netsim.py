@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from poslab import cli, netsim
 from poslab.coa import ChainView
-from poslab.netsim import (ACCEPT_LINE, ENGINES, ConfigError, DelayModel,
-                           SimTrace, canonical_json, config_from_dict,
-                           load_config, run_scenario, strategy_of)
+from poslab.netsim import (ACCEPT_LINE, ENGINES, SEND_LINE, SOLIDIFICATION_LINE,
+                           ConfigError, DelayModel, SimTrace, canonical_json,
+                           config_from_dict, load_config, run_scenario,
+                           strategy_of)
 from poslab.rng import make_rng
 from poslab.scenarios import get_scenario, scenario_names
 
@@ -448,6 +449,39 @@ def test_block_accept_line_is_the_canonical_json_of_its_event(
     assert json.loads(line) == {"event": "block-accept", "time": time,
                                 "node": node, "index": index,
                                 "creator": creator}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(node=names, index=st.integers(), time=times)
+def test_send_and_solidification_lines_are_the_canonical_json_of_their_events(
+        node, index, time):
+    """The send and solidification formats, filled as the CoA loop fills
+    them, are the canonical encodings of the same events."""
+    for line, event in (
+            (SEND_LINE % (index, canonical_json(node), float.__repr__(time)),
+             {"event": "send", "time": time, "node": node, "index": index}),
+            (SOLIDIFICATION_LINE % (index, canonical_json(node)),
+             {"event": "solidification", "height": index, "node": node})):
+        assert line == canonical_json(event)
+        assert json.loads(line) == event
+
+
+def test_a_coa_run_maps_each_views_owners_at_most_once(monkeypatch):
+    """Nodes look ahead through their best view's owner map, which each view
+    builds at most once, however many nodes hold it."""
+    built = []      # the views that built a map, held so no id is reused
+    map_owners = ChainView._map_owners
+
+    def counting(view):
+        built.append(view)
+        return map_owners(view)
+
+    monkeypatch.setattr(ChainView, "_map_owners", counting)
+    trace = run_scenario(get_scenario("coa-baseline"))
+    accepts = sum(e["event"] == "block-accept" for e in parsed_events(trace))
+    assert built
+    assert len({id(view) for view in built}) == len(built)
+    assert len(built) < accepts
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 99])
