@@ -34,7 +34,6 @@ class BribeScenario:
     v: float            # double-spend value, coins
     epsilon: float      # average fee per block, coins
     rho: float          # density assumption floor
-    k: int              # density window, blocks
     delta: int          # missing blocks in the worst <=1/2-participation segment
     rho_prime: float    # observed density after the payment block
     s: int              # confirmations the merchant waits
@@ -146,15 +145,13 @@ def bribe_accepted(mu: float, f_loss: float, f_prime: float,
 
 
 def simulate_bribe_attack(scenario: BribeScenario, mu: float,
-                          p_success: float, f_prime: float = 0.0,
-                          free_collusion_bribe: float = 0.0,
-                          seed: int = 0) -> dict:
+                          p_success: float, seed: int = 0) -> dict:
     """Outcome of a bribe campaign over the S-block confirmation window.
 
-    The attacker signs the skipped slots personally (their holders may demand
-    `free_collusion_bribe`, worst case 0) and must bribe enough produced-slot
-    winners to overtake the honest chain. Each winner weighs the offer mu
-    plus any attacker-chain fee F' against the honest fee epsilon they forfeit
+    The attacker signs the skipped slots personally (their holders ask
+    nothing, the worst case) and must bribe enough produced-slot winners to
+    overtake the honest chain. Each winner weighs the offer mu plus the
+    attacker-chain fee F' against the honest fee epsilon they forfeit
     (F = epsilon; chain binding keeps F' = 0 in CoA). Strategy space is the
     two-action model: extend honestly or join the attacker chain; nobody
     double-signs.
@@ -165,11 +162,10 @@ def simulate_bribe_attack(scenario: BribeScenario, mu: float,
     n_produced = int(produced.sum())
     free = (s - n_produced) + scenario.delta - 1
     needed = s + 1 - free  # attacker chain must strictly exceed S blocks
-    accepts = bribe_accepted(mu, scenario.epsilon, f_prime, p_success)
+    accepts = bribe_accepted(mu, scenario.epsilon, 0.0, p_success)
     n_accepting = n_produced if accepts else 0
     success = free >= s + 1 or (accepts and n_accepting >= needed)
-    cost = free_collusion_bribe * max(free, 0) \
-        + (mu * max(needed, 0) if success and needed > 0 else 0.0)
+    cost = float(mu * needed) if success and needed > 0 else 0.0
     return {
         "success": success,
         "needed_bribed_blocks": max(needed, 0),
@@ -186,16 +182,15 @@ def simulate_bribe_attack(scenario: BribeScenario, mu: float,
 # ---------------------------------------------------------------------------
 
 def simulate_withholding_dos(ell: int, stake_fraction: float, g0: float,
-                             n_blocks: int = 4000, seed: int = 0,
-                             max_tips: int = 2, max_parents: int = 1) -> float:
+                             n_blocks: int = 4000, seed: int = 0) -> float:
     """Mean block interval (seconds) under a withholding stakeholder.
 
     Each G0 tick, every live committee completes independently with
     probability (1-f)^ell. Forks off the previous height can also become the
     longest chain, which is why the measured interval runs below the
     single-committee geometric value G0/(1-f)^ell. Node participation is
-    bounded: at most `max_tips` tip committees and `max_parents` fallback
-    committee at the parent height are serviced at once.
+    bounded: at most two tip committees and one fallback committee at the
+    parent height are serviced at once.
     """
     if n_blocks < 10 ** 3:
         raise ValueError("need at least 10^3 blocks for a stable estimate")
@@ -203,6 +198,7 @@ def simulate_withholding_dos(ell: int, stake_fraction: float, g0: float,
     if s <= 0:
         raise ValueError("withholder controls every committee")
     rng = make_rng(seed, "dos", ell, stake_fraction)
+    max_tips, max_parents = 2, 1
     n, m = 1, 0  # committees racing at the tip height / at the parent height
     height, ticks = 0, 0
     while height < n_blocks:
@@ -236,14 +232,11 @@ def timeweight_win_probability(stake_fraction: float,
 
 def simulate_timeweight_attack(version: str, stake_fraction: float,
                                wait_multiplier: float, trials: int = 10 ** 5,
-                               seed: int = 0, n_honest_outputs: int = 50,
-                               base_age: float = 30 * 86400.0,
-                               saturated: bool = False,
-                               cap_seconds: float = 90 * 86400.0) -> float:
+                               seed: int = 0, saturated: bool = False) -> float:
     """Empirical probability the attacker's aged outputs win the next block.
 
-    Honest output ages are resampled each trial, uniform with mean
-    `base_age`; the attacker waits until their average timeweight is
+    The ages of 50 honest outputs are resampled each trial, uniform with
+    mean 30 days; the attacker waits until their average timeweight is
     `wait_multiplier` times the network-wide average (which includes the
     attacker's own stake). In the saturated v0.3 regime every output sits at
     the cap, so waiting moves nothing.
@@ -254,8 +247,8 @@ def simulate_timeweight_attack(version: str, stake_fraction: float,
     if not 0 < f < 1:
         raise ValueError("stake fraction must be in (0,1)")
     rng = make_rng(seed, "timeweight", version, f, wait_multiplier, saturated)
-    if saturated:
-        base_age = cap_seconds * 2.0
+    n_honest_outputs, cap_seconds = 50, ppcoin.DEFAULT_CAP_SECONDS
+    base_age = cap_seconds * 2.0 if saturated else 30 * 86400.0
     ages = rng.uniform(0.2 * base_age, 1.8 * base_age,
                        size=(trials, n_honest_outputs))
     if version == "v0.3":
@@ -427,11 +420,11 @@ ANALYSES = {
             p["version"], p["stake"], p["multiplier"], p["trials"], seed,
             saturated=p["saturated"])}),
     "bribe": Analysis(
-        ("v", "epsilon", "rho", "k", "delta", "rho_prime", "s", "mu", "p_success"),
+        ("v", "epsilon", "rho", "delta", "rho_prime", "s", "mu", "p_success"),
         {},
         lambda p, seed: simulate_bribe_attack(BribeScenario(
-            p["v"], p["epsilon"], p["rho"], p["k"], p["delta"], p["rho_prime"],
-            p["s"]), p["mu"], p["p_success"], seed=seed)),
+            p["v"], p["epsilon"], p["rho"], p["delta"], p["rho_prime"], p["s"]),
+            p["mu"], p["p_success"], seed=seed)),
     "mu": Analysis(("comb", "kappa", "p"), {"w": 1, "trials": 10 ** 4}, _mu),
     "tie-fraction": Analysis(
         ("comb", "kappa"), {"w": 1},

@@ -192,14 +192,20 @@ class ChainView:
     def creations(self, owner: str) -> list:
         """[(index, earliest timestamp)] of `owner`'s slots among the next
         LOOKAHEAD slot indices. The first request maps every owner, so a
-        view scans its lookahead once however many nodes hold it."""
+        view scans its lookahead once however many nodes hold it. A view
+        with no eligible creator plans no block, as ``_validate`` rejects
+        every block on it."""
         if self._owners is None:
             self._owners = self._map_owners()
         return self._owners.get(owner, [])
 
     def _map_owners(self) -> dict:
         last, owners = self.last_block, {}
-        for index, _z, owner, _uid in self.slot_candidates(LOOKAHEAD):
+        try:
+            candidates = self.slot_candidates(LOOKAHEAD)
+        except LedgerError:
+            return owners
+        for index, _z, owner, _uid in candidates:
             owners.setdefault(owner, []).append((index, min_timestamp(
                 last.timestamp, index, last.index, self.params.g0)))
         return owners

@@ -231,7 +231,7 @@ def greedy_strategy(spec: CombSpec, bits: np.ndarray,
 
 
 def coalition_bias(spec: CombSpec, coalition, strategy=None, trials: int = 10 ** 5,
-                   rng_seed: int = 0, chunk: int = 200_000) -> float:
+                   rng_seed: int = 0) -> float:
     """Estimate the statistical distance of the seed from uniform under attack.
 
     The coalition sees the honest bits before choosing theirs. The estimate is
@@ -249,7 +249,7 @@ def coalition_bias(spec: CombSpec, coalition, strategy=None, trials: int = 10 **
     hist = np.zeros(1 << spec.kappa, dtype=np.int64)
     done = 0
     while done < trials:
-        n = min(chunk, trials - done)
+        n = min(200_000, trials - done)
         bits = rng.integers(0, 2, size=(n, spec.ell), dtype=np.uint8)
         if coalition.size:
             bits = strategy(spec, bits, coalition)

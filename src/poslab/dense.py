@@ -137,7 +137,6 @@ class DenseBlock:
     fallback_counter: int      # t; the starting derivation index is t*ell+1
     reveals: Tuple[bytes, ...]
     aggregate: AggregateSignature
-    transactions: tuple = ()
 
     def digest(self) -> bytes:
         h = hashlib.sha256(b"dense:" + self.index.to_bytes(8, "big")
@@ -151,13 +150,12 @@ class DenseBlock:
 
 
 def assemble_dense_block(committee: CommitteeRound, agg: AggregateSignature,
-                         prev_digest: bytes, timestamp: int,
-                         txs: tuple = ()) -> DenseBlock:
+                         prev_digest: bytes, timestamp: int) -> DenseBlock:
     if len(committee.reveals) != committee.ell:
         raise LedgerError("round 2 incomplete: missing reveals")
     reveals = tuple(committee.reveals[j] for j in range(committee.ell))
     return DenseBlock(committee.block_index, prev_digest, timestamp,
-                      committee.fallback_counter, reveals, agg, txs)
+                      committee.fallback_counter, reveals, agg)
 
 
 def validate_dense_block(block: DenseBlock, prev_seed: int, ledger: LedgerState,

@@ -17,10 +17,9 @@ import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 SIG_LEN = 16
-DIGEST_LEN = 32
 
 
 class LedgerError(Exception):
@@ -77,34 +76,6 @@ def _s(text: str) -> bytes:
     return _u16(len(raw)) + raw
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise LedgerError("truncated encoding")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return int.from_bytes(self.take(1), "big")
-
-    def u16(self) -> int:
-        return int.from_bytes(self.take(2), "big")
-
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
-
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
-
-    def s(self) -> str:
-        return self.take(self.u16()).decode()
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -152,12 +123,6 @@ class Transaction:
         out.append(_u64(self.fee))
         return b"".join(out)
 
-    @staticmethod
-    def decode(r: _Reader) -> "Transaction":
-        inputs = tuple((r.u64(), r.take(SIG_LEN)) for _ in range(r.u32()))
-        outputs = tuple((r.s(), r.u64()) for _ in range(r.u32()))
-        return Transaction(inputs, outputs, r.u64(), r.u64())
-
 
 @dataclass(frozen=True)
 class EvidenceEntry:
@@ -173,10 +138,6 @@ class EvidenceEntry:
     def encode(self) -> bytes:
         return _u64(self.index) + _s(self.creator) + self.digest + self.signature
 
-    @staticmethod
-    def decode(r: _Reader) -> "EvidenceEntry":
-        return EvidenceEntry(r.u64(), r.s(), r.take(DIGEST_LEN), r.take(SIG_LEN))
-
 
 @dataclass(frozen=True)
 class Block:
@@ -186,7 +147,7 @@ class Block:
     creator: str
     transactions: tuple = ()
     auxiliary_proof: Optional[int] = None
-    double_sign_evidence: Optional[tuple] = None   # (EvidenceEntry, EvidenceEntry)
+    double_sign_evidence: Optional[Tuple[EvidenceEntry, EvidenceEntry]] = None
     genesis_seed: Optional[int] = None             # present on the genesis block only
     signature: bytes = b"\x00" * SIG_LEN
 
@@ -230,23 +191,6 @@ class Block:
     def signed_by(self, creator: Optional[str] = None) -> "Block":
         who = creator if creator is not None else self.creator
         return replace(self, signature=sign(who, self.signing_digest()))
-
-
-def decode_block(data: bytes) -> Block:
-    r = _Reader(data)
-    index = r.u64()
-    prev_digest = r.take(DIGEST_LEN)
-    timestamp = r.u64()
-    creator = r.s()
-    txs = tuple(Transaction.decode(r) for _ in range(r.u32()))
-    aux = r.u64() if r.u8() else None
-    evidence = None
-    if r.u8():
-        evidence = (EvidenceEntry.decode(r), EvidenceEntry.decode(r))
-    genesis_seed = r.u64() if r.u8() else None
-    signature = r.take(SIG_LEN)
-    return Block(index, prev_digest, timestamp, creator, txs, aux,
-                 evidence, genesis_seed, signature)
 
 
 def canonical_block_digest(block: Block) -> bytes:
@@ -476,9 +420,6 @@ class BlockTree:
         self.best = gd
         self.solidified_prefix = gd
         self.live = {gd}
-
-    def __contains__(self, digest: bytes) -> bool:
-        return digest in self.blocks
 
     def add_block(self, block: Block) -> bytes:
         parent = block.prev_digest

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import attacks, dense
-from .coa import (ACCEPT, ChainView, CoaNode, CoaParams, make_genesis,
-                  min_timestamp)
+from .coa import ACCEPT, ChainView, CoaNode, CoaParams, make_genesis
 from .comb import ParamError
 from .ledger import Block, canonical_block_digest
 from .rng import make_rng, quiet_rows
@@ -345,15 +344,10 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
             name, index = payload
             scheduled.discard(payload)
             view = nodes[name].best_view
-            last = view.last_block
-            gap = index - last.index
-            if gap < 1:
-                continue
-            cands = view.slot_candidates(gap)
-            if cands[-1][2] != name:
+            earliest = dict(view.creations(name)).get(index)
+            if earliest is None:
                 continue
             local_now = when + drifts[name]
-            earliest = min_timestamp(last.timestamp, index, last.index, params.g0)
             leniency = params.timestamp_leniency
             if earliest > int(local_now) + 1 + leniency:
                 # its own delivery would be future-dated: wait for the clock
@@ -361,7 +355,7 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
                 push_create(earliest - leniency - drifts[name], name, index)
                 continue
             ts = max(int(local_now), earliest)
-            block = Block(index=index, prev_digest=last.digest,
+            block = Block(index=index, prev_digest=view.last_block.digest,
                           timestamp=ts, creator=name).signed_by()
             sender = rank[name]
             heapq.heappush(queue, (when, sender, next(seq), "deliver",

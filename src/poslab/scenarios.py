@@ -23,15 +23,14 @@ def _split_stake(kappa: int, names: List[str], weights: List[int]) -> list:
     return [[n, a] for n, a in zip(names, amounts)]
 
 
-def _coa(name, kappa=12, w=1, comb_kind="concat", g0=300, slots=12, t0=8,
-         holders=5, weights=None, behaviors=None, seed=7, drift=2.0):
-    names = ["s%d" % i for i in range(holders)]
-    weights = weights or [1] * holders
+def _coa(name, kappa=12, w=1, comb_kind="concat", g0=300, slots=12,
+         weights=None, behaviors=None, seed=7, drift=2.0):
+    names = ["s%d" % i for i in range(5)]
     return {
         "name": name, "protocol": "coa",
         "params": {"kappa": kappa, "w": w, "comb": comb_kind,
-                   "g0_seconds": g0, "t0": t0},
-        "stake": _split_stake(kappa, names, weights),
+                   "g0_seconds": g0, "t0": 8},
+        "stake": _split_stake(kappa, names, weights or [1] * 5),
         "behaviors": behaviors or {},
         "delays": {"min": 0.2, "max": 2.0, "distribution": "uniform"},
         "clock_drift_max": drift,
@@ -99,7 +98,7 @@ _RAW_SCENARIOS = [
               {"version": "v0.3", "stake": 0.1, "multiplier": 5.0,
                "trials": 20000, "saturated": True}),
     _analysis("bribe-underfunded", "bribe",
-              {"v": 100, "epsilon": 10, "rho": 0.7, "k": 20, "delta": 19,
+              {"v": 100, "epsilon": 10, "rho": 0.7, "delta": 19,
                "rho_prime": 0.7, "s": 42, "mu": 5.0, "p_success": 0.5}),
     _analysis("mu-concat", "mu",
               {"comb": "concat", "kappa": 8, "p": 0.05, "trials": 50000}),

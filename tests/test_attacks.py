@@ -87,9 +87,9 @@ def test_measure_delta():
 
 def test_bribe_scenario_validation():
     with pytest.raises(ValueError):
-        BribeScenario(100, 10, 0.4, 20, 19, 0.7, 42)
+        BribeScenario(100, 10, 0.4, 19, 0.7, 42)
     with pytest.raises(ValueError):
-        BribeScenario(100, 10, 0.7, 20, 19, 0.0, 42)
+        BribeScenario(100, 10, 0.7, 19, 0.0, 42)
 
 
 def test_takeover_arithmetic():
@@ -128,7 +128,7 @@ def test_bribe_acceptance_rule():
 
 
 def test_underfunded_bribe_fails_at_safe_s():
-    scenario = BribeScenario(v=100, epsilon=10, rho=0.7, k=20, delta=20,
+    scenario = BribeScenario(v=100, epsilon=10, rho=0.7, delta=20,
                              rho_prime=0.7, s=42)
     out = simulate_bribe_attack(scenario, mu=9.0, p_success=0.4, seed=5)
     assert not out["success"]
@@ -137,7 +137,7 @@ def test_underfunded_bribe_fails_at_safe_s():
 
 
 def test_funded_bribe_succeeds_below_safe_s():
-    scenario = BribeScenario(v=1000, epsilon=1, rho=0.7, k=20, delta=20,
+    scenario = BribeScenario(v=1000, epsilon=1, rho=0.7, delta=20,
                              rho_prime=0.7, s=5)
     out = simulate_bribe_attack(scenario, mu=50.0, p_success=0.99, seed=6)
     assert out["success"]
@@ -146,7 +146,7 @@ def test_funded_bribe_succeeds_below_safe_s():
 
 def test_free_headstart_alone_can_win():
     # delta so large the attacker needs no acceptors at all
-    scenario = BribeScenario(v=10, epsilon=1, rho=0.7, k=50, delta=50,
+    scenario = BribeScenario(v=10, epsilon=1, rho=0.7, delta=50,
                              rho_prime=0.9, s=3)
     out = simulate_bribe_attack(scenario, mu=0.0, p_success=0.01, seed=7)
     assert out["success"]

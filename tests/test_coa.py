@@ -1,4 +1,5 @@
 import copy
+import hashlib
 from collections import Counter
 from dataclasses import replace
 
@@ -12,8 +13,7 @@ from poslab.coa import (ACCEPT, LOOKAHEAD, ChainView, CoaNode, CoaParams,
                         view_from_path)
 from poslab.comb import CombSpec, comb_apply
 from poslab.ledger import (Block, EvidenceEntry, LedgerError, LedgerState,
-                           Transaction, block_bit, canonical_block_digest,
-                           decode_block, sign)
+                           Transaction, block_bit, canonical_block_digest, sign)
 from poslab.rng import make_rng
 
 
@@ -91,11 +91,11 @@ def test_block_digest_is_computed_once_per_block(monkeypatch):
     for node in nodes:
         assert node.receive_block(block) == (True, ACCEPT)
     assert encodes == [block]
-    assert decode_block(block.encode()).digest == block.digest
+    assert block.digest == hashlib.sha256(b"dig:" + block.encode()).digest()
     # a new block object gets its own digest, not the one cached on `block`
     for other in (block.signed_by("mallory"),
                   replace(block, timestamp=block.timestamp + 1)):
-        assert other.digest == decode_block(other.encode()).digest
+        assert other.digest == hashlib.sha256(b"dig:" + other.encode()).digest()
         assert other.digest != block.digest
 
 
@@ -160,6 +160,17 @@ def test_wrong_creator_rejected():
     impostor = next(n for n in ("alice", "bob", "carol") if n != winner)
     block = b.craft(creator=impostor, sign_as=impostor)
     assert b.apply(block) == "wrong-creator"
+
+
+def test_a_view_with_no_eligible_creator_plans_no_block():
+    params = small_params()
+    b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
+    view = b.view.clone()
+    view.ledger = view.ledger.with_blacklisted(view.ledger.utxos)
+    assert [view.creations(n) for n in ("alice", "bob", "carol")] == [[]] * 3
+    block = Block(index=1, prev_digest=view.last_block.digest,
+                  timestamp=params.g0, creator="alice").signed_by()
+    assert process_block(view, block) == (None, "wrong-creator")
 
 
 def test_too_early_and_future_dated():
@@ -510,7 +521,7 @@ def test_checkpoint_prunes_the_views_of_dead_forks():
     assert node.solidified_height == 2
     assert set(node.views) == {blk.digest for blk in main.blocks[1:]}
     dead = fork.blocks[2].digest
-    assert dead in node.tree and node.tree.height[dead] == 3
+    assert dead in node.tree.blocks and node.tree.height[dead] == 3
     assert node.receive_block(fork.blocks[3]) == (False, "below-solidified")
 
 
@@ -910,7 +921,7 @@ def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
             accepted = False
             for b in order:
                 for n, clock in zip(nodes, clocks):
-                    if blocks[b].digest in n.tree:
+                    if blocks[b].digest in n.tree.blocks:
                         continue
                     start = len(log)
                     outcome = n.receive_block(

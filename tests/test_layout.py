@@ -1,6 +1,7 @@
 """Every top-level definition and class member in ``src/poslab`` is used by
-the package, or is listed below with the reason it stays; every name a
-config may hold is documented."""
+the package, and every defaulted parameter is set by some call, or is listed
+below with the reason it stays; every name a config may hold is
+documented."""
 
 import ast
 import pathlib
@@ -8,6 +9,7 @@ import pathlib
 from poslab import attacks, netsim
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "poslab"
+TESTS = SRC.parent.parent / "tests"
 FORMATS = SRC.parent.parent / "docs" / "formats.md"
 
 # (module, name) -> why a definition with no reference elsewhere in src/ stays
@@ -38,8 +40,6 @@ UNREFERENCED = {
         "the PoW coinbase maturity rule of the issuance model",
     ("ledger", "canonical_block_digest"):
         "module-level name of Block.digest that perfbench's tracer wraps",
-    ("ledger", "decode_block"):
-        "inverse of Block.encode (docs/formats.md)",
     ("ppcoin", "calibrate_d0"):
         "stake-kernel target calibration of the PPCoin reference model",
     ("ppcoin", "kernel_eligibility"):
@@ -55,15 +55,24 @@ UNREFERENCED = {
 
 # (module, "Class.member") -> why a member no src/ code reads stays
 UNREAD_MEMBERS = {
-    ("attacks", "BribeScenario.k"):
-        "claim 2's density window: the bribe analysis takes claim 2's inputs "
-        "but reads only delta and rho'; dropping k moves bribe-underfunded's pin",
     ("ledger", "BlockTree.best_tip"):
         "the fork-choice query that perfbench's tracer wraps and the tests call",
     ("ledger", "BlockTree.is_ancestor"):
         "ancestry query that perfbench's tracer wraps and the tests call",
     ("netsim", "ConfigError.fieldname"):
         "the bad field's name, for callers and tests to read off the error",
+}
+
+
+_STAKE_KERNEL = ("stake-kernel model that ROADMAP item 3 routes the PPCoin "
+                 "engine through")
+
+# (module, "function.parameter") -> why a default no call overrides stays
+UNSET_DEFAULTS = {
+    ("ppcoin", "calibrate_d0.version"): _STAKE_KERNEL,
+    ("ppcoin", "calibrate_d0.cap_seconds"): _STAKE_KERNEL,
+    ("ppcoin", "retarget_d0.target"): _STAKE_KERNEL,
+    ("ppcoin", "simulate_retarget.window"): _STAKE_KERNEL,
 }
 
 
@@ -143,6 +152,65 @@ def test_every_class_member_is_read_or_listed():
     assert sorted(found - set(UNREAD_MEMBERS)) == [], "unread: add a " \
         "reader, delete it, or list it in UNREAD_MEMBERS with a reason"
     assert sorted(set(UNREAD_MEMBERS) - found) == [], "stale UNREAD_MEMBERS entry"
+
+
+def _call_name(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _sets(call, position, name) -> bool:
+    """Whether `call` may pass the parameter `name` (at `position` among
+    the positional parameters, None if keyword-only)."""
+    return any(k.arg in (name, None) for k in call.keywords) \
+        or any(isinstance(a, ast.Starred) for a in call.args) \
+        or (position is not None and len(call.args) > position)
+
+
+def unset_defaults() -> set:
+    """(module, "function.parameter") of each defaulted parameter of a
+    function in src/poslab that no call in src/poslab or tests/ passes.
+    Calls match by name; ``Class(...)`` calls ``__init__``."""
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))}
+    classes = {node.name for path, tree in trees.items() if path.parent == SRC
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = _call_name(node)
+                calls.setdefault("__init__" if name in classes else name,
+                                 []).append(node)
+    out = set()
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            if positional and positional[0].arg in ("self", "cls"):
+                positional = positional[1:]
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in
+                          zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for position, name in defaulted:
+                if not any(_sets(call, position, name)
+                           for call in calls.get(fn.name, ())):
+                    out.add((path.stem, "%s.%s" % (fn.name, name)))
+    return out
+
+
+def test_every_defaulted_parameter_is_set_or_listed():
+    found = unset_defaults()
+    assert sorted(found - set(UNSET_DEFAULTS)) == [], "never set: pass it " \
+        "somewhere, make it a constant, or list it in UNSET_DEFAULTS with a reason"
+    assert sorted(set(UNSET_DEFAULTS) - found) == [], "stale UNSET_DEFAULTS entry"
 
 
 def config_names() -> set:

@@ -109,7 +109,7 @@ def test_trace_is_deterministic():
 # moves one must say which and why.
 PINNED_DIGESTS = {
     "bribe-underfunded":
-        "d46202d97566b0fd17e353f2d6f41b67c63cc023b0612694dc34b6aee9e07b50",
+        "6ff793a202e5c7ca63b90aec9cf023a515e66355d6b7956f04a50d8190be3291",
     "claim1":
         "90ee5271dcfa0ba81e21a7eacadb87ed75516c7d546675f36f5a98d1bbb79772",
     "claim2":
@@ -166,7 +166,7 @@ def test_bundled_digests_are_pinned():
 # Trace digest of every bundled scenario at seed 0.
 PINNED_DIGESTS_SEED_0 = {
     "bribe-underfunded":
-        "eec81c2085b2f0731a63ddf31310c7ff9b9025f75be8c1b5e8a4db5f9d951c75",
+        "09427d709495c8dfbc356ba5d7570f8cfa72abdc0c162e5641c45b8b14bcdcbf",
     "claim1":
         "90ee5271dcfa0ba81e21a7eacadb87ed75516c7d546675f36f5a98d1bbb79772",
     "claim2":
@@ -399,13 +399,29 @@ def digest_oracle(trace):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def stormy_coa_config():
+def stormy_raw(seed=2):
     """A CoA run whose trace has rejections, reorgs and blacklists: delays
     above G0 and clocks up to 100 s apart."""
-    return config_from_dict(base_raw(
-        params={"kappa": 4, "g0_seconds": 300, "t0": 4},
-        delays={"min": 0.2, "max": 400.0}, clock_drift_max=100.0,
-        duration={"slots": 60}, seed=2))
+    return base_raw(params={"kappa": 4, "g0_seconds": 300, "t0": 4},
+                    delays={"min": 0.2, "max": 400.0}, clock_drift_max=100.0,
+                    duration={"slots": 60}, seed=seed)
+
+
+def stormy_coa_config():
+    return config_from_dict(stormy_raw())
+
+
+def test_a_run_whose_views_lose_every_creator_ends_with_exit_0(tmp_path,
+                                                              capsys):
+    """At seed 11 the stormy run reaches a view on which all stake is
+    blacklisted. Such a view plans no block, so the run stops short of its
+    60 slots instead of failing."""
+    path = tmp_path / "stormy.json"
+    path.write_text(json.dumps(stormy_raw(seed=11)))
+    assert cli.main(["validate-config", "--config", str(path)]) == 0
+    assert cli.main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert "  blocks = 32\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name", [n for n in scenario_names()
