@@ -171,7 +171,8 @@ def simulate_bribe_attack(scenario: BribeScenario, mu: float,
         "needed_bribed_blocks": max(needed, 0),
         "free_blocks": max(free, 0),
         "attacker_cost": cost,
-        "attacker_profit": (scenario.v - cost) if success else -cost,
+        # 0.0 - cost: a failure that cost nothing reads 0.0, not -0.0
+        "attacker_profit": (scenario.v - cost) if success else 0.0 - cost,
         "min_unprofitable_s": min_safe_confirmations_observed(
             scenario.v, scenario.epsilon, scenario.rho_prime, scenario.delta),
     }

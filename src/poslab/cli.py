@@ -24,8 +24,7 @@ from typing import Optional
 from . import __version__
 from .netsim import (MAX_EVENTS, ConfigError, ScenarioConfig, canonical_json,
                      load_config, run_scenario)
-from .scenarios import (REPRODUCTIONS, SCENARIOS, get_scenario,
-                        run_reproduction, scenario_names)
+from .scenarios import REPRODUCTIONS, SCENARIOS, run_reproduction
 
 EXIT_OK = 0
 EXIT_REPRO_FAILURE = 1
@@ -82,7 +81,7 @@ def _resolve_config(spec: str, seed_override: Optional[int]) -> ScenarioConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError("--config", "cannot read %r: %s" % (spec, exc))
     elif spec in SCENARIOS:
-        config = get_scenario(spec)
+        config = SCENARIOS[spec]
     else:
         raise ConfigError("--config", "no such file or bundled scenario: %r" % spec)
     if seed_override is not None:
@@ -217,8 +216,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_list_scenarios(args) -> int:
-    for name in scenario_names():
-        config = SCENARIOS[name]
+    for name, config in SCENARIOS.items():
         kind = config.attack["kind"] if config.attack else config.protocol
         print("%-28s %s" % (name, kind))
     print()

@@ -44,29 +44,28 @@ def default_genesis_seed(kappa: int) -> int:
 
 @dataclass(frozen=True)
 class CoaParams:
+    """A CoA run's params, named as a config's ``params`` names them; their
+    defaults are ``netsim.ENGINES["coa"]``'s."""
     kappa: int
-    w: int = 1
-    comb_kind: str = "concat"
-    g0: int = 300                 # minimal block interval, seconds
-    c0: int = 0                   # minimal stake
-    c1: int = 0                   # confiscation award, 0 <= c1 <= c0/2
-    t0: int = 8                   # double-spend safety bound, blocks (even)
-    timestamp_leniency: int = 120
+    w: int
+    comb: str
+    g0_seconds: int               # minimal block interval
+    c0: int                       # minimal stake
+    c1: int                       # confiscation award, 0 <= c1 <= c0/2
+    t0: int                       # double-spend safety bound, blocks (even)
+    timestamp_leniency: int
 
     def __post_init__(self):
-        # (key in a scenario's params, value, least value); t0 = 0 would
-        # leave no checkpoint period (t1 = 0)
-        for name, value, least in (
-                ("g0_seconds", self.g0, 1), ("c0", self.c0, 0),
-                ("c1", self.c1, 0), ("t0", self.t0, 2),
-                ("timestamp_leniency", self.timestamp_leniency, 0)):
-            if value < least:
+        # (field, least value); t0 = 0 would leave no checkpoint period
+        for name, least in (("g0_seconds", 1), ("c0", 0), ("c1", 0),
+                            ("t0", 2), ("timestamp_leniency", 0)):
+            if getattr(self, name) < least:
                 raise ParamError(name, "must be at least %d" % least)
         if self.c0 and self.c1 > self.c0 // 2:
             raise ParamError("c1", "require 0 <= c1 <= c0/2")
         if self.t0 % 2:
             raise ParamError("t0", "t0 must be even (t0 = 2*t1)")
-        CombSpec(self.comb_kind, self.kappa, self.w)  # validates the triple
+        CombSpec(self.comb, self.kappa, self.w)  # validates the triple
 
     @property
     def ell(self) -> int:
@@ -78,7 +77,7 @@ class CoaParams:
 
     @property
     def comb_spec(self) -> CombSpec:
-        return CombSpec(self.comb_kind, self.kappa, self.w)
+        return CombSpec(self.comb, self.kappa, self.w)
 
 
 def min_timestamp(parent_timestamp: int, child_index: int, parent_index: int,
@@ -207,7 +206,7 @@ class ChainView:
             return owners
         for index, _z, owner, _uid in candidates:
             owners.setdefault(owner, []).append((index, min_timestamp(
-                last.timestamp, index, last.index, self.params.g0)))
+                last.timestamp, index, last.index, self.params.g0_seconds)))
         return owners
 
 
@@ -260,7 +259,7 @@ def _validate(view: ChainView, block: Block) -> tuple:
         return None, "wrong-creator", ()
 
     if block.timestamp < min_timestamp(last.timestamp, block.index, last.index,
-                                       p.g0):
+                                       p.g0_seconds):
         return None, "too-early", ()
 
     # The freeze restricts spending and auxiliary use; the derived winner may

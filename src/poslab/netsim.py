@@ -15,7 +15,7 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import attacks, dense
@@ -42,8 +42,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class DelayModel:
-    min_seconds: float = 0.2
-    max_seconds: float = 2.0
+    min: float = 0.2      # seconds
+    max: float = 2.0
     distribution: str = "uniform"
 
     def __post_init__(self):
@@ -54,7 +54,7 @@ class DelayModel:
     def sample(self, rng, count: int) -> list:
         """`count` delays drawn in one call: the same floats as `count`
         single draws, leaving `rng` in the same state."""
-        return rng.uniform(self.min_seconds, self.max_seconds, count).tolist()
+        return rng.uniform(self.min, self.max, count).tolist()
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,7 @@ class ScenarioConfig:
             "params": dict(self.params),
             "stake": [[s, int(a)] for s, a in self.stake],
             "behaviors": self.behaviors,
-            "delays": {"min": self.delays.min_seconds,
-                       "max": self.delays.max_seconds,
-                       "distribution": self.delays.distribution},
+            "delays": asdict(self.delays),
             "clock_drift_max": self.clock_drift_max,
             "duration": self.duration, "seed": self.seed,
         }
@@ -145,14 +143,16 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     engine = ENGINES[protocol]
     _section(raw, {key: _TOP[key] for key in ENGINE_KEYS + engine.network},
              required=("stake",))
-    params = _section(raw.get("params", {}), {"kappa": "count", **engine.params},
-                      "params.", required=("kappa",))
+    kinds = {key: kind for key, (kind, _default) in engine.params.items()}
+    params = {**engine.defaults, **_section(
+        raw.get("params", {}), {"kappa": "count", **kinds}, "params.",
+        required=("kappa",))}
     kappa = params["kappa"]
     if kappa > 64:
         raise ConfigError("params.kappa", "must be at most 64, got %d" % kappa)
     if protocol == "coa":
         try:
-            coa_params(params)
+            CoaParams(**params)
         except ParamError as exc:
             raise ConfigError("params." + exc.name, str(exc))
     for pos, entry in enumerate(raw["stake"]):
@@ -175,9 +175,8 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
                 protocol, "/".join(engine.strategies), spec["strategy"]))
     d = _section(raw.get("delays", {}), {"min": "number", "max": "number",
                                          "distribution": "string"}, "delays.")
-    delays = DelayModel(**{{"min": "min_seconds", "max": "max_seconds"}.get(
-        key, key): value for key, value in d.items()})
-    if delays.min_seconds < 0 or delays.max_seconds < delays.min_seconds:
+    delays = DelayModel(**d)
+    if delays.min < 0 or delays.max < delays.min:
         raise ConfigError("delays", "require 0 <= min <= max")
     drift = raw.get("clock_drift_max", ScenarioConfig.clock_drift_max)
     if drift < 0:
@@ -277,13 +276,8 @@ SOLIDIFICATION_LINE = _line_format("solidification", "height", "node")
 # CoA event loop
 # ---------------------------------------------------------------------------
 
-def coa_params(p: dict) -> CoaParams:
-    renamed = {"comb": "comb_kind", "g0_seconds": "g0"}
-    return CoaParams(**{renamed.get(k, k): v for k, v in p.items()})
-
-
 def _run_coa(config: ScenarioConfig) -> SimTrace:
-    params = coa_params(config.params)
+    params = CoaParams(**config.params)
     genesis, ledger0 = make_genesis(params, list(config.stake))
     rng_delay = make_rng(config.seed, "delay")
     events: List[str] = []
@@ -311,7 +305,7 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
 
     target_blocks = config.duration["slots"]
     time_limit = config.duration.get(
-        "seconds", (target_blocks + 2) * params.g0 * 20)
+        "seconds", (target_blocks + 2) * params.g0_seconds * 20)
     # (time, sender's rank, sequence, kind, (node, index) or (dst, block))
     queue: list = []
     seq = itertools.count()
@@ -433,9 +427,9 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
 
 def _run_ppcoin(config: ScenarioConfig) -> SimTrace:
     total = 1 << config.params["kappa"]
-    target = config.params.get("target_interval", 600)
+    target = config.params["target_interval"]
     seconds = config.duration["seconds"]
-    max_tips = config.params.get("max_tips", 6)
+    max_tips = config.params["max_tips"]
     rng = make_rng(config.seed, "ppcoin-run")
     events: List[dict] = []
     # per-stakeholder solve probability per second per tip, calibrated so the
@@ -503,8 +497,7 @@ def _run_ppcoin(config: ScenarioConfig) -> SimTrace:
 def _run_dense(config: ScenarioConfig) -> SimTrace:
     from .ledger import LedgerState
     p = config.params
-    kappa, ell = p["kappa"], p.get("ell", 7)
-    g0 = p.get("g0_seconds", 300)
+    kappa, ell, g0 = p["kappa"], p["ell"], p["g0_seconds"]
     ledger = LedgerState.from_allocation(list(config.stake))
     idle = {name for name, _a in config.stake
             if strategy_of(config, name) != "honest"}
@@ -591,24 +584,30 @@ def _run_attack(config: ScenarioConfig) -> SimTrace:
 
 class Engine(NamedTuple):
     run: Callable[[ScenarioConfig], SimTrace]
-    params: dict        # the kind of each param it reads besides kappa
+    params: dict        # each param it reads besides kappa -> (kind, default)
     duration: dict      # run when a config gives none; a given one needs its keys
     strategies: tuple   # the strategies it runs; "honest" is the default
     optional: tuple = ()    # other duration keys it reads
     network: tuple = ()     # which of delays and clock_drift_max it reads
 
+    @property
+    def defaults(self) -> dict:
+        return {key: default for key, (_kind, default) in self.params.items()}
+
 
 ENGINES = {
-    "coa": Engine(_run_coa, {"w": "count", "comb": "string", "g0_seconds": "count",
-                             "c0": "integer", "c1": "integer", "t0": "integer",
-                             "timestamp_leniency": "integer"},
+    "coa": Engine(_run_coa, {"w": ("count", 1), "comb": ("string", "concat"),
+                             "g0_seconds": ("count", 300), "c0": ("integer", 0),
+                             "c1": ("integer", 0), "t0": ("integer", 8),
+                             "timestamp_leniency": ("integer", 120)},
                   {"slots": 50}, ("honest", "offline", "withhold"),
                   ("seconds",), ("delays", "clock_drift_max")),
-    "dense_coa": Engine(_run_dense, {"ell": "count", "g0_seconds": "count"},
+    "dense_coa": Engine(_run_dense, {"ell": ("count", 7),
+                                     "g0_seconds": ("count", 300)},
                         {"slots": 50}, ("honest", "offline", "withhold"),
                         network=("delays",)),
-    "ppcoin": Engine(_run_ppcoin, {"target_interval": "count",
-                                   "max_tips": "count"},
+    "ppcoin": Engine(_run_ppcoin, {"target_interval": ("count", 600),
+                                   "max_tips": ("count", 6)},
                      {"seconds": 60_000}, ("honest", "ppcoin-multifork")),
 }
 

@@ -23,13 +23,14 @@ def _split_stake(kappa: int, names: List[str], weights: List[int]) -> list:
     return [[n, a] for n, a in zip(names, amounts)]
 
 
-def _coa(name, kappa=12, w=1, comb_kind="concat", g0=300, slots=12,
-         weights=None, behaviors=None, seed=7, drift=2.0):
+def _coa(name, kappa=12, slots=12, weights=None, behaviors=None, seed=7,
+         drift=2.0, **params):
+    """A five-holder CoA config; `params` are those that differ from the
+    defaults."""
     names = ["s%d" % i for i in range(5)]
     return {
         "name": name, "protocol": "coa",
-        "params": {"kappa": kappa, "w": w, "comb": comb_kind,
-                   "g0_seconds": g0, "t0": 8},
+        "params": dict(params, kappa=kappa),
         "stake": _split_stake(kappa, names, weights or [1] * 5),
         "behaviors": behaviors or {},
         "delays": {"min": 0.2, "max": 2.0, "distribution": "uniform"},
@@ -46,11 +47,11 @@ def _analysis(name, kind, params, seed=7):
 
 _RAW_SCENARIOS = [
     _coa("coa-baseline"),
-    _coa("coa-majority", kappa=4, w=3, comb_kind="majority", slots=14, seed=11),
-    _coa("coa-iterated", kappa=3, w=3, comb_kind="iterated_majority",
-         slots=11, seed=13),
+    _coa("coa-majority", kappa=4, w=3, comb="majority", slots=14, seed=11),
+    _coa("coa-iterated", kappa=3, w=3, comb="iterated_majority", slots=11,
+         seed=13),
     _coa("coa-offline", behaviors={"s4": {"strategy": "offline"}}, seed=17),
-    _coa("coa-fast", g0=60, slots=20, seed=19),
+    _coa("coa-fast", g0_seconds=60, slots=20, seed=19),
     _coa("coa-skewed", weights=[8, 4, 2, 1, 1], seed=23),
     _coa("coa-nodrift", drift=0.0, seed=29),
     {
@@ -112,16 +113,6 @@ _RAW_SCENARIOS = [
 SCENARIOS: Dict[str, ScenarioConfig] = {
     raw["name"]: config_from_dict(raw) for raw in _RAW_SCENARIOS
 }
-
-
-def scenario_names() -> List[str]:
-    return list(SCENARIOS)
-
-
-def get_scenario(name: str) -> ScenarioConfig:
-    if name not in SCENARIOS:
-        raise KeyError("unknown scenario %r (see list-scenarios)" % name)
-    return SCENARIOS[name]
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from poslab.comb import (CombSpec, coalition_bias, coalition_bounds,
                          last_player_advantage, undetermined_fraction)
 from poslab.dense import grinding_log2_cost
 from poslab.ledger import Block, LedgerState, Transaction, sign
-from poslab.netsim import run_scenario
+from poslab.netsim import ENGINES, run_scenario
 from poslab.rng import make_rng
-from poslab.scenarios import get_scenario, scenario_names
+from poslab.scenarios import SCENARIOS
 
 
 def report(num, name, ok, detail=""):
@@ -43,7 +43,7 @@ class Driver:
         index = last.index + gap
         owner = creator or self.view.slot_candidates(gap)[-1][2]
         ts = min_timestamp(last.timestamp, index, last.index,
-                           self.params.g0) + ts_extra
+                           self.params.g0_seconds) + ts_extra
         return Block(index=index, prev_digest=last.digest,
                      timestamp=ts, creator=owner,
                      transactions=tuple(txs)).signed_by()
@@ -146,8 +146,7 @@ def test_criterion_08_kz_bounds_and_bias():
 
 def test_criterion_09_protocol_invariants():
     rng = make_rng(0, "acceptance-invariants")
-    params = CoaParams(kappa=4, w=1, comb_kind="concat", g0=300, t0=4,
-                       timestamp_leniency=120)
+    params = CoaParams(**dict(ENGINES["coa"].defaults, kappa=4, t0=4))
     checks = 0
 
     # 9a: single eligible creator per slot, impostors rejected
@@ -259,20 +258,18 @@ def test_criterion_09_protocol_invariants():
 
 
 def test_criterion_10_determinism():
-    names = scenario_names()
     mismatches = []
-    for name in names:
-        config = get_scenario(name)
+    for name, config in SCENARIOS.items():
         if run_scenario(config).digest() != run_scenario(config).digest():
             mismatches.append(name)
-    ok = len(names) >= 20 and not mismatches
-    report(10, "determinism", ok,
-           "%d scenarios, mismatches: %s" % (len(names), mismatches or "none"))
+    ok = len(SCENARIOS) >= 20 and not mismatches
+    report(10, "determinism", ok, "%d scenarios, mismatches: %s"
+           % (len(SCENARIOS), mismatches or "none"))
 
 
 def test_criterion_11_fts_proportionality_and_sybil():
     def genesis_view(alloc, seed):
-        params = CoaParams(kappa=10)
+        params = CoaParams(kappa=10, **ENGINES["coa"].defaults)
         return ChainView(params, *make_genesis(params, alloc, genesis_seed=seed))
 
     alloc = [("a", 500), ("b", 300), ("c", 150), ("d", 50)]

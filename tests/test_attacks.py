@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,9 @@ from poslab.attacks import (BribeScenario, _as_fraction, bribe_accepted,
                             simulate_withholding_dos, takeover_log_bound,
                             takeover_q_hat, takeover_tail_montecarlo,
                             timeweight_win_probability)
+from poslab.netsim import canonical_json, run_scenario
 from poslab.rng import binomial_nonzero, derive_key, make_rng
+from poslab.scenarios import SCENARIOS
 
 
 def min_safe_confirmations_observed_scan(v, epsilon, rho_prime, delta,
@@ -134,6 +137,22 @@ def test_underfunded_bribe_fails_at_safe_s():
     assert not out["success"]
     assert out["attacker_profit"] <= 0
     assert out["min_unprofitable_s"] == 42
+
+
+def test_a_failed_bribe_that_cost_nothing_reports_a_positive_zero_profit():
+    """A failure that cost nothing reads 0.0, not -0.0, in the calculator
+    and in the bundled scenario's trace, at its own seed and at seed 0."""
+    scenario = BribeScenario(v=100, epsilon=10, rho=0.7, delta=20,
+                             rho_prime=0.7, s=42)
+    out = simulate_bribe_attack(scenario, mu=9.0, p_success=0.4, seed=5)
+    assert (out["success"], out["attacker_cost"]) == (False, 0.0)
+    assert math.copysign(1.0, out["attacker_profit"]) == 1.0
+    config = SCENARIOS["bribe-underfunded"]
+    for seed in (config.seed, 0):
+        trace = run_scenario(dataclasses.replace(config, seed=seed))
+        assert not trace.metrics["success"]
+        assert math.copysign(1.0, trace.metrics["attacker_profit"]) == 1.0
+        assert '"attacker_profit":0.0' in canonical_json(trace.metrics)
 
 
 def test_funded_bribe_succeeds_below_safe_s():

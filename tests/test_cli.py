@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from poslab.cli import (EXIT_CONFIG_ERROR, EXIT_OK, EXIT_REPRO_FAILURE, main)
-from poslab.scenarios import REPRODUCTIONS, run_reproduction
+from poslab.scenarios import REPRODUCTIONS, SCENARIOS, run_reproduction
 
 
 def run_cli(capsys, *argv):
@@ -487,7 +487,6 @@ def test_dense_run_without_a_clean_committee_ends_at_a_stall(tmp_path, capsys):
 
 def test_manifest_says_what_ran(tmp_path, capsys):
     import poslab
-    from poslab.scenarios import get_scenario
     out = tmp_path / "o"
     code, stdout, _e = run_cli(capsys, "run", "--config", "ppcoin-multifork",
                                "--out", str(out))
@@ -500,8 +499,11 @@ def test_manifest_says_what_ran(tmp_path, capsys):
     assert manifest["trace_digest"] == (
         "0c958e42d77f07002633318e2fadb0091f1685ca523776f3b7a4158f3023d349")
     assert manifest["poslab_version"] == poslab.__version__
-    resolved = get_scenario("ppcoin-multifork").to_dict()
+    resolved = SCENARIOS["ppcoin-multifork"].to_dict()
     assert manifest["resolved_config"] == resolved
+    # every param the engine read, its defaults included
+    assert resolved["params"] == {"kappa": 12, "target_interval": 30,
+                                  "max_tips": 6}
     # ppcoin reads neither delays nor a clock drift
     assert not {"delays", "clock_drift_max"} & set(resolved)
     assert manifest["config_sha256"] == hashlib.sha256(json.dumps(
@@ -511,6 +513,30 @@ def test_manifest_says_what_ran(tmp_path, capsys):
                                "--out", str(out))
     assert json.loads((out / "manifest.json").read_text())["events_dropped"] == 0
     assert "dropped" not in stdout
+
+
+def test_a_config_with_its_defaults_written_out_is_the_same_run(tmp_path,
+                                                                capsys):
+    """The manifest resolves every engine param: bundled coa-baseline and the
+    same config with each coa default written out give the same resolved
+    config, config hash and trace digest."""
+    raw = SCENARIOS["coa-baseline"].to_dict()
+    raw["params"] = {"kappa": 12, "w": 1, "comb": "concat", "g0_seconds": 300,
+                     "c0": 0, "c1": 0, "t0": 8, "timestamp_leniency": 120}
+    path = tmp_path / "written-out.json"
+    path.write_text(json.dumps(raw))
+    manifests = []
+    for spec in ("coa-baseline", str(path)):
+        out = tmp_path / str(len(manifests))
+        assert run_cli(capsys, "run", "--config", spec,
+                       "--out", str(out))[0] == EXIT_OK
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    bundled, written = manifests
+    assert bundled["resolved_config"] == written["resolved_config"] == raw
+    assert bundled["config_sha256"] == written["config_sha256"] == (
+        "d4581f5ff1930e74da0cf36655a8b0281d974d8e60e4ecac59262c51c315ba28")
+    assert bundled["trace_digest"] == written["trace_digest"] == (
+        "7a2e85108166a09b2facd80dd55be8e52555b5307e46d33eddf775410d88dadd")
 
 
 def test_validate_config_names_the_analysis_kind(capsys):

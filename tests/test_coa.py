@@ -14,14 +14,12 @@ from poslab.coa import (ACCEPT, LOOKAHEAD, ChainView, CoaNode, CoaParams,
 from poslab.comb import CombSpec, comb_apply
 from poslab.ledger import (Block, EvidenceEntry, LedgerError, LedgerState,
                            Transaction, block_bit, canonical_block_digest, sign)
+from poslab.netsim import ENGINES
 from poslab.rng import make_rng
 
 
 def small_params(**kw):
-    defaults = dict(kappa=4, w=1, comb_kind="concat", g0=300, t0=4,
-                    timestamp_leniency=120)
-    defaults.update(kw)
-    return CoaParams(**defaults)
+    return CoaParams(**{**ENGINES["coa"].defaults, "kappa": 4, "t0": 4, **kw})
 
 
 def receive_chain(node, blocks, local_time=None):
@@ -45,7 +43,7 @@ class Builder:
         index = last.index + gap
         owner = creator or self.view.slot_candidates(gap)[-1][2]
         ts = min_timestamp(last.timestamp, index, last.index,
-                           self.params.g0) + ts_extra
+                           self.params.g0_seconds) + ts_extra
         block = Block(index=index, prev_digest=last.digest,
                       timestamp=ts, creator=owner, transactions=tuple(txs),
                       auxiliary_proof=aux, double_sign_evidence=evidence)
@@ -124,7 +122,7 @@ def test_params_validation():
         small_params(t0=5)
     with pytest.raises(ValueError):
         small_params(c0=10, c1=6)  # c1 > c0/2
-    p = small_params(kappa=2, w=9, comb_kind="iterated_majority")
+    p = small_params(kappa=2, w=9, comb="iterated_majority")
     assert p.ell == 18 and p.t1 == 2
 
 
@@ -169,7 +167,7 @@ def test_a_view_with_no_eligible_creator_plans_no_block():
     view.ledger = view.ledger.with_blacklisted(view.ledger.utxos)
     assert [view.creations(n) for n in ("alice", "bob", "carol")] == [[]] * 3
     block = Block(index=1, prev_digest=view.last_block.digest,
-                  timestamp=params.g0, creator="alice").signed_by()
+                  timestamp=params.g0_seconds, creator="alice").signed_by()
     assert process_block(view, block) == (None, "wrong-creator")
 
 
@@ -220,7 +218,7 @@ def test_skipped_slots_cost_g0_each():
     params = small_params()
     b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
     block = b.craft(gap=3)
-    assert block.timestamp == b.genesis.timestamp + 3 * params.g0
+    assert block.timestamp == b.genesis.timestamp + 3 * params.g0_seconds
     assert b.apply(block) == ACCEPT
     assert b.view.last_block.index == 3
 
@@ -571,7 +569,7 @@ def test_blacklisted_derivations_consume_no_index_or_time():
     block = b.craft()
     assert block.creator == replacement[2]
     # no extra G0
-    assert block.timestamp == b.view.last_block.timestamp + params.g0
+    assert block.timestamp == b.view.last_block.timestamp + params.g0_seconds
     assert b.apply(block) == ACCEPT
 
 
@@ -626,7 +624,7 @@ def scanned_creations(view):
     last, owners = view.last_block, {}
     for index, _z, owner, _uid in view.clone().slot_candidates(LOOKAHEAD):
         owners.setdefault(owner, []).append((index, min_timestamp(
-            last.timestamp, index, last.index, view.params.g0)))
+            last.timestamp, index, last.index, view.params.g0_seconds)))
     return owners
 
 
@@ -853,7 +851,7 @@ def fork_trees(draw):
         index = last.index + gap
         plain = Block(index=index, prev_digest=last.digest, creator=creator,
                       timestamp=min_timestamp(last.timestamp, index, last.index,
-                                              params.g0)
+                                              params.g0_seconds)
                       + draw(st.integers(0, 40)))
         extra = draw(st.sampled_from(("none", "fee", "evidence")))
         recent = [blk for blk in path if index - blk.index <= params.t0]

@@ -5,6 +5,7 @@ from scipy import stats
 from poslab.coa import ChainView, CoaParams
 from poslab.fts import derivation_digest, follow_the_satoshi, satoshi_index
 from poslab.ledger import Block, LedgerError, LedgerState
+from poslab.netsim import ENGINES
 from poslab.rng import make_rng
 
 
@@ -13,7 +14,7 @@ def genesis_view(ledger, seed, kappa):
     1, anchored at index 0, from the bootstrap `seed`."""
     genesis = Block(index=0, prev_digest=b"\x00" * 32, timestamp=0,
                     creator="genesis", genesis_seed=seed)
-    return ChainView(CoaParams(kappa=kappa), genesis, ledger)
+    return ChainView(CoaParams(kappa=kappa, **ENGINES["coa"].defaults), genesis, ledger)
 
 
 def test_derivation_is_deterministic():

@@ -229,3 +229,18 @@ def test_config_docs_name_every_registered_name():
     text = FORMATS.read_text()
     missing = sorted(n for n in config_names() if "`%s`" % n not in text)
     assert missing == [], "document these in docs/formats.md"
+
+
+def test_config_docs_state_each_engine_param_kind_and_default():
+    """Each protocol's row of the params table states every param of its
+    ``ENGINES`` entry as `name`: `kind` (default)."""
+    rows = FORMATS.read_text().splitlines()
+    wrong = {}
+    for protocol, engine in netsim.ENGINES.items():
+        stated = ["`%s`: `%s` (%s)" % (
+            key, kind, "`%s`" % default if isinstance(default, str) else default)
+            for key, (kind, default) in engine.params.items()]
+        if not any(row.startswith("| `%s` |" % protocol)
+                   and all(item in row for item in stated) for row in rows):
+            wrong[protocol] = stated
+    assert wrong == {}, "state these in docs/formats.md's params table"

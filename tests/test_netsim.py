@@ -15,7 +15,7 @@ from poslab.netsim import (ACCEPT_LINE, ENGINES, SEND_LINE, SOLIDIFICATION_LINE,
                            config_from_dict, load_config, run_scenario,
                            strategy_of)
 from poslab.rng import make_rng
-from poslab.scenarios import get_scenario, scenario_names
+from poslab.scenarios import SCENARIOS
 
 
 def parsed_events(trace) -> list:
@@ -101,7 +101,7 @@ def test_behavior_defaults_to_honest():
 
 def test_trace_is_deterministic():
     for name in ("coa-baseline", "ppcoin-honest", "dense-baseline", "claim2"):
-        config = get_scenario(name)
+        config = SCENARIOS[name]
         assert run_scenario(config).digest() == run_scenario(config).digest()
 
 
@@ -109,7 +109,7 @@ def test_trace_is_deterministic():
 # moves one must say which and why.
 PINNED_DIGESTS = {
     "bribe-underfunded":
-        "6ff793a202e5c7ca63b90aec9cf023a515e66355d6b7956f04a50d8190be3291",
+        "0ae9f665f2eec365dc9eccd185e6779aaa2ba344f737f0504f5b2cb08fd71cca",
     "claim1":
         "90ee5271dcfa0ba81e21a7eacadb87ed75516c7d546675f36f5a98d1bbb79772",
     "claim2":
@@ -158,15 +158,15 @@ PINNED_DIGESTS = {
 
 
 def test_bundled_digests_are_pinned():
-    digests = {name: run_scenario(get_scenario(name)).digest()
-               for name in scenario_names()}
+    digests = {name: run_scenario(config).digest()
+               for name, config in SCENARIOS.items()}
     assert digests == PINNED_DIGESTS
 
 
 # Trace digest of every bundled scenario at seed 0.
 PINNED_DIGESTS_SEED_0 = {
     "bribe-underfunded":
-        "09427d709495c8dfbc356ba5d7570f8cfa72abdc0c162e5641c45b8b14bcdcbf",
+        "051a5ef0c27455148070f911abc5f82fb2e4db748da08cdb3e0a7c0dea4b315d",
     "claim1":
         "90ee5271dcfa0ba81e21a7eacadb87ed75516c7d546675f36f5a98d1bbb79772",
     "claim2":
@@ -215,9 +215,8 @@ PINNED_DIGESTS_SEED_0 = {
 
 
 def test_bundled_digests_are_pinned_at_seed_0():
-    digests = {name: run_scenario(dataclasses.replace(get_scenario(name),
-                                                      seed=0)).digest()
-               for name in scenario_names()}
+    digests = {name: run_scenario(dataclasses.replace(config, seed=0)).digest()
+               for name, config in SCENARIOS.items()}
     assert digests == PINNED_DIGESTS_SEED_0
 
 
@@ -242,25 +241,24 @@ PINNED_COA_DIGESTS_5694 = {
 
 def test_coa_digests_are_pinned_at_seed_5694():
     assert sorted(PINNED_COA_DIGESTS_5694) == [
-        name for name in sorted(scenario_names())
-        if get_scenario(name).protocol == "coa"
-        and get_scenario(name).attack is None]
-    digests = {name: run_scenario(dataclasses.replace(get_scenario(name),
+        name for name, config in sorted(SCENARIOS.items())
+        if config.protocol == "coa" and config.attack is None]
+    digests = {name: run_scenario(dataclasses.replace(SCENARIOS[name],
                                                       seed=5694)).digest()
                for name in PINNED_COA_DIGESTS_5694}
     assert digests == PINNED_COA_DIGESTS_5694
 
 
 def test_seed_changes_the_trace():
-    config = get_scenario("coa-baseline")
+    config = SCENARIOS["coa-baseline"]
     other = dataclasses.replace(config, seed=config.seed + 1)
     assert run_scenario(config).digest() != run_scenario(other).digest()
 
 
 def test_coa_baseline_interval_and_consistency():
-    trace = run_scenario(get_scenario("coa-baseline"))
+    trace = run_scenario(SCENARIOS["coa-baseline"])
     m = trace.metrics
-    g0 = get_scenario("coa-baseline").params["g0_seconds"]
+    g0 = SCENARIOS["coa-baseline"].params["g0_seconds"]
     assert m["blocks"] > 0
     # with everyone online each slot is filled; drift can add a little
     assert g0 <= m["mean_interval"] <= g0 * 1.05
@@ -310,52 +308,50 @@ def test_coa_views_alive_do_not_grow_with_the_chain(monkeypatch):
 
 
 def test_coa_offline_creators_stretch_intervals():
-    online = run_scenario(get_scenario("coa-baseline")).metrics
-    offline = run_scenario(get_scenario("coa-offline")).metrics
+    online = run_scenario(SCENARIOS["coa-baseline"]).metrics
+    offline = run_scenario(SCENARIOS["coa-offline"]).metrics
     assert offline["mean_interval"] > online["mean_interval"]
     assert offline["conservation_ok"]
 
 
 def test_coa_causality_and_delay_bounds():
-    config = get_scenario("coa-baseline")
+    config = SCENARIOS["coa-baseline"]
     events = parsed_events(run_scenario(config))
     sends = {e["index"]: e["time"] for e in events if e["event"] == "send"}
     for e in events:
         if e["event"] == "block-accept":
             lag = e["time"] - sends[e["index"]]
-            assert -1e-9 <= lag <= config.delays.max_seconds + 1e-9
+            assert -1e-9 <= lag <= config.delays.max + 1e-9
 
 
 def test_ppcoin_multifork_diverges_more_than_honest():
-    honest = run_scenario(get_scenario("ppcoin-honest")).metrics
-    forked = run_scenario(get_scenario("ppcoin-multifork")).metrics
+    honest = run_scenario(SCENARIOS["ppcoin-honest"]).metrics
+    forked = run_scenario(SCENARIOS["ppcoin-multifork"]).metrics
     assert forked["divergence"] > honest["divergence"]
     assert forked["fork_blocks"] > honest["fork_blocks"]
 
 
 def test_dense_withholding_forces_fallbacks():
-    clean = run_scenario(get_scenario("dense-baseline")).metrics
-    held = run_scenario(get_scenario("dense-withhold")).metrics
+    clean = run_scenario(SCENARIOS["dense-baseline"]).metrics
+    held = run_scenario(SCENARIOS["dense-withhold"]).metrics
     assert clean["fallbacks"] == 0
     assert held["fallbacks"] > 0
     assert held["mean_interval"] > clean["mean_interval"]
 
 
 def test_attack_scenario_dispatch():
-    trace = run_scenario(get_scenario("claim2"))
+    trace = run_scenario(SCENARIOS["claim2"])
     assert trace.metrics["s"] == 42
     assert trace.metrics["wait_minutes"] == pytest.approx(210.0)
-    bad = dataclasses.replace(get_scenario("claim2"),
+    bad = dataclasses.replace(SCENARIOS["claim2"],
                               attack={"kind": "nonsense", "params": {}})
     with pytest.raises(ConfigError):
         run_scenario(bad)
 
 
 def test_all_bundled_scenarios_validate():
-    names = scenario_names()
-    assert len(names) >= 20
-    for name in names:
-        config = get_scenario(name)
+    assert len(SCENARIOS) >= 20
+    for config in SCENARIOS.values():
         # round-tripping through the dict form revalidates every field
         assert config_from_dict(config.to_dict()).name == config.name
 
@@ -363,7 +359,7 @@ def test_all_bundled_scenarios_validate():
 def test_trace_serialization_formats(tmp_path):
     """events.jsonl has one line per event; the CLI writes the metrics as a
     sorted CSV header and one value row, or as sorted, indented JSON."""
-    trace = run_scenario(get_scenario("claim1"))
+    trace = run_scenario(SCENARIOS["claim1"])
     buf = io.StringIO()
     trace.digest(events_out=buf)
     jsonl = buf.getvalue()
@@ -424,8 +420,8 @@ def test_a_run_whose_views_lose_every_creator_ends_with_exit_0(tmp_path,
     assert "  blocks = 32\n" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", [n for n in scenario_names()
-                                  if get_scenario(n).protocol] + ["stormy"])
+@pytest.mark.parametrize("name", [n for n, c in SCENARIOS.items()
+                                  if c.protocol] + ["stormy"])
 def test_digest_hashes_each_event_line_of_events_jsonl(name):
     """The digest streamed from the stored event lines equals the formula
     over the parsed events, and each events.jsonl line is the canonical
@@ -435,7 +431,7 @@ def test_digest_hashes_each_event_line_of_events_jsonl(name):
         kinds = {e["event"] for e in parsed_events(trace)}
         assert {"block-rejected", "reorg", "blacklist"} <= kinds
     else:
-        trace = run_scenario(get_scenario(name))
+        trace = run_scenario(SCENARIOS[name])
     out = io.StringIO()
     assert trace.digest(events_out=out) == digest_oracle(trace) == trace.digest()
     lines = out.getvalue().splitlines()
@@ -493,7 +489,7 @@ def test_a_coa_run_maps_each_views_owners_at_most_once(monkeypatch):
         return map_owners(view)
 
     monkeypatch.setattr(ChainView, "_map_owners", counting)
-    trace = run_scenario(get_scenario("coa-baseline"))
+    trace = run_scenario(SCENARIOS["coa-baseline"])
     accepts = sum(e["event"] == "block-accept" for e in parsed_events(trace))
     assert built
     assert len({id(view) for view in built}) == len(built)
@@ -505,7 +501,7 @@ def test_batched_delays_equal_scalar_draws(n):
     d = DelayModel(0.2, 2.0)
     batched, scalar = make_rng(3, "delay"), make_rng(3, "delay")
     drawn = d.sample(batched, n)
-    assert drawn == [float(scalar.uniform(d.min_seconds, d.max_seconds))
+    assert drawn == [float(scalar.uniform(d.min, d.max))
                      for _ in range(n)]
     assert all(type(x) is float for x in drawn)
     # the Philox state holds short arrays: their repr shows every word
@@ -523,8 +519,8 @@ def test_analysis_config_is_name_seed_and_attack():
         with pytest.raises(ConfigError) as e:
             config_from_dict(dict(raw, **{key: value}))
         assert e.value.fieldname == key
-    analyses = [get_scenario(name) for name in scenario_names()
-                if get_scenario(name).attack is not None]
+    analyses = [config for config in SCENARIOS.values()
+                if config.attack is not None]
     assert len(analyses) == 12
     for config in analyses:
         assert config.protocol is None
@@ -636,7 +632,7 @@ def test_ppcoin_run_equals_the_per_second_lottery(config):
 
 @pytest.mark.parametrize("name", ["ppcoin-honest", "ppcoin-multifork"])
 def test_bundled_ppcoin_runs_equal_the_per_second_lottery(name, monkeypatch):
-    config = dataclasses.replace(get_scenario(name), seed=5694)
+    config = dataclasses.replace(SCENARIOS[name], seed=5694)
     trace, rng = _ppcoin_run_and_rng(config, monkeypatch)
     oracle, oracle_rng = run_ppcoin_per_second(config)
     assert trace.digest() == oracle.digest()

@@ -12,11 +12,11 @@ import re
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from poslab.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
-from poslab.netsim import ENGINES
+from poslab.netsim import ENGINES, ConfigError, config_from_dict
 
 HOLDERS = ("a", "b", "c", "d")
 WRONG_VALUES = ("x", None, [], {}, True, 1.5, -1)
@@ -149,3 +149,19 @@ def test_validate_config_accepts_only_what_runs(raw):
         assert "config error: attack.params" in run_err, (raw, run_err)
     if checked != EXIT_OK:
         assert ran == EXIT_CONFIG_ERROR, (raw, run_err)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(engine_configs())
+def test_a_config_resolves_every_param_of_its_engine(raw):
+    """An accepted engine config holds kappa and each of its engine's params,
+    as given or else its default, and its dict form reads back to itself."""
+    try:
+        config = config_from_dict(raw)
+    except ConfigError:
+        reject()
+    engine = ENGINES[config.protocol]
+    resolved = config.to_dict()
+    assert set(resolved["params"]) == {"kappa", *engine.params}
+    assert resolved["params"] == {**engine.defaults, **raw["params"]}
+    assert config_from_dict(resolved).to_dict() == resolved
