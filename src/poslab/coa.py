@@ -404,31 +404,35 @@ def view_from_path(params: CoaParams, genesis: Block, ledger: LedgerState,
 
 
 class CoaNode:
-    """One network node: a block tree, the views it can still extend, and
-    checkpoint state.
+    """One network node: a block tree whose live marks carry the views the
+    node can still extend, and checkpoint state.
 
-    ``views`` holds a view for each block the tree marks live (the
-    solidified prefix and its descendants), and each checkpoint prunes it
-    to the tree's new marks. A node starts from a genesis view. Nodes that
-    start from the same one share every view after it, since a view keeps
-    the outcome of each block offered to it (see ``process_block``).
+    The tree marks the solidified prefix and its descendants, each with the
+    view of its path (``views``), and each checkpoint narrows the marks to
+    the new prefix. A node starts from a genesis view. Nodes that start
+    from the same one share every view after it, since a view keeps the
+    outcome of each block offered to it (see ``process_block``).
     """
 
     def __init__(self, genesis: ChainView, node_id: str = "node",
                  observer: Optional[Callable] = None):
-        self.params = genesis.params
+        self.t1 = genesis.params.t1
         self.node_id = node_id
         self.observer = observer
-        self.tree = BlockTree(genesis.last_block)
-        self.views = {self.tree.genesis_digest: genesis}
+        self.tree = BlockTree(genesis.last_block, genesis)
 
     def _emit(self, kind: str, payload: dict):
         if self.observer:
             self.observer(kind, dict(payload, node=self.node_id))
 
     @property
+    def views(self) -> dict:
+        """Block digest -> view, for each block the tree marks live."""
+        return self.tree.live
+
+    @property
     def best_view(self) -> ChainView:
-        return self.views[self.tree.best]
+        return self.tree.live[self.tree.best]
 
     def receive_block(self, block: Block, local_time: Optional[int] = None) -> tuple:
         """Offer `block` to this node; returns (ok, reason). An accepted
@@ -438,27 +442,22 @@ class CoaNode:
         digest = block.digest
         if digest in tree.blocks:
             return True, "duplicate"
-        parent = block.prev_digest
-        if parent not in tree.blocks:
-            self._emit("block-rejected", {"index": block.index, "reason": "orphan"})
-            return False, "orphan"
-        if parent not in self.views:
-            self._emit("block-rejected", {"index": block.index,
-                                          "reason": "below-solidified"})
-            return False, "below-solidified"
-        new_view, reason = process_block(self.views[parent], block, local_time,
-                                         observer=self._emit)
+        view = tree.live.get(block.prev_digest)
+        if view is None:
+            reason = "below-solidified" if block.prev_digest in tree.blocks \
+                else "orphan"
+            self._emit("block-rejected", {"index": block.index, "reason": reason})
+            return False, reason
+        new_view, reason = process_block(view, block, local_time, self._emit)
         if reason != ACCEPT:
             self._emit("block-rejected", {"index": block.index, "reason": reason})
             return False, reason
-        tree.add_block(block)
-        self.views[digest] = new_view
-        t1 = self.params.t1
-        h = tree.height[digest]
-        if digest == tree.best and h >= 2 * t1 and h % t1 == 0:
-            tree.solidify(tree.ancestor_at_height(digest, h - t1))
-            self.views = {d: self.views[d] for d in tree.live}
-            self._emit("solidification", {"height": h - t1})
+        tree.add_block(block, new_view)
+        if tree.best == digest:
+            t1, h = self.t1, new_view.height
+            if h >= 2 * t1 and h % t1 == 0:
+                tree.solidify(tree.ancestor_at_height(digest, h - t1))
+                self._emit("solidification", {"height": h - t1})
         return True, ACCEPT
 
     @property

@@ -405,23 +405,25 @@ class BlockTree:
     """Fork-choice structure over received blocks.
 
     Heights count produced blocks from genesis (genesis has height 0).
-    ``live`` marks the solidified prefix and the blocks that descend from
-    it: a block is marked when its parent is, and ``solidify`` narrows the
-    marks to the new prefix. The best tip is kept as blocks arrive: a marked
-    block replaces it only when it is strictly higher, so of the highest
-    marked blocks the first seen stays best.
+    ``live`` maps the solidified prefix and the blocks that descend from it
+    to their marks, in the order they were marked: a block is marked, with
+    the mark ``add_block`` is given, when its parent is, so each mark comes
+    after its parent's, and ``solidify`` narrows the marks to the new
+    prefix. The best tip is kept as blocks arrive: a marked block replaces
+    it only when it is strictly higher, so of the highest marked blocks the
+    first seen stays best.
     """
 
-    def __init__(self, genesis: Block):
+    def __init__(self, genesis: Block, mark=None):
         gd = genesis.digest
         self.genesis_digest = gd
         self.blocks = {gd: genesis}
         self.height = {gd: 0}
         self.best = gd
         self.solidified_prefix = gd
-        self.live = {gd}
+        self.live = {gd: mark}      # marked digest -> its mark, parents first
 
-    def add_block(self, block: Block) -> bytes:
+    def add_block(self, block: Block, mark=None) -> bytes:
         parent = block.prev_digest
         if parent not in self.blocks:
             raise LedgerError("parent unknown")
@@ -431,7 +433,7 @@ class BlockTree:
         self.blocks[digest] = block
         height = self.height[digest] = self.height[parent] + 1
         if parent in self.live:
-            self.live.add(digest)
+            self.live[digest] = mark
             if height > self.height[self.best]:
                 self.best = digest
         return digest
@@ -464,13 +466,13 @@ class BlockTree:
 
     def solidify(self, digest: bytes) -> None:
         """Move the prefix up the best chain to `digest` and unmark every
-        block that does not descend from it."""
-        live = {digest}
-        for d in sorted(self.live, key=self.height.__getitem__):  # parents first
-            if self.blocks[d].prev_digest in live:
-                live.add(d)
+        block that does not descend from it, in one pass over the marks:
+        a parent's mark comes first, so a descendant finds it kept."""
+        blocks, live = self.blocks, {digest: self.live.get(digest)}
+        for d, mark in self.live.items():
+            if blocks[d].prev_digest in live:
+                live[d] = mark
         if digest not in self.live or self.best not in live:
             raise LedgerError("solidified prefix may only extend up the best chain")
         self.solidified_prefix = digest
         self.live = live
-

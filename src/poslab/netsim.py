@@ -15,6 +15,7 @@ import heapq
 import itertools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -276,6 +277,22 @@ SOLIDIFICATION_LINE = _line_format("solidification", "height", "node")
 # CoA event loop
 # ---------------------------------------------------------------------------
 
+def _time_text(t: float) -> str:
+    """``float.__repr__(round(t, 6))``, the text of a CoA event's time,
+    without the float round trip. ``round(t, 6)`` and ``"%.6f" % t`` round
+    t correctly to the same six places. From 1e-4 up to 1e9 that decimal
+    has at most 15 digits, so it is the shortest text of the float nearest
+    it, which repr writes without an exponent: the same decimal without
+    trailing zeros."""
+    if not 1e-4 <= t < 1e9:
+        return float.__repr__(round(t, 6))
+    text = ("%.6f" % t).rstrip("0")
+    return text + "0" if text[-1] == "." else text
+
+
+_arrival_time = operator.itemgetter(0)  # of a (time, rank, seq, node) arrival
+
+
 def _run_coa(config: ScenarioConfig) -> SimTrace:
     params = CoaParams(**config.params)
     genesis, ledger0 = make_genesis(params, list(config.stake))
@@ -306,16 +323,20 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
     target_blocks = config.duration["slots"]
     time_limit = config.duration.get(
         "seconds", (target_blocks + 2) * params.g0_seconds * 20)
-    # (time, sender's rank, sequence, kind, (node, index) or (dst, block))
+    # (time, sender's rank, sequence, node, slot index, None) creates a
+    # block, and (time, rank, seq, node, block, arrivals) delivers one. A
+    # block in flight is one entry, keyed by its next arrival and advanced
+    # in place, so deliveries pop in the (time, rank, seq) order that one
+    # entry per delivery would give
     queue: list = []
     seq = itertools.count()
     scheduled = set()
     held = {name: {} for name in nodes}   # parent digest -> blocks waiting
+    peers = {name: [other for other in nodes if other != name] for name in nodes}
     reorgs = 0
 
     def push_create(when, name, index):
-        heapq.heappush(queue, (when, rank[name], next(seq), "create",
-                               (name, index)))
+        heapq.heappush(queue, (when, rank[name], next(seq), name, index, None))
 
     def schedule_creations(name, now):
         if not creates_blocks[name]:
@@ -331,63 +352,67 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
 
     best_height = 0
     while queue:
-        when, _rank, _seq, kind, payload = heapq.heappop(queue)
+        when, sender, _seq, name, item, arrivals = queue[0]
         if when > time_limit or best_height >= target_blocks:
             break
-        if kind == "create":
-            name, index = payload
-            scheduled.discard(payload)
+        if arrivals is None:
+            heapq.heappop(queue)
+            scheduled.discard((name, item))
             view = nodes[name].best_view
-            earliest = dict(view.creations(name)).get(index)
+            earliest = dict(view.creations(name)).get(item)
             if earliest is None:
                 continue
             local_now = when + drifts[name]
             leniency = params.timestamp_leniency
             if earliest > int(local_now) + 1 + leniency:
                 # its own delivery would be future-dated: wait for the clock
-                scheduled.add(payload)
-                push_create(earliest - leniency - drifts[name], name, index)
+                scheduled.add((name, item))
+                push_create(earliest - leniency - drifts[name], name, item)
                 continue
             ts = max(int(local_now), earliest)
-            block = Block(index=index, prev_digest=view.last_block.digest,
+            block = Block(index=item, prev_digest=view.last_block.digest,
                           timestamp=ts, creator=name).signed_by()
-            sender = rank[name]
-            heapq.heappush(queue, (when, sender, next(seq), "deliver",
-                                   (name, block)))
-            others = [other for other in nodes if other != name]
-            for other, delay in zip(others, config.delays.sample(
-                    rng_delay, len(others))):
-                heapq.heappush(queue, (when + delay, sender, next(seq),
-                                       "deliver", (other, block)))
-            events.append(SEND_LINE % (index, name_json[name],
-                                       float.__repr__(round(when, 6))))
-        elif kind == "deliver":
-            name, block = payload
-            node = nodes[name]
-            tree = node.tree
-            if block.prev_digest not in tree.blocks:
-                # hold it until the node accepts its parent
-                held[name].setdefault(block.prev_digest, []).append(block)
+            # the sender's own delivery comes first: a peer's arrival is no
+            # earlier, and on a tie its sequence number is higher
+            first = next(seq)
+            others = peers[name]
+            arrivals = iter(sorted(zip(
+                [when + delay for delay in config.delays.sample(
+                    rng_delay, len(others))],
+                itertools.repeat(sender), itertools.islice(seq, len(others)),
+                others), key=_arrival_time))
+            heapq.heappush(queue, (when, sender, first, name, block, arrivals))
+            events.append(SEND_LINE % (item, name_json[name], _time_text(when)))
+            continue
+        arrival = next(arrivals, None)
+        if arrival is None:
+            heapq.heappop(queue)
+        else:
+            heapq.heapreplace(queue, arrival + (item, arrivals))
+        node = nodes[name]
+        tree = node.tree
+        if item.prev_digest not in tree.blocks:
+            # hold it until the node accepts its parent
+            held[name].setdefault(item.prev_digest, []).append(item)
+            continue
+        stamp = _time_text(when)
+        clock = int(when + drifts[name]) + 1
+        ready = [item]
+        for block in ready:     # grows by the held children accepted
+            before = tree.best
+            if node.receive_block(block, clock)[1] != ACCEPT:
                 continue
-            at = round(when, 6)
-            stamp = float.__repr__(at)
-            clock = int(when + drifts[name]) + 1
-            ready = [block]
-            for block in ready:     # grows by the held children accepted
-                before = tree.best
-                ok, reason = node.receive_block(block, clock)
-                if not (ok and reason == ACCEPT):
-                    continue
-                # a new best tip is the block just accepted, one above `before`
-                if tree.best != before and block.prev_digest != before:
+            # a new best tip is the block just accepted, one above `before`
+            if tree.best != before:
+                if block.prev_digest != before:
                     reorgs += 1
-                    events.append(canonical_json({"event": "reorg", "time": at,
-                                                  "node": name}))
-                events.append(ACCEPT_LINE % (name_json[block.creator],
-                                             block.index, name_json[name], stamp))
+                    events.append(canonical_json({
+                        "event": "reorg", "time": round(when, 6), "node": name}))
                 best_height = max(best_height, tree.height[tree.best])
-                schedule_creations(name, when)
-                ready.extend(held[name].pop(block.digest, ()))
+            events.append(ACCEPT_LINE % (name_json[block.creator],
+                                         block.index, name_json[name], stamp))
+            schedule_creations(name, when)
+            ready.extend(held[name].pop(block.digest, ()))
 
     # metrics off an arbitrary (deterministic) reference node
     ref = nodes[config.stake[0][0]]

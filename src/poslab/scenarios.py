@@ -24,17 +24,15 @@ def _split_stake(kappa: int, names: List[str], weights: List[int]) -> list:
 
 
 def _coa(name, kappa=12, slots=12, weights=None, behaviors=None, seed=7,
-         drift=2.0, **params):
-    """A five-holder CoA config; `params` are those that differ from the
-    defaults."""
+         **params):
+    """A five-holder CoA config with the default network; `params` are
+    those that differ from the defaults."""
     names = ["s%d" % i for i in range(5)]
     return {
         "name": name, "protocol": "coa",
         "params": dict(params, kappa=kappa),
         "stake": _split_stake(kappa, names, weights or [1] * 5),
         "behaviors": behaviors or {},
-        "delays": {"min": 0.2, "max": 2.0, "distribution": "uniform"},
-        "clock_drift_max": drift,
         "duration": {"slots": slots},
         "seed": seed,
     }
@@ -53,7 +51,7 @@ _RAW_SCENARIOS = [
     _coa("coa-offline", behaviors={"s4": {"strategy": "offline"}}, seed=17),
     _coa("coa-fast", g0_seconds=60, slots=20, seed=19),
     _coa("coa-skewed", weights=[8, 4, 2, 1, 1], seed=23),
-    _coa("coa-nodrift", drift=0.0, seed=29),
+    dict(_coa("coa-nodrift", seed=29), clock_drift_max=0.0),
     {
         "name": "ppcoin-honest", "protocol": "ppcoin",
         "params": {"kappa": 12, "target_interval": 30},

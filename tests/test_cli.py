@@ -446,6 +446,21 @@ def test_digest_does_not_depend_on_the_hash_seed(tmp_path):
     assert digests[0] == digests[1]
 
 
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    """``poslab run`` loads numpy.random before it starts its timer, so
+    ``run_seconds`` times only the run; importing the CLI must not load it,
+    or every start-up would pay for it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, poslab.cli; "
+         "print('numpy' in sys.modules, 'numpy.random' in sys.modules)"],
+        env=env, check=True, capture_output=True, text=True)
+    assert probe.stdout.split() == ["True", "False"]
+
+
 @pytest.mark.parametrize("attack, field", [
     (_analysis("takeover", ell=459, p=0.5, q=0.5), "attack.params"),
     (_analysis("claim1", **dict(CLAIM1, epsilon=0)), "attack.params"),

@@ -4,6 +4,8 @@ below with the reason it stays; every name a config may hold is
 documented."""
 
 import ast
+import dataclasses
+import json
 import pathlib
 
 from poslab import attacks, netsim
@@ -55,6 +57,9 @@ UNREFERENCED = {
 
 # (module, "Class.member") -> why a member no src/ code reads stays
 UNREAD_MEMBERS = {
+    ("coa", "CoaNode.views"):
+        "the node's views by block, its tree's live marks, that perfbench's "
+        "tracer counts and the tests read",
     ("ledger", "BlockTree.best_tip"):
         "the fork-choice query that perfbench's tracer wraps and the tests call",
     ("ledger", "BlockTree.is_ancestor"):
@@ -244,3 +249,18 @@ def test_config_docs_state_each_engine_param_kind_and_default():
                    and all(item in row for item in stated) for row in rows):
             wrong[protocol] = stated
     assert wrong == {}, "state these in docs/formats.md's params table"
+
+
+def test_config_docs_state_the_network_defaults():
+    """The `delays` and `clock_drift_max` rows of the Fields table state the
+    kind ``netsim._TOP`` gives each and the default the code declares:
+    ``DelayModel``'s fields and ``ScenarioConfig.clock_drift_max``."""
+    rows = FORMATS.read_text().splitlines()
+    stated = [
+        "| `delays` | `%s` | `%s` |" % (netsim._TOP["delays"], json.dumps(
+            dataclasses.asdict(netsim.DelayModel()))),
+        "| `clock_drift_max` | `%s` | %r |" % (
+            netsim._TOP["clock_drift_max"], netsim.ScenarioConfig.clock_drift_max),
+    ]
+    assert [row for row in stated if row not in rows] == [], \
+        "state these in docs/formats.md's Fields table"

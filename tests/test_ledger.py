@@ -296,6 +296,49 @@ def test_solidified_prefix_excludes_forks():
         tree.solidify(c[0])
     assert tree.solidified_prefix == a[1]
     # the marks are the prefix and its descendants; solidifying narrows them
-    assert tree.live == set(a[1:]) | {c[0]}
+    assert tree.live.keys() == set(a[1:]) | {c[0]}
     tree.solidify(a[2])
-    assert tree.live == set(a[2:])
+    assert tree.live.keys() == set(a[2:])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6)), max_size=60))
+def test_live_marks_follow_their_parents_and_solidify_keeps_their_descendants(
+        steps):
+    """Over random add_block and solidify calls, the live marks start at the
+    solidified prefix, each mark comes after its parent's and keeps the
+    value it was added with, and solidify keeps exactly the marks that a
+    height-sorted recompute keeps, or raises and changes nothing."""
+    genesis = Block(0, b"\x00" * 32, 0, "genesis", genesis_seed=0)
+    tree = BlockTree(genesis, 0)
+    given_marks = {genesis.digest: 0}
+    added = [genesis.digest]
+    for step, (solidify, pick) in enumerate(steps, 1):
+        if solidify:
+            # half the targets lie on the best chain, where solidify may succeed
+            pool = tree.path(tree.best) if pick % 2 else added
+            target = pool[pick // 2 % len(pool)]
+            kept = {target}
+            for d in sorted(tree.live, key=tree.height.__getitem__):
+                if tree.blocks[d].prev_digest in kept:
+                    kept.add(d)
+            before = list(tree.live.items())
+            if target in tree.live and tree.best in kept:
+                tree.solidify(target)
+                assert tree.live.keys() == kept
+                assert tree.solidified_prefix == target
+            else:
+                with pytest.raises(LedgerError):
+                    tree.solidify(target)
+                assert list(tree.live.items()) == before
+        else:
+            parent = tree.blocks[added[pick % len(added)]]
+            block = Block(parent.index + 1, parent.digest, step, "node")
+            tree.add_block(block, step)
+            given_marks[block.digest] = step
+            added.append(block.digest)
+        marks = list(tree.live)
+        assert marks[0] == tree.solidified_prefix
+        assert all(tree.blocks[d].prev_digest in marks[:i]
+                   for i, d in enumerate(marks) if i)
+        assert all(tree.live[d] == given_marks[d] for d in marks)

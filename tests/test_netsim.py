@@ -407,6 +407,25 @@ def stormy_coa_config():
     return config_from_dict(stormy_raw())
 
 
+# Trace digests of runs whose delivery order rests on the queue's tie-breaks:
+# the stormy runs' fan-outs overlap, since delays run up to 400 s against a
+# G0 of 300 s; with no delay each arrival ties on time with its send; with a
+# fixed delay and no drift the peers tie with each other.
+@pytest.mark.parametrize("raw, digest", [
+    (stormy_raw(seed=2),
+     "189248f2eec4042ef0d3b2cae2e0fe4721fec398ee88a3aee2a783fbc8ccd767"),
+    (stormy_raw(seed=11),
+     "b5bcb921d9a125dd11b2f5d9b12844dd2e2b612b77f1ebd271f620cd60908dc2"),
+    (base_raw(delays={"min": 0.0, "max": 0.0}, duration={"slots": 30}),
+     "811bb37b2f5d1324b5fe505ad1f4340ff8044872e1801d0c816762ce4f94ea26"),
+    (base_raw(delays={"min": 1.5, "max": 1.5}, clock_drift_max=0.0,
+              duration={"slots": 30}),
+     "9843c1c9ef7ec270d36e75c9ef5d07b4dfa722f683ac2ef96e086fd518bade8e"),
+], ids=["stormy-2", "stormy-11", "no-delay", "fixed-delay-no-drift"])
+def test_digests_of_runs_whose_deliveries_tie_or_overlap_are_pinned(raw, digest):
+    assert run_scenario(config_from_dict(raw)).digest() == digest
+
+
 def test_a_run_whose_views_lose_every_creator_ends_with_exit_0(tmp_path,
                                                               capsys):
     """At seed 11 the stormy run reaches a view on which all stake is
@@ -494,6 +513,16 @@ def test_a_coa_run_maps_each_views_owners_at_most_once(monkeypatch):
     assert built
     assert len({id(view) for view in built}) == len(built)
     assert len(built) < accepts
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(t=st.floats(allow_nan=False, allow_infinity=False) | st.floats(0.0, 2e9)
+       | st.integers(0, 10 ** 15).map(lambda k: k / 1e6 + 5e-7)
+       | st.sampled_from([0.0, -0.0, 1e-4, 9.99995e-5, 1e9, 999999999.9999995]))
+def test_time_text_is_the_repr_of_the_time_rounded_to_six_places(t):
+    """CoA writes an event's time with ``_time_text``: the float.__repr__ of
+    the time rounded to six places, as the JSON encoder writes it."""
+    assert netsim._time_text(t) == float.__repr__(round(t, 6))
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 99])
