@@ -404,22 +404,24 @@ def view_from_path(params: CoaParams, genesis: Block, ledger: LedgerState,
 
 
 class CoaNode:
-    """One network node: a block tree whose live marks carry the views the
-    node can still extend, and checkpoint state.
+    """One network node: the blocks it has accepted and its fork-choice
+    state.
 
-    The tree marks the solidified prefix and its descendants, each with the
-    view of its path (``views``), and each checkpoint narrows the marks to
-    the new prefix. A node starts from a genesis view. Nodes that start
-    from the same one share every view after it, since a view keeps the
-    outcome of each block offered to it (see ``process_block``).
+    The state (a ``BlockTree``) marks the solidified prefix and its
+    descendants, each with the view of its path (``views``), and checkpoints
+    every t1 blocks. It is a value: accepting a block moves the node to the
+    state's successor for that block. Nodes that start from one genesis
+    state share every state and view after it while they accept the same
+    blocks in the same order, so each step is computed once (see
+    ``BlockTree.add_block`` and ``process_block``).
     """
 
-    def __init__(self, genesis: ChainView, node_id: str = "node",
+    def __init__(self, genesis: BlockTree, node_id: str = "node",
                  observer: Optional[Callable] = None):
-        self.t1 = genesis.params.t1
         self.node_id = node_id
         self.observer = observer
-        self.tree = BlockTree(genesis.last_block, genesis)
+        self.tree = genesis
+        self.accepted = {genesis.genesis_digest}
 
     def _emit(self, kind: str, payload: dict):
         if self.observer:
@@ -427,7 +429,7 @@ class CoaNode:
 
     @property
     def views(self) -> dict:
-        """Block digest -> view, for each block the tree marks live."""
+        """Block digest -> view, for each block the state marks live."""
         return self.tree.live
 
     @property
@@ -435,16 +437,14 @@ class CoaNode:
         return self.tree.live[self.tree.best]
 
     def receive_block(self, block: Block, local_time: Optional[int] = None) -> tuple:
-        """Offer `block` to this node; returns (ok, reason). An accepted
-        block that is the new best at a height k*t1, k >= 2, checkpoints the
-        node: the first block to reach a height is always the new best."""
+        """Offer `block` to this node; returns (ok, reason)."""
         tree = self.tree
         digest = block.digest
-        if digest in tree.blocks:
+        if digest in self.accepted:
             return True, "duplicate"
         view = tree.live.get(block.prev_digest)
         if view is None:
-            reason = "below-solidified" if block.prev_digest in tree.blocks \
+            reason = "below-solidified" if block.prev_digest in self.accepted \
                 else "orphan"
             self._emit("block-rejected", {"index": block.index, "reason": reason})
             return False, reason
@@ -452,12 +452,11 @@ class CoaNode:
         if reason != ACCEPT:
             self._emit("block-rejected", {"index": block.index, "reason": reason})
             return False, reason
-        tree.add_block(block, new_view)
-        if tree.best == digest:
-            t1, h = self.t1, new_view.height
-            if h >= 2 * t1 and h % t1 == 0:
-                tree.solidify(tree.ancestor_at_height(digest, h - t1))
-                self._emit("solidification", {"height": h - t1})
+        self.accepted.add(digest)
+        self.tree = new = tree.add_block(block, new_view)
+        if new.solidified_prefix != tree.solidified_prefix:
+            self._emit("solidification",
+                       {"height": new.height[new.solidified_prefix]})
         return True, ACCEPT
 
     @property

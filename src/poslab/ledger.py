@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Tuple
 
@@ -151,7 +151,10 @@ class Block:
     genesis_seed: Optional[int] = None             # present on the genesis block only
     signature: bytes = b"\x00" * SIG_LEN
 
-    def encode_unsigned(self) -> bytes:
+    @cached_property
+    def unsigned_encoding(self) -> bytes:
+        """The encoding without the signature, built once per block object;
+        ``signed_by``'s copy keeps it."""
         out = [
             _u64(self.index),
             self.prev_digest,
@@ -177,10 +180,14 @@ class Block:
         return b"".join(out)
 
     def encode(self) -> bytes:
-        return self.encode_unsigned() + self.signature
+        return self.unsigned_encoding + self.signature
 
     def signing_digest(self) -> bytes:
-        return hashlib.sha256(b"blk:" + self.encode_unsigned()).digest()
+        return self._signing_digest
+
+    @cached_property
+    def _signing_digest(self) -> bytes:
+        return hashlib.sha256(b"blk:" + self.unsigned_encoding).digest()
 
     @cached_property
     def digest(self) -> bytes:
@@ -189,8 +196,15 @@ class Block:
         return hashlib.sha256(b"dig:" + self.encode()).digest()
 
     def signed_by(self, creator: Optional[str] = None) -> "Block":
+        """A copy signed by `creator` (by default the block's creator). The
+        signature enters neither the unsigned encoding nor the signing
+        digest, so the copy keeps both; it gets its own digest."""
         who = creator if creator is not None else self.creator
-        return replace(self, signature=sign(who, self.signing_digest()))
+        tag = sign(who, self.signing_digest())
+        out = Block.__new__(Block)
+        out.__dict__.update(self.__dict__, signature=tag)
+        out.__dict__.pop("digest", None)
+        return out
 
 
 def canonical_block_digest(block: Block) -> bytes:
@@ -359,17 +373,20 @@ class LedgerState:
 
     # -- bookkeeping used by the consensus engines -------------------------
 
-    def _with_utxo(self, uid: int, **changes) -> "LedgerState":
-        """Replace fields of one output; no interval moves."""
+    def _with_utxo(self, u: Utxo) -> "LedgerState":
+        """This state with `u` in place of its uid's output; no interval moves."""
         utxos = dict(self.utxos)
-        utxos[uid] = replace(utxos[uid], **changes)
+        utxos[u.uid] = u
         return self._derive(False, utxos=utxos)
 
     def with_frozen(self, uid: int, until: int) -> "LedgerState":
-        return self._with_utxo(uid, frozen_until=until)
+        u = self.utxos[uid]
+        return self._with_utxo(Utxo(uid, u.owner, u.intervals, u.strikes, until))
 
     def with_strikes(self, uid: int, strikes: int) -> "LedgerState":
-        return self._with_utxo(uid, strikes=strikes)
+        u = self.utxos[uid]
+        return self._with_utxo(Utxo(uid, u.owner, u.intervals, strikes,
+                                    u.frozen_until))
 
     def with_blacklisted(self, uids: Iterable[int]) -> "LedgerState":
         uids = {u for u in uids if u in self.utxos}
@@ -402,41 +419,62 @@ class LedgerState:
 # ---------------------------------------------------------------------------
 
 class BlockTree:
-    """Fork-choice structure over received blocks.
+    """A node's fork-choice state, as a value.
 
     Heights count produced blocks from genesis (genesis has height 0).
-    ``live`` maps the solidified prefix and the blocks that descend from it
-    to their marks, in the order they were marked: a block is marked, with
-    the mark ``add_block`` is given, when its parent is, so each mark comes
-    after its parent's, and ``solidify`` narrows the marks to the new
-    prefix. The best tip is kept as blocks arrive: a marked block replaces
-    it only when it is strictly higher, so of the highest marked blocks the
-    first seen stays best.
+    ``blocks`` and ``height`` are one store for every state that grows from
+    one genesis state, so a run keeps each block once. ``live`` maps the
+    solidified prefix and the blocks that descend from it to their marks,
+    parents first. ``best`` is the first marked block seen at the greatest
+    height, and a checkpoint every `t1` blocks solidifies the best chain:
+    the first block to reach a height k*t1 moves the prefix up to its
+    ancestor t1 below (so k >= 2 from genesis). ``add_block`` returns the
+    successor state and keeps it by block digest, so the nodes that accept
+    the same blocks in the same order hold one state, and each step,
+    checkpoint included, runs once.
     """
 
-    def __init__(self, genesis: Block, mark=None):
+    def __init__(self, genesis: Block, mark, t1: int):
         gd = genesis.digest
         self.genesis_digest = gd
         self.blocks = {gd: genesis}
         self.height = {gd: 0}
+        self.t1 = t1
         self.best = gd
         self.solidified_prefix = gd
         self.live = {gd: mark}      # marked digest -> its mark, parents first
+        self._next = {}             # block digest -> successor state
 
-    def add_block(self, block: Block, mark=None) -> bytes:
+    def _derive(self, **fields) -> "BlockTree":
+        """This state with `fields` replaced and no successor yet."""
+        out = BlockTree.__new__(BlockTree)
+        out.__dict__.update(self.__dict__, _next={}, **fields)
+        return out
+
+    def add_block(self, block: Block, mark=None) -> "BlockTree":
+        """The state after `block` arrives: `block` marked with `mark` when
+        its parent is marked, else this state. The first call per block
+        decides; the mark must be a function of this state and the block,
+        as a view is."""
+        digest = block.digest
+        out = self._next.get(digest)
+        if out is not None:
+            return out
         parent = block.prev_digest
         if parent not in self.blocks:
             raise LedgerError("parent unknown")
-        digest = block.digest
-        if digest in self.blocks:
-            return digest
         self.blocks[digest] = block
         height = self.height[digest] = self.height[parent] + 1
-        if parent in self.live:
-            self.live[digest] = mark
-            if height > self.height[self.best]:
-                self.best = digest
-        return digest
+        if parent not in self.live:
+            return self
+        out = self._derive(live={**self.live, digest: mark})
+        if height > self.height[self.best]:
+            out.best = digest
+            low = height - self.t1
+            if height % self.t1 == 0 and low > self.height[self.solidified_prefix]:
+                out = out.solidify(self.ancestor_at_height(digest, low))
+        self._next[digest] = out
+        return out
 
     def path(self, digest: bytes) -> list:
         """Digests from genesis to the given block, inclusive."""
@@ -464,15 +502,15 @@ class BlockTree:
         """Tip with most blocks, respecting the solidified prefix; ties first-seen."""
         return self.best
 
-    def solidify(self, digest: bytes) -> None:
-        """Move the prefix up the best chain to `digest` and unmark every
-        block that does not descend from it, in one pass over the marks:
-        a parent's mark comes first, so a descendant finds it kept."""
+    def solidify(self, digest: bytes) -> "BlockTree":
+        """This state with the prefix moved up the best chain to `digest`
+        and every mark that does not descend from it dropped, in one pass
+        over the marks: a parent's mark comes first, so a descendant finds
+        it kept."""
         blocks, live = self.blocks, {digest: self.live.get(digest)}
         for d, mark in self.live.items():
             if blocks[d].prev_digest in live:
                 live[d] = mark
         if digest not in self.live or self.best not in live:
             raise LedgerError("solidified prefix may only extend up the best chain")
-        self.solidified_prefix = digest
-        self.live = live
+        return self._derive(solidified_prefix=digest, live=live)

@@ -22,11 +22,12 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from . import attacks, dense
 from .coa import ACCEPT, ChainView, CoaNode, CoaParams, make_genesis
 from .comb import ParamError
-from .ledger import Block, canonical_block_digest
+from .ledger import Block, BlockTree, canonical_block_digest
 from .rng import make_rng, quiet_rows
 
 MAX_EVENTS = 2000   # PPCoin and Dense-CoA traces keep their first events only
 QUIET_BATCH = 32    # PPCoin seconds drawn per batch when skipping quiet ones
+DIGEST_CHUNK = 1000  # trace lines joined per hash update and write
 ENGINE_KEYS = ("name", "protocol", "params", "stake", "behaviors", "duration",
                "seed")      # plus the keys in its Engine's network
 
@@ -242,17 +243,18 @@ class SimTrace:
 
     def digest(self, events_out=None) -> str:
         """SHA-256 of the canonical JSON (sorted keys, no spaces) of the
-        chains, events and metrics, hashed one event line at a time. Each
-        line also goes to the text file `events_out`, if given: the
-        events.jsonl form."""
+        chains, events and metrics, hashed DIGEST_CHUNK event lines at a
+        time, so the whole trace is never joined. The lines also go to the
+        text file `events_out`, if given: the events.jsonl form."""
         h = hashlib.sha256(b'{"chains":%s,"events":[' % canonical_json(
             self.final_chains).encode())
-        sep = ""
-        for line in self.events:
-            h.update((sep + line).encode())
+        events, sep = self.events, ""
+        for start in range(0, len(events), DIGEST_CHUNK):
+            chunk = events[start:start + DIGEST_CHUNK]
+            h.update((sep + ",".join(chunk)).encode())
             sep = ","
             if events_out is not None:
-                events_out.write(line + "\n")
+                events_out.write("\n".join(chunk) + "\n")
         h.update(b'],"metrics":%s}' % canonical_json(self.metrics).encode())
         return h.hexdigest()
 
@@ -311,14 +313,14 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
     nodes = {}
     drifts = {}
     creates_blocks = {}
-    genesis_view = ChainView(params, genesis, ledger0)
+    root = BlockTree(genesis, ChainView(params, genesis, ledger0), params.t1)
     for i, (name, _amount) in enumerate(config.stake):
-        nodes[name] = CoaNode(genesis_view, node_id=name, observer=observe)
+        nodes[name] = CoaNode(root, node_id=name, observer=observe)
         drift_rng = make_rng(config.seed, "drift", name)
         drifts[name] = float(drift_rng.uniform(-config.clock_drift_max,
                                                config.clock_drift_max))
         creates_blocks[name] = strategy_of(config, name) == "honest"
-    del genesis_view    # a view holds its children: this name would keep every view
+    del root    # a state holds its successors: this name would keep every state
 
     target_blocks = config.duration["slots"]
     time_limit = config.duration.get(
@@ -390,8 +392,7 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
         else:
             heapq.heapreplace(queue, arrival + (item, arrivals))
         node = nodes[name]
-        tree = node.tree
-        if item.prev_digest not in tree.blocks:
+        if item.prev_digest not in node.accepted:
             # hold it until the node accepts its parent
             held[name].setdefault(item.prev_digest, []).append(item)
             continue
@@ -399,10 +400,11 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
         clock = int(when + drifts[name]) + 1
         ready = [item]
         for block in ready:     # grows by the held children accepted
-            before = tree.best
+            before = node.tree.best
             if node.receive_block(block, clock)[1] != ACCEPT:
                 continue
             # a new best tip is the block just accepted, one above `before`
+            tree = node.tree
             if tree.best != before:
                 if block.prev_digest != before:
                     reorgs += 1
@@ -416,7 +418,8 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
 
     # metrics off an arbitrary (deterministic) reference node
     ref = nodes[config.stake[0][0]]
-    chain = [ref.tree.blocks[d] for d in ref.tree.path(ref.tree.best)]
+    store = ref.tree    # every node's state reads the run's one block store
+    chain = [store.blocks[d] for d in store.path(store.best)]
     timestamps = [b.timestamp for b in chain]
     intervals = [b - a for a, b in zip(timestamps, timestamps[1:])]
     total_supply = 1 << config.params["kappa"]
@@ -433,15 +436,14 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
         "blocks": len(chain) - 1,
         "mean_interval": (sum(intervals) / len(intervals)) if intervals else 0.0,
         "reorgs": reorgs,
-        "fork_blocks": len(ref.tree.blocks) - len(chain),
+        "fork_blocks": len(ref.accepted) - len(chain),
         "conservation_ok": conservation_ok,
         "solidified_height": ref.solidified_height,
     }
     for who, n in sorted(per_creator.items()):
         metrics["blocks_by_%s" % who] = n
-    tips = {n.tree.best: n.tree for n in nodes.values()}  # tip -> a tree holding it
-    paths = {tip: [d.hex()[:16] for d in tree.path(tip)]
-             for tip, tree in tips.items()}
+    paths = {tip: [d.hex()[:16] for d in store.path(tip)]
+             for tip in {n.tree.best for n in nodes.values()}}
     chains = {name: paths[n.tree.best] for name, n in nodes.items()}
     return SimTrace(events, metrics, chains)
 

@@ -12,7 +12,7 @@ from poslab.coa import (ACCEPT, ChainView, CoaNode, CoaParams, make_genesis,
 from poslab.comb import (CombSpec, coalition_bias, coalition_bounds,
                          last_player_advantage, undetermined_fraction)
 from poslab.dense import grinding_log2_cost
-from poslab.ledger import Block, LedgerState, Transaction, sign
+from poslab.ledger import Block, BlockTree, LedgerState, Transaction, sign
 from poslab.netsim import ENGINES, run_scenario
 from poslab.rng import make_rng
 from poslab.scenarios import SCENARIOS
@@ -238,7 +238,8 @@ def test_criterion_09_protocol_invariants():
     for case in range(40):
         main = Driver(params, ALLOC, ts0=case * 17)
         main.extend(6)
-        node = CoaNode(ChainView(params, main.genesis, main.ledger0))
+        node = CoaNode(BlockTree(main.genesis, ChainView(
+            params, main.genesis, main.ledger0), params.t1))
         solid = 0
         for blk in main.blocks:
             ok, reason = node.receive_block(blk)

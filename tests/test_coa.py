@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 from collections import Counter
 from dataclasses import replace
 
@@ -12,14 +13,21 @@ from poslab.coa import (ACCEPT, LOOKAHEAD, ChainView, CoaNode, CoaParams,
                         make_genesis, min_timestamp, process_block,
                         view_from_path)
 from poslab.comb import CombSpec, comb_apply
-from poslab.ledger import (Block, EvidenceEntry, LedgerError, LedgerState,
-                           Transaction, block_bit, canonical_block_digest, sign)
+from poslab.ledger import (Block, BlockTree, EvidenceEntry, LedgerError,
+                           LedgerState, Transaction, block_bit,
+                           canonical_block_digest, sign)
 from poslab.netsim import ENGINES
 from poslab.rng import make_rng
 
 
 def small_params(**kw):
     return CoaParams(**{**ENGINES["coa"].defaults, "kappa": 4, "t0": 4, **kw})
+
+
+def genesis_state(view):
+    """The fork-choice state that marks only the genesis view `view`, with
+    its params' checkpoint period."""
+    return BlockTree(view.last_block, view, view.params.t1)
 
 
 def receive_chain(node, blocks, local_time=None):
@@ -58,6 +66,11 @@ class Builder:
             self.blocks.append(block)
         return reason
 
+    def node(self, **kwargs):
+        """A node on a genesis view and state of its own."""
+        return CoaNode(genesis_state(ChainView(
+            self.params, self.genesis, self.ledger0)), **kwargs)
+
     def extend(self, n=1, avoid=()):
         """Produce n blocks, skipping slots whose winner is in `avoid`."""
         for _ in range(n):
@@ -79,8 +92,7 @@ class Builder:
 def test_block_digest_is_computed_once_per_block(monkeypatch):
     params = small_params()
     b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
-    nodes = [CoaNode(ChainView(params, b.genesis, b.ledger0), node_id="n%d" % i)
-             for i in range(5)]
+    nodes = [b.node(node_id="n%d" % i) for i in range(5)]
     block = b.craft()
     encodes = []
     encode = Block.encode
@@ -477,7 +489,7 @@ def test_node_orphan_and_duplicate():
     params = small_params()
     b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
     b.extend(3)
-    node = CoaNode(ChainView(params, b.genesis, b.ledger0))
+    node = b.node()
     assert node.receive_block(b.blocks[1]) == (False, "orphan")
     assert receive_chain(node, b.blocks) == 3
     assert node.receive_block(b.blocks[0]) == (True, "duplicate")
@@ -488,7 +500,7 @@ def test_checkpoint_solidification_and_fork_rejection():
     alloc = [("alice", 6), ("bob", 5), ("carol", 5)]
     main = Builder(params, alloc)
     main.extend(6)
-    node = CoaNode(ChainView(params, main.genesis, main.ledger0))
+    node = main.node()
     receive_chain(node, main.blocks)
     # first candidate at height 4 solidified height 2, height 6 solidified 4
     assert node.solidified_height == 4
@@ -504,22 +516,22 @@ def test_checkpoint_solidification_and_fork_rejection():
 def test_checkpoint_prunes_the_views_of_dead_forks():
     """A checkpoint keeps only the views that descend from the new prefix,
     so a fork that branched below it goes even where it is higher than the
-    prefix. The tree keeps the fork's blocks: a block extending one is
-    below-solidified, not an orphan."""
+    prefix. The node still knows the fork's blocks: a block extending one
+    is below-solidified, not an orphan."""
     params = small_params(t0=4)  # t1 = 2
     alloc = [("alice", 6), ("bob", 5), ("carol", 5)]
     main = Builder(params, alloc)
     main.extend(4)
     fork = Builder(params, alloc)
     fork.extend(4, avoid=(main.blocks[0].creator,))
-    node = CoaNode(ChainView(params, main.genesis, main.ledger0))
+    node = main.node()
     assert receive_chain(node, main.blocks[:3] + fork.blocks[:3]) == 6
-    assert set(node.views) == set(node.tree.blocks)
+    assert set(node.views) == node.accepted
     assert receive_chain(node, main.blocks[3:]) == 1
     assert node.solidified_height == 2
     assert set(node.views) == {blk.digest for blk in main.blocks[1:]}
     dead = fork.blocks[2].digest
-    assert dead in node.tree.blocks and node.tree.height[dead] == 3
+    assert dead in node.accepted and node.tree.height[dead] == 3
     assert node.receive_block(fork.blocks[3]) == (False, "below-solidified")
 
 
@@ -528,7 +540,7 @@ def test_reorg_allowed_above_solidified():
     alloc = [("alice", 6), ("bob", 5), ("carol", 5)]
     main = Builder(params, alloc)
     main.extend(2)
-    node = CoaNode(ChainView(params, main.genesis, main.ledger0))
+    node = main.node()
     receive_chain(node, main.blocks)
     short_tip = node.tree.best
     # a longer fork skipping the first winner arrives later and wins
@@ -545,7 +557,7 @@ def test_equal_length_tie_keeps_first_seen():
     alloc = [("alice", 6), ("bob", 5), ("carol", 5)]
     main = Builder(params, alloc)
     main.extend(2)
-    node = CoaNode(ChainView(params, main.genesis, main.ledger0))
+    node = main.node()
     receive_chain(node, main.blocks)
     first_tip = node.tree.best
     fork = Builder(params, alloc)
@@ -664,7 +676,7 @@ def test_fork_tree_views_equal_recompute(seed):
     chains = (main, skipper, sibling, reporter)
     blocks = {canonical_block_digest(blk): blk
               for chain in chains for blk in chain.blocks}
-    node = CoaNode(ChainView(params, main.genesis, main.ledger0))
+    node = main.node()
     pending = list(blocks.values())
     rng = make_rng(seed, "fork-tree")
     while pending:
@@ -701,17 +713,19 @@ def test_fork_tree_views_equal_recompute(seed):
 
 
 def test_nodes_of_one_run_share_one_view_per_block(monkeypatch):
-    """Nodes built on one genesis view call ``process_block`` once per
+    """Nodes built on one genesis state call ``process_block`` once per
     delivery, but the validation body runs once per (parent view, block) and
-    they all hold its one child view; ``future-dated`` is still decided on
-    each node's own clock."""
+    they all hold its one child view, and the nodes that accepted the same
+    blocks in the same order hold one state; ``future-dated`` is still
+    decided on each node's own clock."""
     params = small_params(t0=8)
     b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
     b.extend(3)
     late = b.craft(ts_extra=1000)   # future-dated for a clock 1000 s behind
     sibling = b.craft(gap=2)        # competes with `late`
     genesis = ChainView(params, b.genesis, b.ledger0)
-    nodes = [CoaNode(genesis, node_id="n%d" % i) for i in range(3)]
+    root = genesis_state(genesis)
+    nodes = [CoaNode(root, node_id="n%d" % i) for i in range(3)]
     calls, bodies = Counter(), Counter()
     process_block, validate = coa.process_block, coa._validate
 
@@ -727,6 +741,7 @@ def test_nodes_of_one_run_share_one_view_per_block(monkeypatch):
     monkeypatch.setattr(coa, "_validate", validating)
     for node in nodes:
         assert receive_chain(node, b.blocks) == 3
+    assert nodes[0].tree is nodes[1].tree is nodes[2].tree
     behind = late.timestamp - params.timestamp_leniency - 1
     # the first node to see `late` is behind: its rejection is not shared
     assert nodes[1].receive_block(late, behind) == (False, "future-dated")
@@ -736,6 +751,7 @@ def test_nodes_of_one_run_share_one_view_per_block(monkeypatch):
     assert nodes[1].receive_block(late, late.timestamp) == (True, ACCEPT)
     assert nodes[2].receive_block(sibling) == (True, ACCEPT)
     monkeypatch.undo()
+    assert nodes[0].tree is nodes[1].tree is not nodes[2].tree
 
     expected = {(n.node_id, blk.digest): 1 for n in nodes for blk in b.blocks}
     expected.update({("n0", late.digest): 1, ("n1", late.digest): 3,
@@ -747,7 +763,7 @@ def test_nodes_of_one_run_share_one_view_per_block(monkeypatch):
         [(id(view), blk.digest) for view, blk in zip(parents, b.blocks)]
         + [(id(tip), late.digest), (id(tip), sibling.digest)])
     for node in nodes:
-        assert set(node.views) == set(node.tree.blocks)
+        assert set(node.views) == node.accepted
     assert late.digest not in nodes[2].views
     assert sibling.digest not in nodes[0].views
     for digest in set().union(*(n.views for n in nodes)):
@@ -759,7 +775,7 @@ def test_nodes_of_one_run_share_one_view_per_block(monkeypatch):
         assert_same_view(view, view_from_path(params, b.genesis, b.ledger0,
                                               path))
     # nodes on genesis views of their own share no view
-    alone = [CoaNode(ChainView(params, b.genesis, b.ledger0)) for _ in range(2)]
+    alone = [b.node() for _ in range(2)]
     for node in alone:
         receive_chain(node, b.blocks)
     assert not {id(v) for v in alone[0].views.values()} \
@@ -781,9 +797,9 @@ def test_nodes_sharing_a_genesis_view_each_emit_their_events():
     offense = b.blocks[-1]
     assert b.apply(b.craft(evidence=make_evidence(offense, offense.creator))) \
         == ACCEPT
-    genesis = ChainView(params, b.genesis, b.ledger0)
+    root = genesis_state(ChainView(params, b.genesis, b.ledger0))
     seen = []
-    nodes = [CoaNode(genesis, node_id=name,
+    nodes = [CoaNode(root, node_id=name,
                      observer=lambda kind, payload: seen.append((kind, payload)))
              for name in ("n0", "n1")]
     for block in b.blocks:
@@ -811,6 +827,12 @@ def view_state(view):
         digest: (None if new is None else id(new), reason, events)
         for digest, (new, reason, events) in view._outcomes.items()}
     return copy.deepcopy(state)
+
+
+def marks(tree):
+    """What a fork-choice state decides: its best tip, its solidified
+    prefix and its live marks in order."""
+    return tree.best, tree.solidified_prefix, list(tree.live.items())
 
 
 def height_in(tree):
@@ -884,13 +906,15 @@ def fork_trees(draw):
 @given(fork_trees(), st.data())
 def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
     """Nodes with per-node clocks receive a random fork tree in random order.
-    Every view they hold equals the recompute of its path and never changes
-    once returned, supply is conserved, and nodes built on one genesis view
-    (one validation per parent view and block) decide and emit exactly as
-    nodes built on one genesis view each. After every delivery the best tip
-    is the scanned fork choice, and checkpoints fire exactly at the first
-    block to reach each height k*t1, k >= 2, and the node holds a view for
-    exactly the blocks that descend from its solidified prefix."""
+    Every view they hold equals the recompute of its path, and it and every
+    fork-choice state never change once returned. Supply is conserved.
+    Nodes built on one genesis state (one validation per parent view and
+    block, one state per accept order) decide, emit and choose exactly as
+    nodes built on a genesis view and state each: after every delivery they
+    agree on the best tip, the solidified prefix and the live marks. The
+    best tip is the scanned fork choice, checkpoints fire exactly at the
+    first block to reach each height k*t1, k >= 2, and the node holds a view
+    for exactly the blocks that descend from its solidified prefix."""
     params, genesis, ledger0, blocks = tree
     count = data.draw(st.integers(2, 3))
     clocks = data.draw(st.lists(st.integers(-100, 20), min_size=count,
@@ -898,35 +922,40 @@ def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
     late = data.draw(st.lists(st.integers(-60, 60), min_size=len(blocks),
                               max_size=len(blocks)))
     order = data.draw(st.permutations(range(len(blocks))))
-    shared = ChainView(params, genesis, ledger0)
+    shared = genesis_state(ChainView(params, genesis, ledger0))
     logs = ([], [])
 
-    def node(i, genesis_view, log):
-        return CoaNode(genesis_view, node_id="n%d" % i,
+    def node(i, state, log):
+        return CoaNode(state, node_id="n%d" % i,
                        observer=lambda kind, payload: log.append((kind, payload)))
 
     runs = [[node(i, shared, logs[0]) for i in range(count)],
-            [node(i, ChainView(params, genesis, ledger0), logs[1])
-             for i in range(count)]]
+            [node(i, genesis_state(ChainView(params, genesis, ledger0)),
+                  logs[1]) for i in range(count)]]
     snapshots = {}      # id of a returned view -> (view, its state then)
+    states = {}         # id of a fork-choice state -> (state, its marks then)
+    accepts = {}        # node -> the blocks it accepted, in accept order
     for nodes, log in zip(runs, logs):
         for n in nodes:
             view = n.best_view
             snapshots.setdefault(id(view), (view, view_state(view)))
-        accepts = {n: [genesis.digest] for n in nodes}     # in accept order
+            accepts[n] = [genesis.digest]
         accepted = True
         while accepted:     # redeliver until a pass accepts nothing new
             accepted = False
             for b in order:
                 for n, clock in zip(nodes, clocks):
-                    if blocks[b].digest in n.tree.blocks:
+                    if blocks[b].digest in n.accepted:
                         continue
                     start = len(log)
                     outcome = n.receive_block(
                         blocks[b], blocks[b].timestamp + clock + late[b])
                     fired = [entry[1]["height"] for entry in log[start:]
                              if entry[0] == "solidification"]
-                    log.append((n.node_id, b) + outcome)
+                    state = n.tree
+                    log.append((n.node_id, b) + outcome + (
+                        state.best, state.solidified_prefix, tuple(state.live)))
+                    states.setdefault(id(state), (state, marks(state)))
                     reached = max(map(height_in(n.tree), accepts[n]))
                     checkpoints = []    # the first block at k*t1, k >= 2
                     if outcome[1] == ACCEPT:
@@ -941,9 +970,15 @@ def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
                     assert fired == checkpoints
                     assert n.tree.best == first_seen_longest(n.tree, accepts[n])
                     assert set(n.views) == {
-                        d for d in n.tree.blocks
+                        d for d in n.accepted
                         if n.tree.solidified_prefix in n.tree.path(d)}
     assert logs[0] == logs[1]
+    for state, then in states.values():
+        assert marks(state) == then
+    for nodes, one_state_per_order in zip(runs, (True, False)):
+        for n, m in itertools.combinations(nodes, 2):
+            assert (n.tree is m.tree) == (one_state_per_order
+                                          and accepts[n] == accepts[m])
     for view, then in snapshots.values():
         now = view_state(view)
         schedule = now.pop("_schedule")

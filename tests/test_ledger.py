@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -251,94 +252,157 @@ def test_validate_block_structure():
         good.signed_by("mallory"), parent) == "bad-signature"
 
 
+def test_a_signed_copy_hashes_as_a_block_built_from_its_fields():
+    """signed_by's copy keeps the unsigned encoding and the signing digest,
+    which the signature does not enter, and not the digest, which it does:
+    its encoding and digests equal those of a fresh block with its fields,
+    also where the block it signs had its digest read first."""
+    parent = Block(0, b"\x00" * 32, 0, "genesis", genesis_seed=1).signed_by()
+    unsigned = Block(1, parent.digest, 300, "alice", auxiliary_proof=3)
+    assert unsigned.digest
+    signed = unsigned.signed_by()
+    assert signed.__dict__["unsigned_encoding"] \
+        is unsigned.__dict__["unsigned_encoding"]
+    for block in (signed, signed.signed_by("mallory")):
+        fresh = Block(**{f.name: getattr(block, f.name)
+                         for f in dataclasses.fields(Block)})
+        assert fresh == block
+        assert fresh.encode() == block.encode()
+        assert fresh.signing_digest() == block.signing_digest()
+        assert fresh.digest == block.digest != unsigned.digest
+    assert validate_block_structure(signed, parent) == "ok"
+
+
+NO_CHECKPOINT = 10 ** 6   # a checkpoint period no test chain reaches
+
+
 def build_chain(tree, parent_digest, n, start_index, ts0=0):
+    """Extend `tree` by `n` blocks from `parent_digest`; returns the last
+    state and the new blocks' digests."""
     digests = []
     parent = tree.blocks[parent_digest]
     for k in range(n):
         b = Block(start_index + k, canonical_block_digest(parent),
                   ts0 + 300 * (k + 1), "node").signed_by()
-        tree.add_block(b)
+        tree = tree.add_block(b)
         digests.append(canonical_block_digest(b))
         parent = b
-    return digests
+    return tree, digests
 
 
 def test_fork_choice_longest_then_first_seen():
     genesis = Block(0, b"\x00" * 32, 0, "genesis", genesis_seed=0).signed_by()
-    tree = BlockTree(genesis)
-    a = build_chain(tree, tree.genesis_digest, 3, 1)
-    b = build_chain(tree, tree.genesis_digest, 2, 1, ts0=1)
+    tree = BlockTree(genesis, None, NO_CHECKPOINT)
+    tree, a = build_chain(tree, tree.genesis_digest, 3, 1)
+    tree, b = build_chain(tree, tree.genesis_digest, 2, 1, ts0=1)
     assert tree.best_tip() == a[-1]
     # extend b to equal length: the first-seen tip (a) is retained
-    b2 = build_chain(tree, b[-1], 1, 3, ts0=1)
+    tree, b2 = build_chain(tree, b[-1], 1, 3, ts0=1)
     assert tree.height[b2[-1]] == tree.height[a[-1]]
     assert tree.best_tip() == a[-1]
     # longer fork wins
-    b3 = build_chain(tree, b2[-1], 1, 4, ts0=1)
+    tree, b3 = build_chain(tree, b2[-1], 1, 4, ts0=1)
     assert tree.best_tip() == b3[-1]
 
 
 def test_solidified_prefix_excludes_forks():
     genesis = Block(0, b"\x00" * 32, 0, "genesis", genesis_seed=0).signed_by()
-    tree = BlockTree(genesis)
-    a = build_chain(tree, tree.genesis_digest, 4, 1)
-    tree.solidify(a[1])
+    tree = BlockTree(genesis, None, NO_CHECKPOINT)
+    tree, a = build_chain(tree, tree.genesis_digest, 4, 1)
+    tree = tree.solidify(a[1])
     # a longer conflicting fork below the solidified block is not chosen
-    b = build_chain(tree, a[0], 6, 2, ts0=7)
+    tree, b = build_chain(tree, a[0], 6, 2, ts0=7)
     assert tree.height[b[-1]] > tree.height[a[-1]]
     assert tree.best_tip() == a[-1]
     with pytest.raises(LedgerError):
         tree.solidify(b[-1])
     # a block above the prefix but off the best chain cannot be solidified
-    c = build_chain(tree, a[1], 1, 3, ts0=13)
+    tree, c = build_chain(tree, a[1], 1, 3, ts0=13)
     assert tree.is_ancestor(a[1], c[0]) and not tree.is_ancestor(c[0], a[-1])
     with pytest.raises(LedgerError):
         tree.solidify(c[0])
     assert tree.solidified_prefix == a[1]
     # the marks are the prefix and its descendants; solidifying narrows them
     assert tree.live.keys() == set(a[1:]) | {c[0]}
-    tree.solidify(a[2])
-    assert tree.live.keys() == set(a[2:])
+    narrowed = tree.solidify(a[2])
+    assert narrowed.live.keys() == set(a[2:])
+    assert tree.live.keys() == set(a[1:]) | {c[0]}
+
+
+def marks(tree):
+    """What a fork-choice state decides: its best tip, its solidified
+    prefix and its live marks in order."""
+    return tree.best, tree.solidified_prefix, list(tree.live.items())
+
+
+def descendants(tree, digests, target):
+    """Of `digests`, `target` and the blocks that descend from it, by a
+    height-sorted scan."""
+    kept = {target}
+    for d in sorted(digests, key=tree.height.__getitem__):
+        if tree.blocks[d].prev_digest in kept:
+            kept.add(d)
+    return kept
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6)), max_size=60))
+@given(st.sampled_from((2, 3, NO_CHECKPOINT)),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6)), max_size=60))
 def test_live_marks_follow_their_parents_and_solidify_keeps_their_descendants(
-        steps):
-    """Over random add_block and solidify calls, the live marks start at the
+        t1, steps):
+    """Over random add_block and solidify calls, each returns a state and
+    leaves the one it was called on as it was. The live marks start at the
     solidified prefix, each mark comes after its parent's and keeps the
-    value it was added with, and solidify keeps exactly the marks that a
-    height-sorted recompute keeps, or raises and changes nothing."""
+    value it was added with. solidify, and the checkpoint that the first
+    block to reach a height k*t1 makes when its ancestor t1 below is above
+    the prefix, keep exactly the marks that a height-sorted recompute keeps;
+    a solidify off the best chain raises."""
     genesis = Block(0, b"\x00" * 32, 0, "genesis", genesis_seed=0)
-    tree = BlockTree(genesis, 0)
+    tree = BlockTree(genesis, 0, t1)
     given_marks = {genesis.digest: 0}
     added = [genesis.digest]
     for step, (solidify, pick) in enumerate(steps, 1):
+        before = marks(tree)
         if solidify:
             # half the targets lie on the best chain, where solidify may succeed
             pool = tree.path(tree.best) if pick % 2 else added
             target = pool[pick // 2 % len(pool)]
-            kept = {target}
-            for d in sorted(tree.live, key=tree.height.__getitem__):
-                if tree.blocks[d].prev_digest in kept:
-                    kept.add(d)
-            before = list(tree.live.items())
+            kept = descendants(tree, tree.live, target)
             if target in tree.live and tree.best in kept:
-                tree.solidify(target)
-                assert tree.live.keys() == kept
-                assert tree.solidified_prefix == target
+                new = tree.solidify(target)
+                assert new.live.keys() == kept
+                assert new.solidified_prefix == target
             else:
                 with pytest.raises(LedgerError):
                     tree.solidify(target)
-                assert list(tree.live.items()) == before
+                new = tree
         else:
-            parent = tree.blocks[added[pick % len(added)]]
+            # two thirds of the blocks extend the best tip, so checkpoints fire
+            parent = tree.blocks[tree.best if pick % 3
+                                 else added[pick % len(added)]]
             block = Block(parent.index + 1, parent.digest, step, "node")
-            tree.add_block(block, step)
+            new = tree.add_block(block, step)
             given_marks[block.digest] = step
             added.append(block.digest)
-        marks = list(tree.live)
-        assert marks[0] == tree.solidified_prefix
-        assert all(tree.blocks[d].prev_digest in marks[:i]
-                   for i, d in enumerate(marks) if i)
-        assert all(tree.live[d] == given_marks[d] for d in marks)
+            height = tree.height[block.digest]
+            if parent.digest not in tree.live:
+                assert new is tree
+            elif height <= tree.height[tree.best]:
+                assert marks(new) == before[:2] + (
+                    before[2] + [(block.digest, step)],)
+            else:
+                assert new.best == block.digest
+                prefix = tree.solidified_prefix
+                if height % t1 == 0 \
+                        and height - t1 > tree.height[tree.solidified_prefix]:
+                    prefix = tree.ancestor_at_height(block.digest, height - t1)
+                assert new.solidified_prefix == prefix
+                assert new.live.keys() == descendants(
+                    tree, list(tree.live) + [block.digest], prefix)
+        assert marks(tree) == before
+        tree = new
+        live = list(tree.live)
+        assert live[0] == tree.solidified_prefix
+        assert all(tree.blocks[d].prev_digest in live[:i]
+                   for i, d in enumerate(live) if i)
+        assert all(tree.live[d] == given_marks[d] for d in live)

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poslab import cli, netsim
-from poslab.coa import ChainView
+from poslab.coa import ChainView, CoaParams, make_genesis
+from poslab.ledger import BlockTree
 from poslab.netsim import (ACCEPT_LINE, ENGINES, SEND_LINE, SOLIDIFICATION_LINE,
                            ConfigError, DelayModel, SimTrace, canonical_json,
                            config_from_dict, load_config, run_scenario,
@@ -426,6 +427,46 @@ def test_digests_of_runs_whose_deliveries_tie_or_overlap_are_pinned(raw, digest)
     assert run_scenario(config_from_dict(raw)).digest() == digest
 
 
+class ScriptedDelays:
+    """A delay model that returns the given delays, one list per created
+    block in the order the run creates them."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def sample(self, rng, count):
+        delays = self.draws.pop(0)
+        assert len(delays) == count
+        return delays
+
+
+def test_deliveries_at_one_time_go_in_sender_rank_order():
+    """Two senders' blocks reach alice at the same time. carol (rank 2)
+    sent hers first, at slot 1, so her delivery has the lower sequence
+    number; bob (rank 1) builds slot 2 on genesis, as carol's block reaches
+    him late. The queue orders deliveries by (time, sender's rank,
+    sequence), so alice gets bob's block first and keeps it as her tip."""
+    config = config_from_dict(base_raw(clock_drift_max=0.0,
+                                       duration={"slots": 8, "seconds": 650}))
+    params = CoaParams(**config.params)
+    genesis_view = ChainView(params, *make_genesis(params, list(config.stake)))
+    assert [(i, owner) for i, _z, owner, _u in
+            genesis_view.slot_candidates(2)] == [(1, "carol"), (2, "bob")]
+    # peers in stake order: carol's go to alice and bob, bob's to alice
+    # and carol
+    trace = run_scenario(dataclasses.replace(config, delays=ScriptedDelays(
+        [301.0, 400.0], [1.0, 1.0])))
+    events = parsed_events(trace)
+    assert [(e["node"], e["index"], e["time"]) for e in events
+            if e["event"] == "send"] == [("carol", 1, 300.0), ("bob", 2, 600.0)]
+    assert [(e["node"], e["creator"], e["time"]) for e in events
+            if e["event"] == "block-accept"] == [
+        ("carol", "carol", 300.0), ("bob", "bob", 600.0),
+        ("alice", "bob", 601.0), ("carol", "bob", 601.0),
+        ("alice", "carol", 601.0)]
+    assert trace.final_chains["alice"] == trace.final_chains["bob"]
+
+
 def test_a_run_whose_views_lose_every_creator_ends_with_exit_0(tmp_path,
                                                               capsys):
     """At seed 11 the stormy run reaches a view on which all stake is
@@ -513,6 +554,53 @@ def test_a_coa_run_maps_each_views_owners_at_most_once(monkeypatch):
     assert built
     assert len({id(view) for view in built}) == len(built)
     assert len(built) < accepts
+
+
+def test_nodes_with_one_history_hold_one_state_and_prune_once_per_checkpoint(
+        monkeypatch):
+    """In an honest many-holder run the nodes accept one chain in one order,
+    and the nodes that have accepted the same blocks hold one fork-choice
+    state. A checkpoint prunes once per height for the whole run, while
+    each node still emits its own solidification event."""
+    nodes, prunes = [], []
+    solidify = BlockTree.solidify
+
+    class RecordedNode(netsim.CoaNode):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            nodes.append(self)
+
+    def counting(tree, digest):
+        prunes.append(tree.height[digest])
+        return solidify(tree, digest)
+
+    monkeypatch.setattr(netsim, "CoaNode", RecordedNode)
+    monkeypatch.setattr(BlockTree, "solidify", counting)
+    t1 = 4
+    trace = run_scenario(config_from_dict(base_raw(
+        params={"kappa": 8, "g0_seconds": 300, "t0": 2 * t1},
+        stake=[["h%02d" % i, 16] for i in range(16)],
+        duration={"slots": 40})))
+    events = parsed_events(trace)
+    histories = {node.node_id: () for node in nodes}
+    for e in events:
+        if e["event"] == "block-accept":
+            histories[e["node"]] += ((e["creator"], e["index"]),)
+    longest = max(histories.values(), key=len)
+    assert len(longest) == 40
+    states = {}     # history -> the states of the nodes with it
+    for node in nodes:
+        history = histories[node.node_id]
+        assert history == longest[:len(history)]
+        states.setdefault(history, set()).add(id(node.tree))
+    assert all(len(ids) == 1 for ids in states.values())
+    # each node solidifies height h - t1 at each height h = k*t1, k >= 2,
+    # that it reaches; the run prunes once per such height
+    assert prunes == list(range(t1, len(longest) - t1 + 1, t1))
+    solidified = [e["height"] for e in events if e["event"] == "solidification"]
+    assert sorted(solidified) == sorted(
+        h - t1 for history in histories.values()
+        for h in range(2 * t1, len(history) + 1, t1))
 
 
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
