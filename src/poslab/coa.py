@@ -107,7 +107,9 @@ class ChainView:
     function of the view too: ``slot_candidates`` derives it once and
     extends it when asked for more. So is the outcome of each block offered
     to it, bar the receiving node's clock: ``process_block`` validates a
-    block once per view and keeps the outcome.
+    block once per view and keeps the outcome. A view also keeps the
+    ``confiscation`` and ``blacklist`` effects of its last block
+    (``effects``, a tuple of (kind, payload) pairs, empty for most blocks).
     """
 
     def __init__(self, params: CoaParams, genesis: Block, ledger: LedgerState):
@@ -126,9 +128,10 @@ class ChainView:
         # tuple is empty for a skipped slot and never empty for a block
         self.slots = {}
         self.groups = {}             # group number -> (seed, index of its last block)
+        self.effects = ()            # (kind, payload) of its last block's effects
         self._schedule = []          # the slot candidates derived so far
         self._owners = None          # see ``creations``; built on first request
-        # block digest -> (child view or None, reason, events)
+        # block digest -> (child view or None, reason)
         self._outcomes = {}
 
     def clone(self) -> "ChainView":
@@ -210,8 +213,8 @@ class ChainView:
         return owners
 
 
-def process_block(view: ChainView, block: Block, local_time: Optional[int] = None,
-                  observer: Optional[Callable] = None) -> tuple:
+def process_block(view: ChainView, block: Block,
+                  local_time: Optional[int] = None) -> tuple:
     """Validate `block` against `view` and, if valid, return the extended view.
 
     Returns (new_view, "accept") or (None, reason). Typed reasons: the
@@ -221,8 +224,8 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
     ``future-dated`` is decided first, per call against `local_time`, and
     wins over every other reason. The rest of the outcome is computed once
     per (view, block) and kept on the view, so every caller holding the
-    view gets the same child object; an accepted block's ``confiscation``
-    and ``blacklist`` events go to each caller's `observer`.
+    view gets the same pair, and an accepted block's child view carries its
+    effects.
     """
     if local_time is not None \
             and block.timestamp > local_time + view.params.timestamp_leniency:
@@ -230,37 +233,31 @@ def process_block(view: ChainView, block: Block, local_time: Optional[int] = Non
     outcome = view._outcomes.get(block.digest)
     if outcome is None:
         outcome = view._outcomes[block.digest] = _validate(view, block)
-    new, reason, events = outcome
-    if new is None:
-        return None, reason
-    if observer:
-        for kind, payload in events:
-            observer(kind, payload)
-    return new, ACCEPT
+    return outcome
 
 
 def _validate(view: ChainView, block: Block) -> tuple:
-    """The clock-free outcome of `block` on `view`: (new_view, "accept",
-    events) or (None, reason, ())."""
+    """The clock-free outcome of `block` on `view`: (new_view, "accept"),
+    the new view carrying the block's effects, or (None, reason)."""
     p = view.params
     last = view.last_block
     reason = validate_block_structure(block, last)
     if reason != "ok":
-        return None, reason, ()
+        return None, reason
 
     gap = block.index - last.index
     try:
         candidates = view.slot_candidates(gap)
     except LedgerError:
-        return None, "wrong-creator", ()
+        return None, "wrong-creator"
     slot_index, _z, owner, uid = candidates[-1]
     assert slot_index == block.index
     if owner != block.creator:
-        return None, "wrong-creator", ()
+        return None, "wrong-creator"
 
     if block.timestamp < min_timestamp(last.timestamp, block.index, last.index,
                                        p.g0_seconds):
-        return None, "too-early", ()
+        return None, "too-early"
 
     # The freeze restricts spending and auxiliary use; the derived winner may
     # still create a block while its previous deposit freeze is running (the
@@ -273,16 +270,16 @@ def _validate(view: ChainView, block: Block) -> tuple:
         aux = view.ledger.utxos.get(aux_uid) if aux_uid is not None else None
         if aux is None or aux.owner != block.creator \
                 or aux.amount < p.c0 - derived.amount:
-            return None, "understaked", ()
+            return None, "understaked"
         if aux.is_frozen(height):
-            return None, "frozen-stake", ()
+            return None, "frozen-stake"
         deposit_uids.append(aux_uid)
 
     evidence_effect = None
     if block.double_sign_evidence is not None:
         ev = _check_evidence(view, block)
         if isinstance(ev, str):
-            return None, ev, ()
+            return None, ev
         evidence_effect = ev
 
     new = view.clone()
@@ -309,10 +306,10 @@ def _validate(view: ChainView, block: Block) -> tuple:
         new.ledger = new.ledger.with_frozen(duid, height + p.t0)
         frozen.append(duid)
 
-    events = []
+    effects = []
     if evidence_effect is not None:
         offense_index, confiscate_uids = evidence_effect
-        events.append(("confiscation", dict(
+        effects.append(("confiscation", dict(
             _confiscate(new, offense_index, confiscate_uids, block.creator),
             offense_index=offense_index, reporter=block.creator)))
 
@@ -322,12 +319,12 @@ def _validate(view: ChainView, block: Block) -> tuple:
         bound = tx.latest_block_index
         record = new.slots.get(bound)
         if bound not in (0, block.index) and not (record and record[2]):
-            return None, "binding-violation", ()
+            return None, "binding-violation"
         try:
             new.ledger = new.ledger.apply_transaction(tx, height,
                                                       fee_recipient=block.creator)
         except LedgerError:
-            return None, "bad-transaction", ()
+            return None, "bad-transaction"
         if tx.fee:
             fee_uid = new.ledger.next_uid - 1
             new.ledger = new.ledger.with_frozen(fee_uid, height + p.t0)
@@ -351,12 +348,13 @@ def _validate(view: ChainView, block: Block) -> tuple:
         for group in sorted(g for g in pending if g <= opening):
             uids = pending[group]
             new.ledger = new.ledger.with_blacklisted(uids)
-            events.append(("blacklist", {"uids": sorted(uids),
-                                         "group": opening}))
+            effects.append(("blacklist", {"uids": sorted(uids),
+                                          "group": opening}))
     else:
         new.z_next = candidates[-1][1] + 1
 
-    return new, ACCEPT, tuple(events)
+    new.effects = tuple(effects)
+    return new, ACCEPT
 
 
 def _check_evidence(view: ChainView, block: Block):
@@ -416,16 +414,9 @@ class CoaNode:
     ``BlockTree.add_block`` and ``process_block``).
     """
 
-    def __init__(self, genesis: BlockTree, node_id: str = "node",
-                 observer: Optional[Callable] = None):
-        self.node_id = node_id
-        self.observer = observer
+    def __init__(self, genesis: BlockTree):
         self.tree = genesis
         self.accepted = {genesis.genesis_digest}
-
-    def _emit(self, kind: str, payload: dict):
-        if self.observer:
-            self.observer(kind, dict(payload, node=self.node_id))
 
     @property
     def views(self) -> dict:
@@ -437,26 +428,19 @@ class CoaNode:
         return self.tree.live[self.tree.best]
 
     def receive_block(self, block: Block, local_time: Optional[int] = None) -> tuple:
-        """Offer `block` to this node; returns (ok, reason)."""
-        tree = self.tree
-        digest = block.digest
-        if digest in self.accepted:
+        """Offer `block` to this node; returns (ok, reason). An accepted
+        block's view (``views[block.digest]``) carries its effects."""
+        if block.digest in self.accepted:
             return True, "duplicate"
-        view = tree.live.get(block.prev_digest)
+        view = self.tree.live.get(block.prev_digest)
         if view is None:
-            reason = "below-solidified" if block.prev_digest in self.accepted \
-                else "orphan"
-            self._emit("block-rejected", {"index": block.index, "reason": reason})
-            return False, reason
-        new_view, reason = process_block(view, block, local_time, self._emit)
+            return False, ("below-solidified" if block.prev_digest in self.accepted
+                           else "orphan")
+        new_view, reason = process_block(view, block, local_time)
         if reason != ACCEPT:
-            self._emit("block-rejected", {"index": block.index, "reason": reason})
             return False, reason
-        self.accepted.add(digest)
-        self.tree = new = tree.add_block(block, new_view)
-        if new.solidified_prefix != tree.solidified_prefix:
-            self._emit("solidification",
-                       {"height": new.height[new.solidified_prefix]})
+        self.accepted.add(block.digest)
+        self.tree = self.tree.add_block(block, new_view)
         return True, ACCEPT
 
     @property

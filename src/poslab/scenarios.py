@@ -76,7 +76,7 @@ _RAW_SCENARIOS = [
         "name": "dense-withhold", "protocol": "dense_coa",
         "params": {"kappa": 12, "ell": 5, "g0_seconds": 300},
         "stake": _split_stake(12, ["a", "b", "c", "d"], [9, 1, 1, 1]),
-        "behaviors": {"d": {"strategy": "withhold"}},
+        "behaviors": {"d": {"strategy": "offline"}},
         "duration": {"slots": 30}, "seed": 37,
     },
     _analysis("claim1", "claim1",

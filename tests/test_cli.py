@@ -483,7 +483,7 @@ def test_dense_run_without_a_clean_committee_ends_at_a_stall(tmp_path, capsys):
     config = {"protocol": "dense_coa", "params": {"kappa": 4, "ell": 3},
               "stake": [["alice", 8], ["bob", 8]],
               "behaviors": {"alice": {"strategy": "offline"},
-                            "bob": {"strategy": "withhold"}},
+                            "bob": {"strategy": "offline"}},
               "duration": {"slots": 3}}
     path = tmp_path / "stall.json"
     path.write_text(json.dumps(config))

@@ -66,10 +66,10 @@ class Builder:
             self.blocks.append(block)
         return reason
 
-    def node(self, **kwargs):
+    def node(self):
         """A node on a genesis view and state of its own."""
         return CoaNode(genesis_state(ChainView(
-            self.params, self.genesis, self.ledger0)), **kwargs)
+            self.params, self.genesis, self.ledger0)))
 
     def extend(self, n=1, avoid=()):
         """Produce n blocks, skipping slots whose winner is in `avoid`."""
@@ -92,7 +92,7 @@ class Builder:
 def test_block_digest_is_computed_once_per_block(monkeypatch):
     params = small_params()
     b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
-    nodes = [b.node(node_id="n%d" % i) for i in range(5)]
+    nodes = [b.node() for _ in range(5)]
     block = b.craft()
     encodes = []
     encode = Block.encode
@@ -352,18 +352,17 @@ def test_stale_evidence_rejected():
     assert b.apply(b.craft(evidence=evidence)) == "bad-evidence"
 
 
-def test_confiscation_effect_reported_to_the_observer():
+def test_confiscation_effect_is_kept_on_the_accepted_view():
     params = small_params(c0=2, c1=1)
     b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
     b.extend(2)
+    assert b.view.effects == ()
     offense = b.blocks[-1]
     evidence = make_evidence(offense, offense.creator)
     block = b.craft(evidence=evidence)
-    seen = []
-    view, reason = process_block(b.view, block, block.timestamp,
-                                 observer=lambda *event: seen.append(event))
+    view, reason = process_block(b.view, block, block.timestamp)
     assert reason == ACCEPT
-    [(kind, effect)] = seen
+    [(kind, effect)] = view.effects
     assert kind == "confiscation"
     assert effect["confiscated"] == effect["awarded"] + effect["destroyed"]
     assert effect["awarded"] == params.c1
@@ -371,6 +370,9 @@ def test_confiscation_effect_reported_to_the_observer():
                                                              block.creator)
     b.view = view
     assert b.apply(b.craft(evidence=evidence)) == "bad-evidence"
+    # the effect belongs to the block: its child carries none
+    b.extend(1)
+    assert b.view.effects == ()
 
 
 def test_malformed_evidence_rejected():
@@ -593,16 +595,12 @@ def test_confiscation_event_only_for_accepted_blocks():
     evidence = make_evidence(offense, offense.creator)
     unbound = Transaction(((0, b"\x00" * 16),), (("alice", 1),),
                           b.view.last_block.index + 50)
-    events = []
-    observe = lambda kind, payload: events.append((kind, payload))
     block = b.craft(evidence=evidence, txs=(unbound,))
-    assert process_block(b.view, block, observer=observe) \
-        == (None, "binding-violation")
-    assert events == []
-    _view, reason = process_block(b.view, b.craft(evidence=evidence),
-                                  observer=observe)
+    assert process_block(b.view, block) == (None, "binding-violation")
+    assert b.view._outcomes == {block.digest: (None, "binding-violation")}
+    view, reason = process_block(b.view, b.craft(evidence=evidence))
     assert reason == ACCEPT
-    (kind, payload), = events
+    (kind, payload), = view.effects
     assert kind == "confiscation"
     assert set(payload) == {"confiscated", "awarded", "destroyed",
                             "offense_index", "reporter"}
@@ -725,18 +723,28 @@ def test_nodes_of_one_run_share_one_view_per_block(monkeypatch):
     sibling = b.craft(gap=2)        # competes with `late`
     genesis = ChainView(params, b.genesis, b.ledger0)
     root = genesis_state(genesis)
-    nodes = [CoaNode(root, node_id="n%d" % i) for i in range(3)]
+    nodes = [CoaNode(root) for _ in range(3)]
     calls, bodies = Counter(), Counter()
+    receiver = []       # the node whose receive_block is running
+    receive_block = CoaNode.receive_block
     process_block, validate = coa.process_block, coa._validate
 
-    def counting(view, block, local_time=None, observer=None):
-        calls[observer.__self__.node_id, block.digest] += 1
-        return process_block(view, block, local_time, observer)
+    def receiving(node, block, local_time=None):
+        receiver.append(nodes.index(node))
+        try:
+            return receive_block(node, block, local_time)
+        finally:
+            receiver.pop()
+
+    def counting(view, block, local_time=None):
+        calls[receiver[-1], block.digest] += 1
+        return process_block(view, block, local_time)
 
     def validating(view, block):
         bodies[id(view), block.digest] += 1
         return validate(view, block)
 
+    monkeypatch.setattr(CoaNode, "receive_block", receiving)
     monkeypatch.setattr(coa, "process_block", counting)
     monkeypatch.setattr(coa, "_validate", validating)
     for node in nodes:
@@ -753,9 +761,9 @@ def test_nodes_of_one_run_share_one_view_per_block(monkeypatch):
     monkeypatch.undo()
     assert nodes[0].tree is nodes[1].tree is not nodes[2].tree
 
-    expected = {(n.node_id, blk.digest): 1 for n in nodes for blk in b.blocks}
-    expected.update({("n0", late.digest): 1, ("n1", late.digest): 3,
-                     ("n2", sibling.digest): 1})
+    expected = {(i, blk.digest): 1 for i in range(3) for blk in b.blocks}
+    expected.update({(0, late.digest): 1, (1, late.digest): 3,
+                     (2, sibling.digest): 1})
     assert calls == expected
     tip = nodes[0].views[b.blocks[-1].digest]
     parents = [genesis] + [nodes[0].views[blk.digest] for blk in b.blocks]
@@ -782,9 +790,10 @@ def test_nodes_of_one_run_share_one_view_per_block(monkeypatch):
         & {id(v) for v in alone[1].views.values()}
 
 
-def test_nodes_sharing_a_genesis_view_each_emit_their_events():
-    """Confiscation and blacklist events come from the one validation of a
-    block, and every node that accepts it emits them under its own id."""
+def test_nodes_sharing_a_genesis_view_hold_one_view_with_each_blocks_effects():
+    """Confiscation and blacklist effects come from the one validation of a
+    block: every node that accepts it holds the block's one view, which
+    carries them, equal to the effects of a recompute of the path."""
     params = small_params(c0=2, c1=1)
     b = Builder(params, [("lazy", 5), ("alice", 4), ("bob", 4), ("carol", 3)])
     lazy_uid = 0
@@ -798,22 +807,22 @@ def test_nodes_sharing_a_genesis_view_each_emit_their_events():
     assert b.apply(b.craft(evidence=make_evidence(offense, offense.creator))) \
         == ACCEPT
     root = genesis_state(ChainView(params, b.genesis, b.ledger0))
-    seen = []
-    nodes = [CoaNode(root, node_id=name,
-                     observer=lambda kind, payload: seen.append((kind, payload)))
-             for name in ("n0", "n1")]
+    nodes = [CoaNode(root) for _ in range(2)]
+    recompute = ChainView(params, b.genesis, b.ledger0)
+    held, recomputed = [], []
     for block in b.blocks:
         for node in nodes:
             assert node.receive_block(block) == (True, ACCEPT)
-    assert nodes[0].best_view is nodes[1].best_view
-    by_node = {name: [(kind, {k: v for k, v in payload.items() if k != "node"})
-                      for kind, payload in seen if payload["node"] == name]
-               for name in ("n0", "n1")}
-    assert len(seen) == len(by_node["n0"]) + len(by_node["n1"])
-    assert by_node["n0"] == by_node["n1"]
-    kinds = [kind for kind, _payload in by_node["n0"]]
+        views = [n.views[block.digest] for n in nodes]
+        assert views[0] is views[1]
+        held.append(views[0].effects)
+        recompute, _reason = process_block(recompute, block)
+        recomputed.append(recompute.effects)
+    assert held == recomputed
+    effects = [effect for block_effects in held for effect in block_effects]
+    kinds = [kind for kind, _payload in effects]
     assert "blacklist" in kinds and "confiscation" in kinds
-    assert any(lazy_uid in payload["uids"] for kind, payload in by_node["n0"]
+    assert any(lazy_uid in payload["uids"] for kind, payload in effects
                if kind == "blacklist")
 
 
@@ -824,8 +833,8 @@ def view_state(view):
              if k not in ("ledger", "_outcomes")}
     state["ledger"] = {name: getattr(view.ledger, name) for name in LEDGER_FIELDS}
     state["_outcomes"] = {
-        digest: (None if new is None else id(new), reason, events)
-        for digest, (new, reason, events) in view._outcomes.items()}
+        digest: (None if new is None else id(new), reason)
+        for digest, (new, reason) in view._outcomes.items()}
     return copy.deepcopy(state)
 
 
@@ -909,9 +918,10 @@ def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
     Every view they hold equals the recompute of its path, and it and every
     fork-choice state never change once returned. Supply is conserved.
     Nodes built on one genesis state (one validation per parent view and
-    block, one state per accept order) decide, emit and choose exactly as
-    nodes built on a genesis view and state each: after every delivery they
-    agree on the best tip, the solidified prefix and the live marks. The
+    block, one state per accept order) decide and choose exactly as nodes
+    built on a genesis view and state each: after every delivery they agree
+    on the returned reason, the accepted block's effects, the best tip, the
+    solidified prefix and the live marks. The
     best tip is the scanned fork choice, checkpoints fire exactly at the
     first block to reach each height k*t1, k >= 2, and the node holds a view
     for exactly the blocks that descend from its solidified prefix."""
@@ -924,14 +934,9 @@ def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
     order = data.draw(st.permutations(range(len(blocks))))
     shared = genesis_state(ChainView(params, genesis, ledger0))
     logs = ([], [])
-
-    def node(i, state, log):
-        return CoaNode(state, node_id="n%d" % i,
-                       observer=lambda kind, payload: log.append((kind, payload)))
-
-    runs = [[node(i, shared, logs[0]) for i in range(count)],
-            [node(i, genesis_state(ChainView(params, genesis, ledger0)),
-                  logs[1]) for i in range(count)]]
+    runs = [[CoaNode(shared) for _ in range(count)],
+            [CoaNode(genesis_state(ChainView(params, genesis, ledger0)))
+             for _ in range(count)]]
     snapshots = {}      # id of a returned view -> (view, its state then)
     states = {}         # id of a fork-choice state -> (state, its marks then)
     accepts = {}        # node -> the blocks it accepted, in accept order
@@ -944,17 +949,20 @@ def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
         while accepted:     # redeliver until a pass accepts nothing new
             accepted = False
             for b in order:
-                for n, clock in zip(nodes, clocks):
+                for i, (n, clock) in enumerate(zip(nodes, clocks)):
                     if blocks[b].digest in n.accepted:
                         continue
-                    start = len(log)
+                    old = n.tree
                     outcome = n.receive_block(
                         blocks[b], blocks[b].timestamp + clock + late[b])
-                    fired = [entry[1]["height"] for entry in log[start:]
-                             if entry[0] == "solidification"]
                     state = n.tree
-                    log.append((n.node_id, b) + outcome + (
-                        state.best, state.solidified_prefix, tuple(state.live)))
+                    fired = [] if state.solidified_prefix == old.solidified_prefix \
+                        else [state.height[state.solidified_prefix]]
+                    effects = n.views[blocks[b].digest].effects \
+                        if outcome[1] == ACCEPT else None
+                    log.append((i, b) + outcome + (
+                        effects, state.best, state.solidified_prefix,
+                        tuple(state.live)))
                     states.setdefault(id(state), (state, marks(state)))
                     reached = max(map(height_in(n.tree), accepts[n]))
                     checkpoints = []    # the first block at k*t1, k >= 2
@@ -987,7 +995,7 @@ def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
         outcomes, written = now.pop("_outcomes"), then.pop("_outcomes")
         assert {digest: outcomes[digest] for digest in written} == written
         assert now == then
-        for digest, (new, _reason, _events) in view._outcomes.items():
+        for digest, (new, _reason) in view._outcomes.items():
             if new is not None:     # kept on the view the block extends
                 assert new.last_block.digest == digest
                 assert new.last_block.prev_digest == view.last_block.digest

@@ -236,6 +236,40 @@ def test_config_docs_name_every_registered_name():
     assert missing == [], "document these in docs/formats.md"
 
 
+def written_event_names() -> set:
+    """Each event name the code writes: the ``"event"`` values of netsim's
+    dict literals, the names netsim passes to ``_line_format``, and the
+    effect kinds ``coa._validate`` appends."""
+    netsim_tree = ast.parse((SRC / "netsim.py").read_text())
+    coa_tree = ast.parse((SRC / "coa.py").read_text())
+    validate, = [node for node in coa_tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_validate"]
+    names = set()
+    for node in ast.walk(netsim_tree):
+        if isinstance(node, ast.Dict):
+            names |= {value.value for key, value in zip(node.keys, node.values)
+                      if isinstance(key, ast.Constant) and key.value == "event"}
+        elif isinstance(node, ast.Call) and _call_name(node) == "_line_format":
+            names.add(node.args[0].value)
+    for node in ast.walk(validate):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "effects.append":
+            names.add(node.args[0].elts[0].value)
+    return names
+
+
+def test_events_docs_name_every_written_event():
+    """docs/formats.md's ``events.jsonl`` entry lists every event name the
+    code writes."""
+    text = FORMATS.read_text()
+    entry = text[text.index("- `events.jsonl`"):]
+    listed = entry[entry.index("(") + 1:entry.index(")")]
+    names = written_event_names()
+    assert {"send", "block-rejected", "blacklist", "solidification",
+            "stall"} <= names
+    missing = sorted(n for n in names if "`%s`" % n not in listed)
+    assert missing == [], "list these in docs/formats.md's events.jsonl entry"
+
+
 def test_config_docs_state_each_engine_param_kind_and_default():
     """Each protocol's row of the params table states every param of its
     ``ENGINES`` entry as `name`: `kind` (default)."""

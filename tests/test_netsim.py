@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poslab import cli, netsim
-from poslab.coa import ChainView, CoaParams, make_genesis
+from poslab.coa import ACCEPT, ChainView, CoaParams, make_genesis
 from poslab.ledger import BlockTree
 from poslab.netsim import (ACCEPT_LINE, ENGINES, SEND_LINE, SOLIDIFICATION_LINE,
                            ConfigError, DelayModel, SimTrace, canonical_json,
@@ -61,7 +61,8 @@ def test_config_validation_names_offending_field():
     # each engine runs only its own strategies
     for protocol, duration, strategy in (
             ("ppcoin", {"seconds": 100}, "offline"),
-            ("ppcoin", {"seconds": 100}, "withhold"),
+            ("coa", {"slots": 2}, "withhold"),
+            ("dense_coa", {"slots": 2}, "withhold"),
             ("dense_coa", {"slots": 2}, "ppcoin-multifork")):
         with pytest.raises(ConfigError) as e:
             config_from_dict(base_raw(
@@ -561,7 +562,7 @@ def test_nodes_with_one_history_hold_one_state_and_prune_once_per_checkpoint(
     """In an honest many-holder run the nodes accept one chain in one order,
     and the nodes that have accepted the same blocks hold one fork-choice
     state. A checkpoint prunes once per height for the whole run, while
-    each node still emits its own solidification event."""
+    the run still writes each node's own solidification event."""
     nodes, prunes = [], []
     solidify = BlockTree.solidify
 
@@ -577,20 +578,22 @@ def test_nodes_with_one_history_hold_one_state_and_prune_once_per_checkpoint(
     monkeypatch.setattr(netsim, "CoaNode", RecordedNode)
     monkeypatch.setattr(BlockTree, "solidify", counting)
     t1 = 4
+    stake = [["h%02d" % i, 16] for i in range(16)]
     trace = run_scenario(config_from_dict(base_raw(
         params={"kappa": 8, "g0_seconds": 300, "t0": 2 * t1},
-        stake=[["h%02d" % i, 16] for i in range(16)],
-        duration={"slots": 40})))
+        stake=stake, duration={"slots": 40})))
     events = parsed_events(trace)
-    histories = {node.node_id: () for node in nodes}
+    # the run builds one node per holder, in stake order
+    by_name = dict(zip([name for name, _amount in stake], nodes, strict=True))
+    histories = {name: () for name in by_name}
     for e in events:
         if e["event"] == "block-accept":
             histories[e["node"]] += ((e["creator"], e["index"]),)
     longest = max(histories.values(), key=len)
     assert len(longest) == 40
     states = {}     # history -> the states of the nodes with it
-    for node in nodes:
-        history = histories[node.node_id]
+    for name, node in by_name.items():
+        history = histories[name]
         assert history == longest[:len(history)]
         states.setdefault(history, set()).add(id(node.tree))
     assert all(len(ids) == 1 for ids in states.values())
@@ -601,6 +604,44 @@ def test_nodes_with_one_history_hold_one_state_and_prune_once_per_checkpoint(
     assert sorted(solidified) == sorted(
         h - t1 for history in histories.values()
         for h in range(2 * t1, len(history) + 1, t1))
+
+
+def test_each_node_writes_each_effect_of_each_block_it_accepts_once(
+        monkeypatch):
+    """The run writes the effects a block's view carries once for each node
+    that accepts the block, stamped with the node's name, just before that
+    node's block-accept line: on the stormy run, blacklists."""
+    nodes, accepted = [], []    # (node, block, effects) per acceptance
+
+    class RecordedNode(netsim.CoaNode):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            nodes.append(self)
+
+        def receive_block(self, block, local_time=None):
+            outcome = super().receive_block(block, local_time)
+            if outcome[1] == ACCEPT:
+                accepted.append((self, block, self.views[block.digest].effects))
+            return outcome
+
+    monkeypatch.setattr(netsim, "CoaNode", RecordedNode)
+    config = stormy_coa_config()
+    trace = run_scenario(config)
+    # the run builds one node per holder, in stake order
+    name = {id(node): who for (who, _amount), node
+            in zip(config.stake, nodes, strict=True)}
+    expected = []
+    for node, block, effects in accepted:
+        who = name[id(node)]
+        expected += [canonical_json(dict(payload, event=kind, node=who))
+                     for kind, payload in effects]
+        expected.append((who, block.index, block.creator))
+    written = [(e["node"], e["index"], e["creator"])
+               if e["event"] == "block-accept" else line
+               for line, e in zip(trace.events, parsed_events(trace))
+               if e["event"] in ("block-accept", "confiscation", "blacklist")]
+    assert written == expected
+    assert any('"event":"blacklist"' in line for line in written)
 
 
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
