@@ -11,7 +11,6 @@ fees the attacker must match exceed V.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -27,22 +26,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(str(x))
     return Fraction(x)
-
-
-@dataclass(frozen=True)
-class BribeScenario:
-    v: float            # double-spend value, coins
-    epsilon: float      # average fee per block, coins
-    rho: float          # density assumption floor
-    delta: int          # missing blocks in the worst <=1/2-participation segment
-    rho_prime: float    # observed density after the payment block
-    s: int              # confirmations the merchant waits
-
-    def __post_init__(self):
-        if not 0 < self.rho_prime <= 1:
-            raise ValueError("rho_prime must be in (0,1]")
-        if not self.rho > 0.5:
-            raise ValueError("density assumption requires rho > 1/2")
 
 
 def min_safe_confirmations_observed(v, epsilon, rho_prime, delta) -> int:
@@ -144,10 +127,15 @@ def bribe_accepted(mu: float, f_loss: float, f_prime: float,
     return (mu + f_prime) * p_success > f_loss * (1.0 - p_success)
 
 
-def simulate_bribe_attack(scenario: BribeScenario, mu: float,
+def simulate_bribe_attack(v: float, epsilon: float, delta: int,
+                          rho_prime: float, s: int, mu: float,
                           p_success: float, seed: int = 0) -> dict:
     """Outcome of a bribe campaign over the S-block confirmation window.
 
+    A double-spend of value `v` against a merchant who waits `s`
+    confirmations, at an average fee `epsilon` per block, with the head
+    start `delta` and the observed density `rho_prime` of
+    ``min_safe_confirmations_observed``.
     The attacker signs the skipped slots personally (their holders ask
     nothing, the worst case) and must bribe enough produced-slot winners to
     overtake the honest chain. Each winner weighs the offer mu plus the
@@ -156,13 +144,14 @@ def simulate_bribe_attack(scenario: BribeScenario, mu: float,
     two-action model: extend honestly or join the attacker chain; nobody
     double-signs.
     """
-    s = scenario.s
+    min_unprofitable_s = min_safe_confirmations_observed(v, epsilon, rho_prime,
+                                                         delta)
     rng = make_rng(seed, "bribe", s, mu, p_success)
-    produced = rng.random(s) < scenario.rho_prime
+    produced = rng.random(s) < rho_prime
     n_produced = int(produced.sum())
-    free = (s - n_produced) + scenario.delta - 1
+    free = (s - n_produced) + delta - 1
     needed = s + 1 - free  # attacker chain must strictly exceed S blocks
-    accepts = bribe_accepted(mu, scenario.epsilon, 0.0, p_success)
+    accepts = bribe_accepted(mu, epsilon, 0.0, p_success)
     n_accepting = n_produced if accepts else 0
     success = free >= s + 1 or (accepts and n_accepting >= needed)
     cost = float(mu * needed) if success and needed > 0 else 0.0
@@ -172,9 +161,8 @@ def simulate_bribe_attack(scenario: BribeScenario, mu: float,
         "free_blocks": max(free, 0),
         "attacker_cost": cost,
         # 0.0 - cost: a failure that cost nothing reads 0.0, not -0.0
-        "attacker_profit": (scenario.v - cost) if success else 0.0 - cost,
-        "min_unprofitable_s": min_safe_confirmations_observed(
-            scenario.v, scenario.epsilon, scenario.rho_prime, scenario.delta),
+        "attacker_profit": (v - cost) if success else 0.0 - cost,
+        "min_unprofitable_s": min_unprofitable_s,
     }
 
 
@@ -421,11 +409,8 @@ ANALYSES = {
             p["version"], p["stake"], p["multiplier"], p["trials"], seed,
             saturated=p["saturated"])}),
     "bribe": Analysis(
-        ("v", "epsilon", "rho", "delta", "rho_prime", "s", "mu", "p_success"),
-        {},
-        lambda p, seed: simulate_bribe_attack(BribeScenario(
-            p["v"], p["epsilon"], p["rho"], p["delta"], p["rho_prime"], p["s"]),
-            p["mu"], p["p_success"], seed=seed)),
+        ("v", "epsilon", "delta", "rho_prime", "s", "mu", "p_success"), {},
+        lambda p, seed: simulate_bribe_attack(**p, seed=seed)),
     "mu": Analysis(("comb", "kappa", "p"), {"w": 1, "trials": 10 ** 4}, _mu),
     "tie-fraction": Analysis(
         ("comb", "kappa"), {"w": 1},

@@ -123,7 +123,6 @@ class ChainView:
         self.group_bits = ()
         self.z_next = 1
         self.pending_blacklist = {}  # activation group -> frozenset of uids
-        self.punished = frozenset()  # offense indices already confiscated
         # slot index -> (owner, uid, uids frozen by its block); the frozen
         # tuple is empty for a skipped slot and never empty for a block
         self.slots = {}
@@ -310,7 +309,7 @@ def _validate(view: ChainView, block: Block) -> tuple:
     if evidence_effect is not None:
         offense_index, confiscate_uids = evidence_effect
         effects.append(("confiscation", dict(
-            _confiscate(new, offense_index, confiscate_uids, block.creator),
+            _confiscate(new, confiscate_uids, block.creator),
             offense_index=offense_index, reporter=block.creator)))
 
     for tx in block.transactions:
@@ -341,12 +340,12 @@ def _validate(view: ChainView, block: Block) -> tuple:
             comb_apply(p.comb_spec, new.group_bits), block.index)}
         new.group_bits = ()
         new.z_next = 1
-        # activate blacklists scheduled for the group now opening
+        # activate the blacklist scheduled for the group now opening: a
+        # block of group g schedules g + 2, so no earlier group is pending
         opening = completed + 1
-        pending = new.pending_blacklist
-        new.pending_blacklist = {g: u for g, u in pending.items() if g > opening}
-        for group in sorted(g for g in pending if g <= opening):
-            uids = pending[group]
+        if opening in new.pending_blacklist:
+            new.pending_blacklist = dict(new.pending_blacklist)
+            uids = new.pending_blacklist.pop(opening)
             new.ledger = new.ledger.with_blacklisted(uids)
             effects.append(("blacklist", {"uids": sorted(uids),
                                           "group": opening}))
@@ -365,13 +364,13 @@ def _check_evidence(view: ChainView, block: Block):
     if not (a.valid() and b.valid()):
         return "bad-evidence"
     offense = a.index
-    if offense in view.punished:
-        return "bad-evidence"
     if offense >= block.index or block.index - offense > view.params.t0:
         return "bad-evidence"
     record = view.slots.get(offense)
     if record is None or record[0] != a.creator:
         return "bad-evidence"
+    # a confiscation removes every live output of the record and a uid is
+    # never reused, so a second report of one offense finds none
     uids = set(record[2]) | {record[1]}
     uids = {u for u in uids if u in view.ledger.utxos}
     if not uids:
@@ -379,13 +378,12 @@ def _check_evidence(view: ChainView, block: Block):
     return offense, uids
 
 
-def _confiscate(new: ChainView, offense: int, uids, reporter: str) -> dict:
-    """Confiscate `uids` in the fresh clone `new`, award c1 of it to the
-    reporter and mark the offense punished; returns the effect."""
+def _confiscate(new: ChainView, uids, reporter: str) -> dict:
+    """Confiscate `uids` in the fresh clone `new` and award c1 of it to the
+    reporter; returns the effect."""
     total = sum(new.ledger.utxos[u].amount for u in uids)
     award = min(new.params.c1, total)
     new.ledger = new.ledger.confiscate(uids, award, reporter)
-    new.punished = new.punished | {offense}
     return {"confiscated": total, "awarded": award, "destroyed": total - award}
 
 

@@ -4,8 +4,7 @@ With the difficulty readjustment removed, the block rate tracks the amount
 of mining equipment online: miners enter while a minted coin is worth more
 than it costs to produce and quit when it is worth less, so the coin value
 gravitates to the production cost during the inflationary phase. A minimal
-average gap keeps the rate bounded when too much equipment shows up, and
-coinbase outputs only mature after n further blocks.
+average gap keeps the rate bounded when too much equipment shows up.
 """
 
 from __future__ import annotations
@@ -50,13 +49,6 @@ def block_rate(params: IssuanceParams, miners: float) -> float:
     if params.min_gap_seconds > 0:
         return min(raw, 1.0 / params.min_gap_seconds)
     return raw
-
-
-def maturity_spendable(coinbase_height: int, tip_height: int, n: int) -> bool:
-    """Minted coins spend only once buried behind n further PoW blocks."""
-    if coinbase_height < 0 or tip_height < coinbase_height:
-        raise ValueError("invalid heights")
-    return tip_height - coinbase_height >= n
 
 
 def simulate_issuance(params: IssuanceParams, steps: int, seed: int = 0,

@@ -160,11 +160,16 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
             CoaParams(**params)
         except ParamError as exc:
             raise ConfigError("params." + exc.name, str(exc))
+    names = set()
     for pos, entry in enumerate(raw["stake"]):
         if not (_is("list", entry) and len(entry) == 2
                 and _is("string", entry[0]) and _is("count", entry[1])):
             raise ConfigError("stake[%d]" % pos, "expected [name, positive "
                               "satoshi count], got %r" % (entry,))
+        if entry[0] in names:
+            raise ConfigError("stake[%d]" % pos, "duplicate stakeholder name %r"
+                              % entry[0])
+        names.add(entry[0])
     stake = tuple(map(tuple, raw["stake"]))
     total = sum(a for _s, a in stake)
     if total != 1 << kappa:
@@ -536,7 +541,8 @@ def _run_dense(config: ScenarioConfig) -> SimTrace:
     idle = {name for name, _a in config.stake
             if strategy_of(config, name) != "honest"}
     rng = make_rng(config.seed, "dense-run")
-    seed_val = int(make_rng(config.seed, "dense-seed").integers(0, 1 << kappa))
+    seed_val = int(make_rng(config.seed, "dense-seed").integers(
+        0, 1 << kappa, dtype="uint64"))
     events: List[dict] = []
     now = 0.0
     fallbacks = 0

@@ -97,8 +97,8 @@ _RAW_SCENARIOS = [
               {"version": "v0.3", "stake": 0.1, "multiplier": 5.0,
                "trials": 20000, "saturated": True}),
     _analysis("bribe-underfunded", "bribe",
-              {"v": 100, "epsilon": 10, "rho": 0.7, "delta": 19,
-               "rho_prime": 0.7, "s": 42, "mu": 5.0, "p_success": 0.5}),
+              {"v": 100, "epsilon": 10, "delta": 19, "rho_prime": 0.7,
+               "s": 42, "mu": 5.0, "p_success": 0.5}),
     _analysis("mu-concat", "mu",
               {"comb": "concat", "kappa": 8, "p": 0.05, "trials": 50000}),
     _analysis("kz-bounds", "kz-bounds",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from poslab import attacks, rng as rng_module
-from poslab.attacks import (BribeScenario, _as_fraction, bribe_accepted,
+from poslab.attacks import (_as_fraction, bribe_accepted,
                             confirmation_wait_seconds, fork_rate_study,
                             measure_delta, min_safe_confirmations_density,
                             min_safe_confirmations_observed,
@@ -89,10 +89,9 @@ def test_measure_delta():
 
 
 def test_bribe_scenario_validation():
-    with pytest.raises(ValueError):
-        BribeScenario(100, 10, 0.4, 19, 0.7, 42)
-    with pytest.raises(ValueError):
-        BribeScenario(100, 10, 0.7, 19, 0.0, 42)
+    with pytest.raises(ValueError, match=r"rho_prime must be in \(0,1\]"):
+        simulate_bribe_attack(v=100, epsilon=10, delta=19, rho_prime=0.0,
+                              s=42, mu=5.0, p_success=0.5)
 
 
 def test_takeover_arithmetic():
@@ -131,9 +130,8 @@ def test_bribe_acceptance_rule():
 
 
 def test_underfunded_bribe_fails_at_safe_s():
-    scenario = BribeScenario(v=100, epsilon=10, rho=0.7, delta=20,
-                             rho_prime=0.7, s=42)
-    out = simulate_bribe_attack(scenario, mu=9.0, p_success=0.4, seed=5)
+    out = simulate_bribe_attack(v=100, epsilon=10, delta=20, rho_prime=0.7,
+                                s=42, mu=9.0, p_success=0.4, seed=5)
     assert not out["success"]
     assert out["attacker_profit"] <= 0
     assert out["min_unprofitable_s"] == 42
@@ -142,9 +140,8 @@ def test_underfunded_bribe_fails_at_safe_s():
 def test_a_failed_bribe_that_cost_nothing_reports_a_positive_zero_profit():
     """A failure that cost nothing reads 0.0, not -0.0, in the calculator
     and in the bundled scenario's trace, at its own seed and at seed 0."""
-    scenario = BribeScenario(v=100, epsilon=10, rho=0.7, delta=20,
-                             rho_prime=0.7, s=42)
-    out = simulate_bribe_attack(scenario, mu=9.0, p_success=0.4, seed=5)
+    out = simulate_bribe_attack(v=100, epsilon=10, delta=20, rho_prime=0.7,
+                                s=42, mu=9.0, p_success=0.4, seed=5)
     assert (out["success"], out["attacker_cost"]) == (False, 0.0)
     assert math.copysign(1.0, out["attacker_profit"]) == 1.0
     config = SCENARIOS["bribe-underfunded"]
@@ -156,18 +153,16 @@ def test_a_failed_bribe_that_cost_nothing_reports_a_positive_zero_profit():
 
 
 def test_funded_bribe_succeeds_below_safe_s():
-    scenario = BribeScenario(v=1000, epsilon=1, rho=0.7, delta=20,
-                             rho_prime=0.7, s=5)
-    out = simulate_bribe_attack(scenario, mu=50.0, p_success=0.99, seed=6)
+    out = simulate_bribe_attack(v=1000, epsilon=1, delta=20, rho_prime=0.7,
+                                s=5, mu=50.0, p_success=0.99, seed=6)
     assert out["success"]
     assert out["attacker_profit"] > 0
 
 
 def test_free_headstart_alone_can_win():
     # delta so large the attacker needs no acceptors at all
-    scenario = BribeScenario(v=10, epsilon=1, rho=0.7, delta=50,
-                             rho_prime=0.9, s=3)
-    out = simulate_bribe_attack(scenario, mu=0.0, p_success=0.01, seed=7)
+    out = simulate_bribe_attack(v=10, epsilon=1, delta=50, rho_prime=0.9,
+                                s=3, mu=0.0, p_success=0.01, seed=7)
     assert out["success"]
     assert out["needed_bribed_blocks"] == 0
     assert out["attacker_cost"] == 0.0

@@ -405,6 +405,9 @@ CLAIM1 = {"v": 100, "epsilon": 10, "rho_prime": 0.7, "delta": 20}
                   clock_drift_max=500), "clock_drift_max"),
     (_config_with(protocol="dense_coa", clock_drift_max=500),
      "clock_drift_max"),
+    (_config_with(stake=[["alice", 6], ["bob", 5], ["alice", 5]]), "stake[2]"),
+    (_config_with(protocol="ppcoin", duration={"seconds": 600},
+                  stake=[["a", 12], ["a", 4]]), "stake[1]"),
 ])
 def test_rejected_config_names_field_in_validate_and_run(tmp_path, capsys,
                                                           config, field):
@@ -498,6 +501,24 @@ def test_dense_run_without_a_clean_committee_ends_at_a_stall(tmp_path, capsys):
         {"event": "stall", "index": 1, "fallbacks": 0}]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["events_dropped"] == 0
+
+
+def test_dense_run_at_kappa_64_exits_0(tmp_path, capsys):
+    """validate-config accepts kappa up to 64, and the run draws its genesis
+    seed over all 64 bits."""
+    half = 1 << 63
+    config = {"protocol": "dense_coa", "params": {"kappa": 64},
+              "stake": [["alice", half], ["bob", half]],
+              "duration": {"slots": 3}}
+    path = tmp_path / "k64.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    for argv in (("validate-config", "--config", str(path)),
+                 ("run", "--config", str(path), "--out", str(out),
+                  "--format", "json")):
+        code, _o, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK, (argv[0], err)
+    assert json.loads((out / "metrics.json").read_text())["blocks"] == 3
 
 
 def test_manifest_says_what_ran(tmp_path, capsys):

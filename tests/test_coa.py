@@ -667,8 +667,11 @@ def test_fork_tree_views_equal_recompute(seed):
         assert reporter.apply(block) == ACCEPT
     offense = reporter.blocks[-1]
     evidence = make_evidence(offense, offense.creator)
+    _owner, uid, frozen = reporter.view.slots[offense.index]
+    offense_uids = {uid, *frozen}
+    assert offense_uids <= reporter.view.ledger.utxos.keys()
     assert reporter.apply(reporter.craft(evidence=evidence)) == ACCEPT
-    assert reporter.view.punished == {offense.index}
+    assert not offense_uids & reporter.view.ledger.utxos.keys()
     reporter.extend(2)
 
     chains = (main, skipper, sibling, reporter)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from poslab.issuance import (IssuanceParams, block_rate, constant_demand,
-                             maturity_spendable, simulate_issuance)
+                             simulate_issuance)
 
 
 def make_params(**kw):
@@ -26,16 +26,6 @@ def test_block_rate_min_gap_floor():
     assert block_rate(params, 10 ** 9) == pytest.approx(1.0 / 60)
     free = make_params(min_gap_seconds=0)
     assert block_rate(free, 10 ** 9) == pytest.approx(2e3)
-
-
-def test_maturity_rule():
-    assert not maturity_spendable(100, 219, n=120)
-    assert maturity_spendable(100, 220, n=120)
-    assert maturity_spendable(0, 120, n=120)
-    with pytest.raises(ValueError):
-        maturity_spendable(10, 5, n=120)
-    with pytest.raises(ValueError):
-        maturity_spendable(-1, 5, n=120)
 
 
 def test_value_converges_to_production_cost():

@@ -38,8 +38,6 @@ UNREFERENCED = {
         "the paper's closed form G0/(1-f)^ell for a withholding stakeholder",
     ("dense", "grinding_log2_cost"):
         "the paper's closed form ell*log2(1/f) for seed grinding",
-    ("issuance", "maturity_spendable"):
-        "the PoW coinbase maturity rule of the issuance model",
     ("ledger", "canonical_block_digest"):
         "module-level name of Block.digest that perfbench's tracer wraps",
     ("ppcoin", "calibrate_d0"):
@@ -69,7 +67,7 @@ UNREAD_MEMBERS = {
 }
 
 
-_STAKE_KERNEL = ("stake-kernel model that ROADMAP item 3 routes the PPCoin "
+_STAKE_KERNEL = ("stake-kernel model that ROADMAP item 4 routes the PPCoin "
                  "engine through")
 
 # (module, "function.parameter") -> why a default no call overrides stays

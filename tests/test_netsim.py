@@ -111,7 +111,7 @@ def test_trace_is_deterministic():
 # moves one must say which and why.
 PINNED_DIGESTS = {
     "bribe-underfunded":
-        "0ae9f665f2eec365dc9eccd185e6779aaa2ba344f737f0504f5b2cb08fd71cca",
+        "195f783edc2d72d7c08e6603ed34fa5362aa5607df4ff0ebf5ffa64e0538b2d1",
     "claim1":
         "90ee5271dcfa0ba81e21a7eacadb87ed75516c7d546675f36f5a98d1bbb79772",
     "claim2":
@@ -168,7 +168,7 @@ def test_bundled_digests_are_pinned():
 # Trace digest of every bundled scenario at seed 0.
 PINNED_DIGESTS_SEED_0 = {
     "bribe-underfunded":
-        "051a5ef0c27455148070f911abc5f82fb2e4db748da08cdb3e0a7c0dea4b315d",
+        "9c66552a27500aa21a3354a5da5197ad435c4c5fad0ff57b68328562657abc2c",
     "claim1":
         "90ee5271dcfa0ba81e21a7eacadb87ed75516c7d546675f36f5a98d1bbb79772",
     "claim2":

@@ -30,7 +30,7 @@ def _optional(**fields):
 @st.composite
 def engine_configs(draw):
     protocol = draw(st.sampled_from(("coa", "dense_coa", "ppcoin")))
-    kappa = draw(st.integers(1, 6))
+    kappa = draw(st.integers(1, 6) | st.just(64))
     total = 1 << kappa
     holders = draw(st.integers(1, min(4, total)))
     cuts = sorted(draw(st.lists(st.integers(1, total - 1), unique=True,
@@ -79,6 +79,10 @@ ANALYSIS_PARAMS = {
         {"v": NUMBER, "epsilon": NUMBER, "rho": FRACTION,
          "k": st.integers(0, 40)},
         optional={"g0_seconds": st.integers(1, 600)}),
+    "bribe": st.fixed_dictionaries({
+        "v": NUMBER, "epsilon": NUMBER, "delta": st.integers(0, 40),
+        "rho_prime": FRACTION, "s": st.integers(0, 60), "mu": NUMBER,
+        "p_success": FRACTION}),
     "takeover": st.fixed_dictionaries({
         "ell": st.integers(1, 5), "p": FRACTION, "q": FRACTION}),
     "kz-bounds": st.fixed_dictionaries({
