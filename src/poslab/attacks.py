@@ -170,6 +170,9 @@ def simulate_bribe_attack(v: float, epsilon: float, delta: int,
 # committee withholding DoS
 # ---------------------------------------------------------------------------
 
+MAX_DOS_TICKS = 10 ** 8   # the most ticks a withholding run may expect (minutes)
+
+
 def simulate_withholding_dos(ell: int, stake_fraction: float, g0: float,
                              n_blocks: int = 4000, seed: int = 0) -> float:
     """Mean block interval (seconds) under a withholding stakeholder.
@@ -184,8 +187,9 @@ def simulate_withholding_dos(ell: int, stake_fraction: float, g0: float,
     if n_blocks < 10 ** 3:
         raise ValueError("need at least 10^3 blocks for a stable estimate")
     s = (1.0 - stake_fraction) ** ell
-    if s <= 0:
-        raise ValueError("withholder controls every committee")
+    if n_blocks > MAX_DOS_TICKS * s:
+        raise ValueError("%d blocks need over %d G0 ticks at a completion "
+                         "chance of %.3g a tick" % (n_blocks, MAX_DOS_TICKS, s))
     rng = make_rng(seed, "dos", ell, stake_fraction)
     max_tips, max_parents = 2, 1
     n, m = 1, 0  # committees racing at the tip height / at the parent height
@@ -338,13 +342,12 @@ def fork_rate_study(seconds: int = 4 * 10 ** 8, n_outputs: int = 600,
 # the analysis table: `attack` scenarios and reproductions run these entries
 # ---------------------------------------------------------------------------
 
-class Analysis(NamedTuple):
-    required: tuple             # parameter names without a default
-    defaults: dict              # the other parameters, with their defaults
-    fn: Callable[[dict, int], dict]   # (params with defaults, seed) -> metrics
+REQUIRED = ...   # the default of a param that a config must give
 
-    def run(self, params: dict, seed: int) -> dict:
-        return self.fn(dict(self.defaults, **params), seed)
+
+class Analysis(NamedTuple):
+    params: dict    # each param -> (kind, default or REQUIRED)
+    fn: Callable[[dict, int], dict]   # (params with defaults, seed) -> metrics
 
 
 def _claim2(p: dict, seed: int) -> dict:
@@ -376,52 +379,56 @@ def _issuance(p: dict, seed: int) -> dict:
             "cost": cost, "max_deviation": float(abs(tail - cost).max() / cost)}
 
 
-# the type of an analysis parameter, by name; any other is a finite number
-PARAM_TYPES = {"comb": "string", "version": "string", "saturated": "bool",
-               "seconds": "count", "blocks": "count", "trials": "count",
-               "steps": "count", "k": "count", "kappa": "count",
-               "ell": "count", "w": "count"}
+_NUMBER, _COUNT = ("number", REQUIRED), ("count", REQUIRED)  # the commonest kinds
 
 ANALYSES = {
     "claim1": Analysis(
-        ("v", "epsilon", "rho_prime", "delta"), {},
+        {"v": _NUMBER, "epsilon": _NUMBER, "rho_prime": _NUMBER,
+         "delta": ("integer", REQUIRED)},
         lambda p, seed: {"s": min_safe_confirmations_observed(
             p["v"], p["epsilon"], p["rho_prime"], p["delta"])}),
-    "claim2": Analysis(("v", "epsilon", "rho", "k"), {"g0_seconds": 300}, _claim2),
+    "claim2": Analysis({"v": _NUMBER, "epsilon": _NUMBER, "rho": _NUMBER,
+                        "k": _COUNT, "g0_seconds": ("number", 300)}, _claim2),
     "takeover": Analysis(
-        ("ell", "p", "q"), {},
+        {"ell": _COUNT, "p": _NUMBER, "q": _NUMBER},
         lambda p, seed: {"exponent": takeover_log_bound(p["ell"], p["p"], p["q"])}),
     "dense-dos": Analysis(
-        ("ell", "f", "g0_seconds"), {"blocks": 1000},
+        {"ell": _COUNT, "f": _NUMBER, "g0_seconds": _NUMBER,
+         "blocks": ("count", 1000)},
         lambda p, seed: {"mean_interval_minutes": simulate_withholding_dos(
             p["ell"], p["f"], p["g0_seconds"], p["blocks"], seed) / 60.0}),
     "ppcoin-mk": Analysis(
-        (), {"stake": 0.25, "k": 6, "blocks": 10 ** 6},
+        {"stake": ("number", 0.25), "k": ("count", 6), "blocks": ("count", 10 ** 6)},
         lambda p, seed: _pick(simulate_streak_interval(
             p["stake"], p["k"], p["blocks"], seed), "mean_gap", "expected")),
     "fork-rate": Analysis(
-        (), {"seconds": 10 ** 7},
+        {"seconds": ("count", 10 ** 7)},
         lambda p, seed: _pick(fork_rate_study(p["seconds"], seed=seed),
                               "pairwise_interval", "multi_solve_interval")),
     "timeweight": Analysis(
-        ("version", "stake", "multiplier"), {"trials": 10 ** 4, "saturated": False},
+        {"version": ("string", REQUIRED), "stake": _NUMBER, "multiplier": _NUMBER,
+         "trials": ("count", 10 ** 4), "saturated": ("bool", False)},
         lambda p, seed: {"win_probability": simulate_timeweight_attack(
             p["version"], p["stake"], p["multiplier"], p["trials"], seed,
             saturated=p["saturated"])}),
     "bribe": Analysis(
-        ("v", "epsilon", "delta", "rho_prime", "s", "mu", "p_success"), {},
+        {"v": _NUMBER, "epsilon": _NUMBER, "delta": ("integer", REQUIRED),
+         "rho_prime": _NUMBER, "s": ("integer", REQUIRED), "mu": _NUMBER,
+         "p_success": _NUMBER},
         lambda p, seed: simulate_bribe_attack(**p, seed=seed)),
-    "mu": Analysis(("comb", "kappa", "p"), {"w": 1, "trials": 10 ** 4}, _mu),
+    "mu": Analysis({"comb": ("string", REQUIRED), "kappa": _COUNT, "p": _NUMBER,
+                    "w": ("count", 1), "trials": ("count", 10 ** 4)}, _mu),
     "tie-fraction": Analysis(
-        ("comb", "kappa"), {"w": 1},
+        {"comb": ("string", REQUIRED), "kappa": _COUNT, "w": ("count", 1)},
         lambda p, seed: {"tie_fraction": comb.undetermined_fraction(
             comb.CombSpec(p["comb"], p["kappa"], p["w"]))}),
     "kz-bounds": Analysis(
-        ("ell", "kappa", "epsilon"), {},
+        {"ell": _COUNT, "kappa": _COUNT, "epsilon": _NUMBER},
         lambda p, seed: dict(zip(("achievable", "upper"), comb.coalition_bounds(
             p["ell"], p["kappa"], p["epsilon"])))),
     "issuance": Analysis(
-        (), {"cost": 1.0, "demand": 10 ** 6, "difficulty": 2e-6,
-             "min_gap": 60.0, "steps": 400},
+        {"cost": ("number", 1.0), "demand": ("number", 10 ** 6),
+         "difficulty": ("number", 2e-6), "min_gap": ("number", 60.0),
+         "steps": ("count", 400)},
         _issuance),
 }

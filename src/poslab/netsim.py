@@ -133,6 +133,16 @@ def _section(obj, kinds: dict, prefix: str = "", required=()) -> dict:
     return obj
 
 
+def resolve_params(given, declared: dict, prefix: str) -> dict:
+    """The params `given` over the defaults of `declared`, which maps each
+    param to (kind, default or REQUIRED); else `_section`'s ConfigError."""
+    _section(given, {key: kind for key, (kind, _d) in declared.items()}, prefix,
+             [key for key, (_k, default) in declared.items()
+              if default is attacks.REQUIRED])
+    return {**{key: default for key, (_k, default) in declared.items()
+               if default is not attacks.REQUIRED}, **given}
+
+
 def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     """Validate a parsed config; raises ConfigError naming the bad field."""
     _section(raw, _TOP)
@@ -148,10 +158,8 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     engine = ENGINES[protocol]
     _section(raw, {key: _TOP[key] for key in ENGINE_KEYS + engine.network},
              required=("stake",))
-    kinds = {key: kind for key, (kind, _default) in engine.params.items()}
-    params = {**engine.defaults, **_section(
-        raw.get("params", {}), {"kappa": "count", **kinds}, "params.",
-        required=("kappa",))}
+    params = resolve_params(raw.get("params", {}), {
+        "kappa": ("count", attacks.REQUIRED), **engine.params}, "params.")
     kappa = params["kappa"]
     if kappa > 64:
         raise ConfigError("params.kappa", "must be at most 64, got %d" % kappa)
@@ -203,8 +211,8 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
 
 
 def analysis_of(attack) -> tuple:
-    """(kind, params, analysis) of an ``attack`` block, checked against
-    ``attacks.ANALYSES``; raises ConfigError naming the bad field."""
+    """(kind, params with defaults, analysis) of an ``attack`` block, checked
+    against ``attacks.ANALYSES``; raises ConfigError naming the bad field."""
     _section(attack, {"kind": "string", "params": "object"}, "attack.",
              required=("kind",))
     kind = attack["kind"]
@@ -212,11 +220,8 @@ def analysis_of(attack) -> tuple:
         raise ConfigError("attack.kind", "unknown analysis kind %r (known: %s)"
                           % (kind, ", ".join(attacks.ANALYSES)))
     analysis = attacks.ANALYSES[kind]
-    params = _section(attack.get("params", {}), {
-        key: attacks.PARAM_TYPES.get(key, "number")
-        for key in analysis.required + tuple(analysis.defaults)},
-        "attack.params.", required=analysis.required)
-    return kind, params, analysis
+    return kind, resolve_params(attack.get("params", {}), analysis.params,
+                                "attack.params."), analysis
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -613,12 +618,13 @@ def _run_attack(config: ScenarioConfig) -> SimTrace:
     ConfigError, since validation cannot see it without running it."""
     kind, p, analysis = analysis_of(config.attack)
     try:
-        metrics = dict(analysis.run(p, config.seed), kind=kind)
+        metrics = dict(analysis.fn(p, config.seed), kind=kind)
     except ParamError as exc:
         raise ConfigError("attack.params." + exc.name, str(exc))
     except (TypeError, ValueError) as exc:
         raise ConfigError("attack.params", str(exc))
-    events = [canonical_json({"event": "analysis", "kind": kind, "params": p})]
+    events = [canonical_json({"event": "analysis", "kind": kind,
+                              "params": config.attack.get("params", {})})]
     return SimTrace(events, metrics, {})
 
 
@@ -629,10 +635,6 @@ class Engine(NamedTuple):
     strategies: tuple   # the strategies it runs; "honest" is the default
     optional: tuple = ()    # other duration keys it reads
     network: tuple = ()     # which of delays and clock_drift_max it reads
-
-    @property
-    def defaults(self) -> dict:
-        return {key: default for key, (_kind, default) in self.params.items()}
 
 
 ENGINES = {

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from . import attacks, comb
-from .netsim import ScenarioConfig, config_from_dict
+from .netsim import ScenarioConfig, config_from_dict, resolve_params
 
 
 def _split_stake(kappa: int, names: List[str], weights: List[int]) -> list:
@@ -212,7 +212,9 @@ def run_reproduction(repro_id: str, seed: int = 0) -> ReproResult:
         raise KeyError("unknown reproduction id %r" % repro_id)
     repro = REPRODUCTIONS[repro_id]
     analysis = attacks.ANALYSES[repro.kind]
-    outcomes = [repro.verdict(p, analysis.run(p, seed)) for p in repro.param_sets]
+    outcomes = [repro.verdict(p, analysis.fn(resolve_params(
+        p, analysis.params, "%s.params." % repro_id), seed))
+        for p in repro.param_sets]
     return ReproResult(repro_id, repro.expected,
                        "; ".join(text for text, _ok in outcomes),
                        repro.tolerance, all(ok for _text, ok in outcomes))

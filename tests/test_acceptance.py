@@ -17,6 +17,9 @@ from poslab.netsim import ENGINES, run_scenario
 from poslab.rng import make_rng
 from poslab.scenarios import SCENARIOS
 
+COA_DEFAULTS = {key: default
+                for key, (_kind, default) in ENGINES["coa"].params.items()}
+
 
 def report(num, name, ok, detail=""):
     verdict = "PASS" if ok else "FAIL"
@@ -146,7 +149,7 @@ def test_criterion_08_kz_bounds_and_bias():
 
 def test_criterion_09_protocol_invariants():
     rng = make_rng(0, "acceptance-invariants")
-    params = CoaParams(**dict(ENGINES["coa"].defaults, kappa=4, t0=4))
+    params = CoaParams(**dict(COA_DEFAULTS, kappa=4, t0=4))
     checks = 0
 
     # 9a: single eligible creator per slot, impostors rejected
@@ -270,7 +273,7 @@ def test_criterion_10_determinism():
 
 def test_criterion_11_fts_proportionality_and_sybil():
     def genesis_view(alloc, seed):
-        params = CoaParams(kappa=10, **ENGINES["coa"].defaults)
+        params = CoaParams(kappa=10, **COA_DEFAULTS)
         return ChainView(params, *make_genesis(params, alloc, genesis_seed=seed))
 
     alloc = [("a", 500), ("b", 300), ("c", 150), ("d", 50)]

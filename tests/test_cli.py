@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -6,7 +7,9 @@ import sys
 
 import pytest
 
+from poslab.attacks import ANALYSES
 from poslab.cli import (EXIT_CONFIG_ERROR, EXIT_OK, EXIT_REPRO_FAILURE, main)
+from poslab.netsim import ConfigError, resolve_params
 from poslab.scenarios import REPRODUCTIONS, SCENARIOS, run_reproduction
 
 
@@ -275,6 +278,25 @@ def test_reproductions_all_pass_quick_subset():
         assert result.passed, (repro_id, result.computed)
 
 
+def test_reproduction_param_sets_obey_their_analysis_declarations():
+    """Every param set resolves against its analysis's declared params, so
+    none holds an unknown key, a value of the wrong kind or too few params;
+    this runs no calculator."""
+    for repro_id, repro in REPRODUCTIONS.items():
+        declared = ANALYSES[repro.kind].params
+        for p in repro.param_sets:
+            resolved = resolve_params(p, declared, repro_id + ".params.")
+            assert set(resolved) == set(declared), repro_id
+
+
+def test_reproduction_resolves_its_params_before_running(monkeypatch):
+    bad = dataclasses.replace(REPRODUCTIONS["claim1"], param_sets=(
+        {"v": 100, "epsilon": 10, "rho_prime": 0.7, "delta": 19.5},))
+    monkeypatch.setitem(REPRODUCTIONS, "claim1", bad)
+    with pytest.raises(ConfigError, match=r"^claim1\.params\.delta: "):
+        run_reproduction("claim1")
+
+
 def _config_with(params=None, **kw):
     config = {
         "protocol": "coa",
@@ -408,6 +430,9 @@ CLAIM1 = {"v": 100, "epsilon": 10, "rho_prime": 0.7, "delta": 20}
     (_config_with(stake=[["alice", 6], ["bob", 5], ["alice", 5]]), "stake[2]"),
     (_config_with(protocol="ppcoin", duration={"seconds": 600},
                   stake=[["a", 12], ["a", 4]]), "stake[1]"),
+    (_analysis("claim1", **dict(CLAIM1, delta=19.5)), "attack.params.delta"),
+    (_analysis("bribe", v=100, epsilon=10, delta=19, rho_prime=0.7, s=42.5,
+               mu=5.0, p_success=0.5), "attack.params.s"),
 ])
 def test_rejected_config_names_field_in_validate_and_run(tmp_path, capsys,
                                                           config, field):
@@ -469,6 +494,7 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     (_analysis("claim1", **dict(CLAIM1, epsilon=0)), "attack.params"),
     (_analysis("mu", comb="tribes", kappa=8, p=0.05), "attack.params.comb"),
     (_analysis("claim1", **dict(CLAIM1, rho_prime=1.5)), "attack.params"),
+    (_analysis("dense-dos", ell=23, f=0.5, g0_seconds=300), "attack.params"),
 ])
 def test_analysis_param_error_found_by_run_exits_2(tmp_path, capsys, attack,
                                                    field):

@@ -19,9 +19,12 @@ from poslab.ledger import (Block, BlockTree, EvidenceEntry, LedgerError,
 from poslab.netsim import ENGINES
 from poslab.rng import make_rng
 
+COA_DEFAULTS = {key: default
+                for key, (_kind, default) in ENGINES["coa"].params.items()}
+
 
 def small_params(**kw):
-    return CoaParams(**{**ENGINES["coa"].defaults, "kappa": 4, "t0": 4, **kw})
+    return CoaParams(**{**COA_DEFAULTS, "kappa": 4, "t0": 4, **kw})
 
 
 def genesis_state(view):

@@ -8,13 +8,16 @@ from poslab.ledger import Block, LedgerError, LedgerState
 from poslab.netsim import ENGINES
 from poslab.rng import make_rng
 
+COA_DEFAULTS = {key: default
+                for key, (_kind, default) in ENGINES["coa"].params.items()}
+
 
 def genesis_view(ledger, seed, kappa):
     """A chain view at genesis over `ledger`: it derives the slots of group
     1, anchored at index 0, from the bootstrap `seed`."""
     genesis = Block(index=0, prev_digest=b"\x00" * 32, timestamp=0,
                     creator="genesis", genesis_seed=seed)
-    return ChainView(CoaParams(kappa=kappa, **ENGINES["coa"].defaults), genesis, ledger)
+    return ChainView(CoaParams(kappa=kappa, **COA_DEFAULTS), genesis, ledger)
 
 
 def test_derivation_is_deterministic():

@@ -224,7 +224,7 @@ def config_names() -> set:
         names |= {protocol, *engine.params, *engine.duration, *engine.optional,
                   *engine.strategies}
     for kind, analysis in attacks.ANALYSES.items():
-        names |= {kind, *analysis.required, *analysis.defaults}
+        names |= {kind, *analysis.params}
     return names
 
 
@@ -268,19 +268,27 @@ def test_events_docs_name_every_written_event():
     assert missing == [], "list these in docs/formats.md's events.jsonl entry"
 
 
-def test_config_docs_state_each_engine_param_kind_and_default():
-    """Each protocol's row of the params table states every param of its
-    ``ENGINES`` entry as `name`: `kind` (default)."""
+def _stated(default) -> str:
+    if default is attacks.REQUIRED:
+        return "required"
+    return "`%s`" % default if isinstance(default, str) else json.dumps(default)
+
+
+def test_config_docs_state_each_param_kind_and_default():
+    """Each protocol's row of the engine params table, and each analysis
+    kind's row of the analysis params table, states every param it declares
+    (``ENGINES[protocol].params``, ``ANALYSES[kind].params``) as
+    `name`: `kind` (default), or `name`: `kind` (required)."""
     rows = FORMATS.read_text().splitlines()
     wrong = {}
-    for protocol, engine in netsim.ENGINES.items():
-        stated = ["`%s`: `%s` (%s)" % (
-            key, kind, "`%s`" % default if isinstance(default, str) else default)
-            for key, (kind, default) in engine.params.items()]
-        if not any(row.startswith("| `%s` |" % protocol)
+    for name, params in [*((p, e.params) for p, e in netsim.ENGINES.items()),
+                         *((k, a.params) for k, a in attacks.ANALYSES.items())]:
+        stated = ["`%s`: `%s` (%s)" % (key, kind, _stated(default))
+                  for key, (kind, default) in params.items()]
+        if not any(row.startswith("| `%s` |" % name)
                    and all(item in row for item in stated) for row in rows):
-            wrong[protocol] = stated
-    assert wrong == {}, "state these in docs/formats.md's params table"
+            wrong[name] = stated
+    assert wrong == {}, "state these in docs/formats.md's params tables"
 
 
 def test_config_docs_state_the_network_defaults():

@@ -15,6 +15,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
+from poslab import attacks
 from poslab.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
 from poslab.netsim import ENGINES, ConfigError, config_from_dict
 
@@ -93,7 +94,33 @@ ANALYSIS_PARAMS = {
                                   "tribes")),
          "kappa": st.integers(0, 6)},
         optional={"w": st.integers(0, 9)}),
+    # the Monte-Carlo kinds, bounded so that an example stays cheap
+    "dense-dos": st.fixed_dictionaries(
+        {"ell": st.integers(1, 5), "f": st.floats(0, 0.2), "g0_seconds": NUMBER},
+        optional={"blocks": st.just(1000)}),
+    "ppcoin-mk": st.fixed_dictionaries(
+        {"blocks": st.integers(1, 10 ** 4)},
+        optional={"stake": FRACTION, "k": st.integers(1, 8)}),
+    "fork-rate": st.fixed_dictionaries({"seconds": st.integers(1, 10 ** 5)}),
+    "timeweight": st.fixed_dictionaries(
+        {"version": st.sampled_from(("v0.2", "v0.3", "v0.4")), "stake": FRACTION,
+         "multiplier": NUMBER, "trials": st.integers(1000, 2000)},
+        optional={"saturated": st.booleans()}),
+    "mu": st.fixed_dictionaries(
+        {"comb": st.sampled_from(("concat", "majority", "iterated_majority",
+                                  "tribes")),
+         "kappa": st.integers(1, 6), "p": FRACTION,
+         "trials": st.integers(1000, 2000)},
+        optional={"w": st.integers(1, 3)}),
+    "issuance": st.fixed_dictionaries(
+        {"steps": st.integers(1, 50)},
+        optional={"cost": NUMBER, "demand": NUMBER, "difficulty": FRACTION,
+                  "min_gap": NUMBER}),
 }
+
+
+def test_every_analysis_kind_is_drawn():
+    assert set(ANALYSIS_PARAMS) == set(attacks.ANALYSES)
 
 
 @st.composite
@@ -167,5 +194,6 @@ def test_a_config_resolves_every_param_of_its_engine(raw):
     engine = ENGINES[config.protocol]
     resolved = config.to_dict()
     assert set(resolved["params"]) == {"kappa", *engine.params}
-    assert resolved["params"] == {**engine.defaults, **raw["params"]}
+    defaults = {key: default for key, (_kind, default) in engine.params.items()}
+    assert resolved["params"] == {**defaults, **raw["params"]}
     assert config_from_dict(resolved).to_dict() == resolved
