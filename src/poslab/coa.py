@@ -196,9 +196,12 @@ class ChainView:
         view scans its lookahead once however many nodes hold it. A view
         with no eligible creator plans no block, as ``_validate`` rejects
         every block on it."""
+        return self.owners().get(owner, [])
+
+    def owners(self) -> dict:   # each owner with a slot -> its creations
         if self._owners is None:
             self._owners = self._map_owners()
-        return self._owners.get(owner, [])
+        return self._owners
 
     def _map_owners(self) -> dict:
         last, owners = self.last_block, {}

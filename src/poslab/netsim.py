@@ -16,7 +16,9 @@ import itertools
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import attacks, dense
@@ -38,7 +40,10 @@ ENGINE_KEYS = ("name", "protocol", "params", "stake", "behaviors", "duration",
 class ConfigError(ValueError):
     def __init__(self, fieldname: str, message: str):
         super().__init__("%s: %s" % (fieldname, message))
-        self.fieldname = fieldname
+        self.fieldname, self.message = fieldname, message
+
+    def __reduce__(self):   # so it crosses a process pool as itself
+        return ConfigError, (self.fieldname, self.message)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +287,10 @@ def _line_format(event: str, *keys: str) -> str:
 
 
 # CoA's three per-node events: (creator, index, node, time), (index, node,
-# time) and (height, node)
+# time) and (height, node). A block-accept line is ACCEPT_HEAD (filled in
+# once per block), the node's name, ACCEPT_AT, the time and ACCEPT_END
 ACCEPT_LINE = _line_format("block-accept", "creator", "index", "node", "time")
+ACCEPT_HEAD, ACCEPT_AT, ACCEPT_END = ACCEPT_LINE.rsplit("%s", 2)
 SEND_LINE = _line_format("send", "index", "node", "time")
 SOLIDIFICATION_LINE = _line_format("solidification", "height", "node")
 
@@ -305,164 +312,164 @@ def _time_text(t: float) -> str:
     return text + "0" if text[-1] == "." else text
 
 
-_arrival_time = operator.itemgetter(0)  # of a (time, rank, seq, node) arrival
-
-
 def _run_coa(config: ScenarioConfig) -> SimTrace:
     params = CoaParams(**config.params)
     genesis, ledger0 = make_genesis(params, list(config.stake))
     rng_delay = make_rng(config.seed, "delay")
     events: List[str] = []
-    rank = {name: i for i, (name, _a) in enumerate(config.stake)}
-    name_json = {name: canonical_json(name) for name, _a in config.stake}
-
-    nodes = {}
-    drifts = {}
-    creates_blocks = {}
     root = BlockTree(genesis, ChainView(params, genesis, ledger0), params.t1)
-    for i, (name, _amount) in enumerate(config.stake):
-        nodes[name] = CoaNode(root)
+    # one record per node, bound once: rank (its place in the stake breaks
+    # ties of its sends), clock drift, name JSON, middle of its accept lines,
+    # held blocks (parent digest -> [(block, accept head)]), planned slots
+    peers = []
+    for rank, (name, _amount) in enumerate(config.stake):
         drift_rng = make_rng(config.seed, "drift", name)
-        drifts[name] = float(drift_rng.uniform(-config.clock_drift_max,
-                                               config.clock_drift_max))
-        creates_blocks[name] = strategy_of(config, name) == "honest"
+        name_json = canonical_json(name)
+        peers.append(SimpleNamespace(
+            name=name, rank=rank, node=CoaNode(root), drift=float(
+                drift_rng.uniform(-config.clock_drift_max, config.clock_drift_max)),
+            name_json=name_json, accept_at=name_json + ACCEPT_AT, held={},
+            planned=set(), creates=strategy_of(config, name) == "honest"))
     del root    # a state holds its successors: this name would keep every state
+    # by rank, the other nodes' records: a record holding them would be a cycle
+    others_of = [[other for other in peers if other is not peer] for peer in peers]
 
     target_blocks = config.duration["slots"]
     time_limit = config.duration.get(
         "seconds", (target_blocks + 2) * params.g0_seconds * 20)
-    # (time, sender's rank, sequence, node, slot index, None) creates a
-    # block, and (time, rank, seq, node, block, arrivals) delivers one. A
-    # block in flight is one entry, keyed by its next arrival and advanced
-    # in place, so deliveries pop in the (time, rank, seq) order that one
-    # entry per delivery would give
+    # (time, sender's rank, sequence, peer, slot index, None) creates a
+    # block, and (time, rank, seq, peer, block, (accept head, arrivals))
+    # delivers one. A block in flight is one entry, keyed by its next
+    # arrival and advanced in place, so deliveries pop in the (time, rank,
+    # seq) order that one entry per delivery would give
     queue: list = []
     seq = itertools.count()
-    scheduled = set()
-    held = {name: {} for name in nodes}   # parent digest -> blocks waiting
-    peers = {name: [other for other in nodes if other != name] for name in nodes}
     reorgs = 0
 
-    def push_create(when, name, index):
-        heapq.heappush(queue, (when, rank[name], next(seq), name, index, None))
+    def plan(peer, creations, now):
+        """Queue a create for each of the node's `creations` not queued."""
+        for index, earliest in creations:
+            if index not in peer.planned:
+                peer.planned.add(index)
+                heapq.heappush(queue, (max(now, earliest - peer.drift),
+                                       peer.rank, next(seq), peer, index, None))
 
-    def schedule_creations(name, now):
-        if not creates_blocks[name]:
-            return
-        for index, earliest in nodes[name].best_view.creations(name):
-            if (name, index) in scheduled:
-                continue
-            scheduled.add((name, index))
-            push_create(max(now, earliest - drifts[name]), name, index)
-
-    for name in nodes:
-        schedule_creations(name, 0.0)
+    for peer in peers:
+        if peer.creates:
+            plan(peer, peer.node.best_view.creations(peer.name), 0.0)
 
     best_height = 0
     while queue:
-        when, sender, _seq, name, item, arrivals = queue[0]
+        when, sender, _seq, peer, item, flight = queue[0]
         if when > time_limit or best_height >= target_blocks:
             break
-        if arrivals is None:
+        if flight is None:
             heapq.heappop(queue)
-            scheduled.discard((name, item))
-            view = nodes[name].best_view
-            earliest = dict(view.creations(name)).get(item)
+            peer.planned.discard(item)
+            view = peer.node.best_view
+            earliest = dict(view.creations(peer.name)).get(item)
             if earliest is None:
                 continue
-            local_now = when + drifts[name]
-            leniency = params.timestamp_leniency
+            local_now, leniency = when + peer.drift, params.timestamp_leniency
             if earliest > int(local_now) + 1 + leniency:
                 # its own delivery would be future-dated: wait for the clock
-                scheduled.add((name, item))
-                push_create(earliest - leniency - drifts[name], name, item)
+                plan(peer, [(item, earliest - leniency)], when)
                 continue
             ts = max(int(local_now), earliest)
             block = Block(index=item, prev_digest=view.last_block.digest,
-                          timestamp=ts, creator=name).signed_by()
+                          timestamp=ts, creator=peer.name).signed_by()
             # the sender's own delivery comes first: a peer's arrival is no
             # earlier, and on a tie its sequence number is higher
             first = next(seq)
-            others = peers[name]
+            others = others_of[sender]
             arrivals = iter(sorted(zip(
                 [when + delay for delay in config.delays.sample(
                     rng_delay, len(others))],
                 itertools.repeat(sender), itertools.islice(seq, len(others)),
-                others), key=_arrival_time))
-            heapq.heappush(queue, (when, sender, first, name, block, arrivals))
-            events.append(SEND_LINE % (item, name_json[name], _time_text(when)))
+                others), key=operator.itemgetter(0)))    # by time alone
+            heapq.heappush(queue, (when, sender, first, peer, block, (
+                ACCEPT_HEAD % (peer.name_json, item), arrivals)))
+            events.append(SEND_LINE % (item, peer.name_json, _time_text(when)))
             continue
+        head, arrivals = flight
         arrival = next(arrivals, None)
         if arrival is None:
             heapq.heappop(queue)
         else:
-            heapq.heapreplace(queue, arrival + (item, arrivals))
-        node = nodes[name]
+            heapq.heapreplace(queue, arrival + (item, flight))
+        node, held = peer.node, peer.held
         if item.prev_digest not in node.accepted:
             # hold it until the node accepts its parent
-            held[name].setdefault(item.prev_digest, []).append(item)
+            held.setdefault(item.prev_digest, []).append((item, head))
             continue
         stamp = _time_text(when)
-        clock = int(when + drifts[name]) + 1
-        ready = [item]
+        clock = int(when + peer.drift) + 1
+        block, ready = item, None   # ready: the held children it releases
         # the run writes every line of a delivery: its rejection, or the
         # block's effects, solidification, reorg and block-accept
-        for block in ready:     # grows by the held children accepted
+        while True:
             old = node.tree
             ok, reason = node.receive_block(block, clock)
-            if reason != ACCEPT:
-                if not ok:
-                    events.append(canonical_json({
-                        "event": "block-rejected", "index": block.index,
-                        "node": name, "reason": reason}))
-                continue
-            tree = node.tree
-            for kind, payload in tree.live[block.digest].effects:
-                events.append(canonical_json(dict(payload, event=kind, node=name)))
-            if tree.solidified_prefix != old.solidified_prefix:
-                events.append(SOLIDIFICATION_LINE % (
-                    tree.height[tree.solidified_prefix], name_json[name]))
-            # a new best tip is the block just accepted, one above the old
-            if tree.best != old.best:
-                if block.prev_digest != old.best:
-                    reorgs += 1
-                    events.append(canonical_json({
-                        "event": "reorg", "time": round(when, 6), "node": name}))
-                best_height = max(best_height, tree.height[tree.best])
-            events.append(ACCEPT_LINE % (name_json[block.creator],
-                                         block.index, name_json[name], stamp))
-            schedule_creations(name, when)
-            ready.extend(held[name].pop(block.digest, ()))
+            if reason == ACCEPT:
+                tree = node.tree
+                for kind, payload in tree.live[block.digest].effects:
+                    events.append(canonical_json(dict(payload, event=kind,
+                                                      node=peer.name)))
+                if tree.solidified_prefix != old.solidified_prefix:
+                    events.append(SOLIDIFICATION_LINE % (
+                        tree.height[tree.solidified_prefix], peer.name_json))
+                # a new best tip is the block just accepted, one above the old
+                if tree.best != old.best:
+                    if block.prev_digest != old.best:
+                        reorgs += 1
+                        events.append(canonical_json({
+                            "event": "reorg", "time": round(when, 6),
+                            "node": peer.name}))
+                    best_height = max(best_height, tree.height[tree.best])
+                    # re-plan only on a best-tip move: a plan is a function of
+                    # the best view, whose slots for this node were all planned
+                    # when it became best; one whose create has fired since was
+                    # signed on it, and its own delivery came first and moved it
+                    slots = peer.creates and tree.live[tree.best].owners().get(peer.name)
+                    if slots:
+                        plan(peer, slots, when)
+                events.append(head + peer.accept_at + stamp + ACCEPT_END)
+                if block.digest in held:
+                    ready = (ready or []) + held.pop(block.digest)
+            elif not ok:
+                events.append(canonical_json({
+                    "event": "block-rejected", "index": block.index,
+                    "node": peer.name, "reason": reason}))
+            if not ready:
+                break
+            block, head = ready.pop(0)
 
     # metrics off an arbitrary (deterministic) reference node
-    ref = nodes[config.stake[0][0]]
+    ref = peers[0].node
     store = ref.tree    # every node's state reads the run's one block store
     chain = [store.blocks[d] for d in store.path(store.best)]
-    timestamps = [b.timestamp for b in chain]
-    intervals = [b - a for a, b in zip(timestamps, timestamps[1:])]
     total_supply = 1 << config.params["kappa"]
     # nodes on one tip share its view and its path: check each distinct
     # ledger once, and walk each distinct tip once below
-    ledgers = {id(n.best_view.ledger): n.best_view.ledger for n in nodes.values()}
+    ledgers = {id(p.node.best_view.ledger): p.node.best_view.ledger for p in peers}
     conservation_ok = all(ledger.live_total + ledger.destroyed == total_supply
                           for ledger in ledgers.values())
-    per_creator: Dict[str, int] = {}
-    for b in chain[1:]:
-        per_creator[b.creator] = per_creator.get(b.creator, 0) + 1
+    blocks = len(chain) - 1     # the mean interval telescopes: timestamps are ints
     metrics = {
         "protocol": "coa",
-        "blocks": len(chain) - 1,
-        "mean_interval": (sum(intervals) / len(intervals)) if intervals else 0.0,
+        "blocks": blocks,
+        "mean_interval": ((chain[-1].timestamp - chain[0].timestamp) / blocks
+                          if blocks else 0.0),
         "reorgs": reorgs,
         "fork_blocks": len(ref.accepted) - len(chain),
         "conservation_ok": conservation_ok,
         "solidified_height": ref.solidified_height,
     }
-    for who, n in sorted(per_creator.items()):
+    for who, n in sorted(Counter(b.creator for b in chain[1:]).items()):
         metrics["blocks_by_%s" % who] = n
     paths = {tip: [d.hex()[:16] for d in store.path(tip)]
-             for tip in {n.tree.best for n in nodes.values()}}
-    chains = {name: paths[n.tree.best] for name, n in nodes.items()}
+             for tip in {p.node.tree.best for p in peers}}
+    chains = {p.name: paths[p.node.tree.best] for p in peers}
     return SimTrace(events, metrics, chains)
 
 

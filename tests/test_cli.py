@@ -205,6 +205,25 @@ def test_reproduce_rejects_jobs_below_one(monkeypatch, capsys, jobs):
     assert "--jobs" in err
 
 
+def test_a_config_error_in_a_pool_worker_exits_2_naming_the_field(
+        monkeypatch, capsys):
+    """A reproduction set that fails its param check in a worker of a
+    two-process pool exits 2 and names the field, as it does in-process.
+    The pool forks, so the workers see the patched table."""
+    import poslab.cli as cli
+    import poslab.scenarios as scenarios
+    claim1 = REPRODUCTIONS["claim1"]
+    bad = dataclasses.replace(claim1, param_sets=(
+        dict(claim1.param_sets[0], delta=19.5),))
+    table = {"claim1": bad, "claim2": REPRODUCTIONS["claim2"]}
+    monkeypatch.setattr(cli, "REPRODUCTIONS", table)
+    monkeypatch.setattr(scenarios, "REPRODUCTIONS", table)
+    for jobs in ("1", "2"):
+        code, _o, err = run_cli(capsys, "reproduce", "all", "--jobs", jobs)
+        assert code == EXIT_CONFIG_ERROR
+        assert "config error: claim1.params.delta: must be an integer" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("run", "--config", "coa-baseline", "--out", "{file}"),
     ("run", "--config", "coa-baseline", "--out", "{file}/sub"),

@@ -3,6 +3,9 @@ import gc
 import hashlib
 import io
 import json
+import pickle
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +37,14 @@ def base_raw(**kw):
     }
     raw.update(kw)
     return raw
+
+
+def test_config_error_survives_pickling():
+    """A ConfigError raised in a pool worker reaches the parent as itself,
+    with its message and its field."""
+    error = pickle.loads(pickle.dumps(ConfigError("a.b", "msg: c")))
+    assert type(error) is ConfigError
+    assert (str(error), error.fieldname) == ("a.b: msg: c", "a.b")
 
 
 def test_config_validation_names_offending_field():
@@ -512,10 +523,14 @@ times = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
 @given(creator=names, node=names, index=st.integers(), time=times)
 def test_block_accept_line_is_the_canonical_json_of_its_event(
         creator, node, index, time):
-    """The block-accept format, filled as the CoA loop fills it, is the
-    canonical encoding of the same event."""
-    line = ACCEPT_LINE % (canonical_json(creator), index, canonical_json(node),
-                          float.__repr__(time))
+    """The block-accept format, filled as the CoA loop fills it (the block's
+    head at its send, then per delivery the node, the time and the end), is
+    the canonical encoding of the same event."""
+    head = netsim.ACCEPT_HEAD % (canonical_json(creator), index)
+    line = head + canonical_json(node) + netsim.ACCEPT_AT \
+        + float.__repr__(time) + netsim.ACCEPT_END
+    assert line == ACCEPT_LINE % (canonical_json(creator), index,
+                                  canonical_json(node), float.__repr__(time))
     assert line == canonical_json({"event": "block-accept", "time": time,
                                    "node": node, "index": index,
                                    "creator": creator})
@@ -555,6 +570,74 @@ def test_a_coa_run_maps_each_views_owners_at_most_once(monkeypatch):
     assert built
     assert len({id(view) for view in built}) == len(built)
     assert len(built) < accepts
+
+
+@pytest.mark.parametrize("config, forks", [(SCENARIOS["coa-offline"], False),
+                                           (stormy_coa_config(), True)],
+                         ids=["coa-offline", "stormy"])
+def test_a_node_plans_only_when_its_best_tip_moves(monkeypatch, config, forks):
+    """A node's plan is a function of its best view alone. So the run looks
+    a view's owner map up through ``creations`` at a node's first plan and
+    at each create event, and otherwise only just after a node's best tip
+    moved onto the view: at most once per move, and never for a node that
+    creates no blocks. An accepted block that leaves the best tip in place
+    costs no lookup; the stormy run has such blocks, as well as rejections,
+    reorgs and held blocks."""
+    counts = {"creations": 0, "moves": 0, "accepts": 0, "planning": 0}
+    moved = {"to": None}    # the view a node's best tip just moved onto
+    owners, creations = ChainView.owners, ChainView.creations
+
+    class RecordedNode(netsim.CoaNode):
+        def receive_block(self, block, local_time=None):
+            best = self.tree.best
+            outcome = super().receive_block(block, local_time)
+            counts["accepts"] += outcome[1] == ACCEPT
+            moved["to"] = None
+            if self.tree.best != best:
+                counts["moves"] += 1
+                moved["to"] = self.best_view
+            return outcome
+
+    def counting_creations(view, owner):
+        counts["creations"] += 1
+        return creations(view, owner)
+
+    def counting_owners(view):
+        if sys._getframe(1).f_code is not creations.__code__:
+            counts["planning"] += 1
+            assert view is moved["to"]
+        return owners(view)
+
+    monkeypatch.setattr(netsim, "CoaNode", RecordedNode)
+    monkeypatch.setattr(ChainView, "creations", counting_creations)
+    monkeypatch.setattr(ChainView, "owners", counting_owners)
+    trace = run_scenario(config)
+    sends = sum(e["event"] == "send" for e in parsed_events(trace))
+    assert counts["creations"] >= sends > 0
+    assert 0 < counts["planning"] <= counts["moves"]
+    if forks:
+        assert counts["moves"] < counts["accepts"]
+    else:   # the offline holder moves with the rest but plans nothing
+        assert counts["planning"] < counts["moves"] == counts["accepts"]
+
+
+def test_a_coa_run_leaves_nothing_for_the_cycle_collector(monkeypatch):
+    """Nothing of a CoA run is held in a reference cycle: its nodes, and so
+    their states and views, are freed as soon as the run returns."""
+    nodes = []
+
+    class RecordedNode(netsim.CoaNode):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            nodes.append(weakref.ref(self))
+
+    monkeypatch.setattr(netsim, "CoaNode", RecordedNode)
+    gc.disable()
+    try:
+        run_scenario(stormy_coa_config())
+        assert nodes and all(node() is None for node in nodes)
+    finally:
+        gc.enable()
 
 
 def test_nodes_with_one_history_hold_one_state_and_prune_once_per_checkpoint(

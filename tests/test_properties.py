@@ -1,8 +1,8 @@
 """Validation equals execution: a config `validate-config` accepts runs.
 
-Raw configs are drawn over the three engines and the closed-form analyses,
-with random strategies and, now and then, an unknown key or a value of the
-wrong type. Both commands go through ``cli.main``.
+Raw configs are drawn for each engine and each analysis kind in turn, with
+random strategies and, now and then, an unknown key or a value of the wrong
+type. Both commands go through ``cli.main``.
 """
 
 import contextlib
@@ -29,8 +29,8 @@ def _optional(**fields):
 
 
 @st.composite
-def engine_configs(draw):
-    protocol = draw(st.sampled_from(("coa", "dense_coa", "ppcoin")))
+def engine_configs(draw, protocols=tuple(ENGINES)):
+    protocol = draw(st.sampled_from(protocols))
     kappa = draw(st.integers(1, 6) | st.just(64))
     total = 1 << kappa
     holders = draw(st.integers(1, min(4, total)))
@@ -69,16 +69,20 @@ def engine_configs(draw):
                 seed=draw(st.integers(0, 2 ** 16)))
 
 
-NUMBER = st.one_of(st.integers(-5, 1000), st.floats(-1, 1000))
-FRACTION = st.floats(0, 1.2)
+# each leads with values the analyses accept, so that every kind runs now
+# and then, and goes on to draw ones they reject
+NUMBER = st.one_of(st.floats(0.5, 1000), st.integers(-5, 1000),
+                   st.floats(-1, 1000))
+FRACTION = st.one_of(st.floats(0.05, 0.45), st.floats(0, 1.2))
+COUNT = st.one_of(st.integers(1, 40), st.integers(-1, 40))
 
 ANALYSIS_PARAMS = {
     "claim1": st.fixed_dictionaries({
         "v": NUMBER, "epsilon": NUMBER, "rho_prime": FRACTION,
         "delta": st.integers(0, 40)}),
     "claim2": st.fixed_dictionaries(
-        {"v": NUMBER, "epsilon": NUMBER, "rho": FRACTION,
-         "k": st.integers(0, 40)},
+        {"v": NUMBER, "epsilon": NUMBER, "rho": st.floats(0.5, 1.2),
+         "k": COUNT},
         optional={"g0_seconds": st.integers(1, 600)}),
     "bribe": st.fixed_dictionaries({
         "v": NUMBER, "epsilon": NUMBER, "delta": st.integers(0, 40),
@@ -86,20 +90,21 @@ ANALYSIS_PARAMS = {
         "p_success": FRACTION}),
     "takeover": st.fixed_dictionaries({
         "ell": st.integers(1, 5), "p": FRACTION, "q": FRACTION}),
-    "kz-bounds": st.fixed_dictionaries({
-        "ell": st.integers(0, 5), "kappa": st.integers(0, 6),
-        "epsilon": FRACTION}),
+    "kz-bounds": st.one_of(st.integers(2, 6), st.integers(0, 6)).flatmap(
+        lambda kappa: st.fixed_dictionaries({
+            "ell": st.sampled_from((kappa, 3 * kappa, 5)),
+            "kappa": st.just(kappa), "epsilon": FRACTION})),
     "tie-fraction": st.fixed_dictionaries(
         {"comb": st.sampled_from(("concat", "majority", "iterated_majority",
                                   "tribes")),
-         "kappa": st.integers(0, 6)},
+         "kappa": COUNT},
         optional={"w": st.integers(0, 9)}),
     # the Monte-Carlo kinds, bounded so that an example stays cheap
     "dense-dos": st.fixed_dictionaries(
         {"ell": st.integers(1, 5), "f": st.floats(0, 0.2), "g0_seconds": NUMBER},
         optional={"blocks": st.just(1000)}),
     "ppcoin-mk": st.fixed_dictionaries(
-        {"blocks": st.integers(1, 10 ** 4)},
+        {"blocks": st.sampled_from((10 ** 4, 1, 100))},
         optional={"stake": FRACTION, "k": st.integers(1, 8)}),
     "fork-rate": st.fixed_dictionaries({"seconds": st.integers(1, 10 ** 5)}),
     "timeweight": st.fixed_dictionaries(
@@ -124,8 +129,7 @@ def test_every_analysis_kind_is_drawn():
 
 
 @st.composite
-def analysis_configs(draw):
-    kind = draw(st.sampled_from(sorted(ANALYSIS_PARAMS)))
+def analysis_configs(draw, kind):
     return dict(draw(_optional(name=st.just("analysis"),
                                seed=st.integers(0, 2 ** 16))),
                 attack={"kind": kind, "params": draw(ANALYSIS_PARAMS[kind])})
@@ -141,9 +145,12 @@ def _slots(value):
 
 
 @st.composite
-def raw_configs(draw):
-    config = draw(st.one_of(engine_configs(), analysis_configs()))
-    mutation = draw(st.sampled_from(("none", "none", "unknown-key",
+def raw_configs(draw, kind):
+    """A config of `kind` (an engine or an analysis kind), then maybe one
+    mutation of it."""
+    config = draw(engine_configs((kind,)) if kind in ENGINES
+                  else analysis_configs(kind))
+    mutation = draw(st.sampled_from(("none", "none", "none", "unknown-key",
                                      "wrong-type")))
     if mutation != "none":
         slots = list(_slots(config))
@@ -162,10 +169,31 @@ def _cli(*argv):
     return code, err.getvalue()
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(raw_configs())
-def test_validate_config_accepts_only_what_runs(raw):
+KINDS = (*ENGINES, *sorted(ANALYSIS_PARAMS))
+EXAMPLES_PER_KIND = 10  # 150 examples over the 15 kinds
+
+
+def test_validate_config_accepts_only_what_runs():
+    """For each kind in turn, whatever `validate-config` accepts runs, and
+    whatever it rejects fails to run, naming a field. Each kind runs to exit
+    0 at least once, so the property holds on successful runs of each."""
+    for kind in KINDS:
+        exits = []
+
+        @settings(derandomize=True, database=None, deadline=None,
+                  max_examples=EXAMPLES_PER_KIND,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(raw_configs(kind))
+        def check(raw):
+            exits.append(_validate_then_run(raw))
+
+        check()
+        assert EXIT_OK in exits, kind
+
+
+def _validate_then_run(raw) -> int:
+    """The exit code of `run` on `raw`, after checking it against that of
+    `validate-config`."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(raw))
@@ -180,6 +208,7 @@ def test_validate_config_accepts_only_what_runs(raw):
         assert "config error: attack.params" in run_err, (raw, run_err)
     if checked != EXIT_OK:
         assert ran == EXIT_CONFIG_ERROR, (raw, run_err)
+    return ran
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
