@@ -234,28 +234,22 @@ def simulate_timeweight_attack(version: str, stake_fraction: float,
     attacker's own stake). In the saturated v0.3 regime every output sits at
     the cap, so waiting moves nothing.
     """
-    if version not in ("v0.2", "v0.3"):
-        raise ValueError("unknown kernel version %r" % version)
     f = stake_fraction
     if not 0 < f < 1:
         raise ValueError("stake fraction must be in (0,1)")
     rng = make_rng(seed, "timeweight", version, f, wait_multiplier, saturated)
-    n_honest_outputs, cap_seconds = 50, ppcoin.DEFAULT_CAP_SECONDS
-    base_age = cap_seconds * 2.0 if saturated else 30 * 86400.0
+    n_honest_outputs = 50
+    base_age = ppcoin.DEFAULT_CAP_SECONDS * 2.0 if saturated else 30 * 86400.0
     ages = rng.uniform(0.2 * base_age, 1.8 * base_age,
                        size=(trials, n_honest_outputs))
-    if version == "v0.3":
-        honest_tw = np.minimum(ages, cap_seconds)
-    else:
-        honest_tw = ages
+    honest_tw = ppcoin.timeweight(ages, version)
     mean_honest = float(honest_tw.mean())
     if wait_multiplier * f >= 1:
         attacker_tw = np.inf
     else:
         ratio = wait_multiplier * (1.0 - f) / (1.0 - wait_multiplier * f)
         attacker_tw = ratio * mean_honest
-    if version == "v0.3":
-        attacker_tw = min(attacker_tw, cap_seconds)
+    attacker_tw = ppcoin.timeweight(attacker_tw, version)
     # per-coin kernel weights; the winner of the next block is drawn
     # proportionally (the small-probability race limit)
     honest_weight = ((1.0 - f) / n_honest_outputs) * honest_tw.sum(axis=1)

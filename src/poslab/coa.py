@@ -106,10 +106,10 @@ class ChainView:
     and can back many competing children. Its slot schedule is a pure
     function of the view too: ``slot_candidates`` derives it once and
     extends it when asked for more. So is the outcome of each block offered
-    to it, bar the receiving node's clock: ``process_block`` validates a
-    block once per view and keeps the outcome. A view also keeps the
-    ``confiscation`` and ``blacklist`` effects of its last block
-    (``effects``, a tuple of (kind, payload) pairs, empty for most blocks).
+    to it: ``process_block`` validates a block once per view and keeps the
+    outcome. A view also keeps the ``confiscation`` and ``blacklist``
+    effects of its last block (``effects``, a tuple of (kind, payload)
+    pairs, empty for most blocks).
     """
 
     def __init__(self, params: CoaParams, genesis: Block, ledger: LedgerState):
@@ -129,7 +129,7 @@ class ChainView:
         self.groups = {}             # group number -> (seed, index of its last block)
         self.effects = ()            # (kind, payload) of its last block's effects
         self._schedule = []          # the slot candidates derived so far
-        self._owners = None          # see ``creations``; built on first request
+        self._owners = None          # see ``owners``; built on first request
         # block digest -> (child view or None, reason)
         self._outcomes = {}
 
@@ -190,48 +190,43 @@ class ChainView:
                 schedule.append((idx, z, owner, uid))
         return schedule[:count]
 
-    def creations(self, owner: str) -> list:
-        """[(index, earliest timestamp)] of `owner`'s slots among the next
-        LOOKAHEAD slot indices. The first request maps every owner, so a
-        view scans its lookahead once however many nodes hold it. A view
-        with no eligible creator plans no block, as ``_validate`` rejects
-        every block on it."""
-        return self.owners().get(owner, [])
-
-    def owners(self) -> dict:   # each owner with a slot -> its creations
+    def owners(self) -> dict:
+        """Each owner with a slot among the next LOOKAHEAD slot indices ->
+        {index: earliest timestamp}, in index order. The first request maps
+        every owner, so a view scans its lookahead once however many nodes
+        hold it. A view with no eligible creator plans no block, as
+        ``_validate`` rejects every block on it."""
         if self._owners is None:
-            self._owners = self._map_owners()
+            last, owners = self.last_block, {}
+            try:
+                candidates = self.slot_candidates(LOOKAHEAD)
+            except LedgerError:
+                candidates = ()
+            for index, _z, owner, _uid in candidates:
+                owners.setdefault(owner, {})[index] = min_timestamp(
+                    last.timestamp, index, last.index, self.params.g0_seconds)
+            self._owners = owners
         return self._owners
 
-    def _map_owners(self) -> dict:
-        last, owners = self.last_block, {}
-        try:
-            candidates = self.slot_candidates(LOOKAHEAD)
-        except LedgerError:
-            return owners
-        for index, _z, owner, _uid in candidates:
-            owners.setdefault(owner, []).append((index, min_timestamp(
-                last.timestamp, index, last.index, self.params.g0_seconds)))
-        return owners
+
+def future_dated(params: CoaParams, timestamp: int, local_time: int) -> bool:
+    """Whether a block dated `timestamp` is past a clock reading
+    `local_time` by more than the leniency: a node rejects it for now."""
+    return timestamp > local_time + params.timestamp_leniency
 
 
-def process_block(view: ChainView, block: Block,
-                  local_time: Optional[int] = None) -> tuple:
+def process_block(view: ChainView, block: Block) -> tuple:
     """Validate `block` against `view` and, if valid, return the extended view.
 
     Returns (new_view, "accept") or (None, reason). Typed reasons: the
-    structural ones plus wrong-creator, too-early, future-dated, understaked,
+    structural ones plus wrong-creator, too-early, understaked,
     frozen-stake, bad-evidence, binding-violation, bad-transaction.
 
-    ``future-dated`` is decided first, per call against `local_time`, and
-    wins over every other reason. The rest of the outcome is computed once
-    per (view, block) and kept on the view, so every caller holding the
-    view gets the same pair, and an accepted block's child view carries its
-    effects.
+    The outcome is computed once per (view, block) and kept on the view, so
+    every caller holding the view gets the same pair, and an accepted
+    block's child view carries its effects. It reads no clock: the
+    receiving node applies ``future_dated`` first.
     """
-    if local_time is not None \
-            and block.timestamp > local_time + view.params.timestamp_leniency:
-        return None, "future-dated"
     outcome = view._outcomes.get(block.digest)
     if outcome is None:
         outcome = view._outcomes[block.digest] = _validate(view, block)
@@ -429,15 +424,19 @@ class CoaNode:
         return self.tree.live[self.tree.best]
 
     def receive_block(self, block: Block, local_time: Optional[int] = None) -> tuple:
-        """Offer `block` to this node; returns (ok, reason). An accepted
-        block's view (``views[block.digest]``) carries its effects."""
+        """Offer `block` to this node, whose clock reads `local_time` (None:
+        no clock test); returns (ok, reason). An accepted block's view
+        (``views[block.digest]``) carries its effects."""
         if block.digest in self.accepted:
             return True, "duplicate"
         view = self.tree.live.get(block.prev_digest)
         if view is None:
             return False, ("below-solidified" if block.prev_digest in self.accepted
                            else "orphan")
-        new_view, reason = process_block(view, block, local_time)
+        if local_time is not None \
+                and future_dated(view.params, block.timestamp, local_time):
+            return False, "future-dated"
+        new_view, reason = process_block(view, block)
         if reason != ACCEPT:
             return False, reason
         self.accepted.add(block.digest)

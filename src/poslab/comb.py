@@ -31,6 +31,9 @@ class ParamError(ValueError):
         super().__init__(message)
         self.name = name
 
+    def __reduce__(self):   # so it crosses a process pool as itself
+        return ParamError, (self.name, str(self))
+
 
 def _is_power_of_3(w: int) -> bool:
     while w % 3 == 0:

@@ -122,6 +122,21 @@ def member_sign(owner: str, committee: CommitteeRound) -> bytes:
     return sign(owner, hashlib.sha256(committee.message()).digest())
 
 
+def run_round(block_index: int, t: int, members, rng, kappa: int) -> tuple:
+    """(aggregate signature, next seed) of a clean committee's round for
+    block `block_index` at fallback counter `t`, secrets from `rng` in order."""
+    committee, secrets = CommitteeRound(block_index, t, members), []
+    for j in range(committee.ell):
+        secret, commitment = round1_commit(rng)
+        committee.add_commit(j, commitment)
+        secrets.append(secret)
+    agg = round2_sign_and_aggregate(committee, {
+        j: member_sign(owner, committee) for j, (owner, _uid) in enumerate(members)})
+    for j, secret in enumerate(secrets):
+        committee.add_reveal(j, secret)
+    return agg, next_seed(secrets, kappa)
+
+
 def verify_aggregate(agg: AggregateSignature, message: bytes,
                      expected_members) -> bool:
     owners = [owner for owner, _uid in expected_members]

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import attacks, dense
-from .coa import ACCEPT, ChainView, CoaNode, CoaParams, make_genesis
+from .coa import ACCEPT, ChainView, CoaNode, CoaParams, future_dated, make_genesis
 from .comb import ParamError
 from .ledger import Block, BlockTree, LedgerState
 # netsim calls no canonical_block_digest, but perfbench's tests assert that
@@ -346,9 +346,9 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
     seq = itertools.count()
     reorgs = 0
 
-    def plan(peer, creations, now):
-        """Queue a create for each of the node's `creations` not queued."""
-        for index, earliest in creations:
+    def plan(peer, slots, now):
+        """Queue a create for each {index: earliest} of `slots` not queued."""
+        for index, earliest in slots.items():
             if index not in peer.planned:
                 peer.planned.add(index)
                 heapq.heappush(queue, (max(now, earliest - peer.drift),
@@ -356,26 +356,26 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
 
     for peer in peers:
         if peer.creates:
-            plan(peer, peer.node.best_view.creations(peer.name), 0.0)
+            plan(peer, peer.node.best_view.owners().get(peer.name, {}), 0.0)
 
     best_height = 0
     while queue:
         when, sender, _seq, peer, item, flight = queue[0]
         if when > time_limit or best_height >= target_blocks:
             break
+        clock = int(when + peer.drift) + 1   # node clock: its second, plus one
         if flight is None:
             heapq.heappop(queue)
             peer.planned.discard(item)
             view = peer.node.best_view
-            earliest = dict(view.creations(peer.name)).get(item)
+            earliest = view.owners().get(peer.name, {}).get(item)
             if earliest is None:
                 continue
-            local_now, leniency = when + peer.drift, params.timestamp_leniency
-            if earliest > int(local_now) + 1 + leniency:
+            if future_dated(params, earliest, clock):
                 # its own delivery would be future-dated: wait for the clock
-                plan(peer, [(item, earliest - leniency)], when)
+                plan(peer, {item: earliest - params.timestamp_leniency}, when)
                 continue
-            ts = max(int(local_now), earliest)
+            ts = max(clock - 1, earliest)
             block = Block(index=item, prev_digest=view.last_block.digest,
                           timestamp=ts, creator=peer.name).signed_by()
             # the sender's own delivery comes first: a peer's arrival is no
@@ -403,7 +403,6 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
             held.setdefault(item.prev_digest, []).append((item, head))
             continue
         stamp = _time_text(when)
-        clock = int(when + peer.drift) + 1
         block, ready = item, None   # ready: the held children it releases
         # the run writes every line of a delivery: its rejection, or the
         # block's effects, solidification, reorg and block-accept
@@ -572,20 +571,8 @@ def _run_dense(config: ScenarioConfig) -> SimTrace:
             withholds = any(owner in idle for owner, _uid in members)
             round_time = config.delays.sample(rng, 1)[0] * 2
             if not withholds:
-                committee = dense.CommitteeRound(i, t, members)
-                secrets = {}
-                for j in range(ell):
-                    secret, commitment = dense.round1_commit(rng)
-                    committee.add_commit(j, commitment)
-                    secrets[j] = secret
-                sigs = {j: dense.member_sign(members[j][0], committee)
-                        for j in range(ell)}
-                agg = dense.round2_sign_and_aggregate(committee, sigs)
-                for j in range(ell):
-                    committee.add_reveal(j, secrets[j])
+                agg, seed_val = dense.run_round(i, t, members, rng, kappa)
                 now = start + t * g0 + round_time
-                seed_val = dense.next_seed(
-                    [committee.reveals[j] for j in range(ell)], kappa)
                 events.append({"event": "block-accept", "time": round(now, 3),
                                "index": i, "fallback": t,
                                "aggregate": agg.tag.hex()[:16]})

@@ -55,16 +55,17 @@ class StakeKernelState:
             raise ValueError("unknown kernel version %r" % self.version)
 
 
-def timeweight(age_seconds: float, version: str = V02,
-               cap_seconds: int = DEFAULT_CAP_SECONDS) -> float:
-    """Coin-age multiplier: linear in v0.2, capped at 90 days in v0.3."""
-    if age_seconds < 0:
+def timeweight(age_seconds, version: str = V02,
+               cap_seconds: int = DEFAULT_CAP_SECONDS):
+    """Coin-age multiplier: linear in v0.2, capped at 90 days in v0.3. One
+    age gives a float; an array of ages gives an array, uncopied in v0.2."""
+    array = isinstance(age_seconds, np.ndarray)
+    if (age_seconds.min() if array else age_seconds) < 0:
         raise ValueError("age must be nonnegative")
-    if version == V02:
-        return float(age_seconds)
-    if version == V03:
-        return float(min(age_seconds, cap_seconds))
-    raise ValueError("unknown kernel version %r" % version)
+    if version not in (V02, V03):
+        raise ValueError("unknown kernel version %r" % version)
+    weight = age_seconds if version == V02 else np.minimum(age_seconds, cap_seconds)
+    return weight if array else float(weight)
 
 
 def kernel_eligibility(state: StakeKernelState, prev_blocks_data: bytes,

@@ -52,7 +52,7 @@ class Driver:
                      transactions=tuple(txs)).signed_by()
 
     def apply(self, block):
-        view, reason = process_block(self.view, block, block.timestamp)
+        view, reason = process_block(self.view, block)
         if reason == ACCEPT:
             self.view = view
             self.blocks.append(block)

@@ -397,6 +397,42 @@ def test_fork_rate_study_does_not_depend_on_the_core_count(monkeypatch):
     assert outs[0]["pair_events"] > 0
 
 
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_map_word_chunks_reraises_a_chunks_error_and_leaves_no_helper_alive(
+        monkeypatch, failing):
+    """An exception fn raises on a chunk reaches the caller as itself,
+    whether the chunk ran on a helper thread or on the calling thread, and
+    no helper thread outlives the call."""
+    import threading
+    helpers = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            helpers.append(self)
+            super().start()
+
+    monkeypatch.setattr(rng_module.threading, "Thread", CountedThread)
+    monkeypatch.setattr(rng_module, "usable_cores", lambda: 2)
+    caller, started = threading.current_thread(), set()
+    both = threading.Barrier(2, timeout=10)     # each thread holds a chunk
+    boom = RuntimeError("chunk failed")
+
+    def fn(gen, m):
+        me = threading.current_thread()
+        if me not in started:
+            started.add(me)
+            both.wait()
+        if (me is caller) == (failing == "caller"):
+            raise boom
+        return gen.bit_generator.random_raw(m)
+
+    with pytest.raises(RuntimeError) as raised:
+        rng_module.map_word_chunks(make_rng(0, "map"), 8 * 64, 64, fn)
+    assert raised.value is boom
+    assert len(helpers) == 1 and not helpers[0].is_alive()
+    assert len(started) == 2
+
+
 def test_map_word_chunks_rejects_a_stream_inside_a_counter_step():
     rng = make_rng(0, "map")
     with pytest.raises(ValueError):

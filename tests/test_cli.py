@@ -224,6 +224,32 @@ def test_a_config_error_in_a_pool_worker_exits_2_naming_the_field(
         assert "config error: claim1.params.delta: must be an integer" in err
 
 
+def test_reproduce_in_a_pool_records_its_jobs_and_the_workers_peak_rss(
+        tmp_path, monkeypatch, capsys):
+    """``reproduce --jobs 2 --out`` over two reproductions writes a manifest
+    with its jobs and a peak RSS that also reads the pool's workers. The
+    pool forks, so the workers see the patched table."""
+    import resource
+
+    import poslab.cli as cli
+    import poslab.scenarios as scenarios
+    table = {key: REPRODUCTIONS[key] for key in ("claim1", "claim2")}
+    monkeypatch.setattr(cli, "REPRODUCTIONS", table)
+    monkeypatch.setattr(scenarios, "REPRODUCTIONS", table)
+    peak_rss_mb, asked = cli._peak_rss_mb, []
+    monkeypatch.setattr(cli, "_peak_rss_mb",
+                        lambda who: asked.append(who) or peak_rss_mb(who))
+    out = tmp_path / "rep"
+    code, _o, _e = run_cli(capsys, "reproduce", "all", "--jobs", "2",
+                           "--out", str(out))
+    assert code == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["jobs"], sorted(manifest["seconds"])) == (
+        2, ["claim1", "claim2"])
+    assert manifest["peak_rss_mb"] > 0
+    assert asked == [resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN]
+
+
 @pytest.mark.parametrize("argv", [
     ("run", "--config", "coa-baseline", "--out", "{file}"),
     ("run", "--config", "coa-baseline", "--out", "{file}/sub"),
@@ -452,6 +478,7 @@ CLAIM1 = {"v": 100, "epsilon": 10, "rho_prime": 0.7, "delta": 20}
     (_analysis("claim1", **dict(CLAIM1, delta=19.5)), "attack.params.delta"),
     (_analysis("bribe", v=100, epsilon=10, delta=19, rho_prime=0.7, s=42.5,
                mu=5.0, p_success=0.5), "attack.params.s"),
+    ([1], "<root>"),
 ])
 def test_rejected_config_names_field_in_validate_and_run(tmp_path, capsys,
                                                           config, field):

@@ -61,9 +61,12 @@ class Builder:
         return block.signed_by(sign_as)
 
     def apply(self, block, local_time=None):
-        if local_time is None:
-            local_time = block.timestamp
-        view, reason = process_block(self.view, block, local_time)
+        """Offer `block` to the chain's tip, as a node whose clock reads
+        `local_time` would (None: no clock test)."""
+        if local_time is not None \
+                and coa.future_dated(self.params, block.timestamp, local_time):
+            return "future-dated"
+        view, reason = process_block(self.view, block)
         if reason == ACCEPT:
             self.view = view
             self.blocks.append(block)
@@ -180,7 +183,7 @@ def test_a_view_with_no_eligible_creator_plans_no_block():
     b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
     view = b.view.clone()
     view.ledger = view.ledger.with_blacklisted(view.ledger.utxos)
-    assert [view.creations(n) for n in ("alice", "bob", "carol")] == [[]] * 3
+    assert view.owners() == {}
     block = Block(index=1, prev_digest=view.last_block.digest,
                   timestamp=params.g0_seconds, creator="alice").signed_by()
     assert process_block(view, block) == (None, "wrong-creator")
@@ -199,11 +202,12 @@ def test_too_early_and_future_dated():
 
 @pytest.mark.parametrize("fault", ["wrong-creator", "too-early"])
 def test_future_dated_is_decided_before_any_other_rule(monkeypatch, fault):
-    """A block future-dated for the receiving clock is rejected as such
-    whatever else is wrong with it, and no validation body runs; a clock
-    that admits it gets the block's own fault."""
+    """A block future-dated for the receiving node's clock is rejected as
+    such whatever else is wrong with it, and no validation body runs; a
+    clock that admits it gets the block's own fault."""
     params = small_params()
     b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
+    node = b.node()
     if fault == "wrong-creator":
         winner = b.view.slot_candidates(1)[-1][2]
         impostor = next(n for n in ("alice", "bob", "carol") if n != winner)
@@ -219,13 +223,13 @@ def test_future_dated_is_decided_before_any_other_rule(monkeypatch, fault):
 
     monkeypatch.setattr(coa, "_validate", validating)
     behind = block.timestamp - params.timestamp_leniency - 1
-    assert b.apply(block, local_time=behind) == "future-dated"
-    assert bodies == [] and b.view._outcomes == {}
-    assert b.apply(block, local_time=behind + 1) == fault
+    assert node.receive_block(block, behind) == (False, "future-dated")
+    assert bodies == [] and node.best_view._outcomes == {}
+    assert node.receive_block(block, behind + 1) == (False, fault)
     assert bodies == [block.digest]
     # the kept rejection does not outrank a clock that is behind
-    assert b.apply(block, local_time=behind) == "future-dated"
-    assert b.apply(block) == fault
+    assert node.receive_block(block, behind) == (False, "future-dated")
+    assert node.receive_block(block) == (False, fault)
     assert bodies == [block.digest]
 
 
@@ -363,7 +367,7 @@ def test_confiscation_effect_is_kept_on_the_accepted_view():
     offense = b.blocks[-1]
     evidence = make_evidence(offense, offense.creator)
     block = b.craft(evidence=evidence)
-    view, reason = process_block(b.view, block, block.timestamp)
+    view, reason = process_block(b.view, block)
     assert reason == ACCEPT
     [(kind, effect)] = view.effects
     assert kind == "confiscation"
@@ -631,7 +635,7 @@ def assert_same_view(view, fresh):
         assert getattr(ledger, name) == getattr(fresh_ledger, name)
 
 
-def scanned_creations(view):
+def scanned_owners(view):
     """owner -> [(index, earliest timestamp)] over the view's next LOOKAHEAD
     slots, derived afresh on a clone."""
     last, owners = view.last_block, {}
@@ -697,13 +701,13 @@ def test_fork_tree_views_equal_recompute(seed):
         path = [node.tree.blocks[d] for d in node.tree.path(digest)[1:]]
         assert_same_view(view, view_from_path(params, main.genesis,
                                               main.ledger0, path))
-        # the owner map, built on the first request, is a fresh scan of the
-        # lookahead; a clone starts without one
-        scanned = scanned_creations(view)
-        for owner, _amount in alloc:
-            assert view.creations(owner) == scanned.get(owner, [])
-        assert view._owners == scanned
-        assert view.clone()._owners is None
+        # the owner map, built on the first request and kept, is a fresh
+        # scan of the lookahead, each owner's slots in index order; a clone
+        # starts without one
+        owners = view.owners()
+        assert {owner: list(slots.items()) for owner, slots in owners.items()} \
+            == scanned_owners(view)
+        assert view.owners() is owners and view.clone()._owners is None
 
     # a skipped slot's index is not a block of the chain: binding fails
     skipped = [i for i, (_o, _u, frozen) in skipper.view.slots.items()
@@ -718,10 +722,10 @@ def test_fork_tree_views_equal_recompute(seed):
 
 def test_nodes_of_one_run_share_one_view_per_block(monkeypatch):
     """Nodes built on one genesis state call ``process_block`` once per
-    delivery, but the validation body runs once per (parent view, block) and
-    they all hold its one child view, and the nodes that accepted the same
-    blocks in the same order hold one state; ``future-dated`` is still
-    decided on each node's own clock."""
+    delivery that their own clock does not find future-dated, but the
+    validation body runs once per (parent view, block) and they all hold
+    its one child view, and the nodes that accepted the same blocks in the
+    same order hold one state."""
     params = small_params(t0=8)
     b = Builder(params, [("alice", 6), ("bob", 5), ("carol", 5)])
     b.extend(3)
@@ -742,9 +746,9 @@ def test_nodes_of_one_run_share_one_view_per_block(monkeypatch):
         finally:
             receiver.pop()
 
-    def counting(view, block, local_time=None):
+    def counting(view, block):
         calls[receiver[-1], block.digest] += 1
-        return process_block(view, block, local_time)
+        return process_block(view, block)
 
     def validating(view, block):
         bodies[id(view), block.digest] += 1
@@ -768,7 +772,8 @@ def test_nodes_of_one_run_share_one_view_per_block(monkeypatch):
     assert nodes[0].tree is nodes[1].tree is not nodes[2].tree
 
     expected = {(i, blk.digest): 1 for i in range(3) for blk in b.blocks}
-    expected.update({(0, late.digest): 1, (1, late.digest): 3,
+    # node 1's two deliveries of `late` on a clock behind call nothing
+    expected.update({(0, late.digest): 1, (1, late.digest): 1,
                      (2, sibling.digest): 1})
     assert calls == expected
     tip = nodes[0].views[b.blocks[-1].digest]

@@ -1,13 +1,23 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from poslab.comb import (ALPHA, CombSpec, coalition_bias, coalition_bounds,
-                         comb_apply, comb_apply_batch, exhaustive_strategy,
-                         greedy_strategy, kz_width, last_player_advantage,
-                         majority_tie_probability, undetermined_fraction)
+from poslab.comb import (ALPHA, CombSpec, ParamError, coalition_bias,
+                         coalition_bounds, comb_apply, comb_apply_batch,
+                         exhaustive_strategy, greedy_strategy, kz_width,
+                         last_player_advantage, majority_tie_probability,
+                         undetermined_fraction)
 from poslab.rng import make_rng
+
+
+def test_param_error_survives_pickling():
+    """A ParamError raised in a pool worker reaches the parent as itself,
+    with its message and its param's name."""
+    error = pickle.loads(pickle.dumps(ParamError("w", "bad")))
+    assert type(error) is ParamError
+    assert (str(error), error.name) == ("bad", "w")
 
 
 def test_spec_validation():

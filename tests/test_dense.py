@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from poslab import dense
 from poslab.dense import (AggregateSignature, CommitteeRound, SECRET_BYTES,
                           assemble_dense_block, commit_hash,
                           committee_participation_probability,
@@ -34,6 +35,20 @@ def run_round(committee, rng):
     for pos, secret in secrets.items():
         committee.add_reveal(pos, secret)
     return agg
+
+
+def test_run_round_is_the_step_by_step_round():
+    """``dense.run_round`` draws the members' secrets in member order and
+    returns the aggregate and the next seed of the round run step by step,
+    leaving its rng where the steps leave theirs."""
+    ledger = LedgerState.from_allocation(ALLOC)
+    committee = make_round(ledger, index=3, t=2)
+    steps = make_rng(7, "dense-round")
+    agg = run_round(committee, steps)
+    seed = next_seed([committee.reveals[j] for j in range(committee.ell)], 10)
+    rng = make_rng(7, "dense-round")
+    assert dense.run_round(3, 2, committee.members, rng, 10) == (agg, seed)
+    assert rng.bytes(16) == steps.bytes(16)
 
 
 def test_committee_derivation_deterministic_and_fallback_disjoint_inputs():

@@ -558,13 +558,14 @@ def test_a_coa_run_maps_each_views_owners_at_most_once(monkeypatch):
     """Nodes look ahead through their best view's owner map, which each view
     builds at most once, however many nodes hold it."""
     built = []      # the views that built a map, held so no id is reused
-    map_owners = ChainView._map_owners
+    owners = ChainView.owners
 
     def counting(view):
-        built.append(view)
-        return map_owners(view)
+        if view._owners is None:
+            built.append(view)
+        return owners(view)
 
-    monkeypatch.setattr(ChainView, "_map_owners", counting)
+    monkeypatch.setattr(ChainView, "owners", counting)
     trace = run_scenario(SCENARIOS["coa-baseline"])
     accepts = sum(e["event"] == "block-accept" for e in parsed_events(trace))
     assert built
@@ -577,17 +578,23 @@ def test_a_coa_run_maps_each_views_owners_at_most_once(monkeypatch):
                          ids=["coa-offline", "stormy"])
 def test_a_node_plans_only_when_its_best_tip_moves(monkeypatch, config, forks):
     """A node's plan is a function of its best view alone. So the run looks
-    a view's owner map up through ``creations`` at a node's first plan and
-    at each create event, and otherwise only just after a node's best tip
-    moved onto the view: at most once per move, and never for a node that
-    creates no blocks. An accepted block that leaves the best tip in place
-    costs no lookup; the stormy run has such blocks, as well as rejections,
-    reorgs and held blocks."""
+    a node's slots up in its best view's owner map at its first plan and at
+    each create event (both read ``best_view``), and otherwise only just
+    after a node's best tip moved onto the view: at most once per move, and
+    never for a node that creates no blocks. An accepted block that leaves
+    the best tip in place costs no lookup; the stormy run has such blocks,
+    as well as rejections, reorgs and held blocks."""
     counts = {"creations": 0, "moves": 0, "accepts": 0, "planning": 0}
     moved = {"to": None}    # the view a node's best tip just moved onto
-    owners, creations = ChainView.owners, ChainView.creations
+    creating = [False]      # a node's best view was just read: a create lookup
+    owners = ChainView.owners
 
     class RecordedNode(netsim.CoaNode):
+        @property
+        def best_view(self):
+            creating[0] = True
+            return super().best_view
+
         def receive_block(self, block, local_time=None):
             best = self.tree.best
             outcome = super().receive_block(block, local_time)
@@ -595,21 +602,20 @@ def test_a_node_plans_only_when_its_best_tip_moves(monkeypatch, config, forks):
             moved["to"] = None
             if self.tree.best != best:
                 counts["moves"] += 1
-                moved["to"] = self.best_view
+                moved["to"] = self.tree.live[self.tree.best]
             return outcome
 
-    def counting_creations(view, owner):
-        counts["creations"] += 1
-        return creations(view, owner)
-
     def counting_owners(view):
-        if sys._getframe(1).f_code is not creations.__code__:
+        if creating[0]:
+            counts["creations"] += 1
+            creating[0] = False
+        else:
             counts["planning"] += 1
             assert view is moved["to"]
+            moved["to"] = None
         return owners(view)
 
     monkeypatch.setattr(netsim, "CoaNode", RecordedNode)
-    monkeypatch.setattr(ChainView, "creations", counting_creations)
     monkeypatch.setattr(ChainView, "owners", counting_owners)
     trace = run_scenario(config)
     sends = sum(e["event"] == "send" for e in parsed_events(trace))

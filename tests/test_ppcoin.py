@@ -30,6 +30,20 @@ def test_timeweight_versions():
     assert DEFAULT_CAP_SECONDS == 90 * DAY
     with pytest.raises(ValueError):
         timeweight(-1)
+    with pytest.raises(ValueError):
+        timeweight(DAY, "v0.4")
+
+
+def test_timeweight_of_an_array_is_its_ages_one_by_one():
+    """An array of ages gives the array of their timeweights: in v0.2 the
+    array itself, not a copy, and in v0.3 a capped copy."""
+    ages = np.array([[0.0, 10 * DAY], [90 * DAY, 180 * DAY]])
+    assert timeweight(ages, V02) is ages
+    capped = timeweight(ages, V03)
+    assert capped.tolist() == [[timeweight(a, V03) for a in row] for row in ages]
+    assert ages[1, 1] == 180 * DAY
+    with pytest.raises(ValueError):
+        timeweight(ages - DAY, V03)
 
 
 def test_kernel_is_deterministic_and_one_attempt_per_second():
