@@ -239,7 +239,7 @@ def simulate_timeweight_attack(version: str, stake_fraction: float,
         raise ValueError("stake fraction must be in (0,1)")
     rng = make_rng(seed, "timeweight", version, f, wait_multiplier, saturated)
     n_honest_outputs = 50
-    base_age = ppcoin.DEFAULT_CAP_SECONDS * 2.0 if saturated else 30 * 86400.0
+    base_age = ppcoin.CAP_SECONDS * 2.0 if saturated else 30 * 86400.0
     ages = rng.uniform(0.2 * base_age, 1.8 * base_age,
                        size=(trials, n_honest_outputs))
     honest_tw = ppcoin.timeweight(ages, version)

@@ -24,10 +24,10 @@ import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .comb import CombSpec, ParamError, comb_apply
+from .comb import CombSpec, comb_apply
 from .fts import satoshi_index, follow_the_satoshi
 from .ledger import (
-    Block, BlockTree, LedgerError, LedgerState, block_bit,
+    Block, BlockTree, ConfigError, LedgerError, LedgerState, block_bit,
     validate_block_structure,
 )
 
@@ -60,11 +60,11 @@ class CoaParams:
         for name, least in (("g0_seconds", 1), ("c0", 0), ("c1", 0),
                             ("t0", 2), ("timestamp_leniency", 0)):
             if getattr(self, name) < least:
-                raise ParamError(name, "must be at least %d" % least)
+                raise ConfigError(name, "must be at least %d" % least)
         if self.c0 and self.c1 > self.c0 // 2:
-            raise ParamError("c1", "require 0 <= c1 <= c0/2")
+            raise ConfigError("c1", "require 0 <= c1 <= c0/2")
         if self.t0 % 2:
-            raise ParamError("t0", "t0 must be even (t0 = 2*t1)")
+            raise ConfigError("t0", "t0 must be even (t0 = 2*t1)")
         CombSpec(self.comb, self.kappa, self.w)  # validates the triple
 
     @property
@@ -209,10 +209,10 @@ class ChainView:
         return self._owners
 
 
-def future_dated(params: CoaParams, timestamp: int, local_time: int) -> bool:
-    """Whether a block dated `timestamp` is past a clock reading
-    `local_time` by more than the leniency: a node rejects it for now."""
-    return timestamp > local_time + params.timestamp_leniency
+def future_dated(leniency: int, timestamp: int, local_time: int) -> bool:
+    """Whether a block dated `timestamp` is past a clock reading `local_time`
+    by more than `leniency` seconds: a CoA or Dense-CoA node rejects it."""
+    return timestamp > local_time + leniency
 
 
 def process_block(view: ChainView, block: Block) -> tuple:
@@ -433,8 +433,8 @@ class CoaNode:
         if view is None:
             return False, ("below-solidified" if block.prev_digest in self.accepted
                            else "orphan")
-        if local_time is not None \
-                and future_dated(view.params, block.timestamp, local_time):
+        if local_time is not None and future_dated(
+                view.params.timestamp_leniency, block.timestamp, local_time):
             return False, "future-dated"
         new_view, reason = process_block(view, block)
         if reason != ACCEPT:

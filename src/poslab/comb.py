@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ledger import ConfigError
 from .rng import make_rng
 
 ALPHA = math.log(2, 3)  # log_3 2
@@ -22,17 +23,6 @@ CONCAT = "concat"
 MAJORITY = "majority"
 ITERATED_MAJORITY = "iterated_majority"
 KINDS = (CONCAT, MAJORITY, ITERATED_MAJORITY)
-
-
-class ParamError(ValueError):
-    """A bad protocol parameter; ``name`` is its key in a scenario's params."""
-
-    def __init__(self, name: str, message: str):
-        super().__init__(message)
-        self.name = name
-
-    def __reduce__(self):   # so it crosses a process pool as itself
-        return ParamError, (self.name, str(self))
 
 
 def _is_power_of_3(w: int) -> bool:
@@ -49,16 +39,16 @@ class CombSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ParamError("comb", "unknown comb kind %r" % self.kind)
+            raise ConfigError("comb", "unknown comb kind %r" % self.kind)
         if self.kappa < 1 or self.w < 1:
-            raise ParamError("kappa" if self.kappa < 1 else "w",
+            raise ConfigError("kappa" if self.kappa < 1 else "w",
                              "kappa and w must be positive")
         if self.kind == CONCAT and self.w != 1:
-            raise ParamError("w", "concat requires w=1")
+            raise ConfigError("w", "concat requires w=1")
         if self.kind == MAJORITY and self.w % 2 == 0:
-            raise ParamError("w", "majority requires odd w")
+            raise ConfigError("w", "majority requires odd w")
         if self.kind == ITERATED_MAJORITY and not _is_power_of_3(self.w):
-            raise ParamError("w", "iterated majority requires w a power of 3")
+            raise ConfigError("w", "iterated majority requires w a power of 3")
 
     @property
     def ell(self) -> int:

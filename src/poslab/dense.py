@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .fts import satoshi_index
+from .coa import future_dated
+from .fts import follow_the_satoshi, satoshi_index
 from .ledger import LedgerError, LedgerState, sign, verify
 
 SECRET_BYTES = 32  # n = 256-bit round-1 secrets
@@ -37,14 +38,11 @@ def derive_committee(prev_seed: int, index: int, t: int, ledger: LedgerState,
     Member j (1-based) comes from follow-the-satoshi on hash(i, t*ell+j, seed);
     member ell is the leader who selects the transactions.
     """
-    members = []
-    for j in range(1, ell + 1):
-        idx = satoshi_index(index, t * ell + j, prev_seed, kappa,
-                            ledger.total_supply)
-        u = ledger.utxo_covering(idx)
-        if u is None:
-            raise LedgerError("committee derivation hit a destroyed satoshi")
-        members.append((u.owner, u.uid))
+    members = [follow_the_satoshi(ledger, satoshi_index(
+        index, t * ell + j, prev_seed, kappa, ledger.total_supply))
+        for j in range(1, ell + 1)]
+    if (None, None) in members:
+        raise LedgerError("committee derivation hit a destroyed satoshi")
     return members
 
 
@@ -175,8 +173,7 @@ def assemble_dense_block(committee: CommitteeRound, agg: AggregateSignature,
 
 def validate_dense_block(block: DenseBlock, prev_seed: int, ledger: LedgerState,
                          kappa: int, prev_timestamp: int, g0: int,
-                         local_time: Optional[int] = None,
-                         leniency: int = 120) -> str:
+                         leniency: int, local_time: Optional[int] = None) -> str:
     """Full validation; returns "ok" or a reject reason.
 
     The timestamp rule: a block at fallback counter t must be at least t*G0
@@ -193,7 +190,8 @@ def validate_dense_block(block: DenseBlock, prev_seed: int, ledger: LedgerState,
         return "bad-aggregate"
     if block.timestamp < prev_timestamp + block.fallback_counter * g0:
         return "too-early"
-    if local_time is not None and block.timestamp > local_time + leniency:
+    if local_time is not None and future_dated(leniency, block.timestamp,
+                                               local_time):
         return "future-dated"
     return "ok"
 

@@ -9,12 +9,15 @@ average gap keeps the rate bounded when too much equipment shows up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .rng import make_rng
+
+COINS_PER_BLOCK = 50.0
+STEP_SECONDS = 3600.0     # the length of one simulated step
 
 
 def constant_demand(d: float) -> Callable[[float], float]:
@@ -30,8 +33,6 @@ class IssuanceParams:
     demand_value_fn: Callable[[float], float]
     fixed_difficulty: float          # blocks per miner-second
     min_gap_seconds: float = 60.0
-    coins_per_block: float = 50.0
-    step_seconds: float = 3600.0
     adjust_rate: float = 0.25        # fraction of the miner-population gap closed per step
     initial_miners: float = 10.0
     initial_supply: float = 1000.0
@@ -57,7 +58,7 @@ def simulate_issuance(params: IssuanceParams, steps: int, seed: int = 0,
                       noise: float = 0.02) -> dict:
     """Supply/price/miner trajectory.
 
-    Each step mints block_rate*step_seconds blocks (under retargeting the
+    Each step mints block_rate*STEP_SECONDS blocks (under retargeting the
     rate is pinned at the 10-minute target instead), updates the coin value
     from the demand function (optionally scaled by a shock series), and grows
     or shrinks the miner population by a clamped factor of the per-miner
@@ -74,13 +75,13 @@ def simulate_issuance(params: IssuanceParams, steps: int, seed: int = 0,
     m = params.initial_miners
     s = params.initial_supply
     per_miner_cost = (params.production_cost_per_coin * params.fixed_difficulty
-                      * params.step_seconds * params.coins_per_block)
+                      * STEP_SECONDS * COINS_PER_BLOCK)
     for t in range(steps):
         if bitcoin_style_retarget:
             rate = 1.0 / 600.0 if m > 0 else 0.0
         else:
             rate = block_rate(params, m)
-        minted = rate * params.step_seconds * params.coins_per_block
+        minted = rate * STEP_SECONDS * COINS_PER_BLOCK
         if params.last_pow_step is not None and t > params.last_pow_step:
             minted = 0.0
         s += minted
@@ -95,7 +96,7 @@ def simulate_issuance(params: IssuanceParams, steps: int, seed: int = 0,
             m *= factor
         m *= 1.0 + noise * (rng.random() - 0.5)
         miners[t] = m
-        blocks[t] = minted / params.coins_per_block
+        blocks[t] = minted / COINS_PER_BLOCK
         supply[t] = s
         value[t] = v
     return {"miners": miners, "blocks": blocks, "supply": supply, "value": value}

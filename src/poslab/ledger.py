@@ -26,6 +26,16 @@ class LedgerError(Exception):
     pass
 
 
+class ConfigError(ValueError):
+    """A bad input (config field, param or option), named by ``fieldname``."""
+    def __init__(self, fieldname: str, message: str):
+        super().__init__("%s: %s" % (fieldname, message))
+        self.fieldname, self.message = fieldname, message
+
+    def __reduce__(self):   # so it crosses a process pool as itself
+        return ConfigError, (self.fieldname, self.message)
+
+
 class DoubleSpendError(LedgerError):
     pass
 

@@ -23,8 +23,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import attacks, dense
 from .coa import ACCEPT, ChainView, CoaNode, CoaParams, future_dated, make_genesis
-from .comb import ParamError
-from .ledger import Block, BlockTree, LedgerState
+from .ledger import Block, BlockTree, ConfigError, LedgerState
 # netsim calls no canonical_block_digest, but perfbench's tests assert that
 # the tracer's wrapper replaces this binding too: keep it
 from .ledger import canonical_block_digest  # noqa: F401
@@ -35,15 +34,6 @@ QUIET_BATCH = 32    # PPCoin seconds drawn per batch when skipping quiet ones
 DIGEST_CHUNK = 1000  # trace lines joined per hash update and write
 ENGINE_KEYS = ("name", "protocol", "params", "stake", "behaviors", "duration",
                "seed")      # plus the keys in its Engine's network
-
-
-class ConfigError(ValueError):
-    def __init__(self, fieldname: str, message: str):
-        super().__init__("%s: %s" % (fieldname, message))
-        self.fieldname, self.message = fieldname, message
-
-    def __reduce__(self):   # so it crosses a process pool as itself
-        return ConfigError, (self.fieldname, self.message)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +144,9 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     name, seed = raw.get("name", name), raw.get("seed", 0)
     if "attack" in raw:
         _section(raw, {key: _TOP[key] for key in ("name", "seed", "attack")})
-        analysis_of(raw["attack"])
+        kind = analysis_of(raw["attack"])
+        resolve_params(raw["attack"].get("params", {}),
+                       attacks.ANALYSES[kind].params, "attack.params.")
         return ScenarioConfig(name=name, seed=seed, attack=raw["attack"])
     protocol = raw.get("protocol")
     if protocol not in ENGINES:
@@ -171,8 +163,8 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if protocol == "coa":
         try:
             CoaParams(**params)
-        except ParamError as exc:
-            raise ConfigError("params." + exc.name, str(exc))
+        except ConfigError as exc:
+            raise ConfigError("params." + exc.fieldname, exc.message)
     names = set()
     for pos, entry in enumerate(raw["stake"]):
         if not (_is("list", entry) and len(entry) == 2
@@ -215,18 +207,30 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         clock_drift_max=float(drift), duration=duration, seed=seed)
 
 
-def analysis_of(attack) -> tuple:
-    """(kind, params with defaults, analysis) of an ``attack`` block, checked
-    against ``attacks.ANALYSES``; raises ConfigError naming the bad field."""
+def analysis_of(attack) -> str:
+    """The kind of an ``attack`` block, an ``attacks.ANALYSES`` entry;
+    raises ConfigError naming the bad field."""
     _section(attack, {"kind": "string", "params": "object"}, "attack.",
              required=("kind",))
     kind = attack["kind"]
     if kind not in attacks.ANALYSES:
         raise ConfigError("attack.kind", "unknown analysis kind %r (known: %s)"
                           % (kind, ", ".join(attacks.ANALYSES)))
+    return kind
+
+
+def run_analysis(kind: str, given: dict, seed: int, prefix: str) -> dict:
+    """The metrics of ``attacks.ANALYSES[kind]`` on the params `given`, over
+    its defaults. A bad param is a ConfigError naming `<prefix><param>`, or
+    the params if only the calculator finds it by running."""
     analysis = attacks.ANALYSES[kind]
-    return kind, resolve_params(attack.get("params", {}), analysis.params,
-                                "attack.params."), analysis
+    params = resolve_params(given, analysis.params, prefix)
+    try:
+        return analysis.fn(params, seed)
+    except ConfigError as exc:
+        raise ConfigError(prefix + exc.fieldname, exc.message)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(prefix[:-1], str(exc))
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -371,7 +375,7 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
             earliest = view.owners().get(peer.name, {}).get(item)
             if earliest is None:
                 continue
-            if future_dated(params, earliest, clock):
+            if future_dated(params.timestamp_leniency, earliest, clock):
                 # its own delivery would be future-dated: wait for the clock
                 plan(peer, {item: earliest - params.timestamp_leniency}, when)
                 continue
@@ -608,15 +612,9 @@ def _capped(events: List[dict], metrics: dict, chains: dict) -> SimTrace:
 # ---------------------------------------------------------------------------
 
 def _run_attack(config: ScenarioConfig) -> SimTrace:
-    """Run the analysis; a calculator's rejection of its params is a
-    ConfigError, since validation cannot see it without running it."""
-    kind, p, analysis = analysis_of(config.attack)
-    try:
-        metrics = dict(analysis.fn(p, config.seed), kind=kind)
-    except ParamError as exc:
-        raise ConfigError("attack.params." + exc.name, str(exc))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("attack.params", str(exc))
+    kind = analysis_of(config.attack)
+    metrics = dict(run_analysis(kind, config.attack.get("params", {}),
+                                config.seed, "attack.params."), kind=kind)
     events = [canonical_json({"event": "analysis", "kind": kind,
                               "params": config.attack.get("params", {})})]
     return SimTrace(events, metrics, {})

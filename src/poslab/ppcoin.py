@@ -8,10 +8,11 @@ Here d0 is kept as a plain probability scalar: an output with c coins and
 timeweight tw wins a given second with probability min(1, d0*c*tw). One
 attempt per output per integer second.
 
-Timeweight units: age is measured in seconds and the v0.3 cap defaults to 90
-days. The protocol describes the cap both as "90 days" and as the constant
-60*60*60 (an amount of coin-age in day units); the two disagree, so the cap
-is configuration here with the 90-day reading as the default.
+Timeweight units: age is in seconds, and the v0.3 cap is the constant 90
+days (CAP_SECONDS). The protocol also gives the cap as 60*60*60, a coin-age
+in day units; that reading is not modelled, since it bounds coins times age,
+not age, while the kernel inequality above and the timeweight attack
+analysis weigh an output as its coins times a timeweight of its age alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ MODIFIER_PERIOD = 6 * 3600
 TARGET_INTERVAL = 600
 V02 = "v0.2"
 V03 = "v0.3"
-DEFAULT_CAP_SECONDS = 90 * 86400
+CAP_SECONDS = 90 * 86400   # the v0.3 timeweight cap
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class StakeKernelState:
     modifier_time: int = 0
     clock: int = 0
     version: str = V02
-    timeweight_cap: int = DEFAULT_CAP_SECONDS
 
     def __post_init__(self):
         if self.d0 <= 0:
@@ -55,8 +55,7 @@ class StakeKernelState:
             raise ValueError("unknown kernel version %r" % self.version)
 
 
-def timeweight(age_seconds, version: str = V02,
-               cap_seconds: int = DEFAULT_CAP_SECONDS):
+def timeweight(age_seconds, version: str = V02):
     """Coin-age multiplier: linear in v0.2, capped at 90 days in v0.3. One
     age gives a float; an array of ages gives an array, uncopied in v0.2."""
     array = isinstance(age_seconds, np.ndarray)
@@ -64,7 +63,7 @@ def timeweight(age_seconds, version: str = V02,
         raise ValueError("age must be nonnegative")
     if version not in (V02, V03):
         raise ValueError("unknown kernel version %r" % version)
-    weight = age_seconds if version == V02 else np.minimum(age_seconds, cap_seconds)
+    weight = age_seconds if version == V02 else np.minimum(age_seconds, CAP_SECONDS)
     return weight if array else float(weight)
 
 
@@ -81,8 +80,7 @@ def kernel_eligibility(state: StakeKernelState, prev_blocks_data: bytes,
         + int(txout.creation_time).to_bytes(8, "big")
     ).digest()
     u = int.from_bytes(h, "big") / 2.0 ** 256
-    tw = timeweight(max(0, time_s - txout.creation_time), state.version,
-                    state.timeweight_cap)
+    tw = timeweight(max(0, time_s - txout.creation_time), state.version)
     return u < state.d0 * txout.coins * tw
 
 
@@ -120,30 +118,28 @@ def retarget_d0(d0: float, recent_intervals: Sequence[float],
 
 
 def solve_probability(d0: float, outputs: Sequence[StakeOutput], time_s: int,
-                      version: str = V02,
-                      cap_seconds: int = DEFAULT_CAP_SECONDS) -> float:
+                      version: str = V02) -> float:
     """Probability that some output solves at this second."""
     miss = 1.0
     for o in outputs:
-        tw = timeweight(max(0, time_s - o.creation_time), version, cap_seconds)
+        tw = timeweight(max(0, time_s - o.creation_time), version)
         miss *= 1.0 - min(1.0, d0 * o.coins * tw)
     return 1.0 - miss
 
 
 def calibrate_d0(outputs: Sequence[StakeOutput], time_s: int,
-                 rate: float = 1.0 / TARGET_INTERVAL, version: str = V02,
-                 cap_seconds: int = DEFAULT_CAP_SECONDS) -> float:
+                 rate: float = 1.0 / TARGET_INTERVAL, version: str = V02) -> float:
     """Find d0 so the network-wide per-second solve probability equals `rate`."""
     if not 0 < rate < 1:
         raise ValueError("rate must be in (0,1)")
     lo, hi = 0.0, 1.0
-    while solve_probability(hi, outputs, time_s, version, cap_seconds) < rate:
+    while solve_probability(hi, outputs, time_s, version) < rate:
         hi *= 2.0
         if hi > 1e30:
             raise ValueError("no output has positive weight at this time")
     for _ in range(200):
         mid = (lo + hi) / 2.0
-        if solve_probability(mid, outputs, time_s, version, cap_seconds) < rate:
+        if solve_probability(mid, outputs, time_s, version) < rate:
             lo = mid
         else:
             hi = mid

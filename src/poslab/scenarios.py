@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
-from . import attacks, comb
-from .netsim import ScenarioConfig, config_from_dict, resolve_params
+from . import comb
+from .netsim import ScenarioConfig, config_from_dict, run_analysis
 
 
 def _split_stake(kappa: int, names: List[str], weights: List[int]) -> list:
@@ -208,13 +208,9 @@ REPRODUCTIONS: Dict[str, Reproduction] = {
 
 
 def run_reproduction(repro_id: str, seed: int = 0) -> ReproResult:
-    if repro_id not in REPRODUCTIONS:
-        raise KeyError("unknown reproduction id %r" % repro_id)
-    repro = REPRODUCTIONS[repro_id]
-    analysis = attacks.ANALYSES[repro.kind]
-    outcomes = [repro.verdict(p, analysis.fn(resolve_params(
-        p, analysis.params, "%s.params." % repro_id), seed))
-        for p in repro.param_sets]
+    repro = REPRODUCTIONS[repro_id]     # a KeyError for an unknown id
+    outcomes = [repro.verdict(p, run_analysis(
+        repro.kind, p, seed, "%s.params." % repro_id)) for p in repro.param_sets]
     return ReproResult(repro_id, repro.expected,
                        "; ".join(text for text, _ok in outcomes),
                        repro.tolerance, all(ok for _text, ok in outcomes))

@@ -207,21 +207,26 @@ def test_reproduce_rejects_jobs_below_one(monkeypatch, capsys, jobs):
 
 def test_a_config_error_in_a_pool_worker_exits_2_naming_the_field(
         monkeypatch, capsys):
-    """A reproduction set that fails its param check in a worker of a
-    two-process pool exits 2 and names the field, as it does in-process.
-    The pool forks, so the workers see the patched table."""
+    """A reproduction set that fails its param check, or whose calculator
+    rejects a param, exits 2 naming `<id>.params.<key>`, in-process and in
+    a worker of a two-process pool. The pool forks, so the workers see the
+    patched table."""
     import poslab.cli as cli
     import poslab.scenarios as scenarios
-    claim1 = REPRODUCTIONS["claim1"]
-    bad = dataclasses.replace(claim1, param_sets=(
-        dict(claim1.param_sets[0], delta=19.5),))
-    table = {"claim1": bad, "claim2": REPRODUCTIONS["claim2"]}
-    monkeypatch.setattr(cli, "REPRODUCTIONS", table)
-    monkeypatch.setattr(scenarios, "REPRODUCTIONS", table)
-    for jobs in ("1", "2"):
-        code, _o, err = run_cli(capsys, "reproduce", "all", "--jobs", jobs)
-        assert code == EXIT_CONFIG_ERROR
-        assert "config error: claim1.params.delta: must be an integer" in err
+    for repro_id, change, error in (
+            ("claim1", {"delta": 19.5}, "claim1.params.delta: must be an integer"),
+            ("mu-concat", {"comb": "tribes"},
+             "mu-concat.params.comb: unknown comb kind 'tribes'")):
+        repro = REPRODUCTIONS[repro_id]
+        bad = dataclasses.replace(repro, param_sets=(
+            dict(repro.param_sets[0], **change),))
+        table = {repro_id: bad, "claim2": REPRODUCTIONS["claim2"]}
+        monkeypatch.setattr(cli, "REPRODUCTIONS", table)
+        monkeypatch.setattr(scenarios, "REPRODUCTIONS", table)
+        for jobs in ("1", "2"):
+            code, _o, err = run_cli(capsys, "reproduce", "all", "--jobs", jobs)
+            assert code == EXIT_CONFIG_ERROR
+            assert "config error: %s" % error in err
 
 
 def test_reproduce_in_a_pool_records_its_jobs_and_the_workers_peak_rss(

@@ -64,7 +64,8 @@ class Builder:
         """Offer `block` to the chain's tip, as a node whose clock reads
         `local_time` would (None: no clock test)."""
         if local_time is not None \
-                and coa.future_dated(self.params, block.timestamp, local_time):
+                and coa.future_dated(self.params.timestamp_leniency,
+                                     block.timestamp, local_time):
             return "future-dated"
         view, reason = process_block(self.view, block)
         if reason == ACCEPT:

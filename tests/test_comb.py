@@ -1,37 +1,29 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
 
-from poslab.comb import (ALPHA, CombSpec, ParamError, coalition_bias,
+from poslab.comb import (ALPHA, CombSpec, coalition_bias,
                          coalition_bounds, comb_apply, comb_apply_batch,
                          exhaustive_strategy, greedy_strategy, kz_width,
                          last_player_advantage, majority_tie_probability,
                          undetermined_fraction)
+from poslab.ledger import ConfigError
 from poslab.rng import make_rng
 
 
-def test_param_error_survives_pickling():
-    """A ParamError raised in a pool worker reaches the parent as itself,
-    with its message and its param's name."""
-    error = pickle.loads(pickle.dumps(ParamError("w", "bad")))
-    assert type(error) is ParamError
-    assert (str(error), error.name) == ("bad", "w")
-
-
 def test_spec_validation():
+    """A bad triple is a ConfigError naming the param at fault."""
     CombSpec("concat", 8, 1)
     CombSpec("majority", 4, 5)
     CombSpec("iterated_majority", 2, 27)
-    with pytest.raises(ValueError):
-        CombSpec("tribes", 8, 1)
-    with pytest.raises(ValueError):
-        CombSpec("concat", 8, 3)
-    with pytest.raises(ValueError):
-        CombSpec("majority", 8, 4)
-    with pytest.raises(ValueError):
-        CombSpec("iterated_majority", 8, 6)
+    for args, param in ((("tribes", 8, 1), "comb"), (("concat", 8, 3), "w"),
+                        (("majority", 8, 4), "w"),
+                        (("iterated_majority", 8, 6), "w"),
+                        (("concat", 0, 1), "kappa")):
+        with pytest.raises(ConfigError) as e:
+            CombSpec(*args)
+        assert e.value.fieldname == param
 
 
 def test_concat_is_identity_on_bits():

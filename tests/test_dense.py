@@ -164,19 +164,24 @@ def test_block_assembly_and_validation():
     agg = run_round(committee, rng)
     block = assemble_dense_block(committee, agg, b"\x00" * 32, timestamp=300)
     assert validate_dense_block(block, prev_seed, ledger, kappa,
-                                prev_timestamp=0, g0=g0) == "ok"
+                                prev_timestamp=0, g0=g0, leniency=120) == "ok"
     # the wrong previous seed derives a different committee
-    assert validate_dense_block(block, prev_seed ^ 1, ledger, kappa,
-                                0, g0) in ("wrong-committee", "bad-aggregate")
+    assert validate_dense_block(block, prev_seed ^ 1, ledger, kappa, 0, g0,
+                                120) in ("wrong-committee", "bad-aggregate")
     # tampering with a reveal breaks the aggregate
     bad = block.reveals[:2] + (b"\x55" * 32,) + block.reveals[3:]
     tampered = assemble_dense_block(committee, agg, b"\x00" * 32, 300)
     tampered = type(tampered)(tampered.index, tampered.prev_digest, 300, 0,
                               bad, agg)
     assert validate_dense_block(tampered, prev_seed, ledger, kappa,
-                                0, g0) == "bad-aggregate"
-    assert validate_dense_block(block, prev_seed, ledger, kappa, 0, g0,
-                                local_time=100, leniency=120) == "future-dated"
+                                0, g0, 120) == "bad-aggregate"
+    # CoA's clock test: a timestamp of local_time + leniency is admitted,
+    # one second more is future-dated
+    for leniency in (0, 120):
+        assert validate_dense_block(block, prev_seed, ledger, kappa, 0, g0,
+                                    leniency, 300 - leniency) == "ok"
+        assert validate_dense_block(block, prev_seed, ledger, kappa, 0, g0,
+                                    leniency, 299 - leniency) == "future-dated"
 
 
 def test_fallback_timestamp_rule():
@@ -188,11 +193,11 @@ def test_fallback_timestamp_rule():
                            kappa=kappa, prev_seed=prev_seed)
     agg = run_round(committee, rng)
     early = assemble_dense_block(committee, agg, b"\x00" * 32, timestamp=299)
-    assert validate_dense_block(early, prev_seed, ledger, kappa,
-                                prev_timestamp=0, g0=g0) == "too-early"
+    assert validate_dense_block(early, prev_seed, ledger, kappa, prev_timestamp=0,
+                                g0=g0, leniency=120) == "too-early"
     on_time = assemble_dense_block(committee, agg, b"\x00" * 32, timestamp=300)
     assert validate_dense_block(on_time, prev_seed, ledger, kappa,
-                                prev_timestamp=0, g0=g0) == "ok"
+                                prev_timestamp=0, g0=g0, leniency=120) == "ok"
 
 
 def test_incomplete_reveals_block_assembly():

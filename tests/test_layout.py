@@ -1,7 +1,7 @@
 """Every top-level definition and class member in ``src/poslab`` is used by
-the package, and every defaulted parameter is set by some call, or is listed
-below with the reason it stays; every name a config may hold is
-documented."""
+the package, and every default (of a parameter, or of a dataclass or
+NamedTuple field) is set by some call, or is listed below with the reason
+it stays; every name a config may hold is documented."""
 
 import ast
 import dataclasses
@@ -65,13 +65,18 @@ UNREAD_MEMBERS = {
 }
 
 
-_STAKE_KERNEL = ("stake-kernel model that ROADMAP item 4 routes the PPCoin "
+_STAKE_KERNEL = ("stake-kernel model that ROADMAP item 9 routes the PPCoin "
                  "engine through")
 
-# (module, "function.parameter") -> why a default no call overrides stays
+# (module, "function.parameter" or "Class.field") -> why a default no call
+# overrides stays
 UNSET_DEFAULTS = {
+    ("dense", "CommitteeRound.commitments"):
+        "round 1 state that add_commit fills in place, not an input",
+    ("dense", "CommitteeRound.reveals"):
+        "round 2 state that add_reveal fills in place, not an input",
     ("ppcoin", "calibrate_d0.version"): _STAKE_KERNEL,
-    ("ppcoin", "calibrate_d0.cap_seconds"): _STAKE_KERNEL,
+    ("ppcoin", "solve_probability.version"): _STAKE_KERNEL,
     ("ppcoin", "retarget_d0.target"): _STAKE_KERNEL,
     ("ppcoin", "simulate_retarget.window"): _STAKE_KERNEL,
 }
@@ -186,49 +191,151 @@ def _call_name(call):
     return func.attr if isinstance(func, ast.Attribute) else None
 
 
-def _sets(call, position, name) -> bool:
-    """Whether `call` may pass the parameter `name` (at `position` among
-    the positional parameters, None if keyword-only)."""
-    return any(k.arg in (name, None) for k in call.keywords) \
-        or any(isinstance(a, ast.Starred) for a in call.args) \
-        or (position is not None and len(call.args) > position)
+def _is_record(cls) -> bool:
+    """Whether a class is a dataclass or a NamedTuple: its annotated fields
+    are its constructor's parameters, in order."""
+    return any(ast.unparse(d).startswith(("dataclass", "dataclasses.dataclass"))
+               for d in cls.decorator_list) \
+        or any(ast.unparse(b) == "NamedTuple" for b in cls.bases)
+
+
+def _settables(module, tree) -> list:
+    """(module, label, name, setters, is_field) of each defaulted parameter
+    of a function, and each defaulted field of a dataclass or NamedTuple,
+    in `tree`. `setters` are the (callee name, position) a call may set it
+    through: the function (``__init__`` for ``Class(...)``) at the
+    parameter's position among the positional ones (None if keyword-only);
+    or the class at the field's position, and ``replace``/``_replace`` by
+    keyword."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_record(node):
+            fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+            out += [(module, "%s.%s" % (node.name, stmt.target.id), stmt.target.id,
+                     [(node.name, i), ("replace", None), ("_replace", None)], True)
+                    for i, stmt in enumerate(fields) if stmt.value is not None]
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        if positional and positional[0].arg in ("self", "cls"):
+            positional = positional[1:]
+        first = len(positional) - len(args.defaults)
+        defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+        defaulted += [(None, a.arg) for a, d in
+                      zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        out += [(module, "%s.%s" % (node.name, name), name, [(node.name, i)],
+                 False) for i, name in defaulted]
+    return out
+
+
+def _keys(expr, fn, calls, seen=frozenset()):
+    """The keys the mapping `expr`, passed as ``**expr`` in function `fn`,
+    may hold, or None if they are not known: a dict display, a ``dict(...)``
+    call, `fn`'s own ``**`` parameter (the keywords `fn`'s callers pass) or
+    a local built from these (assignments and ``.update`` calls; `seen`
+    holds the locals being resolved)."""
+    if isinstance(expr, ast.Dict):
+        parts = [v if k is None else k if isinstance(k, ast.Constant) else None
+                 for k, v in zip(expr.keys, expr.values)]
+    elif isinstance(expr, ast.Call) and _call_name(expr) == "dict":
+        parts = expr.args + [k.value if k.arg is None else ast.Constant(k.arg)
+                             for k in expr.keywords]
+    elif isinstance(expr, ast.Constant):
+        return {expr.value}
+    elif isinstance(expr, ast.Name) and fn is not None:
+        if fn.args.kwarg is not None and expr.id == fn.args.kwarg.arg:
+            parts = [k.value if k.arg is None else ast.Constant(k.arg)
+                     for call, _caller in calls.get(fn.name, ())
+                     for k in call.keywords]
+            fn = None   # a `**` the callers pass is theirs, not fn's
+        elif (fn, expr.id) in seen:
+            return set()    # it adds no key its other parts do not
+        else:
+            seen |= {(fn, expr.id)}
+            parts = [node.value for node in ast.walk(fn)
+                     if isinstance(node, ast.Assign) and expr.id in
+                     [t.id for t in node.targets if isinstance(t, ast.Name)]]
+            parts += [node.args[0] for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and node.args
+                      and ast.unparse(node.func) == expr.id + ".update"]
+            if not parts:
+                return None
+    else:
+        return None
+    keys = set()
+    for part in parts:
+        more = _keys(part, fn, calls, seen)
+        if more is None:
+            return None
+        keys |= more
+    return keys
+
+
+def _sets(call, fn, position, name, calls, passes_unset) -> bool:
+    """Whether `call`, in function `fn`, may set the parameter `name` (at
+    `position` among the positional ones, None if keyword-only) to a value
+    of its own: passing an unset value on (``passes_unset``) is no set."""
+    given = [k.value for k in call.keywords if k.arg == name]
+    if position is not None and len(call.args) > position:
+        given.append(call.args[position])
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None and name in (_keys(k.value, fn, calls) or {name})
+            for k in call.keywords):
+        return True
+    return any(not passes_unset(value, fn) for value in given)
 
 
 def unset_defaults() -> set:
-    """(module, "function.parameter") of each defaulted parameter of a
-    function in src/poslab that no call in src/poslab or tests/ passes.
-    Calls match by name; ``Class(...)`` calls ``__init__``."""
+    """(module, label) of each default in src/poslab that no call in
+    src/poslab or tests/ sets: a defaulted parameter of a function
+    ("function.parameter") and a defaulted field of a dataclass or
+    NamedTuple ("Class.field"). Calls match by name; ``Class(...)`` calls
+    ``__init__`` too. A call sets nothing by passing on an unset value: its
+    function's own unset parameter, or a read of a field that is unset in
+    every class that has it."""
     trees = {path: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))}
     classes = {node.name for path, tree in trees.items() if path.parent == SRC
                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
-    calls = {}
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                name = _call_name(node)
-                calls.setdefault("__init__" if name in classes else name,
-                                 []).append(node)
-    out = set()
-    for path, tree in trees.items():
-        if path.parent != SRC:
-            continue
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    calls, module_of = {}, {}   # callee name -> [(call, enclosing function)]
+
+    def collect(node, fn, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                module_of[child] = module
+                collect(child, child, module)
                 continue
-            args = fn.args
-            positional = args.posonlyargs + args.args
-            if positional and positional[0].arg in ("self", "cls"):
-                positional = positional[1:]
-            first = len(positional) - len(args.defaults)
-            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
-            defaulted += [(None, a.arg) for a, d in
-                          zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-            for position, name in defaulted:
-                if not any(_sets(call, position, name)
-                           for call in calls.get(fn.name, ())):
-                    out.add((path.stem, "%s.%s" % (fn.name, name)))
-    return out
+            if isinstance(child, ast.Call):
+                name = _call_name(child)
+                for callee in {name, "__init__" if name in classes else name}:
+                    calls.setdefault(callee, []).append((child, fn))
+            collect(child, fn, module)
+
+    for path, tree in trees.items():
+        collect(tree, None, path.stem)
+    settables = [item for path, tree in trees.items() if path.parent == SRC
+                 for item in _settables(path.stem, tree)]
+    unset = set()
+    while True:
+        fields = {}     # field name -> whether it is unset in every class
+        for module, label, name, _setters, is_field in settables:
+            if is_field:
+                fields[name] = fields.get(name, True) and (module, label) in unset
+
+        def passes_unset(value, fn):
+            if isinstance(value, ast.Attribute):
+                return fields.get(value.attr, False)
+            return isinstance(value, ast.Name) and fn is not None and (
+                module_of[fn], "%s.%s" % (fn.name, value.id)) in unset
+
+        found = {(module, label) for module, label, name, setters, _f in settables
+                 if not any(_sets(call, fn, position, name, calls, passes_unset)
+                            for callee, position in setters
+                            for call, fn in calls.get(callee, ()))}
+        if found == unset:
+            return found
+        unset = found
 
 
 def test_every_defaulted_parameter_is_set_or_listed():

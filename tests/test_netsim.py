@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poslab import cli, netsim
+from poslab import cli, coa, netsim
 from poslab.coa import ACCEPT, ChainView, CoaParams, make_genesis
 from poslab.ledger import BlockTree
 from poslab.netsim import (ACCEPT_LINE, ENGINES, SEND_LINE, SOLIDIFICATION_LINE,
@@ -260,6 +260,39 @@ def test_coa_digests_are_pinned_at_seed_5694():
                                                       seed=5694)).digest()
                for name in PINNED_COA_DIGESTS_5694}
     assert digests == PINNED_COA_DIGESTS_5694
+
+
+def test_a_large_drift_coa_run_is_pinned():
+    """coa-fast with clock drifts up to 400 s, at seed 0: some create steps
+    find their slot dated past their node's clock and wait for it (without
+    that wait this digest moves)."""
+    config = dataclasses.replace(SCENARIOS["coa-fast"], seed=0,
+                                 clock_drift_max=400.0)
+    assert run_scenario(config).digest() == \
+        "030f249d9e554341844df3b5de7aa7d18a4e5e1e9729a511a1a4672183b26aee"
+
+
+def test_the_create_step_sends_what_its_clock_admits_and_waits_otherwise(
+        monkeypatch):
+    """The create step holds its slot to CoA's clock test. One holder with
+    no drift plans slot 2 on the genesis view for t = 600 s, where its node
+    clock reads 601; the view the step finds there (after block 1) is made
+    to date slot 2 `extra` s later, as a best tip moved onto a later-dated
+    parent would. Dated the clock plus the leniency, the block is sent at
+    600 s; a second later, it waits until the clock admits it (602 s)."""
+    min_timestamp = coa.min_timestamp
+    for leniency in (0, 120):
+        for extra, sent in ((leniency + 1, 600.0), (leniency + 2, 602.0)):
+            monkeypatch.setattr(
+                coa, "min_timestamp", lambda ts, child, parent, g0, extra=extra:
+                min_timestamp(ts, child, parent, g0) + extra * (parent == 1))
+            trace = run_scenario(config_from_dict(base_raw(
+                params={"kappa": 4, "timestamp_leniency": leniency},
+                stake=[["alice", 16]], duration={"slots": 2},
+                clock_drift_max=0.0)))
+            assert [(e["index"], e["time"]) for e in parsed_events(trace)
+                    if e["event"] == "send"] == [(1, 300.0), (2, sent)]
+            assert trace.metrics["blocks"] == 2
 
 
 def test_seed_changes_the_trace():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from poslab.ppcoin import (DEFAULT_CAP_SECONDS, MODIFIER_PERIOD,
+from poslab.ppcoin import (CAP_SECONDS, MODIFIER_PERIOD,
                            StakeKernelState, StakeOutput, TARGET_INTERVAL,
                            V02, V03, calibrate_d0, expected_reorg_interval,
                            kernel_eligibility, predictability_horizon,
@@ -27,7 +27,7 @@ def test_timeweight_versions():
     assert timeweight(90 * DAY, V02) == timeweight(90 * DAY, V03)
     assert timeweight(180 * DAY, V03) == 90 * DAY
     assert timeweight(180 * DAY, V02) == 180 * DAY
-    assert DEFAULT_CAP_SECONDS == 90 * DAY
+    assert CAP_SECONDS == 90 * DAY
     with pytest.raises(ValueError):
         timeweight(-1)
     with pytest.raises(ValueError):
