@@ -271,21 +271,26 @@ def simulate_streak_interval(stake_fraction: float = 0.25, k: int = 6,
 
     With many small outputs the attacker wins each block independently with
     probability 1/M, so a reorg opportunity (k consecutive wins, counted over
-    all sliding windows) occurs at rate M^-k per block.
+    all sliding windows) occurs at rate M^-k per block. The blocks are
+    drawn and counted a ``STREAK_CHUNK`` at a time, so the memory held is
+    one chunk's win flags plus the k-1 carried from the chunk before.
     """
     if not 0 < stake_fraction < 1:
         raise ValueError("stake fraction must be in (0,1)")
     if k < 1:
         raise ValueError("streak length k must be at least 1")
     rng = make_rng(seed, "streak", stake_fraction, k)
-    wins = np.empty(n_blocks, bool)
-    for start in range(0, n_blocks, STREAK_CHUNK):   # no float64 copy of it all
-        stop = min(start + STREAK_CHUNK, n_blocks)
-        np.less(rng.random(stop - start), stake_fraction, out=wins[start:stop])
-    # after pass j, wins[i] says whether blocks i..i+j all won
-    for j in range(1, min(k, n_blocks)):
-        wins[:n_blocks - j] &= wins[1:n_blocks - j + 1]
-    count = int(np.count_nonzero(wins[:max(n_blocks - k + 1, 0)]))
+    wins = np.zeros(k - 1 + STREAK_CHUNK, bool)   # carried flags, then a chunk's
+    draws, count = np.empty(STREAK_CHUNK), 0
+    for start in range(0, n_blocks, STREAK_CHUNK):
+        m = min(STREAK_CHUNK, n_blocks - start)
+        np.less(rng.random(m, out=draws[:m]), stake_fraction,
+                out=wins[k - 1:k - 1 + m])
+        streak = wins[:m].copy()   # after the ANDs: wins[i:i + k] all won
+        for j in range(1, k):
+            streak &= wins[j:j + m]
+        count += int(np.count_nonzero(streak))
+        wins[:k - 1] = wins[m:m + k - 1]
     if count == 0:
         raise ValueError("no streaks observed; increase n_blocks")
     return {

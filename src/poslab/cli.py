@@ -96,10 +96,12 @@ def _peak_rss_mb(who) -> float:
 
 
 def _timed_reproduction(repro_id: str, seed: int) -> tuple:
-    """(result, wall seconds) of one reproduction, timed where it runs."""
+    """(result, wall seconds, peak RSS in MB) of one reproduction, measured
+    in the process that runs it, right after it."""
     start = time.perf_counter()
     result = run_reproduction(repro_id, seed)
-    return result, time.perf_counter() - start
+    return (result, time.perf_counter() - start,
+            _peak_rss_mb(resource.RUSAGE_SELF))
 
 
 def cmd_run(args) -> int:
@@ -186,7 +188,7 @@ def cmd_reproduce(args) -> int:
             timed = list(pool.map(_timed_reproduction, ids, [seed] * len(ids)))
     else:
         timed = [_timed_reproduction(i, seed) for i in ids]
-    results = [r for r, _s in timed]
+    results = [r for r, _s, _m in timed]
 
     rows = [r.row() for r in results]
     header = ["id", "expected", "computed", "tolerance", "verdict"]
@@ -208,8 +210,9 @@ def cmd_reproduce(args) -> int:
             "jobs": args.jobs,
             "artifacts": [table],
             "poslab_version": __version__,
-            "seconds": {i: round(s, 6) for i, (_r, s) in zip(ids, timed)},
+            "seconds": {i: round(s, 6) for i, (_r, s, _m) in zip(ids, timed)},
             "peak_rss_mb": peak,
+            "peak_rss_mb_by_id": {i: m for i, (_r, _s, m) in zip(ids, timed)},
         }
         _atomic_write(os.path.join(args.out, "manifest.json"), _json_text(manifest))
     print(text, end="")

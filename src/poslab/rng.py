@@ -25,6 +25,8 @@ falls back to ``rng.binomial`` because numpy would restart a draw) is caught
 by its end state, and every chunk from the next one on is re-run serially
 from the true state. The results, and the state the stream is left in, are
 therefore the serial loop's, whatever the number of threads or their order.
+Its memory does not grow with the stream: a generator lives only per
+thread, and a chunk keeps its result and one mark of where it ended.
 """
 
 from __future__ import annotations
@@ -129,11 +131,26 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _mark(gen: np.random.Generator) -> tuple:
-    """Where a Philox generator stands in its stream."""
-    state = gen.bit_generator.state
-    return (state["state"]["counter"].tolist(), state["buffer_pos"],
-            state["has_uint32"])
+def _mark(state: dict) -> tuple:
+    """Where a Philox stream stands: (counter, buffer_pos, has_uint32,
+    uinteger), the counter as one integer."""
+    counter = int.from_bytes(state["state"]["counter"].astype("<u8").tobytes(),
+                             "little")
+    return counter, state["buffer_pos"], state["has_uint32"], state["uinteger"]
+
+
+def _generator_at(state: dict, mark: tuple) -> np.random.Generator:
+    """A generator at `mark` in the stream that starts at `state`, a counter
+    step: advanced to the step before the mark, then the mark's words read."""
+    counter, pos, has_uint32, uinteger = mark
+    bits = np.random.Philox()
+    bits.state = state
+    steps = counter - _mark(state)[0]
+    if steps:
+        bits.advance(steps - 1)
+        bits.random_raw(pos)
+    bits.state = dict(bits.state, has_uint32=has_uint32, uinteger=uinteger)
+    return np.random.Generator(bits)
 
 
 def map_word_chunks(rng: np.random.Generator, words: int, chunk: int,
@@ -147,6 +164,9 @@ def map_word_chunks(rng: np.random.Generator, words: int, chunk: int,
     be thread-safe and should spend its time in numpy calls that release the
     GIL. `rng` must be a Philox generator at the start of a counter step
     (4 words), as a fresh one is.
+
+    Each thread holds one generator; a chunk keeps its result and a mark
+    of where it ended, from which a re-run rebuilds its generator.
     """
     state = rng.bit_generator.state
     if chunk <= 0 or chunk % 4:
@@ -160,23 +180,23 @@ def map_word_chunks(rng: np.random.Generator, words: int, chunk: int,
     n = len(starts)
     if n == 0:
         return []
-    gens, marks, results, errors = [None] * n, [None] * n, [None] * n, []
+    ends, results, errors = [None] * n, [None] * n, []
     todo = iter(range(n))
     lock = threading.Lock()
 
     def work():
+        bits = np.random.Philox()
+        gen = np.random.Generator(bits)
         while not errors:
             with lock:
                 i = next(todo, None)
             if i is None:
                 return
             try:
-                bits = np.random.Philox()
                 bits.state = state
                 bits.advance(starts[i] // 4)
-                gens[i] = np.random.Generator(bits)
-                marks[i] = _mark(gens[i])
-                results[i] = fn(gens[i], sizes[i])
+                results[i] = fn(gen, sizes[i])
+                ends[i] = _mark(bits.state)
             except BaseException as exc:
                 errors.append(exc)
 
@@ -189,12 +209,12 @@ def map_word_chunks(rng: np.random.Generator, words: int, chunk: int,
         t.join()
     if errors:
         raise errors[0]
-    gen = gens[-1]
-    for i in range(1, n):
-        if _mark(gens[i - 1]) != marks[i]:   # chunk i-1 read other words
-            gen = gens[i - 1]
-            for j in range(i, n):
-                results[j] = fn(gen, sizes[j])
-            break
+    counter = _mark(state)[0]
+    # the first chunk whose predecessor did not end at its first word
+    redo = next((i for i in range(1, n)
+                 if ends[i - 1][:3] != (counter + starts[i] // 4, 4, 0)), n)
+    gen = _generator_at(state, ends[redo - 1])
+    for i in range(redo, n):
+        results[i] = fn(gen, sizes[i])
     rng.bit_generator.state = gen.bit_generator.state
     return results

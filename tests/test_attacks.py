@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,6 +377,70 @@ def test_map_word_chunks_redoes_the_chunks_after_an_over_read(
     assert _state(rng) == _state(serial)
 
 
+@pytest.mark.parametrize("cores", [1, 4])
+def test_map_word_chunks_rebuilds_a_cached_half_word_for_the_redo(
+        monkeypatch, cores):
+    """A chunk that draws an odd number of uint32s ends at its last word
+    but holds half of it cached; the chunks after it run again from that
+    state and read the cached half first, as the serial loop does."""
+    monkeypatch.setattr(rng_module, "usable_cores", lambda: cores)
+    words, chunk = 9 * 64 + 22, 64                 # ten chunks
+    calls = []
+
+    def fn(gen, m):
+        calls.append(m)
+        at = int(gen.bit_generator.state["state"]["counter"][0])
+        if at == chunk:            # chunk 4 (word 4 * chunk): three halves
+            halves = gen.integers(2 ** 32, size=3, dtype=np.uint32)
+            return halves, gen.bit_generator.random_raw(m - 2)
+        halves = gen.integers(2 ** 32, size=2, dtype=np.uint32)
+        return halves, gen.bit_generator.random_raw(m - 1)
+
+    serial = make_rng(2, "map")
+    want = [fn(serial, min(chunk, words - s)) for s in range(0, words, chunk)]
+    assert serial.bit_generator.state["has_uint32"] == 1
+    rng = make_rng(2, "map")
+    calls.clear()
+    got = rng_module.map_word_chunks(rng, words, chunk, fn)
+    assert len(calls) == 10 + 5                    # chunks 5-9 ran again
+    assert all(np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1])
+               for g, w in zip(got, want))
+    assert _state(rng) == _state(serial)
+
+
+def _peak_bytes(fn, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MEMORY_MARGIN = 512 * 1024   # bytes; a fork-rate chunk keeps ~170 B of result and mark
+
+
+def test_streak_memory_does_not_grow_with_length():
+    """The traced peak of a streak run is the same, within a fixed margin,
+    at 4 and at 32 streak chunks."""
+    simulate_streak_interval(0.5, 6, 1000, seed=0)     # one-time costs
+    small, large = (_peak_bytes(simulate_streak_interval, 0.5, 6,
+                                n * attacks.STREAK_CHUNK, seed=0)
+                    for n in (4, 32))
+    assert large < small + MEMORY_MARGIN
+
+
+def test_fork_rate_memory_does_not_grow_with_length(monkeypatch):
+    """The traced peak of a fork-rate run is the same, within a fixed
+    margin, at 16 and at 1,024 chunks of 2^12 seconds. Two threads, so the
+    chunks in flight do not depend on the machine."""
+    monkeypatch.setattr(rng_module, "usable_cores", lambda: 2)
+    fork_rate_study(seconds=16 * 2 ** 12, chunk=2 ** 12)  # one-time costs
+    small, large = (_peak_bytes(fork_rate_study, seconds=n * 2 ** 12,
+                                chunk=2 ** 12) for n in (16, 1024))
+    assert large < small + MEMORY_MARGIN
+
+
 def test_fork_rate_study_does_not_depend_on_the_core_count(monkeypatch):
     import threading
     helpers = []
@@ -444,10 +509,21 @@ def test_map_word_chunks_rejects_a_stream_inside_a_counter_step():
                                       lambda gen, m: m) == []
 
 
+THREE_CHUNKS = 2 * attacks.STREAK_CHUNK + 1001   # blocks: two chunks and a part
+
+
 @pytest.mark.parametrize("k", [1, 6])
-@pytest.mark.parametrize("n_blocks", [1000, 2 * attacks.STREAK_CHUNK + 1001])
-def test_streak_count_equals_one_shot_draws(k, n_blocks):
-    wins = make_rng(7, "streak", 0.5, k).random(n_blocks) < 0.5
+@pytest.mark.parametrize("n_blocks, fraction", [
+    (1000, 0.5), (THREE_CHUNKS, 0.5),
+    (THREE_CHUNKS, 0.99),      # streaks straddle every chunk boundary
+    (5, 0.5),                  # below k = 6
+], ids=["1000", str(THREE_CHUNKS), "%d-0.99" % THREE_CHUNKS, "5"])
+def test_streak_count_equals_one_shot_draws(k, n_blocks, fraction):
+    if n_blocks < k:                               # no window fits
+        with pytest.raises(ValueError):
+            simulate_streak_interval(fraction, k, n_blocks, seed=7)
+        return
+    wins = make_rng(7, "streak", fraction, k).random(n_blocks) < fraction
     windows = np.convolve(wins, np.ones(k, int), "valid")
-    out = simulate_streak_interval(0.5, k, n_blocks, seed=7)
+    out = simulate_streak_interval(fraction, k, n_blocks, seed=7)
     assert out["streaks"] == int((windows == k).sum())

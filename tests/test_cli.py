@@ -136,6 +136,11 @@ def test_reproduce_manifest_times_every_id_and_leaves_the_table_alone(
     assert sorted(manifest["seconds"]) == sorted(REPRODUCTIONS)
     assert all(s >= 0 for s in manifest["seconds"].values())
     assert manifest["peak_rss_mb"] > 0
+    # each id's peak is read right after it, in the one process
+    by_id = manifest["peak_rss_mb_by_id"]
+    assert sorted(by_id) == sorted(REPRODUCTIONS)
+    peaks = [by_id[i] for i in REPRODUCTIONS]     # in table order
+    assert peaks == sorted(peaks) and peaks[-1] <= manifest["peak_rss_mb"]
     assert (manifest["seed"], manifest["jobs"], manifest["poslab_version"],
             manifest["artifacts"]) == (3, 1, __version__, ["reproduce.json"])
     code, _o, _e = run_cli(capsys, "reproduce", "claim2", "--out",
@@ -252,6 +257,9 @@ def test_reproduce_in_a_pool_records_its_jobs_and_the_workers_peak_rss(
     assert (manifest["jobs"], sorted(manifest["seconds"])) == (
         2, ["claim1", "claim2"])
     assert manifest["peak_rss_mb"] > 0
+    by_id = manifest["peak_rss_mb_by_id"]
+    assert sorted(by_id) == ["claim1", "claim2"]
+    assert 0 < max(by_id.values()) <= manifest["peak_rss_mb"]
     assert asked == [resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN]
 
 
