@@ -342,10 +342,12 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
     time_limit = config.duration.get(
         "seconds", (target_blocks + 2) * params.g0_seconds * 20)
     # (time, sender's rank, sequence, peer, slot index, None) creates a
-    # block, and (time, rank, seq, peer, block, (accept head, arrivals))
-    # delivers one. A block in flight is one entry, keyed by its next
-    # arrival and advanced in place, so deliveries pop in the (time, rank,
-    # seq) order that one entry per delivery would give
+    # block, and (time, rank, seq, peer, block, (accept head, arrivals,
+    # steps)) delivers one. A block in flight is one entry keyed by its next
+    # arrival; popped, it delivers arrivals until the next one sorts after
+    # queue[0], so deliveries run in the (time, rank, seq) order that one
+    # entry per delivery would give. `steps` holds what an accept of the
+    # block changes, per new state, for the nodes that reach that state
     queue: list = []
     seq = itertools.count()
     reorgs = 0
@@ -367,9 +369,9 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
         when, sender, _seq, peer, item, flight = queue[0]
         if when > time_limit or best_height >= target_blocks:
             break
-        clock = int(when + peer.drift) + 1   # node clock: its second, plus one
         if flight is None:
             heapq.heappop(queue)
+            clock = int(when + peer.drift) + 1   # node clock: its second, plus one
             peer.planned.discard(item)
             view = peer.node.best_view
             earliest = view.owners().get(peer.name, {}).get(item)
@@ -392,60 +394,75 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
                 itertools.repeat(sender), itertools.islice(seq, len(others)),
                 others), key=operator.itemgetter(0)))    # by time alone
             heapq.heappush(queue, (when, sender, first, peer, block, (
-                ACCEPT_HEAD % (peer.name_json, item), arrivals)))
+                ACCEPT_HEAD % (peer.name_json, item), arrivals, {})))
             events.append(SEND_LINE % (item, peer.name_json, _time_text(when)))
             continue
-        head, arrivals = flight
-        arrival = next(arrivals, None)
-        if arrival is None:
-            heapq.heappop(queue)
-        else:
-            heapq.heapreplace(queue, arrival + (item, flight))
-        node, held = peer.node, peer.held
-        if item.prev_digest not in node.accepted:
-            # hold it until the node accepts its parent
-            held.setdefault(item.prev_digest, []).append((item, head))
-            continue
-        stamp = _time_text(when)
-        block, ready = item, None   # ready: the held children it releases
-        # the run writes every line of a delivery: its rejection, or the
-        # block's effects, solidification, reorg and block-accept
-        while True:
-            old = node.tree
-            ok, reason = node.receive_block(block, clock)
-            if reason == ACCEPT:
-                tree = node.tree
-                for kind, payload in tree.live[block.digest].effects:
-                    events.append(canonical_json(dict(payload, event=kind,
-                                                      node=peer.name)))
-                if tree.solidified_prefix != old.solidified_prefix:
-                    events.append(SOLIDIFICATION_LINE % (
-                        tree.height[tree.solidified_prefix], peer.name_json))
-                # a new best tip is the block just accepted, one above the old
-                if tree.best != old.best:
-                    if block.prev_digest != old.best:
+        # one step per fan-out: deliver arrivals while each sorts before
+        # queue[0] (a delivery can plan a create) and the run goes on
+        head, arrivals, steps = flight
+        for arrival in itertools.chain([heapq.heappop(queue)[:4]], arrivals):
+            when, _rank, _seq, peer = arrival
+            if (queue and queue[0] < arrival or when > time_limit
+                    or best_height >= target_blocks):
+                heapq.heappush(queue, arrival + (item, flight))
+                break
+            node, held = peer.node, peer.held
+            if item.prev_digest not in node.accepted:
+                # hold it until the node accepts its parent
+                held.setdefault(item.prev_digest, []).append((item, head))
+                continue
+            clock = int(when + peer.drift) + 1
+            stamp = _time_text(when)
+            block, block_head, ready = item, head, None  # ready: held children
+            # the run writes every line of a delivery: its rejection, or the
+            # block's effects, solidification, reorg and block-accept
+            while True:
+                old = node.tree
+                ok, reason = node.receive_block(block, clock)
+                if reason == ACCEPT:
+                    tree = node.tree
+                    step = steps.get(tree)
+                    if step is None:
+                        # a function of the old state and the block, so of the
+                        # new state, which one such pair makes
+                        moved = tree.best != old.best
+                        step = steps[tree] = (
+                            tree.live[block.digest].effects,
+                            tree.solidified_prefix != old.solidified_prefix
+                            and tree.height[tree.solidified_prefix],
+                            # a new best tip is the block, one above the old
+                            moved and block.prev_digest != old.best,
+                            moved and tree.live[tree.best])
+                        best_height = max(best_height, tree.height[tree.best])
+                    effects, solidified, reorg, best = step
+                    for kind, payload in effects:
+                        events.append(canonical_json(dict(payload, event=kind,
+                                                          node=peer.name)))
+                    if solidified:
+                        events.append(SOLIDIFICATION_LINE % (solidified,
+                                                             peer.name_json))
+                    if reorg:
                         reorgs += 1
                         events.append(canonical_json({
                             "event": "reorg", "time": round(when, 6),
                             "node": peer.name}))
-                    best_height = max(best_height, tree.height[tree.best])
                     # re-plan only on a best-tip move: a plan is a function of
                     # the best view, whose slots for this node were all planned
                     # when it became best; one whose create has fired since was
                     # signed on it, and its own delivery came first and moved it
-                    slots = peer.creates and tree.live[tree.best].owners().get(peer.name)
+                    slots = best and peer.creates and best.owners().get(peer.name)
                     if slots:
                         plan(peer, slots, when)
-                events.append(head + peer.accept_at + stamp + ACCEPT_END)
-                if block.digest in held:
-                    ready = (ready or []) + held.pop(block.digest)
-            elif not ok:
-                events.append(canonical_json({
-                    "event": "block-rejected", "index": block.index,
-                    "node": peer.name, "reason": reason}))
-            if not ready:
-                break
-            block, head = ready.pop(0)
+                    events.append(block_head + peer.accept_at + stamp + ACCEPT_END)
+                    if block.digest in held:
+                        ready = (ready or []) + held.pop(block.digest)
+                elif not ok:
+                    events.append(canonical_json({
+                        "event": "block-rejected", "index": block.index,
+                        "node": peer.name, "reason": reason}))
+                if not ready:
+                    break
+                block, block_head = ready.pop(0)
 
     # metrics off an arbitrary (deterministic) reference node
     ref = peers[0].node

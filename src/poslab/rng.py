@@ -23,8 +23,10 @@ to the chunk's first word, so the chunks read the same words as one serial
 loop over them. A chunk that reads more words than its share (a sampler that
 falls back to ``rng.binomial`` because numpy would restart a draw) is caught
 by its end state, and every chunk from the next one on is re-run serially
-from the true state. The results, and the state the stream is left in, are
+from the true state. The results, and the words the stream reads next, are
 therefore the serial loop's, whatever the number of threads or their order.
+Only the state's stale ``uinteger`` can differ, which no draw reads while
+``has_uint32`` is 0.
 Its memory does not grow with the stream: a generator lives only per
 thread, and a chunk keeps its result and one mark of where it ended.
 """

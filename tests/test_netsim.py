@@ -1,11 +1,14 @@
 import dataclasses
 import gc
 import hashlib
+import heapq
 import io
+import itertools
 import json
 import pickle
 import sys
 import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 from poslab import cli, coa, netsim
 from poslab.coa import ACCEPT, ChainView, CoaParams, make_genesis
-from poslab.ledger import BlockTree
+from poslab.ledger import Block, BlockTree
 from poslab.netsim import (ACCEPT_LINE, ENGINES, SEND_LINE, SOLIDIFICATION_LINE,
                            ConfigError, DelayModel, SimTrace, canonical_json,
                            config_from_dict, load_config, run_scenario,
@@ -918,3 +921,217 @@ def test_bundled_ppcoin_runs_equal_the_per_second_lottery(name, monkeypatch):
     assert trace.digest() == oracle.digest()
     assert (repr(rng.bit_generator.state)
             == repr(oracle_rng.bit_generator.state))
+
+
+def run_coa_per_delivery(config):
+    """CoA's run loop written out: one queue entry per delivery, each node
+    on a private genesis view and fork-choice state (so no view, state or
+    outcome is shared between nodes), a re-plan after every accepted block,
+    events built as dicts, and metrics recomputed from each node's chain.
+    The oracle for ``netsim._run_coa``'s queue order, planning, clocks,
+    holds and event lines."""
+    params = CoaParams(**config.params)
+    genesis, ledger0 = make_genesis(params, list(config.stake))
+    rng_delay = make_rng(config.seed, "delay")
+    names = [name for name, _amount in config.stake]
+    rank = {name: i for i, name in enumerate(names)}
+    drift = {name: float(make_rng(config.seed, "drift", name).uniform(
+        -config.clock_drift_max, config.clock_drift_max)) for name in names}
+    nodes = {name: coa.CoaNode(BlockTree(genesis, ChainView(
+        params, genesis, ledger0), params.t1)) for name in names}
+    creates = {name: strategy_of(config, name) == "honest" for name in names}
+    held = {name: {} for name in names}         # parent digest -> [block]
+    planned = {name: set() for name in names}   # slot indices with a create
+    slots = config.duration["slots"]
+    limit = config.duration.get("seconds", (slots + 2) * params.g0_seconds * 20)
+    leniency = params.timestamp_leniency
+    events = []
+    queue = []      # (time, sender's rank, sequence, node, block or slot index)
+    seq = itertools.count()
+
+    def push(when, sender, name, item):
+        heapq.heappush(queue, (when, rank[sender], next(seq), name, item))
+
+    def plan(name, now):
+        """Queue a create for each of the node's slots in its best view."""
+        if creates[name]:
+            owned = nodes[name].best_view.owners().get(name, {})
+            for index, earliest in owned.items():
+                if index not in planned[name]:
+                    planned[name].add(index)
+                    push(max(now, earliest - drift[name]), name, name, index)
+
+    for name in names:
+        plan(name, 0.0)
+    while queue:
+        when, _rank, _seq, name, item = queue[0]
+        node = nodes[name]
+        if when > limit or max(n.tree.height[n.tree.best]
+                               for n in nodes.values()) >= slots:
+            break
+        heapq.heappop(queue)
+        second = int(when + drift[name])    # the node's clock reads second + 1
+        if isinstance(item, int):   # a create
+            planned[name].discard(item)
+            view = node.best_view
+            earliest = view.owners().get(name, {}).get(item)
+            if earliest is None:
+                continue
+            if earliest > second + 1 + leniency:
+                # its own clock would reject the block: wait until it admits it
+                planned[name].add(item)
+                push(max(when, earliest - leniency - drift[name]), name, name, item)
+                continue
+            block = Block(index=item, prev_digest=view.last_block.digest,
+                          timestamp=max(second, earliest), creator=name).signed_by()
+            events.append({"event": "send", "index": item, "node": name,
+                           "time": round(when, 6)})
+            push(when, name, name, block)
+            peers = [peer for peer in names if peer != name]
+            for peer, delay in zip(peers, config.delays.sample(rng_delay,
+                                                               len(peers))):
+                push(when + delay, name, peer, block)
+            continue
+        if item.prev_digest not in node.accepted:
+            held[name].setdefault(item.prev_digest, []).append(item)
+            continue
+        ready = [item]
+        while ready:
+            block = ready.pop(0)
+            old = node.tree
+            ok, reason = node.receive_block(block, second + 1)
+            if reason == ACCEPT:
+                new = node.tree
+                for kind, payload in new.live[block.digest].effects:
+                    events.append(dict(payload, event=kind, node=name))
+                if new.solidified_prefix != old.solidified_prefix:
+                    events.append({"event": "solidification", "node": name,
+                                   "height": new.height[new.solidified_prefix]})
+                if not new.is_ancestor(old.best, new.best):
+                    events.append({"event": "reorg", "time": round(when, 6),
+                                   "node": name})
+                plan(name, when)
+                events.append({"event": "block-accept", "creator": block.creator,
+                               "index": block.index, "node": name,
+                               "time": round(when, 6)})
+                ready += held[name].pop(block.digest, [])
+            elif not ok:
+                events.append({"event": "block-rejected", "index": block.index,
+                               "node": name, "reason": reason})
+
+    ref = nodes[names[0]]
+    chain = [ref.tree.blocks[d] for d in ref.tree.path(ref.tree.best)]
+    blocks = len(chain) - 1
+    metrics = {
+        "protocol": "coa",
+        "blocks": blocks,
+        "mean_interval": sum(b.timestamp - a.timestamp for a, b
+                             in zip(chain, chain[1:])) / blocks if blocks else 0.0,
+        "reorgs": sum(e["event"] == "reorg" for e in events),
+        "fork_blocks": len(ref.accepted) - len(chain),
+        "conservation_ok": all(
+            n.best_view.ledger.live_total + n.best_view.ledger.destroyed
+            == 1 << params.kappa for n in nodes.values()),
+        "solidified_height": ref.solidified_height,
+    }
+    for block in chain[1:]:
+        key = "blocks_by_%s" % block.creator
+        metrics[key] = metrics.get(key, 0) + 1
+    chains = {name: [d.hex()[:16] for d in n.tree.path(n.tree.best)]
+              for name, n in nodes.items()}
+    return SimTrace([canonical_json(e) for e in events], metrics, chains)
+
+
+@st.composite
+def coa_configs(draw):
+    """Small CoA runs across the network shapes whose delivery order rests
+    on the queue: zero, fixed, equal-to-G0 and long delays, clock drift up
+    to 400 s, leniency 0-120, offline holders and a time limit."""
+    kappa = draw(st.integers(3, 6))
+    total = 1 << kappa
+    holders = draw(st.integers(1, 7))
+    cuts = sorted(draw(st.lists(st.integers(1, total - 1), unique=True,
+                                min_size=holders - 1, max_size=holders - 1)))
+    stake = [["h%d" % i, hi - lo]
+             for i, (lo, hi) in enumerate(zip([0] + cuts, cuts + [total]))]
+    offline = draw(st.sets(st.sampled_from([name for name, _a in stake]),
+                           max_size=holders - 1))
+    g0 = draw(st.sampled_from([60, 300]))
+    low, high = draw(st.one_of(
+        st.just((0.0, 0.0)),
+        st.floats(0.0, 2.0 * g0).map(lambda d: (d, d)),
+        st.just((float(g0), float(g0))),
+        st.tuples(st.floats(0.0, 2.0), st.floats(2.0, 3.0 * g0))))
+    duration = {"slots": draw(st.integers(1, 24))}
+    if draw(st.booleans()):
+        duration["seconds"] = draw(st.integers(1, 30 * g0))
+    return config_from_dict({
+        "protocol": "coa", "stake": stake,
+        "behaviors": {name: {"strategy": "offline"} for name in offline},
+        "params": {"kappa": kappa, "g0_seconds": g0,
+                   "t0": draw(st.sampled_from([2, 4, 8])),
+                   "timestamp_leniency": draw(st.integers(0, 120))},
+        "delays": {"min": low, "max": high},
+        "clock_drift_max": draw(st.sampled_from([0.0, 2.0, 400.0])
+                                | st.floats(0.0, 400.0)),
+        "duration": duration, "seed": draw(st.integers(0, 2 ** 16))})
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(coa_configs())
+def test_coa_run_equals_the_per_delivery_loop(config):
+    assert run_scenario(config).digest() == run_coa_per_delivery(config).digest()
+
+
+def test_coa_runs_with_blocks_stamped_late_equal_the_per_delivery_loop():
+    """Delays from G0 to 4 s over it, with clocks and leniency of a few
+    seconds: a block stamped a few seconds late dates the slots after it
+    later than their creators planned, to the edge of the creator's clock,
+    where the create step's clock test decides whether to send or wait."""
+    for seed in range(20):
+        config = config_from_dict(base_raw(
+            params={"kappa": 4, "g0_seconds": 60, "t0": 4,
+                    "timestamp_leniency": seed % 3},
+            delays={"min": 60.0, "max": 64.0}, clock_drift_max=3.0,
+            duration={"slots": 24}, seed=seed))
+        assert run_scenario(config).digest() == \
+            run_coa_per_delivery(config).digest(), seed
+
+
+@pytest.mark.parametrize("name", [n for n, c in SCENARIOS.items()
+                                  if c.protocol == "coa"] + ["stormy"])
+def test_bundled_coa_runs_equal_the_per_delivery_loop(name):
+    config = (stormy_coa_config() if name == "stormy" else
+              dataclasses.replace(SCENARIOS[name], seed=5694))
+    assert run_scenario(config).digest() == run_coa_per_delivery(config).digest()
+
+
+def test_a_fan_out_hands_its_flight_back_to_a_create_it_planned(monkeypatch):
+    """A block's flight delivers its arrivals in place only while each
+    sorts before the queue's head, and each delivery can plan a create.
+    With delays just above G0 and no drift, a peer that accepts a block
+    can find the next slot newly its own in its new best view (a closed
+    group draws a new schedule) and already due: its create sorts before
+    the flight's next arrival, so the flight goes back to the queue
+    mid-fan-out, and the run still equals the per-delivery loop."""
+    planned, handed_back = [], []   # creates queued since the last pop
+
+    def pop(heap):
+        planned.clear()
+        return heapq.heappop(heap)
+
+    def push(heap, entry):
+        if entry[5] is None:
+            planned.append(entry)
+        elif entry[3].rank != entry[1] and any(heap[0] is e for e in planned):
+            handed_back.append(entry)   # a peer's arrival, not the sender's
+        heapq.heappush(heap, entry)
+
+    config = config_from_dict(base_raw(
+        delays={"min": 300.0, "max": 330.0}, clock_drift_max=0.0,
+        duration={"slots": 16}, seed=6))
+    monkeypatch.setattr(netsim, "heapq", SimpleNamespace(heappush=push,
+                                                         heappop=pop))
+    digest = run_scenario(config).digest()
+    assert handed_back
+    assert digest == run_coa_per_delivery(config).digest()
