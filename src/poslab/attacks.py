@@ -328,10 +328,12 @@ def fork_rate_study(seconds: int = 4 * 10 ** 8, n_outputs: int = 600,
     counts = map_word_chunks(rng, seconds, chunk, count)
     pair_events = sum(c[0] for c in counts)
     multi_seconds = sum(c[1] for c in counts)
+    if not multi_seconds:   # then no pair either
+        raise ValueError("no second had two solves; increase seconds")
     return {
         "seconds": seconds,
-        "pairwise_interval": seconds / pair_events if pair_events else math.inf,
-        "multi_solve_interval": seconds / multi_seconds if multi_seconds else math.inf,
+        "pairwise_interval": seconds / pair_events,
+        "multi_solve_interval": seconds / multi_seconds,
         "pair_events": pair_events,
         "multi_solve_seconds": multi_seconds,
     }
@@ -375,7 +377,7 @@ def _issuance(p: dict, seed: int) -> dict:
     value = issuance.simulate_issuance(params, steps, seed)["value"]
     tail = value[steps // 2:]   # after the burn-in
     return {"final_value": float(value[-1]), "mean_value": float(tail.mean()),
-            "cost": cost, "max_deviation": float(abs(tail - cost).max() / cost)}
+            "cost": cost, "max_deviation": float(abs(tail - cost).max()) / cost}
 
 
 _NUMBER, _COUNT = ("number", REQUIRED), ("count", REQUIRED)  # the commonest kinds

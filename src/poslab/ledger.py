@@ -441,7 +441,10 @@ class BlockTree:
     ancestor t1 below (so k >= 2 from genesis). ``add_block`` returns the
     successor state and keeps it by block digest, so the nodes that accept
     the same blocks in the same order hold one state, and each step,
-    checkpoint included, runs once.
+    checkpoint included, runs once. A state it builds records that step as
+    ``step``: (the block's mark, the new solidified height or 0, reorg,
+    moved). Moved: the best tip moved to the block; reorg: onto a block
+    whose parent is not the old best. Any other state's ``step`` is None.
     """
 
     def __init__(self, genesis: Block, mark, t1: int):
@@ -454,11 +457,12 @@ class BlockTree:
         self.solidified_prefix = gd
         self.live = {gd: mark}      # marked digest -> its mark, parents first
         self._next = {}             # block digest -> successor state
+        self.step = None
 
     def _derive(self, **fields) -> "BlockTree":
         """This state with `fields` replaced and no successor yet."""
         out = BlockTree.__new__(BlockTree)
-        out.__dict__.update(self.__dict__, _next={}, **fields)
+        out.__dict__.update(self.__dict__, _next={}, step=None, **fields)
         return out
 
     def add_block(self, block: Block, mark=None) -> "BlockTree":
@@ -478,11 +482,14 @@ class BlockTree:
         if parent not in self.live:
             return self
         out = self._derive(live={**self.live, digest: mark})
-        if height > self.height[self.best]:
+        moved, solidified = height > self.height[self.best], 0
+        if moved:
             out.best = digest
             low = height - self.t1
             if height % self.t1 == 0 and low > self.height[self.solidified_prefix]:
                 out = out.solidify(self.ancestor_at_height(digest, low))
+                solidified = low
+        out.step = (mark, solidified, moved and parent != self.best, moved)
         self._next[digest] = out
         return out
 

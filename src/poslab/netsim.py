@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
@@ -89,8 +90,8 @@ class ScenarioConfig:
 
 
 _KINDS = {   # kind of a config value -> (what it must be, its test)
-    "number": ("a finite number",
-               lambda v: type(v) in (int, float) and math.isfinite(v)),
+    "number": ("a finite number in float range",   # nan compares false
+               lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
     "count": ("a positive integer", lambda v: type(v) is int and v >= 1),
     "integer": ("an integer", lambda v: type(v) is int),
     "string": ("a string", lambda v: isinstance(v, str)),
@@ -160,6 +161,9 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     kappa = params["kappa"]
     if kappa > 64:
         raise ConfigError("params.kappa", "must be at most 64, got %d" % kappa)
+    for key in ("g0_seconds", "target_interval"):   # seconds, as u64 times
+        if params.get(key, 0) >= 1 << 64:
+            raise ConfigError("params." + key, "must be below 2^64")
     if protocol == "coa":
         try:
             CoaParams(**params)
@@ -201,6 +205,18 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
         raise ConfigError("duration", "must name its keys, like %r" % engine.duration)
     _section(duration, dict.fromkeys([*engine.duration, *engine.optional], "count"),
              "duration.", required=tuple(engine.duration))
+    if protocol == "coa":
+        # no block's timestamp passes their sum, and a block holds it as a u64
+        g0 = params["g0_seconds"]
+        limit = ("duration.seconds" if "seconds" in duration else "duration.slots"
+                 if duration["slots"] + 2 > 20 * g0 else "params.g0_seconds")
+        terms = {limit: _coa_time_limit(duration, g0),
+                 "clock_drift_max": math.ceil(drift),
+                 "params.timestamp_leniency": params["timestamp_leniency"]}
+        if sum(terms.values()) + 1 >= 1 << 64:
+            raise ConfigError(max(terms, key=terms.get), "the time limit + "
+                              "clock_drift_max + timestamp_leniency + 1 must "
+                              "be below 2^64")
     return ScenarioConfig(
         name=name, protocol=protocol, params=params,
         stake=stake, behaviors=behaviors, delays=delays,
@@ -222,15 +238,20 @@ def analysis_of(attack) -> str:
 def run_analysis(kind: str, given: dict, seed: int, prefix: str) -> dict:
     """The metrics of ``attacks.ANALYSES[kind]`` on the params `given`, over
     its defaults. A bad param is a ConfigError naming `<prefix><param>`, or
-    the params if only the calculator finds it by running."""
+    the params if only the calculator finds it by running or it yields a
+    metric that is not finite."""
     analysis = attacks.ANALYSES[kind]
     params = resolve_params(given, analysis.params, prefix)
     try:
-        return analysis.fn(params, seed)
+        metrics = analysis.fn(params, seed)
     except ConfigError as exc:
         raise ConfigError(prefix + exc.fieldname, exc.message)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(prefix[:-1], str(exc))
+    for key, value in metrics.items():     # metrics.json is JSON: no inf, no nan
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(prefix[:-1], "metric %s is %r" % (key, value))
+    return metrics
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -316,6 +337,12 @@ def _time_text(t: float) -> str:
     return text + "0" if text[-1] == "." else text
 
 
+def _coa_time_limit(duration: dict, g0_seconds: int) -> int:
+    """A CoA run's last second: duration.seconds, else 20 slot times for
+    each slot and two more."""
+    return duration.get("seconds", (duration["slots"] + 2) * g0_seconds * 20)
+
+
 def _run_coa(config: ScenarioConfig) -> SimTrace:
     params = CoaParams(**config.params)
     genesis, ledger0 = make_genesis(params, list(config.stake))
@@ -335,19 +362,15 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
             name_json=name_json, accept_at=name_json + ACCEPT_AT, held={},
             planned=set(), creates=strategy_of(config, name) == "honest"))
     del root    # a state holds its successors: this name would keep every state
-    # by rank, the other nodes' records: a record holding them would be a cycle
-    others_of = [[other for other in peers if other is not peer] for peer in peers]
 
     target_blocks = config.duration["slots"]
-    time_limit = config.duration.get(
-        "seconds", (target_blocks + 2) * params.g0_seconds * 20)
+    time_limit = _coa_time_limit(config.duration, params.g0_seconds)
     # (time, sender's rank, sequence, peer, slot index, None) creates a
-    # block, and (time, rank, seq, peer, block, (accept head, arrivals,
-    # steps)) delivers one. A block in flight is one entry keyed by its next
+    # block, and (time, rank, seq, peer, block, (accept head, arrivals))
+    # delivers one. A block in flight is one entry keyed by its next
     # arrival; popped, it delivers arrivals until the next one sorts after
     # queue[0], so deliveries run in the (time, rank, seq) order that one
-    # entry per delivery would give. `steps` holds what an accept of the
-    # block changes, per new state, for the nodes that reach that state
+    # entry per delivery would give
     queue: list = []
     seq = itertools.count()
     reorgs = 0
@@ -387,19 +410,19 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
             # the sender's own delivery comes first: a peer's arrival is no
             # earlier, and on a tie its sequence number is higher
             first = next(seq)
-            others = others_of[sender]
+            others = peers[:sender] + peers[sender + 1:]
             arrivals = iter(sorted(zip(
                 [when + delay for delay in config.delays.sample(
                     rng_delay, len(others))],
                 itertools.repeat(sender), itertools.islice(seq, len(others)),
                 others), key=operator.itemgetter(0)))    # by time alone
             heapq.heappush(queue, (when, sender, first, peer, block, (
-                ACCEPT_HEAD % (peer.name_json, item), arrivals, {})))
+                ACCEPT_HEAD % (peer.name_json, item), arrivals)))
             events.append(SEND_LINE % (item, peer.name_json, _time_text(when)))
             continue
         # one step per fan-out: deliver arrivals while each sorts before
         # queue[0] (a delivery can plan a create) and the run goes on
-        head, arrivals, steps = flight
+        head, arrivals = flight
         for arrival in itertools.chain([heapq.heappop(queue)[:4]], arrivals):
             when, _rank, _seq, peer = arrival
             if (queue and queue[0] < arrival or when > time_limit
@@ -407,35 +430,19 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
                 heapq.heappush(queue, arrival + (item, flight))
                 break
             node, held = peer.node, peer.held
-            if item.prev_digest not in node.accepted:
-                # hold it until the node accepts its parent
-                held.setdefault(item.prev_digest, []).append((item, head))
-                continue
             clock = int(when + peer.drift) + 1
             stamp = _time_text(when)
             block, block_head, ready = item, head, None  # ready: held children
-            # the run writes every line of a delivery: its rejection, or the
-            # block's effects, solidification, reorg and block-accept
+            # the run writes every line of a delivery but an orphan's: its
+            # rejection, or the block's effects, solidification, reorg and
+            # block-accept, which the node's new state records
             while True:
-                old = node.tree
                 ok, reason = node.receive_block(block, clock)
                 if reason == ACCEPT:
-                    tree = node.tree
-                    step = steps.get(tree)
-                    if step is None:
-                        # a function of the old state and the block, so of the
-                        # new state, which one such pair makes
-                        moved = tree.best != old.best
-                        step = steps[tree] = (
-                            tree.live[block.digest].effects,
-                            tree.solidified_prefix != old.solidified_prefix
-                            and tree.height[tree.solidified_prefix],
-                            # a new best tip is the block, one above the old
-                            moved and block.prev_digest != old.best,
-                            moved and tree.live[tree.best])
-                        best_height = max(best_height, tree.height[tree.best])
-                    effects, solidified, reorg, best = step
-                    for kind, payload in effects:
+                    mark, solidified, reorg, moved = node.tree.step
+                    if mark.height > best_height:
+                        best_height = mark.height
+                    for kind, payload in mark.effects:
                         events.append(canonical_json(dict(payload, event=kind,
                                                           node=peer.name)))
                     if solidified:
@@ -450,12 +457,16 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
                     # the best view, whose slots for this node were all planned
                     # when it became best; one whose create has fired since was
                     # signed on it, and its own delivery came first and moved it
-                    slots = best and peer.creates and best.owners().get(peer.name)
+                    slots = moved and peer.creates and mark.owners().get(peer.name)
                     if slots:
                         plan(peer, slots, when)
                     events.append(block_head + peer.accept_at + stamp + ACCEPT_END)
                     if block.digest in held:
                         ready = (ready or []) + held.pop(block.digest)
+                elif reason == "orphan":
+                    # hold it until the node accepts its parent (a held child
+                    # is released once it has, so only `item` gets here)
+                    held.setdefault(block.prev_digest, []).append((block, block_head))
                 elif not ok:
                     events.append(canonical_json({
                         "event": "block-rejected", "index": block.index,

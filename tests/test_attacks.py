@@ -433,11 +433,14 @@ def test_streak_memory_does_not_grow_with_length():
 def test_fork_rate_memory_does_not_grow_with_length(monkeypatch):
     """The traced peak of a fork-rate run is the same, within a fixed
     margin, at 16 and at 1,024 chunks of 2^12 seconds. Two threads, so the
-    chunks in flight do not depend on the machine."""
+    chunks in flight do not depend on the machine. A solve every ten
+    seconds, so that even the short run sees forks, as a study must."""
     monkeypatch.setattr(rng_module, "usable_cores", lambda: 2)
-    fork_rate_study(seconds=16 * 2 ** 12, chunk=2 ** 12)  # one-time costs
+    fork_rate_study(seconds=16 * 2 ** 12, target_rate=0.1,
+                    chunk=2 ** 12)  # one-time costs
     small, large = (_peak_bytes(fork_rate_study, seconds=n * 2 ** 12,
-                                chunk=2 ** 12) for n in (16, 1024))
+                                target_rate=0.1, chunk=2 ** 12)
+                    for n in (16, 1024))
     assert large < small + MEMORY_MARGIN
 
 

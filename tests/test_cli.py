@@ -19,6 +19,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _no_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
+def read_metrics(path):
+    """A metrics.json, parsed as strict JSON: NaN or Infinity fails."""
+    return json.loads(path.read_text(), parse_constant=_no_constant)
+
+
 def test_run_bundled_scenario_writes_artifacts(tmp_path, capsys):
     out = str(tmp_path / "run1")
     code, stdout, _err = run_cli(capsys, "run", "--config", "coa-baseline",
@@ -76,7 +85,7 @@ def test_run_json_format(tmp_path, capsys):
     code, _o, _e = run_cli(capsys, "run", "--config", "claim1", "--out", out,
                            "--format", "json")
     assert code == EXIT_OK
-    metrics = json.loads((tmp_path / "runj" / "metrics.json").read_text())
+    metrics = read_metrics(tmp_path / "runj" / "metrics.json")
     assert metrics["s"] == 42
 
 
@@ -221,7 +230,9 @@ def test_a_config_error_in_a_pool_worker_exits_2_naming_the_field(
     for repro_id, change, error in (
             ("claim1", {"delta": 19.5}, "claim1.params.delta: must be an integer"),
             ("mu-concat", {"comb": "tribes"},
-             "mu-concat.params.comb: unknown comb kind 'tribes'")):
+             "mu-concat.params.comb: unknown comb kind 'tribes'"),
+            ("fork-rate", {"seconds": 5},
+             "fork-rate.params: no second had two solves")):
         repro = REPRODUCTIONS[repro_id]
         bad = dataclasses.replace(repro, param_sets=(
             dict(repro.param_sets[0], **change),))
@@ -492,6 +503,17 @@ CLAIM1 = {"v": 100, "epsilon": 10, "rho_prime": 0.7, "delta": 20}
     (_analysis("bribe", v=100, epsilon=10, delta=19, rho_prime=0.7, s=42.5,
                mu=5.0, p_success=0.5), "attack.params.s"),
     ([1], "<root>"),
+    # a block's timestamp, and each engine's time params, fit a u64
+    (_config_with(clock_drift_max=1e308), "clock_drift_max"),
+    (_config_with({"g0_seconds": 10 ** 30}), "params.g0_seconds"),
+    (_config_with({"g0_seconds": 10 ** 18}), "params.g0_seconds"),
+    (_config_with(duration={"slots": 10 ** 17}), "duration.slots"),
+    (_config_with({"timestamp_leniency": 2 ** 64}), "params.timestamp_leniency"),
+    (_config_with({"target_interval": 10 ** 400}, protocol="ppcoin",
+                  duration={"seconds": 600}), "params.target_interval"),
+    (_config_with({"g0_seconds": 10 ** 400}, protocol="dense_coa"),
+     "params.g0_seconds"),
+    (_analysis("claim2", v=10 ** 400, epsilon=1, rho=0.7, k=1), "attack.params.v"),
 ])
 def test_rejected_config_names_field_in_validate_and_run(tmp_path, capsys,
                                                           config, field):
@@ -554,6 +576,9 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     (_analysis("mu", comb="tribes", kappa=8, p=0.05), "attack.params.comb"),
     (_analysis("claim1", **dict(CLAIM1, rho_prime=1.5)), "attack.params"),
     (_analysis("dense-dos", ell=23, f=0.5, g0_seconds=300), "attack.params"),
+    (_analysis("claim2", v=1e308, epsilon=1e-308, rho=0.7, k=1), "attack.params"),
+    (_analysis("fork-rate", seconds=5), "attack.params"),
+    (_analysis("issuance", cost=0), "attack.params"),
 ])
 def test_analysis_param_error_found_by_run_exits_2(tmp_path, capsys, attack,
                                                    field):
@@ -579,7 +604,7 @@ def test_dense_run_without_a_clean_committee_ends_at_a_stall(tmp_path, capsys):
     code, _o, _e = run_cli(capsys, "run", "--config", str(path), "--out",
                            str(out), "--format", "json")
     assert code == EXIT_OK
-    metrics = json.loads((out / "metrics.json").read_text())
+    metrics = read_metrics(out / "metrics.json")
     assert (metrics["blocks"], metrics["mean_interval"]) == (0, 0.0)
     events = (out / "events.jsonl").read_text().splitlines()
     assert [json.loads(e) for e in events] == [
@@ -603,7 +628,7 @@ def test_dense_run_at_kappa_64_exits_0(tmp_path, capsys):
                   "--format", "json")):
         code, _o, err = run_cli(capsys, *argv)
         assert code == EXIT_OK, (argv[0], err)
-    assert json.loads((out / "metrics.json").read_text())["blocks"] == 3
+    assert read_metrics(out / "metrics.json")["blocks"] == 3
 
 
 def test_manifest_says_what_ran(tmp_path, capsys):

@@ -936,7 +936,9 @@ def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
     solidified prefix and the live marks. The
     best tip is the scanned fork choice, checkpoints fire exactly at the
     first block to reach each height k*t1, k >= 2, and the node holds a view
-    for exactly the blocks that descend from its solidified prefix."""
+    for exactly the blocks that descend from its solidified prefix. Each
+    accept's new state records its step (view, checkpoint, reorg, moved) as
+    the recompute from the old state and the new gives it."""
     params, genesis, ledger0, blocks = tree
     count = data.draw(st.integers(2, 3))
     clocks = data.draw(st.lists(st.integers(-100, 20), min_size=count,
@@ -987,6 +989,12 @@ def test_views_of_shuffled_fork_trees_are_values_equal_to_recompute(tree, data):
                             checkpoints = [height - params.t1]
                         view = n.views[blocks[b].digest]
                         snapshots.setdefault(id(view), (view, view_state(view)))
+                        # the state records its step as the recompute gives it
+                        moved = state.best != old.best
+                        assert state.step == (
+                            view, fired[0] if fired else 0,
+                            moved and not state.is_ancestor(old.best, state.best),
+                            moved)
                     assert fired == checkpoints
                     assert n.tree.best == first_seen_longest(n.tree, accepts[n])
                     assert set(n.views) == {

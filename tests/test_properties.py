@@ -106,7 +106,9 @@ ANALYSIS_PARAMS = {
     "ppcoin-mk": st.fixed_dictionaries(
         {"blocks": st.sampled_from((10 ** 4, 1, 100))},
         optional={"stake": FRACTION, "k": st.integers(1, 8)}),
-    "fork-rate": st.fixed_dictionaries({"seconds": st.integers(1, 10 ** 5)}),
+    # long enough that most runs see a second with two solves
+    "fork-rate": st.fixed_dictionaries(
+        {"seconds": st.integers(10 ** 6, 10 ** 7)}),
     "timeweight": st.fixed_dictionaries(
         {"version": st.sampled_from(("v0.2", "v0.3", "v0.4")), "stake": FRACTION,
          "multiplier": NUMBER, "trials": st.integers(1000, 2000)},
@@ -191,15 +193,22 @@ def test_validate_config_accepts_only_what_runs():
         assert EXIT_OK in exits, kind
 
 
+def _no_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
 def _validate_then_run(raw) -> int:
     """The exit code of `run` on `raw`, after checking it against that of
-    `validate-config`."""
+    `validate-config`. A run that exits 0 writes strict JSON metrics."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(raw))
         checked, check_err = _cli("validate-config", "--config", str(path))
         ran, run_err = _cli("run", "--config", str(path), "--out",
-                            str(Path(tmp) / "out"))
+                            str(Path(tmp) / "out"), "--format", "json")
+        if ran == EXIT_OK:
+            json.loads((Path(tmp) / "out" / "metrics.json").read_text(),
+                       parse_constant=_no_constant)
     for code, err in ((checked, check_err), (ran, run_err)):
         assert code in (EXIT_OK, EXIT_CONFIG_ERROR), (raw, err)
         assert code == EXIT_OK or FIELD.search(err), (raw, err)
