@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import comb, issuance, ppcoin
-from .rng import binomial_nonzero, make_rng, map_word_chunks
+from .rng import WORD_BLOCK, binomial_nonzero, make_rng, map_word_chunks
 
 
 def _as_fraction(x) -> Fraction:
@@ -36,6 +36,8 @@ def min_safe_confirmations_observed(v, epsilon, rho_prime, delta) -> int:
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
     rp = _as_fraction(rho_prime)
     if not 0 < rp <= 1:
         raise ValueError("rho_prime must be in (0,1]")
@@ -144,6 +146,8 @@ def simulate_bribe_attack(v: float, epsilon: float, delta: int,
     two-action model: extend honestly or join the attacker chain; nobody
     double-signs.
     """
+    if mu < 0 or not 0 <= p_success <= 1:
+        raise ValueError("require mu >= 0 and 0 <= p_success <= 1")
     min_unprofitable_s = min_safe_confirmations_observed(v, epsilon, rho_prime,
                                                          delta)
     rng = make_rng(seed, "bribe", s, mu, p_success)
@@ -186,6 +190,9 @@ def simulate_withholding_dos(ell: int, stake_fraction: float, g0: float,
     """
     if n_blocks < 10 ** 3:
         raise ValueError("need at least 10^3 blocks for a stable estimate")
+    if not 0 <= stake_fraction < 1 or g0 <= 0:
+        raise ValueError("require 0 <= f < 1 and g0 > 0, got f=%r, g0=%r"
+                         % (stake_fraction, g0))
     s = (1.0 - stake_fraction) ** ell
     if n_blocks > MAX_DOS_TICKS * s:
         raise ValueError("%d blocks need over %d G0 ticks at a completion "
@@ -262,9 +269,6 @@ def simulate_timeweight_attack(version: str, stake_fraction: float,
 # private streaks (the M^k statistic)
 # ---------------------------------------------------------------------------
 
-STREAK_CHUNK = 2 ** 18     # blocks drawn per rng.random call
-
-
 def simulate_streak_interval(stake_fraction: float = 0.25, k: int = 6,
                              n_blocks: int = 4_000_000, seed: int = 0) -> dict:
     """Mean block gap between k-long attacker streaks.
@@ -272,18 +276,19 @@ def simulate_streak_interval(stake_fraction: float = 0.25, k: int = 6,
     With many small outputs the attacker wins each block independently with
     probability 1/M, so a reorg opportunity (k consecutive wins, counted over
     all sliding windows) occurs at rate M^-k per block. The blocks are
-    drawn and counted a ``STREAK_CHUNK`` at a time, so the memory held is
-    one chunk's win flags plus the k-1 carried from the chunk before.
+    drawn and counted a ``WORD_BLOCK`` at a time, so the memory held is
+    one block's draws and win flags plus the k-1 carried from the block
+    before.
     """
     if not 0 < stake_fraction < 1:
         raise ValueError("stake fraction must be in (0,1)")
     if k < 1:
         raise ValueError("streak length k must be at least 1")
     rng = make_rng(seed, "streak", stake_fraction, k)
-    wins = np.zeros(k - 1 + STREAK_CHUNK, bool)   # carried flags, then a chunk's
-    draws, count = np.empty(STREAK_CHUNK), 0
-    for start in range(0, n_blocks, STREAK_CHUNK):
-        m = min(STREAK_CHUNK, n_blocks - start)
+    wins = np.zeros(k - 1 + WORD_BLOCK, bool)   # carried flags, then a block's
+    draws, count = np.empty(WORD_BLOCK), 0
+    for start in range(0, n_blocks, WORD_BLOCK):
+        m = min(WORD_BLOCK, n_blocks - start)
         np.less(rng.random(m, out=draws[:m]), stake_fraction,
                 out=wins[k - 1:k - 1 + m])
         streak = wins[:m].copy()   # after the ANDs: wins[i:i + k] all won

@@ -22,6 +22,8 @@ STEP_SECONDS = 3600.0     # the length of one simulated step
 
 def constant_demand(d: float) -> Callable[[float], float]:
     """Coin value as a function of supply under fixed aggregate demand d."""
+    if d <= 0:
+        raise ValueError("demand must be positive")
     def value(supply: float) -> float:
         return d / max(supply, 1e-9)
     return value
@@ -41,6 +43,8 @@ class IssuanceParams:
     def __post_init__(self):
         if self.min_gap_seconds < 0:
             raise ValueError("min_gap_seconds must be >= 0")
+        if self.production_cost_per_coin <= 0 or self.fixed_difficulty <= 0:
+            raise ValueError("production cost and difficulty must be positive")
 
 
 def block_rate(params: IssuanceParams, miners: float) -> float:

@@ -514,7 +514,7 @@ def _run_ppcoin(config: ScenarioConfig) -> SimTrace:
     seconds = config.duration["seconds"]
     max_tips = config.params["max_tips"]
     rng = make_rng(config.seed, "ppcoin-run")
-    events: List[dict] = []
+    events = _FirstEvents()
     # per-stakeholder solve probability per second per tip, calibrated so the
     # whole network solves at 1/target when everyone works a single tip
     probs = {}
@@ -549,13 +549,13 @@ def _run_ppcoin(config: ScenarioConfig) -> SimTrace:
             if h > max(tips):
                 tips[tip_idx] = h
                 blocks += 1
-                events.append({"event": "block-accept", "time": t,
-                               "node": name, "height": h})
+                events.add({"event": "block-accept", "time": t,
+                            "node": name, "height": h})
             else:
                 # a second solve at the same height: the network diverges
                 fork_blocks += 1
-                events.append({"event": "fork", "time": t, "node": name,
-                               "height": h})
+                events.add({"event": "fork", "time": t, "node": name,
+                            "height": h})
                 if len(tips) < max_tips:
                     tips.append(h)
         best = max(tips)
@@ -570,7 +570,7 @@ def _run_ppcoin(config: ScenarioConfig) -> SimTrace:
         "divergence": tip_count_sum / seconds,
         "mean_interval": seconds / max(1, blocks + fork_blocks),
     }
-    return _capped(events, metrics, {"tips": [max(tips)]})
+    return events.trace(metrics, {"tips": [max(tips)]})
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +586,7 @@ def _run_dense(config: ScenarioConfig) -> SimTrace:
     rng = make_rng(config.seed, "dense-run")
     seed_val = int(make_rng(config.seed, "dense-seed").integers(
         0, 1 << kappa, dtype="uint64"))
-    events: List[dict] = []
+    events = _FirstEvents()
     now = 0.0
     fallbacks = 0
     intervals = []
@@ -605,14 +605,14 @@ def _run_dense(config: ScenarioConfig) -> SimTrace:
             if not withholds:
                 agg, seed_val = dense.run_round(i, t, members, rng, kappa)
                 now = start + t * g0 + round_time
-                events.append({"event": "block-accept", "time": round(now, 3),
-                               "index": i, "fallback": t,
-                               "aggregate": agg.tag.hex()[:16]})
+                events.add({"event": "block-accept", "time": round(now, 3),
+                            "index": i, "fallback": t,
+                            "aggregate": agg.tag.hex()[:16]})
                 intervals.append(now - start)
                 break
             t += 1
             fallbacks += 1
-            events.append({"event": "fallback-advanced", "index": i, "t": t})
+            events.add({"event": "fallback-advanced", "index": i, "t": t})
             if t > 10_000:      # no clean committee: the chain stalls
                 stall = [{"event": "stall", "index": i, "fallbacks": t}]
                 break
@@ -622,17 +622,28 @@ def _run_dense(config: ScenarioConfig) -> SimTrace:
         "fallbacks": fallbacks,
         "mean_interval": sum(intervals) / len(intervals) if intervals else 0.0,
     }
-    trace = _capped(events, metrics, {})
+    trace = events.trace(metrics, {})
     # kept past the cut: it says why the run ended
     trace.events += map(canonical_json, stall)
     return trace
 
 
-def _capped(events: List[dict], metrics: dict, chains: dict) -> SimTrace:
-    """The trace of the first MAX_EVENTS `events`, encoded, counting the
-    rest as dropped."""
-    return SimTrace([canonical_json(e) for e in events[:MAX_EVENTS]], metrics,
-                    chains, max(0, len(events) - MAX_EVENTS))
+class _FirstEvents:
+    """The lines of the first MAX_EVENTS events a run records, each encoded
+    as it is recorded, and a count of the rest."""
+
+    def __init__(self):
+        self.lines: List[str] = []
+        self.dropped = 0
+
+    def add(self, event: dict) -> None:
+        if len(self.lines) < MAX_EVENTS:
+            self.lines.append(canonical_json(event))
+        else:
+            self.dropped += 1
+
+    def trace(self, metrics: dict, chains: dict) -> SimTrace:
+        return SimTrace(self.lines, metrics, chains, self.dropped)
 
 
 # ---------------------------------------------------------------------------

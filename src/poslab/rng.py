@@ -28,7 +28,9 @@ therefore the serial loop's, whatever the number of threads or their order.
 Only the state's stale ``uinteger`` can differ, which no draw reads while
 ``has_uint32`` is 0.
 Its memory does not grow with the stream: a generator lives only per
-thread, and a chunk keeps its result and one mark of where it ended.
+thread, and a chunk keeps its result and one mark of where it ended. Nor
+does it grow with the chunk: a sampler reads its words a ``WORD_BLOCK`` at a
+time, so each thread holds one block of words and the hits it keeps.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ def make_rng(seed: int, *labels: object) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_key(seed, *labels)))
 
 
+WORD_BLOCK = 2 ** 16   # words a sampler reads at a time: 512 KB of uint64
+
+
 def _inversion_bound(n: int, p: float, q: float) -> int:
     """numpy's cut-off for one inversion draw; past it numpy draws again."""
     return int(min(n, n * p + 10.0 * math.sqrt(n * p * q + 1)))
@@ -72,29 +77,45 @@ def binomial_nonzero(rng: np.random.Generator, n: int, p: float,
     tested against the integer threshold of U <= (1-p)^n, and only the hits
     replay numpy's float recurrence. Elsewhere, or when a hit would pass
     numpy's bound and make it draw again, the draws come from
-    ``rng.binomial`` itself.
+    ``rng.binomial`` itself. Either way the words are read a ``WORD_BLOCK``
+    at a time.
     """
     if n > 0 and 0.0 < p <= 0.5 and p * n <= 30.0:
         saved = rng.bit_generator.state
-        found = _inversion_nonzero(rng.bit_generator.random_raw(size), n, p)
-        if found is not None:
-            return found
+        q = 1.0 - p
+        qn = math.exp(n * math.log(q))
+        at, words = _nonzero_by_block(size, rng.bit_generator.random_raw,
+                                      np.uint64(_zero_limit(qn)))
+        values = _inversion_values(words, n, p, q, qn)
+        if values is not None:
+            return at, values
         rng.bit_generator.state = saved
-    k = rng.binomial(n, p, size)
-    at = np.flatnonzero(k)
-    return at, k[at]
+    return _nonzero_by_block(size, lambda m: rng.binomial(n, p, m), 0)
 
 
-def _inversion_nonzero(words: np.ndarray, n: int, p: float):
-    """(positions, values) of the non-zero draws numpy's inversion makes
-    from `words`, or None if one of them would need another word."""
-    q = 1.0 - p
-    qn = math.exp(n * math.log(q))
+def _nonzero_by_block(size: int, draw: Callable[[int], np.ndarray],
+                      limit) -> tuple:
+    """(positions, values) of the entries above `limit` of `size` draws,
+    made ``draw(m)`` for m up to a ``WORD_BLOCK`` at a time (once, empty,
+    when size is 0)."""
+    at, values = [], []
+    for start in range(0, max(size, 1), WORD_BLOCK):
+        block = draw(min(WORD_BLOCK, size - start))
+        hits = np.flatnonzero(block > limit)
+        at.append(hits + start)
+        values.append(block[hits])
+    return np.concatenate(at), np.concatenate(values)
+
+
+def _inversion_values(words: np.ndarray, n: int, p: float, q: float,
+                      qn: float):
+    """The draws numpy's inversion makes from `words`, each above the zero
+    limit of ``qn`` = (1-p)^n, or None if one of them would need another
+    word."""
     bound = _inversion_bound(n, p, q)
-    at = np.flatnonzero(words > np.uint64(_zero_limit(qn)))
-    u = (words[at] >> np.uint64(11)) * 2.0 ** -53
-    x = np.zeros(len(at), np.int64)
-    px = np.full(len(at), qn)
+    u = (words >> np.uint64(11)) * 2.0 ** -53
+    x = np.zeros(len(words), np.int64)
+    px = np.full(len(words), qn)
     live = u > px
     while live.any():
         x[live] += 1
@@ -104,7 +125,7 @@ def _inversion_nonzero(words: np.ndarray, n: int, p: float):
         u[live] -= px[live]
         px[live] = ((n - xl + 1) * p * px[live]) / (xl * q)
         live = u > px
-    return at, x
+    return x
 
 
 def quiet_rows(rng: np.random.Generator, probs: Sequence[float],

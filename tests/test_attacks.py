@@ -16,7 +16,7 @@ from poslab.attacks import (_as_fraction, bribe_accepted,
                             takeover_q_hat, takeover_tail_montecarlo,
                             timeweight_win_probability)
 from poslab.netsim import canonical_json, run_scenario
-from poslab.rng import binomial_nonzero, derive_key, make_rng
+from poslab.rng import WORD_BLOCK, binomial_nonzero, derive_key, make_rng
 from poslab.scenarios import SCENARIOS
 
 
@@ -278,16 +278,17 @@ def _state(rng):
                                   (61, 0.5), (600, 0.7), (0, 0.3), (5, 0.0)])
 def test_binomial_nonzero_equals_numpy_word_for_word(n, p):
     for seed in range(3):
-        for size in (1, 7, 1001, 2 ** 16 + 3):
+        for size in (1, 7, 1001, 2 ** 16 + 3, 3 * WORD_BLOCK + 5):
             oracle, fast = _pair(seed)
             k = oracle.binomial(n, p, size)
             at, values = binomial_nonzero(fast, n, p, size)
             assert np.array_equal(at, np.flatnonzero(k))
             assert np.array_equal(values, k[at])
             assert _state(fast) == _state(oracle)
-            # the inversion regime reads the words itself
-            assert fast.binomial_calls == (n == 0 or p == 0 or p > 0.5
-                                           or n * p > 30)
+            # the inversion regime reads the words itself; elsewhere numpy
+            # draws one block at a time
+            fallback = n == 0 or p == 0 or p > 0.5 or n * p > 30
+            assert fast.binomial_calls == fallback * -(-size // WORD_BLOCK)
 
 
 def test_zero_limit_is_the_last_word_that_draws_zero():
@@ -300,11 +301,12 @@ def test_zero_limit_is_the_last_word_that_draws_zero():
 def test_binomial_nonzero_redraws_when_numpy_would_restart(monkeypatch):
     # with a bound of 0 every non-zero draw is one numpy would redraw
     monkeypatch.setattr(rng_module, "_inversion_bound", lambda n, p, q: 0)
-    for n, p, size in ((10, 0.3, 1001), (600, FORK_Q, 2 ** 16 + 3)):
+    for n, p, size in ((10, 0.3, 1001), (600, FORK_Q, 2 ** 16 + 3),
+                       (600, FORK_Q, 3 * WORD_BLOCK + 5)):
         oracle, fast = _pair(4)
         k = oracle.binomial(n, p, size)
         at, values = binomial_nonzero(fast, n, p, size)
-        assert fast.binomial_calls == 1
+        assert fast.binomial_calls == -(-size // WORD_BLOCK)   # one a block
         assert np.array_equal(at, np.flatnonzero(k))
         assert np.array_equal(values, k[at])
         assert _state(fast) == _state(oracle)
@@ -422,11 +424,25 @@ MEMORY_MARGIN = 512 * 1024   # bytes; a fork-rate chunk keeps ~170 B of result a
 
 def test_streak_memory_does_not_grow_with_length():
     """The traced peak of a streak run is the same, within a fixed margin,
-    at 4 and at 32 streak chunks."""
+    at 4 and at 32 word blocks."""
     simulate_streak_interval(0.5, 6, 1000, seed=0)     # one-time costs
     small, large = (_peak_bytes(simulate_streak_interval, 0.5, 6,
-                                n * attacks.STREAK_CHUNK, seed=0)
+                                n * WORD_BLOCK, seed=0)
                     for n in (4, 32))
+    assert large < small + MEMORY_MARGIN
+
+
+@pytest.mark.parametrize("restart", [False, True])
+def test_binomial_nonzero_memory_does_not_grow_with_size(monkeypatch, restart):
+    """The traced peak of a fork-rate draw is the same, within a fixed
+    margin, at 2 and at 32 word blocks, whether it inverts the words or
+    falls back to numpy because a draw would restart."""
+    if restart:
+        monkeypatch.setattr(rng_module, "_inversion_bound", lambda n, p, q: 0)
+    binomial_nonzero(make_rng(0, "bin"), 600, FORK_Q, 1000)   # one-time costs
+    small, large = (_peak_bytes(binomial_nonzero, make_rng(0, "bin"), 600,
+                                FORK_Q, blocks * WORD_BLOCK)
+                    for blocks in (2, 32))
     assert large < small + MEMORY_MARGIN
 
 
@@ -512,15 +528,15 @@ def test_map_word_chunks_rejects_a_stream_inside_a_counter_step():
                                       lambda gen, m: m) == []
 
 
-THREE_CHUNKS = 2 * attacks.STREAK_CHUNK + 1001   # blocks: two chunks and a part
+NINE_BLOCKS = 8 * WORD_BLOCK + 1001   # streak blocks: eight word blocks and a part
 
 
 @pytest.mark.parametrize("k", [1, 6])
 @pytest.mark.parametrize("n_blocks, fraction", [
-    (1000, 0.5), (THREE_CHUNKS, 0.5),
-    (THREE_CHUNKS, 0.99),      # streaks straddle every chunk boundary
+    (1000, 0.5), (NINE_BLOCKS, 0.5),
+    (NINE_BLOCKS, 0.99),      # streaks straddle every block boundary
     (5, 0.5),                  # below k = 6
-], ids=["1000", str(THREE_CHUNKS), "%d-0.99" % THREE_CHUNKS, "5"])
+], ids=["1000", str(NINE_BLOCKS), "%d-0.99" % NINE_BLOCKS, "5"])
 def test_streak_count_equals_one_shot_draws(k, n_blocks, fraction):
     if n_blocks < k:                               # no window fits
         with pytest.raises(ValueError):

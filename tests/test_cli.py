@@ -579,6 +579,17 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     (_analysis("claim2", v=1e308, epsilon=1e-308, rho=0.7, k=1), "attack.params"),
     (_analysis("fork-rate", seconds=5), "attack.params"),
     (_analysis("issuance", cost=0), "attack.params"),
+    # out of range, though each is of its param's kind
+    (_analysis("issuance", cost=-1), "attack.params"),
+    (_analysis("issuance", demand=-5), "attack.params"),
+    (_analysis("issuance", difficulty=-1), "attack.params"),
+    (_analysis("dense-dos", ell=5, f=0.1, g0_seconds=-300), "attack.params"),
+    (_analysis("dense-dos", ell=5, f=-0.5, g0_seconds=300), "attack.params"),
+    (_analysis("claim1", **dict(CLAIM1, delta=-3)), "attack.params"),
+    (_analysis("bribe", **dict(CLAIM1, s=42, mu=-1, p_success=0.5)),
+     "attack.params"),
+    (_analysis("bribe", **dict(CLAIM1, s=42, mu=5, p_success=2)),
+     "attack.params"),
 ])
 def test_analysis_param_error_found_by_run_exits_2(tmp_path, capsys, attack,
                                                    field):
@@ -590,6 +601,16 @@ def test_analysis_param_error_found_by_run_exits_2(tmp_path, capsys, attack,
                             "--out", str(tmp_path / "o"))
     assert code == EXIT_CONFIG_ERROR
     assert "config error: %s:" % field in err, err
+
+
+def test_dense_dos_names_a_stake_fraction_out_of_range(tmp_path, capsys):
+    path = tmp_path / "analysis.json"
+    path.write_text(json.dumps(_analysis("dense-dos", ell=5, f=-0.5,
+                                         g0_seconds=300)))
+    code, _o, err = run_cli(capsys, "run", "--config", str(path),
+                            "--out", str(tmp_path / "o"))
+    assert code == EXIT_CONFIG_ERROR
+    assert "f=-0.5" in err and "p < 0" not in err, err
 
 
 def test_dense_run_without_a_clean_committee_ends_at_a_stall(tmp_path, capsys):

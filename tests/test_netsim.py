@@ -7,6 +7,7 @@ import itertools
 import json
 import pickle
 import sys
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -18,9 +19,9 @@ from poslab import cli, coa, netsim
 from poslab.coa import ACCEPT, ChainView, CoaParams, make_genesis
 from poslab.ledger import Block, BlockTree
 from poslab.netsim import (ACCEPT_LINE, ENGINES, SEND_LINE, SOLIDIFICATION_LINE,
-                           ConfigError, DelayModel, SimTrace, canonical_json,
-                           config_from_dict, load_config, run_scenario,
-                           strategy_of)
+                           MAX_EVENTS, ConfigError, DelayModel, SimTrace,
+                           canonical_json, config_from_dict, load_config,
+                           run_scenario, strategy_of)
 from poslab.rng import make_rng
 from poslab.scenarios import SCENARIOS
 
@@ -866,7 +867,9 @@ def run_ppcoin_per_second(config):
         "divergence": tip_count_sum / seconds,
         "mean_interval": seconds / max(1, blocks + fork_blocks),
     }
-    trace = netsim._capped(events, metrics, {"tips": [max(tips)]})
+    # the trace keeps the first MAX_EVENTS events and counts the rest
+    trace = SimTrace([canonical_json(e) for e in events[:MAX_EVENTS]], metrics,
+                     {"tips": [max(tips)]}, max(0, len(events) - MAX_EVENTS))
     return trace, rng
 
 
@@ -921,6 +924,29 @@ def test_bundled_ppcoin_runs_equal_the_per_second_lottery(name, monkeypatch):
     assert trace.digest() == oracle.digest()
     assert (repr(rng.bit_generator.state)
             == repr(oracle_rng.bit_generator.state))
+
+
+def test_a_long_ppcoin_run_holds_only_the_events_it_keeps():
+    """At ten times the bundled duration a PPCoin run keeps exactly
+    MAX_EVENTS lines, and its traced peak stays within a fixed margin of
+    the bundled run's: the events past the cut are counted, not held."""
+    bundled = SCENARIOS["ppcoin-honest"]
+    long = dataclasses.replace(bundled, duration={
+        "seconds": 10 * bundled.duration["seconds"]})
+    run_scenario(dataclasses.replace(bundled, duration={"seconds": 1000}))
+    peaks, traces = [], []          # after the one-time costs, above
+    for config in (bundled, long):
+        tracemalloc.start()
+        try:
+            traces.append(run_scenario(config))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(traces[1].events) == MAX_EVENTS
+    assert traces[1].events_dropped > 9 * MAX_EVENTS
+    kept = traces[0].events                         # the same first events
+    assert traces[1].events[:len(kept)] == kept
+    assert peaks[1] < peaks[0] + 256 * 1024
 
 
 def run_coa_per_delivery(config):
