@@ -310,9 +310,11 @@ def simulate_streak_interval(stake_fraction: float = 0.25, k: int = 6,
 # fork-rate study
 # ---------------------------------------------------------------------------
 
+FORK_CHUNK = 2 ** 18   # seconds (one word each) a thread draws at a time
+
+
 def fork_rate_study(seconds: int = 4 * 10 ** 8, n_outputs: int = 600,
-                    target_rate: float = 1.0 / 600.0, seed: int = 0,
-                    chunk: int = 2 ** 18) -> dict:
+                    target_rate: float = 1.0 / 600.0, seed: int = 0) -> dict:
     """Simulate per-second solve counts and report both fork-interval
     conventions.
 
@@ -321,16 +323,16 @@ def fork_rate_study(seconds: int = 4 * 10 ** 8, n_outputs: int = 600,
     ordered solver pair, sum k(k-1); expected ~ 1/rate^2 = 360000 s at the
     10-minute target. Multi-solve convention: mean seconds between seconds
     with >= 2 solves; expected ~ 2/rate^2 = 720000 s. The seconds are drawn
-    in chunks of `chunk` seconds (one word each) on every usable core.
+    in chunks of ``FORK_CHUNK`` seconds on every usable core.
     """
     q = 1.0 - (1.0 - target_rate) ** (1.0 / n_outputs)
     rng = make_rng(seed, "forks", n_outputs, seconds)
 
     def count(gen, m):
-        _at, k = binomial_nonzero(gen, n_outputs, q, m)
+        k = binomial_nonzero(gen, n_outputs, q, m)
         return int((k * (k - 1)).sum()), int((k >= 2).sum())
 
-    counts = map_word_chunks(rng, seconds, chunk, count)
+    counts = map_word_chunks(rng, seconds, FORK_CHUNK, count)
     pair_events = sum(c[0] for c in counts)
     multi_seconds = sum(c[1] for c in counts)
     if not multi_seconds:   # then no pair either

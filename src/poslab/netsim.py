@@ -238,15 +238,15 @@ def analysis_of(attack) -> str:
 def run_analysis(kind: str, given: dict, seed: int, prefix: str) -> dict:
     """The metrics of ``attacks.ANALYSES[kind]`` on the params `given`, over
     its defaults. A bad param is a ConfigError naming `<prefix><param>`, or
-    the params if only the calculator finds it by running or it yields a
-    metric that is not finite."""
+    the params if only the calculator finds it (by raising, or by running
+    out of memory) or it yields a metric that is not finite."""
     analysis = attacks.ANALYSES[kind]
     params = resolve_params(given, analysis.params, prefix)
     try:
         metrics = analysis.fn(params, seed)
     except ConfigError as exc:
         raise ConfigError(prefix + exc.fieldname, exc.message)
-    except (TypeError, ValueError, ArithmeticError) as exc:
+    except (TypeError, ValueError, ArithmeticError, MemoryError) as exc:
         raise ConfigError(prefix[:-1], str(exc))
     for key, value in metrics.items():     # metrics.json is JSON: no inf, no nan
         if isinstance(value, float) and not math.isfinite(value):

@@ -20,17 +20,17 @@ word, so a numpy upgrade that changes either algorithm fails there.
 ``map_word_chunks`` runs such a sampler on every usable core. It cuts a
 stream into fixed chunks of words and gives each chunk a generator advanced
 to the chunk's first word, so the chunks read the same words as one serial
-loop over them. A chunk that reads more words than its share (a sampler that
-falls back to ``rng.binomial`` because numpy would restart a draw) is caught
-by its end state, and every chunk from the next one on is re-run serially
-from the true state. The results, and the words the stream reads next, are
-therefore the serial loop's, whatever the number of threads or their order.
-Only the state's stale ``uinteger`` can differ, which no draw reads while
+loop over them. If a chunk ends anywhere but at its last word (a sampler
+that falls back to ``rng.binomial`` because numpy would restart a draw), the
+call runs that serial loop itself on the untouched stream. The results, and
+the words the stream reads next, are therefore the serial loop's, whatever
+the number of threads or their order. Only the state's stale ``uinteger``
+can differ, if fn draws uint32 halves; no draw reads it while
 ``has_uint32`` is 0.
 Its memory does not grow with the stream: a generator lives only per
-thread, and a chunk keeps its result and one mark of where it ended. Nor
-does it grow with the chunk: a sampler reads its words a ``WORD_BLOCK`` at a
-time, so each thread holds one block of words and the hits it keeps.
+thread, and a chunk keeps only its result. Nor does it grow with the chunk:
+a sampler reads its words a ``WORD_BLOCK`` at a time, so each thread holds
+one block of words and the hits it keeps.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ def _zero_limit(qn: float) -> int:
 
 
 def binomial_nonzero(rng: np.random.Generator, n: int, p: float,
-                     size: int) -> tuple:
-    """(positions, values) of the non-zero entries of
-    ``rng.binomial(n, p, size)``, drawn from the same words.
+                     size: int) -> np.ndarray:
+    """The non-zero entries of ``rng.binomial(n, p, size)`` in stream
+    order, drawn from the same words.
 
     In numpy's inversion regime (0 < p <= 1/2, 0 < n*p <= 30) each word is
     tested against the integer threshold of U <= (1-p)^n, and only the hits
@@ -84,27 +84,24 @@ def binomial_nonzero(rng: np.random.Generator, n: int, p: float,
         saved = rng.bit_generator.state
         q = 1.0 - p
         qn = math.exp(n * math.log(q))
-        at, words = _nonzero_by_block(size, rng.bit_generator.random_raw,
-                                      np.uint64(_zero_limit(qn)))
+        words = _nonzero_by_block(size, rng.bit_generator.random_raw,
+                                  np.uint64(_zero_limit(qn)))
         values = _inversion_values(words, n, p, q, qn)
         if values is not None:
-            return at, values
+            return values
         rng.bit_generator.state = saved
     return _nonzero_by_block(size, lambda m: rng.binomial(n, p, m), 0)
 
 
 def _nonzero_by_block(size: int, draw: Callable[[int], np.ndarray],
-                      limit) -> tuple:
-    """(positions, values) of the entries above `limit` of `size` draws,
-    made ``draw(m)`` for m up to a ``WORD_BLOCK`` at a time (once, empty,
-    when size is 0)."""
-    at, values = [], []
+                      limit) -> np.ndarray:
+    """The entries above `limit` of `size` draws, made ``draw(m)`` for m up
+    to a ``WORD_BLOCK`` at a time (once, empty, when size is 0)."""
+    kept = []
     for start in range(0, max(size, 1), WORD_BLOCK):
         block = draw(min(WORD_BLOCK, size - start))
-        hits = np.flatnonzero(block > limit)
-        at.append(hits + start)
-        values.append(block[hits])
-    return np.concatenate(at), np.concatenate(values)
+        kept.append(block[block > limit])
+    return np.concatenate(kept)
 
 
 def _inversion_values(words: np.ndarray, n: int, p: float, q: float,
@@ -155,41 +152,28 @@ def usable_cores() -> int:
 
 
 def _mark(state: dict) -> tuple:
-    """Where a Philox stream stands: (counter, buffer_pos, has_uint32,
-    uinteger), the counter as one integer."""
+    """(counter as one integer, buffer_pos, has_uint32) of a Philox state."""
     counter = int.from_bytes(state["state"]["counter"].astype("<u8").tobytes(),
                              "little")
-    return counter, state["buffer_pos"], state["has_uint32"], state["uinteger"]
-
-
-def _generator_at(state: dict, mark: tuple) -> np.random.Generator:
-    """A generator at `mark` in the stream that starts at `state`, a counter
-    step: advanced to the step before the mark, then the mark's words read."""
-    counter, pos, has_uint32, uinteger = mark
-    bits = np.random.Philox()
-    bits.state = state
-    steps = counter - _mark(state)[0]
-    if steps:
-        bits.advance(steps - 1)
-        bits.random_raw(pos)
-    bits.state = dict(bits.state, has_uint32=has_uint32, uinteger=uinteger)
-    return np.random.Generator(bits)
+    return counter, state["buffer_pos"], state["has_uint32"]
 
 
 def map_word_chunks(rng: np.random.Generator, words: int, chunk: int,
                     fn: Callable[[np.random.Generator, int], object]) -> list:
-    """``[fn(gen, m) for each chunk]`` over the next `words` words of `rng`,
-    in chunk order, leaving `rng` after the last word the chunks read.
+    """The serial loop ``[fn(rng, m) for m in sizes]`` over the chunks of
+    the next `words` words of `rng`: its results, and `rng` where it ends.
 
     Chunk i holds words [i*chunk, i*chunk + m) with m = min(chunk, words -
-    i*chunk); fn should read exactly m words from `gen`. The chunks run on
-    the calling thread and ``usable_cores() - 1`` helper threads, so fn must
-    be thread-safe and should spend its time in numpy calls that release the
-    GIL. `rng` must be a Philox generator at the start of a counter step
-    (4 words), as a fresh one is.
+    i*chunk); fn should read exactly m words from the generator it is given.
+    The chunks run on the calling thread and ``usable_cores() - 1`` helper
+    threads, each on a generator advanced to the chunk's first word, so fn
+    must be thread-safe and should spend its time in numpy calls that
+    release the GIL. `rng` must be a Philox generator at the start of a
+    counter step (4 words), as a fresh one is.
 
-    Each thread holds one generator; a chunk keeps its result and a mark
-    of where it ended, from which a re-run rebuilds its generator.
+    If a chunk reads other than its m words, the parallel results are
+    dropped and the serial loop itself runs on `rng`, which the threads
+    never touched.
     """
     state = rng.bit_generator.state
     if chunk <= 0 or chunk % 4:
@@ -200,10 +184,10 @@ def map_word_chunks(rng: np.random.Generator, words: int, chunk: int,
                          "counter step")
     starts = range(0, words, chunk)
     sizes = [min(chunk, words - s) for s in starts]
-    n = len(starts)
-    if n == 0:
+    if not sizes:
         return []
-    ends, results, errors = [None] * n, [None] * n, []
+    counter, n = _mark(state)[0], len(sizes)
+    results, errors, missed = [None] * n, [], []
     todo = iter(range(n))
     lock = threading.Lock()
 
@@ -219,7 +203,10 @@ def map_word_chunks(rng: np.random.Generator, words: int, chunk: int,
                 bits.state = state
                 bits.advance(starts[i] // 4)
                 results[i] = fn(gen, sizes[i])
-                ends[i] = _mark(bits.state)
+                end = starts[i] + sizes[i]   # the stream read [0, end)?
+                if _mark(bits.state) != (counter + (end + 3) // 4,
+                                         (end - 1) % 4 + 1, 0):
+                    missed.append(i)
             except BaseException as exc:
                 errors.append(exc)
 
@@ -232,12 +219,8 @@ def map_word_chunks(rng: np.random.Generator, words: int, chunk: int,
         t.join()
     if errors:
         raise errors[0]
-    counter = _mark(state)[0]
-    # the first chunk whose predecessor did not end at its first word
-    redo = next((i for i in range(1, n)
-                 if ends[i - 1][:3] != (counter + starts[i] // 4, 4, 0)), n)
-    gen = _generator_at(state, ends[redo - 1])
-    for i in range(redo, n):
-        results[i] = fn(gen, sizes[i])
-    rng.bit_generator.state = gen.bit_generator.state
+    if missed:
+        return [fn(rng, m) for m in sizes]
+    rng.bit_generator.advance((words - 1) // 4)   # to the last counter step,
+    rng.bit_generator.random_raw((words - 1) % 4 + 1)   # then its words
     return results

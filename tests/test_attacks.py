@@ -281,9 +281,7 @@ def test_binomial_nonzero_equals_numpy_word_for_word(n, p):
         for size in (1, 7, 1001, 2 ** 16 + 3, 3 * WORD_BLOCK + 5):
             oracle, fast = _pair(seed)
             k = oracle.binomial(n, p, size)
-            at, values = binomial_nonzero(fast, n, p, size)
-            assert np.array_equal(at, np.flatnonzero(k))
-            assert np.array_equal(values, k[at])
+            assert np.array_equal(binomial_nonzero(fast, n, p, size), k[k > 0])
             assert _state(fast) == _state(oracle)
             # the inversion regime reads the words itself; elsewhere numpy
             # draws one block at a time
@@ -305,10 +303,9 @@ def test_binomial_nonzero_redraws_when_numpy_would_restart(monkeypatch):
                        (600, FORK_Q, 3 * WORD_BLOCK + 5)):
         oracle, fast = _pair(4)
         k = oracle.binomial(n, p, size)
-        at, values = binomial_nonzero(fast, n, p, size)
+        values = binomial_nonzero(fast, n, p, size)
         assert fast.binomial_calls == -(-size // WORD_BLOCK)   # one a block
-        assert np.array_equal(at, np.flatnonzero(k))
-        assert np.array_equal(values, k[at])
+        assert np.array_equal(values, k[k > 0])
         assert _state(fast) == _state(oracle)
 
 
@@ -317,8 +314,9 @@ def test_fork_rate_study_reads_the_words_of_per_second_binomials(monkeypatch):
     monkeypatch.setattr(attacks, "make_rng",
                         lambda *labels: used.append(make_rng(*labels))
                         or used[-1])
+    monkeypatch.setattr(attacks, "FORK_CHUNK", 2 ** 20)
     seconds, n = 3 * 10 ** 6 + 5, 600
-    out = fork_rate_study(seconds=seconds, n_outputs=n, seed=3, chunk=2 ** 20)
+    out = fork_rate_study(seconds=seconds, n_outputs=n, seed=3)
     oracle = make_rng(3, "forks", n, seconds)
     k = np.concatenate([oracle.binomial(n, FORK_Q, size=m)
                         for m in (2 * 10 ** 6, 10 ** 6 + 5)])
@@ -338,10 +336,11 @@ def test_fork_rate_study_in_many_chunks_reads_per_second_binomials(
     monkeypatch.setattr(attacks, "binomial_nonzero",
                         lambda *args: calls.append(args[3])
                         or binomial_nonzero(*args))
+    monkeypatch.setattr(attacks, "FORK_CHUNK", 2 ** 12)
     # 41 chunks, the last one 151 words: a multiple of neither 2^12 nor 4
     seconds, n, rate = 40 * 2 ** 12 + 151, 50, 0.3
     out = fork_rate_study(seconds=seconds, n_outputs=n, target_rate=rate,
-                          seed=6, chunk=2 ** 12)
+                          seed=6)
     oracle = make_rng(6, "forks", n, seconds)
     k = oracle.binomial(n, 1.0 - (1.0 - rate) ** (1.0 / n), size=seconds)
     assert out["pair_events"] == int((k * (k - 1)).sum()) > 0
@@ -374,7 +373,7 @@ def test_map_word_chunks_redoes_the_chunks_after_an_over_read(
     calls.clear()
     got = rng_module.map_word_chunks(rng, words, chunk, fn)
     assert len(got) == len(want) == 10
-    assert len(calls) == 10 + 5                    # chunks 5-9 ran again
+    assert len(calls) == 10 + 10                   # the serial loop ran
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert _state(rng) == _state(serial)
 
@@ -383,8 +382,8 @@ def test_map_word_chunks_redoes_the_chunks_after_an_over_read(
 def test_map_word_chunks_rebuilds_a_cached_half_word_for_the_redo(
         monkeypatch, cores):
     """A chunk that draws an odd number of uint32s ends at its last word
-    but holds half of it cached; the chunks after it run again from that
-    state and read the cached half first, as the serial loop does."""
+    but holds half of it cached, so the call runs the serial loop, whose
+    next chunk reads the cached half first."""
     monkeypatch.setattr(rng_module, "usable_cores", lambda: cores)
     words, chunk = 9 * 64 + 22, 64                 # ten chunks
     calls = []
@@ -404,10 +403,81 @@ def test_map_word_chunks_rebuilds_a_cached_half_word_for_the_redo(
     rng = make_rng(2, "map")
     calls.clear()
     got = rng_module.map_word_chunks(rng, words, chunk, fn)
-    assert len(calls) == 10 + 5                    # chunks 5-9 ran again
+    assert len(calls) == 10 + 10                   # the serial loop ran
     assert all(np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1])
                for g, w in zip(got, want))
     assert _state(rng) == _state(serial)
+
+
+def _calls_of_map_as_serial(words, chunk, fn, calls):
+    """Run fn over the chunks of `words` words by the serial loop and by
+    ``map_word_chunks``, each on a fresh stream; check that both return the
+    same results and leave the same state, and return the number of calls
+    ``map_word_chunks`` made."""
+    serial = make_rng(2, "map")
+    want = [fn(serial, min(chunk, words - s)) for s in range(0, words, chunk)]
+    rng = make_rng(2, "map")
+    calls.clear()
+    got = rng_module.map_word_chunks(rng, words, chunk, fn)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert _state(rng) == _state(serial)
+    return len(calls)
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_map_word_chunks_runs_the_serial_loop_after_an_over_read_in_the_last_chunk(
+        monkeypatch, cores):
+    """No chunk follows the last one, so only its own end shows that it
+    read a word past the stream's share."""
+    monkeypatch.setattr(rng_module, "usable_cores", lambda: cores)
+    words, chunk = 9 * 64 + 22, 64                 # the last chunk 22 words
+    greedy = make_rng(2, "map").bit_generator.random_raw(words)[9 * chunk]
+    calls = []
+
+    def fn(gen, m):
+        calls.append(m)
+        got = gen.bit_generator.random_raw(m)
+        if got[0] == greedy:                       # read one word too many
+            gen.bit_generator.random_raw(1)
+        return got
+
+    assert _calls_of_map_as_serial(words, chunk, fn, calls) == 10 + 10
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_map_word_chunks_runs_the_serial_loop_after_an_under_read(
+        monkeypatch, cores):
+    monkeypatch.setattr(rng_module, "usable_cores", lambda: cores)
+    words, chunk = 9 * 64 + 22, 64
+    calls = []
+
+    def fn(gen, m):
+        calls.append(m)
+        first = 4 * int(gen.bit_generator.state["state"]["counter"][0])
+        short = first == 4 * chunk                 # chunk 4 reads m - 1 words
+        return gen.bit_generator.random_raw(m - short)
+
+    assert _calls_of_map_as_serial(words, chunk, fn, calls) == 10 + 10
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+@pytest.mark.parametrize("tail", [0, 1, 2, 3])
+def test_map_word_chunks_ends_where_the_serial_loop_does(monkeypatch, cores,
+                                                        tail):
+    """When every chunk reads its share, none runs twice and the stream
+    ends where the serial loop leaves it, with the words of its last counter
+    step buffered, whatever the word count mod 4."""
+    monkeypatch.setattr(rng_module, "usable_cores", lambda: cores)
+    calls = []
+
+    def fn(gen, m):
+        calls.append(m)
+        return gen.bit_generator.random_raw(m)
+
+    for words in (20 + tail, 9 * 64 + 20 + tail):
+        chunks = -(-words // 64)
+        assert _calls_of_map_as_serial(words, 64, fn, calls) == chunks
 
 
 def _peak_bytes(fn, *args, **kwargs) -> int:
@@ -419,7 +489,7 @@ def _peak_bytes(fn, *args, **kwargs) -> int:
         tracemalloc.stop()
 
 
-MEMORY_MARGIN = 512 * 1024   # bytes; a fork-rate chunk keeps ~170 B of result and mark
+MEMORY_MARGIN = 512 * 1024   # bytes; a fork-rate chunk keeps ~110 B of result
 
 
 def test_streak_memory_does_not_grow_with_length():
@@ -452,10 +522,10 @@ def test_fork_rate_memory_does_not_grow_with_length(monkeypatch):
     chunks in flight do not depend on the machine. A solve every ten
     seconds, so that even the short run sees forks, as a study must."""
     monkeypatch.setattr(rng_module, "usable_cores", lambda: 2)
-    fork_rate_study(seconds=16 * 2 ** 12, target_rate=0.1,
-                    chunk=2 ** 12)  # one-time costs
+    monkeypatch.setattr(attacks, "FORK_CHUNK", 2 ** 12)
+    fork_rate_study(seconds=16 * 2 ** 12, target_rate=0.1)  # one-time costs
     small, large = (_peak_bytes(fork_rate_study, seconds=n * 2 ** 12,
-                                target_rate=0.1, chunk=2 ** 12)
+                                target_rate=0.1)
                     for n in (16, 1024))
     assert large < small + MEMORY_MARGIN
 
@@ -470,12 +540,13 @@ def test_fork_rate_study_does_not_depend_on_the_core_count(monkeypatch):
             super().start()
 
     monkeypatch.setattr(rng_module.threading, "Thread", CountedThread)
+    monkeypatch.setattr(attacks, "FORK_CHUNK", 2 ** 14)
     outs = []
     for cores in (1, 4):
         monkeypatch.setattr(rng_module, "usable_cores", lambda: cores)
         helpers.clear()
         outs.append(fork_rate_study(seconds=2 * 10 ** 6 + 1, n_outputs=50,
-                                    target_rate=0.3, seed=1, chunk=2 ** 14))
+                                    target_rate=0.3, seed=1))
         assert len(helpers) == cores - 1           # plus the calling thread
     assert outs[0] == outs[1]
     assert outs[0]["pair_events"] > 0

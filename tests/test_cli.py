@@ -590,6 +590,15 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
      "attack.params"),
     (_analysis("bribe", **dict(CLAIM1, s=42, mu=5, p_success=2)),
      "attack.params"),
+    # out of memory: each first array is 2^57 to 2^63 bytes, so numpy's
+    # allocation fails at once, under any overcommit setting
+    (_analysis("timeweight", version="v0.3", stake=0.1, multiplier=2,
+               trials=10 ** 15), "attack.params"),
+    (_analysis("mu", comb="majority", kappa=4, w=3, p=0.1, trials=10 ** 17),
+     "attack.params"),
+    (_analysis("issuance", steps=10 ** 17), "attack.params"),
+    (_analysis("bribe", **dict(CLAIM1, delta=19, s=10 ** 17, mu=5.0,
+                               p_success=0.5)), "attack.params"),
 ])
 def test_analysis_param_error_found_by_run_exits_2(tmp_path, capsys, attack,
                                                    field):
