@@ -293,6 +293,8 @@ def simulate_streak_interval(stake_fraction: float = 0.25, k: int = 6,
                 out=wins[k - 1:k - 1 + m])
         streak = wins[:m].copy()   # after the ANDs: wins[i:i + k] all won
         for j in range(1, k):
+            if not streak.any():    # no window left to extend
+                break
             streak &= wins[j:j + m]
         count += int(np.count_nonzero(streak))
         wins[:k - 1] = wins[m:m + k - 1]

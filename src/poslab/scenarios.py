@@ -1,8 +1,9 @@
 """Bundled scenarios and the reproduction registry.
 
-Scenarios are small, fast configurations exercising every protocol engine;
-reproductions are the quantitative results with their expected values and
-tolerances, runnable from the CLI or the test suite.
+Scenarios are small, fast configurations exercising every protocol engine
+and analysis. A reproduction is one of the paper's quantitative results: a
+bundled analysis scenario, the params each of its runs changes, and a
+verdict against the expected value, runnable from the CLI or the tests.
 """
 
 from __future__ import annotations
@@ -38,9 +39,21 @@ def _coa(name, kappa=12, slots=12, weights=None, behaviors=None, seed=7,
     }
 
 
-def _analysis(name, kind, params, seed=7):
-    return {"name": name, "seed": seed,
-            "attack": {"kind": kind, "params": params}}
+def _four(name, protocol, duration, seed, weights=(1, 1, 1, 1),
+          behaviors=None, **params):
+    """A four-holder kappa-12 PPCoin or Dense-CoA config; `params` are
+    those that differ from the defaults."""
+    return {
+        "name": name, "protocol": protocol,
+        "params": dict(params, kappa=12),
+        "stake": _split_stake(12, ["a", "b", "c", "d"], weights),
+        "behaviors": behaviors or {},
+        "duration": duration, "seed": seed,
+    }
+
+
+def _analysis(name, kind, params):
+    return {"name": name, "seed": 7, "attack": {"kind": kind, "params": params}}
 
 
 _RAW_SCENARIOS = [
@@ -52,33 +65,14 @@ _RAW_SCENARIOS = [
     _coa("coa-fast", g0_seconds=60, slots=20, seed=19),
     _coa("coa-skewed", weights=[8, 4, 2, 1, 1], seed=23),
     dict(_coa("coa-nodrift", seed=29), clock_drift_max=0.0),
-    {
-        "name": "ppcoin-honest", "protocol": "ppcoin",
-        "params": {"kappa": 12, "target_interval": 30},
-        "stake": _split_stake(12, ["a", "b", "c", "d"], [1, 1, 1, 1]),
-        "duration": {"seconds": 60000}, "seed": 31,
-    },
-    {
-        "name": "ppcoin-multifork", "protocol": "ppcoin",
-        "params": {"kappa": 12, "target_interval": 30},
-        "stake": _split_stake(12, ["a", "b", "c", "d"], [1, 1, 1, 1]),
-        "behaviors": {n: {"strategy": "ppcoin-multifork"}
-                      for n in ("a", "b", "c", "d")},
-        "duration": {"seconds": 60000}, "seed": 31,
-    },
-    {
-        "name": "dense-baseline", "protocol": "dense_coa",
-        "params": {"kappa": 12, "ell": 5, "g0_seconds": 300},
-        "stake": _split_stake(12, ["a", "b", "c", "d"], [1, 1, 1, 1]),
-        "duration": {"slots": 30}, "seed": 37,
-    },
-    {
-        "name": "dense-withhold", "protocol": "dense_coa",
-        "params": {"kappa": 12, "ell": 5, "g0_seconds": 300},
-        "stake": _split_stake(12, ["a", "b", "c", "d"], [9, 1, 1, 1]),
-        "behaviors": {"d": {"strategy": "offline"}},
-        "duration": {"slots": 30}, "seed": 37,
-    },
+    _four("ppcoin-honest", "ppcoin", {"seconds": 60000}, 31, target_interval=30),
+    _four("ppcoin-multifork", "ppcoin", {"seconds": 60000}, 31,
+          behaviors={n: {"strategy": "ppcoin-multifork"} for n in "abcd"},
+          target_interval=30),
+    _four("dense-baseline", "dense_coa", {"slots": 30}, 37, ell=5,
+          g0_seconds=300),
+    _four("dense-withhold", "dense_coa", {"slots": 30}, 37, weights=[9, 1, 1, 1],
+          behaviors={"d": {"strategy": "offline"}}, ell=5, g0_seconds=300),
     _analysis("claim1", "claim1",
               {"v": 100, "epsilon": 10, "rho_prime": 0.7, "delta": 20}),
     _analysis("claim2", "claim2",
@@ -101,6 +95,7 @@ _RAW_SCENARIOS = [
                "s": 42, "mu": 5.0, "p_success": 0.5}),
     _analysis("mu-concat", "mu",
               {"comb": "concat", "kappa": 8, "p": 0.05, "trials": 50000}),
+    _analysis("mu-majority", "tie-fraction", {"comb": "majority", "kappa": 1, "w": 9}),
     _analysis("kz-bounds", "kz-bounds",
               {"ell": 459, "kappa": 51, "epsilon": 0.1}),
     _analysis("issuance-equilibrium", "issuance",
@@ -132,8 +127,8 @@ class ReproResult:
 
 @dataclass(frozen=True)
 class Reproduction:
-    kind: str               # the attacks.ANALYSES entry it runs
-    param_sets: tuple       # one analysis run per entry
+    scenario: str           # the bundled analysis scenario it checks
+    param_sets: tuple       # one run per entry: the params it changes
     expected: str
     tolerance: str
     verdict: Callable[[dict, dict], tuple]   # (params, metrics) -> (computed, passed)
@@ -158,25 +153,22 @@ def _kz_verdict(p: dict, m: dict) -> tuple:
 REPRODUCTIONS: Dict[str, Reproduction] = {
     # delta = K reproduces the density-assumption instance exactly
     "claim1": Reproduction(
-        "claim1", ({"v": 100, "epsilon": 10, "rho_prime": 0.7, "delta": 20},),
-        "S=42", "exact", lambda p, m: ("S=%d" % m["s"], m["s"] == 42)),
+        "claim1", ({},), "S=42", "exact",
+        lambda p, m: ("S=%d" % m["s"], m["s"] == 42)),
     "claim2": Reproduction(
-        "claim2", ({"v": 100, "epsilon": 10, "rho": 0.7, "k": 20,
-                    "g0_seconds": 300},),
-        "S=42, 3.5 h", "exact",
+        "claim2", ({},), "S=42, 3.5 h", "exact",
         lambda p, m: ("S=%d, %.2f h" % (m["s"], m["wait_minutes"] / 60.0),
                       m["s"] == 42 and abs(m["wait_minutes"] / 60.0 - 3.5) < 1e-9)),
     "takeover": Reproduction(
-        "takeover", ({"ell": 459, "p": 0.1, "q": 0.2},), "exponent 371", "±1",
+        "takeover", ({},), "exponent 371", "±1",
         lambda p, m: ("%.2f" % m["exponent"], abs(m["exponent"] - 371) <= 1.0)),
     "dense-dos": Reproduction(
-        "dense-dos", ({"ell": 23, "f": 0.1, "g0_seconds": 300.0, "blocks": 4000},),
+        "dense-dos", ({"blocks": 4000},),
         "below 56.4 min (forks pull it under 56)", "[40, 56.4] min",
         lambda p, m: ("%.1f min" % m["mean_interval_minutes"],
                       40.0 <= m["mean_interval_minutes"] <= 56.4)),
     "ppcoin-mk": Reproduction(
-        "ppcoin-mk", ({"stake": 0.25, "k": 6, "blocks": 4_000_000},),
-        "4096 blocks", "±15%",
+        "ppcoin-mk", ({"blocks": 4_000_000},), "4096 blocks", "±15%",
         lambda p, m: ("%.0f" % m["mean_gap"],
                       _within(m["mean_gap"], m["expected"], 0.15))),
     "fork-rate": Reproduction(
@@ -187,30 +179,28 @@ REPRODUCTIONS: Dict[str, Reproduction] = {
                       _within(m["pairwise_interval"], 360000, 0.2)
                       and _within(m["multi_solve_interval"], 720000, 0.2))),
     "mu-concat": Reproduction(
-        "mu", tuple({"comb": "concat", "kappa": 8, "p": p, "trials": 10 ** 5}
-                    for p in (0.02, 0.05, 0.1)),
+        "mu-concat", tuple({"p": p, "trials": 10 ** 5} for p in (0.02, 0.05, 0.1)),
         "2p-p^2", "3σ", _mu_verdict),
     "mu-majority": Reproduction(
-        "tie-fraction", ({"comb": "majority", "kappa": 1, "w": 9},),
-        "tie 70/256", "exact",
+        "mu-majority", ({},), "tie 70/256", "exact",
         lambda p, m: ("%.6f" % m["tie_fraction"],
                       m["tie_fraction"] == comb.majority_tie_probability(p["w"]))),
     "kz-bounds": Reproduction(
-        "kz-bounds", ({"ell": 459, "kappa": 51, "epsilon": 0.1},),
-        "achievable 2ε, upper 91.8ε", "exact", _kz_verdict),
+        "kz-bounds", ({},), "achievable 2ε, upper 91.8ε", "exact", _kz_verdict),
     "issuance": Reproduction(
-        "issuance", ({"cost": 1.0, "demand": 10 ** 6, "difficulty": 2e-6,
-                      "steps": 800},),
-        "value converges to cost", "< 0.1",
+        "issuance-equilibrium", ({},), "value converges to cost", "< 0.1",
         lambda p, m: ("max |value-cost|/cost = %.3f" % m["max_deviation"],
                       m["max_deviation"] < 0.1)),
 }
 
 
 def run_reproduction(repro_id: str, seed: int = 0) -> ReproResult:
+    """Each param set merged over the scenario's params, run and judged."""
     repro = REPRODUCTIONS[repro_id]     # a KeyError for an unknown id
+    attack = SCENARIOS[repro.scenario].attack
+    merged = [{**attack["params"], **change} for change in repro.param_sets]
     outcomes = [repro.verdict(p, run_analysis(
-        repro.kind, p, seed, "%s.params." % repro_id)) for p in repro.param_sets]
+        attack["kind"], p, seed, "%s.params." % repro_id)) for p in merged]
     return ReproResult(repro_id, repro.expected,
                        "; ".join(text for text, _ok in outcomes),
                        repro.tolerance, all(ok for _text, ok in outcomes))

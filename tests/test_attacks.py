@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -617,3 +618,17 @@ def test_streak_count_equals_one_shot_draws(k, n_blocks, fraction):
     windows = np.convolve(wins, np.ones(k, int), "valid")
     out = simulate_streak_interval(fraction, k, n_blocks, seed=7)
     assert out["streaks"] == int((windows == k).sum())
+
+
+def test_streak_ands_stop_at_a_block_with_no_window_left():
+    """The ANDs over a word block stop once none of its windows is left:
+    the count is unchanged when some blocks stop early and others do not,
+    and a k past any run of wins costs one pass per block, not k."""
+    wins = make_rng(7, "streak", 0.5, 15).random(NINE_BLOCKS) < 0.5
+    windows = np.convolve(wins, np.ones(15, int), "valid")
+    out = simulate_streak_interval(0.5, 15, NINE_BLOCKS, seed=7)
+    assert out["streaks"] == int((windows == 15).sum()) == 13
+    start = time.process_time()
+    with pytest.raises(ValueError, match="no streaks observed"):
+        simulate_streak_interval(0.25, 10 ** 6, 2 * WORD_BLOCK)
+    assert time.process_time() - start < 1.0

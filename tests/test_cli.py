@@ -9,7 +9,7 @@ import pytest
 
 from poslab.attacks import ANALYSES
 from poslab.cli import (EXIT_CONFIG_ERROR, EXIT_OK, EXIT_REPRO_FAILURE, main)
-from poslab.netsim import ConfigError, resolve_params
+from poslab.netsim import ConfigError, resolve_params, run_scenario
 from poslab.scenarios import REPRODUCTIONS, SCENARIOS, run_reproduction
 
 
@@ -348,14 +348,58 @@ def test_reproductions_all_pass_quick_subset():
 
 
 def test_reproduction_param_sets_obey_their_analysis_declarations():
-    """Every param set resolves against its analysis's declared params, so
-    none holds an unknown key, a value of the wrong kind or too few params;
-    this runs no calculator."""
+    """Every param set, merged over its scenario's params, resolves against
+    the scenario's analysis's declared params, so none holds an unknown
+    key, a value of the wrong kind or too few params; this runs no
+    calculator."""
     for repro_id, repro in REPRODUCTIONS.items():
-        declared = ANALYSES[repro.kind].params
+        attack = SCENARIOS[repro.scenario].attack
+        declared = ANALYSES[attack["kind"]].params
         for p in repro.param_sets:
-            resolved = resolve_params(p, declared, repro_id + ".params.")
+            resolved = resolve_params({**attack["params"], **p}, declared,
+                                      repro_id + ".params.")
             assert set(resolved) == set(declared), repro_id
+
+
+def test_a_reproduction_names_only_the_params_it_changes():
+    """Each param a reproduction's sets name moves its scenario's value in
+    at least one set: a sweep may name the scenario's own value in one."""
+    for repro_id, repro in REPRODUCTIONS.items():
+        attack = SCENARIOS[repro.scenario].attack
+        given = resolve_params(attack["params"],
+                               ANALYSES[attack["kind"]].params, "")
+        for key in set().union(*repro.param_sets):
+            assert any(p.get(key, given[key]) != given[key]
+                       for p in repro.param_sets), (repro_id, key)
+
+
+@pytest.mark.parametrize("repro_id", [
+    repro_id for repro_id, repro in REPRODUCTIONS.items()
+    if repro.param_sets == ({},)])
+def test_a_reproduction_that_changes_no_param_judges_its_scenario(
+        repro_id, monkeypatch):
+    """A reproduction whose one param set is empty hands its verdict the
+    params and metrics (bar `kind`) of its bundled scenario's run at the
+    same seed."""
+    repro, judged = REPRODUCTIONS[repro_id], []
+    monkeypatch.setitem(REPRODUCTIONS, repro_id, dataclasses.replace(
+        repro, verdict=lambda p, m: judged.append((p, m)) or ("", True)))
+    for seed in (0, 5694):
+        run_reproduction(repro_id, seed)
+        config = dataclasses.replace(SCENARIOS[repro.scenario], seed=seed)
+        metrics = dict(run_scenario(config).metrics)
+        del metrics["kind"]
+        assert judged.pop() == (config.attack["params"], metrics)
+
+
+def test_reproduce_all_table_at_seed_0_is_pinned(capsys):
+    """``reproduce all --format json`` at seed 0 writes the same bytes, so
+    a reproduction whose params drift fails here."""
+    code, stdout, _e = run_cli(capsys, "reproduce", "all", "--seed", "0",
+                               "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "ab03760e4e6cf0b97135c11ee537c0ee372a1328527f9768e83a7c94302e087a")
 
 
 def test_reproduction_resolves_its_params_before_running(monkeypatch):

@@ -8,7 +8,7 @@ import dataclasses
 import json
 import pathlib
 
-from poslab import attacks, netsim
+from poslab import attacks, netsim, scenarios
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "poslab"
 TESTS = SRC.parent.parent / "tests"
@@ -246,7 +246,7 @@ def _keys(expr, fn, calls, seen=frozenset()):
     elif isinstance(expr, ast.Name) and fn is not None:
         if fn.args.kwarg is not None and expr.id == fn.args.kwarg.arg:
             parts = [k.value if k.arg is None else ast.Constant(k.arg)
-                     for call, _caller in calls.get(fn.name, ())
+                     for call, _caller in calls.get(fn, calls.get(fn.name, ()))
                      for k in call.keywords]
             fn = None   # a `**` the callers pass is theirs, not fn's
         elif (fn, expr.id) in seen:
@@ -291,29 +291,38 @@ def unset_defaults() -> set:
     src/poslab or tests/ sets: a defaulted parameter of a function
     ("function.parameter") and a defaulted field of a dataclass or
     NamedTuple ("Class.field"). Calls match by name; ``Class(...)`` calls
-    ``__init__`` too. A call sets nothing by passing on an unset value: its
+    ``__init__`` too; a bare-name call in a test file to a name that file
+    defines at top level calls only that definition (keyed by its node,
+    not its name). A call sets nothing by passing on an unset value: its
     function's own unset parameter, or a read of a field that is unset in
     every class that has it."""
     trees = {path: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))}
     classes = {node.name for path, tree in trees.items() if path.parent == SRC
                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
-    calls, module_of = {}, {}   # callee name -> [(call, enclosing function)]
+    # callee name, or a test file's own top-level definition ->
+    # [(call, enclosing function)]
+    calls, module_of = {}, {}
 
-    def collect(node, fn, module):
+    def collect(node, fn, module, local):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 module_of[child] = module
-                collect(child, child, module)
+                collect(child, child, module, local)
                 continue
             if isinstance(child, ast.Call):
                 name = _call_name(child)
-                for callee in {name, "__init__" if name in classes else name}:
+                callees = ({local[name]} if isinstance(child.func, ast.Name)
+                           and name in local else
+                           {name, "__init__" if name in classes else name})
+                for callee in callees:
                     calls.setdefault(callee, []).append((child, fn))
-            collect(child, fn, module)
+            collect(child, fn, module, local)
 
     for path, tree in trees.items():
-        collect(tree, None, path.stem)
+        local = {} if path.parent == SRC else {   # name -> its definition
+            name: stmt for stmt in tree.body for name in _defined_names(stmt)}
+        collect(tree, None, path.stem, local)
     settables = [item for path, tree in trees.items() if path.parent == SRC
                  for item in _settables(path.stem, tree)]
     unset = set()
@@ -433,3 +442,13 @@ def test_config_docs_state_the_network_defaults():
     ]
     assert [row for row in stated if row not in rows] == [], \
         "state these in docs/formats.md's Fields table"
+
+
+def test_reproduction_docs_name_each_scenario():
+    """docs/formats.md's Reproduction outputs table has one row per
+    reproduction id, naming the bundled scenario it checks."""
+    rows = FORMATS.read_text().splitlines()
+    stated = ["| `%s` | `%s` |" % (repro_id, repro.scenario)
+              for repro_id, repro in scenarios.REPRODUCTIONS.items()]
+    assert [row for row in stated if row not in rows] == [], \
+        "state these in docs/formats.md's Reproduction outputs table"

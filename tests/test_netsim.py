@@ -159,6 +159,8 @@ PINNED_DIGESTS = {
         "d0695fdc5f6c8b00fa9ab2d94f0ed57bdbe15faae543259f3f80e9659218d985",
     "mu-concat":
         "1d6aa3f21faa176641e20d925ce4f762727252af3ea65ec9923e46e3b881188d",
+    "mu-majority":
+        "1c271dce425c08809842ebea385f0d3289f1ddda9685e70e2e97d90531592ffa",
     "ppcoin-honest":
         "5c2081bedd7e2956c67676cb083ec305e28a0fe9d357aad2bc8f3b46a731ec91",
     "ppcoin-mk":
@@ -216,6 +218,8 @@ PINNED_DIGESTS_SEED_0 = {
         "d0695fdc5f6c8b00fa9ab2d94f0ed57bdbe15faae543259f3f80e9659218d985",
     "mu-concat":
         "731842043cc6c69fadfb5ef2990bffa75cf36159f1938ebd3b330b524e7cdda0",
+    "mu-majority":
+        "1c271dce425c08809842ebea385f0d3289f1ddda9685e70e2e97d90531592ffa",
     "ppcoin-honest":
         "13009e0259d38265efbc4f2c1df165054f550e917e0854f41d69f4501222011d",
     "ppcoin-mk":
@@ -805,7 +809,7 @@ def test_analysis_config_is_name_seed_and_attack():
         assert e.value.fieldname == key
     analyses = [config for config in SCENARIOS.values()
                 if config.attack is not None]
-    assert len(analyses) == 12
+    assert len(analyses) == 13
     for config in analyses:
         assert config.protocol is None
         assert set(config.to_dict()) == {"name", "seed", "attack"}
