@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import comb, issuance, ppcoin
+from .netsim import REQUIRED
 from .rng import WORD_BLOCK, binomial_nonzero, make_rng, map_word_chunks
 
 
@@ -284,6 +285,9 @@ def simulate_streak_interval(stake_fraction: float = 0.25, k: int = 6,
         raise ValueError("stake fraction must be in (0,1)")
     if k < 1:
         raise ValueError("streak length k must be at least 1")
+    if k > n_blocks:    # no window fits: fail before allocating k flags
+        raise ValueError("no streaks observed: k = %d is more than n_blocks = "
+                         "%d; increase n_blocks" % (k, n_blocks))
     rng = make_rng(seed, "streak", stake_fraction, k)
     wins = np.zeros(k - 1 + WORD_BLOCK, bool)   # carried flags, then a block's
     draws, count = np.empty(WORD_BLOCK), 0
@@ -351,9 +355,6 @@ def fork_rate_study(seconds: int = 4 * 10 ** 8, n_outputs: int = 600,
 # ---------------------------------------------------------------------------
 # the analysis table: `attack` scenarios and reproductions run these entries
 # ---------------------------------------------------------------------------
-
-REQUIRED = ...   # the default of a param that a config must give
-
 
 class Analysis(NamedTuple):
     params: dict    # each param -> (kind, default or REQUIRED)

@@ -2,6 +2,8 @@
 
 Subcommands: run, reproduce, list-scenarios, validate-config.
 Exit codes: 0 ok, 1 reproduction failure, 2 config error.
+The bundled scenarios, and the analysis stack behind them, load only for
+the commands and names that read them: a run from a file loads the engines.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Optional
 from . import __version__
 from .netsim import (MAX_EVENTS, ConfigError, ScenarioConfig, canonical_json,
                      load_config, run_scenario)
-from .scenarios import REPRODUCTIONS, SCENARIOS, run_reproduction
 
 EXIT_OK = 0
 EXIT_REPRO_FAILURE = 1
@@ -80,10 +81,11 @@ def _resolve_config(spec: str, seed_override: Optional[int]) -> ScenarioConfig:
             config = load_config(spec)
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError("--config", "cannot read %r: %s" % (spec, exc))
-    elif spec in SCENARIOS:
-        config = SCENARIOS[spec]
     else:
-        raise ConfigError("--config", "no such file or bundled scenario: %r" % spec)
+        from .scenarios import SCENARIOS
+        config = SCENARIOS.get(spec)
+        if config is None:
+            raise ConfigError("--config", "no such file or bundled scenario: %r" % spec)
     if seed_override is not None:
         config = dataclasses.replace(config, seed=seed_override)
     return config
@@ -98,6 +100,7 @@ def _peak_rss_mb(who) -> float:
 def _timed_reproduction(repro_id: str, seed: int) -> tuple:
     """(result, wall seconds, peak RSS in MB) of one reproduction, measured
     in the process that runs it, right after it."""
+    from .scenarios import run_reproduction
     start = time.perf_counter()
     result = run_reproduction(repro_id, seed)
     return (result, time.perf_counter() - start,
@@ -170,6 +173,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from .scenarios import REPRODUCTIONS
     ids = list(REPRODUCTIONS) if args.id == "all" else [args.id]
     for repro_id in ids:
         if repro_id not in REPRODUCTIONS:
@@ -222,6 +226,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_list_scenarios(args) -> int:
+    from .scenarios import REPRODUCTIONS, SCENARIOS
     for name, config in SCENARIOS.items():
         kind = config.attack["kind"] if config.attack else config.protocol
         print("%-28s %s" % (name, kind))

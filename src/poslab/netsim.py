@@ -5,7 +5,9 @@ scenario seed through labeled substreams, and queue ties at equal timestamps
 are broken by (sender rank, sequence number), so a (config, seed) pair fully
 determines the trace. A stakeholder's strategy is a bare name that each
 engine reads through ``strategy_of``, one of those its ``ENGINES`` entry
-lists; analysis scenarios run an entry of ``attacks.ANALYSES``.
+lists; analysis scenarios run an entry of ``attacks.ANALYSES``. The
+analysis stack (``attacks`` and what it imports) and ``dense`` load only when
+an analysis or a Dense-CoA run needs them, so a CoA or PPCoin run never does.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from . import attacks, dense
 from .coa import ACCEPT, ChainView, CoaNode, CoaParams, future_dated, make_genesis
 from .ledger import Block, BlockTree, ConfigError, LedgerState
 # netsim calls no canonical_block_digest, but perfbench's tests assert that
@@ -129,14 +130,17 @@ def _section(obj, kinds: dict, prefix: str = "", required=()) -> dict:
     return obj
 
 
+REQUIRED = ...   # the default of a param that a config must give
+
+
 def resolve_params(given, declared: dict, prefix: str) -> dict:
     """The params `given` over the defaults of `declared`, which maps each
     param to (kind, default or REQUIRED); else `_section`'s ConfigError."""
     _section(given, {key: kind for key, (kind, _d) in declared.items()}, prefix,
              [key for key, (_k, default) in declared.items()
-              if default is attacks.REQUIRED])
+              if default is REQUIRED])
     return {**{key: default for key, (_k, default) in declared.items()
-               if default is not attacks.REQUIRED}, **given}
+               if default is not REQUIRED}, **given}
 
 
 def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
@@ -145,6 +149,7 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     name, seed = raw.get("name", name), raw.get("seed", 0)
     if "attack" in raw:
         _section(raw, {key: _TOP[key] for key in ("name", "seed", "attack")})
+        from . import attacks
         kind = analysis_of(raw["attack"])
         resolve_params(raw["attack"].get("params", {}),
                        attacks.ANALYSES[kind].params, "attack.params.")
@@ -157,7 +162,7 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     _section(raw, {key: _TOP[key] for key in ENGINE_KEYS + engine.network},
              required=("stake",))
     params = resolve_params(raw.get("params", {}), {
-        "kappa": ("count", attacks.REQUIRED), **engine.params}, "params.")
+        "kappa": ("count", REQUIRED), **engine.params}, "params.")
     kappa = params["kappa"]
     if kappa > 64:
         raise ConfigError("params.kappa", "must be at most 64, got %d" % kappa)
@@ -226,6 +231,7 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
 def analysis_of(attack) -> str:
     """The kind of an ``attack`` block, an ``attacks.ANALYSES`` entry;
     raises ConfigError naming the bad field."""
+    from . import attacks
     _section(attack, {"kind": "string", "params": "object"}, "attack.",
              required=("kind",))
     kind = attack["kind"]
@@ -240,6 +246,7 @@ def run_analysis(kind: str, given: dict, seed: int, prefix: str) -> dict:
     its defaults. A bad param is a ConfigError naming `<prefix><param>`, or
     the params if only the calculator finds it (by raising, or by running
     out of memory) or it yields a metric that is not finite."""
+    from . import attacks
     analysis = attacks.ANALYSES[kind]
     params = resolve_params(given, analysis.params, prefix)
     try:
@@ -578,6 +585,7 @@ def _run_ppcoin(config: ScenarioConfig) -> SimTrace:
 # ---------------------------------------------------------------------------
 
 def _run_dense(config: ScenarioConfig) -> SimTrace:
+    from . import dense
     p = config.params
     kappa, ell, g0 = p["kappa"], p["ell"], p["g0_seconds"]
     ledger = LedgerState.from_allocation(list(config.stake))

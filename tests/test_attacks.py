@@ -503,6 +503,18 @@ def test_streak_memory_does_not_grow_with_length():
     assert large < small + MEMORY_MARGIN
 
 
+def test_a_streak_longer_than_the_run_fails_before_it_allocates():
+    """A k above n_blocks fails before it allocates its k flags (10 MB
+    here)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="no streaks observed"):
+            simulate_streak_interval(0.5, 10 ** 7, 10)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("restart", [False, True])
 def test_binomial_nonzero_memory_does_not_grow_with_size(monkeypatch, restart):
     """The traced peak of a fork-rate draw is the same, within a fixed
@@ -630,5 +642,5 @@ def test_streak_ands_stop_at_a_block_with_no_window_left():
     assert out["streaks"] == int((windows == 15).sum()) == 13
     start = time.process_time()
     with pytest.raises(ValueError, match="no streaks observed"):
-        simulate_streak_interval(0.25, 10 ** 6, 2 * WORD_BLOCK)
+        simulate_streak_interval(0.25, 5 * 10 ** 5, 8 * WORD_BLOCK)
     assert time.process_time() - start < 1.0

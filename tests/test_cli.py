@@ -127,10 +127,10 @@ def test_reproduce_single_and_all(tmp_path, capsys):
 
 def test_reproduce_manifest_times_every_id_and_leaves_the_table_alone(
         tmp_path, monkeypatch, capsys):
-    import poslab.cli as cli
+    import poslab.scenarios as scenarios
     from poslab import __version__
     from poslab.scenarios import ReproResult
-    monkeypatch.setattr(cli, "run_reproduction", lambda repro_id, seed:
+    monkeypatch.setattr(scenarios, "run_reproduction", lambda repro_id, seed:
                         ReproResult(repro_id, "1", "1.0", "exact", True))
     out = tmp_path / "rep"
     code, stdout, _e = run_cli(capsys, "reproduce", "all", "--seed", "3",
@@ -167,13 +167,13 @@ def test_reproduce_unknown_id(capsys):
 
 
 def test_reproduce_failure_exit_code(monkeypatch, capsys):
-    import poslab.cli as cli
+    import poslab.scenarios as scenarios
     from poslab.scenarios import ReproResult
 
     def fake(repro_id, seed):
         return ReproResult(repro_id, "x", "y", "exact", False)
 
-    monkeypatch.setattr(cli, "run_reproduction", fake)
+    monkeypatch.setattr(scenarios, "run_reproduction", fake)
     code, stdout, _e = run_cli(capsys, "reproduce", "claim1")
     assert code == EXIT_REPRO_FAILURE
     assert "FAIL" in stdout
@@ -184,7 +184,7 @@ def test_reproduce_pool_has_no_more_workers_than_reproductions(
         monkeypatch, capsys, jobs, workers):
     import concurrent.futures
 
-    import poslab.cli as cli
+    import poslab.scenarios as scenarios
     from poslab.scenarios import ReproResult
     sizes = []
 
@@ -201,9 +201,9 @@ def test_reproduce_pool_has_no_more_workers_than_reproductions(
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "REPRODUCTIONS", dict.fromkeys(("a", "b", "c")))
+    monkeypatch.setattr(scenarios, "REPRODUCTIONS", dict.fromkeys(("a", "b", "c")))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli, "run_reproduction", lambda repro_id, seed:
+    monkeypatch.setattr(scenarios, "run_reproduction", lambda repro_id, seed:
                         ReproResult(repro_id, "x", "x", "exact", True))
     code, _o, _e = run_cli(capsys, "reproduce", "all", "--jobs", jobs)
     assert code == EXIT_OK
@@ -212,8 +212,8 @@ def test_reproduce_pool_has_no_more_workers_than_reproductions(
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_reproduce_rejects_jobs_below_one(monkeypatch, capsys, jobs):
-    import poslab.cli as cli
-    monkeypatch.setattr(cli, "run_reproduction", None)   # never reached
+    import poslab.scenarios as scenarios
+    monkeypatch.setattr(scenarios, "run_reproduction", None)   # never reached
     code, _o, err = run_cli(capsys, "reproduce", "claim1", "--jobs", jobs)
     assert code == EXIT_CONFIG_ERROR
     assert "--jobs" in err
@@ -225,7 +225,6 @@ def test_a_config_error_in_a_pool_worker_exits_2_naming_the_field(
     rejects a param, exits 2 naming `<id>.params.<key>`, in-process and in
     a worker of a two-process pool. The pool forks, so the workers see the
     patched table."""
-    import poslab.cli as cli
     import poslab.scenarios as scenarios
     for repro_id, change, error in (
             ("claim1", {"delta": 19.5}, "claim1.params.delta: must be an integer"),
@@ -237,7 +236,6 @@ def test_a_config_error_in_a_pool_worker_exits_2_naming_the_field(
         bad = dataclasses.replace(repro, param_sets=(
             dict(repro.param_sets[0], **change),))
         table = {repro_id: bad, "claim2": REPRODUCTIONS["claim2"]}
-        monkeypatch.setattr(cli, "REPRODUCTIONS", table)
         monkeypatch.setattr(scenarios, "REPRODUCTIONS", table)
         for jobs in ("1", "2"):
             code, _o, err = run_cli(capsys, "reproduce", "all", "--jobs", jobs)
@@ -255,7 +253,6 @@ def test_reproduce_in_a_pool_records_its_jobs_and_the_workers_peak_rss(
     import poslab.cli as cli
     import poslab.scenarios as scenarios
     table = {key: REPRODUCTIONS[key] for key in ("claim1", "claim2")}
-    monkeypatch.setattr(cli, "REPRODUCTIONS", table)
     monkeypatch.setattr(scenarios, "REPRODUCTIONS", table)
     peak_rss_mb, asked = cli._peak_rss_mb, []
     monkeypatch.setattr(cli, "_peak_rss_mb",
@@ -283,9 +280,10 @@ def test_reproduce_in_a_pool_records_its_jobs_and_the_workers_peak_rss(
 def test_out_that_cannot_be_a_directory_is_a_config_error(
         tmp_path, monkeypatch, capsys, argv):
     import poslab.cli as cli
+    import poslab.scenarios as scenarios
     # the directory is made before any work starts
     monkeypatch.setattr(cli, "run_scenario", None)
-    monkeypatch.setattr(cli, "run_reproduction", None)
+    monkeypatch.setattr(scenarios, "run_reproduction", None)
     path = tmp_path / "afile"
     path.write_text("x")
     code, _o, err = run_cli(capsys, *(a.format(file=path) for a in argv))
@@ -582,18 +580,24 @@ def test_key_error_is_not_reported_as_a_config_error(tmp_path, monkeypatch):
         main(["run", "--config", "coa-baseline", "--out", str(tmp_path)])
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def _fresh_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+
+
 def test_digest_does_not_depend_on_the_hash_seed(tmp_path):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src")
     digests = []
     for hash_seed in ("0", "1"):
         out = tmp_path / hash_seed
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, (src, os.environ.get("PYTHONPATH")))))
         subprocess.run([sys.executable, "-m", "poslab.cli", "run", "--config",
                         "coa-offline", "--out", str(out)],
-                       env=env, check=True, capture_output=True)
+                       env=_fresh_env(PYTHONHASHSEED=hash_seed), check=True,
+                       capture_output=True)
         digests.append(json.loads((out / "manifest.json").read_text())
                        ["trace_digest"])
     assert digests[0] == digests[1]
@@ -603,15 +607,58 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     """``poslab run`` loads numpy.random before it starts its timer, so
     ``run_seconds`` times only the run; importing the CLI must not load it,
     or every start-up would pay for it."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     probe = subprocess.run(
         [sys.executable, "-c", "import sys, poslab.cli; "
          "print('numpy' in sys.modules, 'numpy.random' in sys.modules)"],
-        env=env, check=True, capture_output=True, text=True)
+        env=_fresh_env(), check=True, capture_output=True, text=True)
     assert probe.stdout.split() == ["True", "False"]
+
+
+ENGINE_MODULES = ["cli", "coa", "comb", "fts", "ledger", "netsim", "rng"]
+_LOADED_AFTER = """
+import json, sys
+def loaded():
+    return sorted(k[len("poslab."):] for k in sys.modules if k.startswith("poslab."))
+import poslab.cli
+steps = [[None, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    steps.append([poslab.cli.main(argv), loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_an_engine_run_from_a_file_loads_only_the_engine_modules(tmp_path):
+    """In a fresh interpreter, importing the CLI and validating and running
+    a CoA or PPCoin config file load no ``poslab`` module beyond the
+    engines'; an analysis file loads the analysis stack, a Dense-CoA file
+    ``dense``, and a bundled name or ``reproduce`` the scenarios, and each
+    exits 0. A stray top-level import would load them all at start-up."""
+    paths = {}
+    for name, raw in (("coa", SCENARIOS["coa-offline"].to_dict()),
+                      ("ppcoin", SCENARIOS["ppcoin-honest"].to_dict()),
+                      ("analysis", _analysis("claim1", **CLAIM1)),
+                      ("dense", SCENARIOS["dense-baseline"].to_dict())):
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(json.dumps(raw))
+    out = str(tmp_path / "out")
+    argvs = [["validate-config", "--config", str(paths["coa"])],
+             *(["run", "--config", str(paths[name]), "--out", out]
+               for name in ("coa", "ppcoin", "analysis", "dense")),
+             ["run", "--config", "coa-offline", "--out", out],
+             ["reproduce", "claim1", "--out", out]]
+    probe = subprocess.run([sys.executable, "-c", _LOADED_AFTER, json.dumps(argvs)],
+                           env=_fresh_env(), check=True, capture_output=True,
+                           text=True)
+    steps = json.loads(probe.stdout.splitlines()[-1])
+    analysis = sorted(ENGINE_MODULES + ["attacks", "issuance", "ppcoin"])
+    assert steps == [[None, ENGINE_MODULES],
+                     [EXIT_OK, ENGINE_MODULES],     # validate-config coa
+                     [EXIT_OK, ENGINE_MODULES],     # run coa
+                     [EXIT_OK, ENGINE_MODULES],     # run ppcoin
+                     [EXIT_OK, analysis],
+                     [EXIT_OK, sorted(analysis + ["dense"])],
+                     [EXIT_OK, sorted(analysis + ["dense", "scenarios"])],
+                     [EXIT_OK, sorted(analysis + ["dense", "scenarios"])]]
 
 
 @pytest.mark.parametrize("attack, field", [
@@ -643,6 +690,8 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     (_analysis("issuance", steps=10 ** 17), "attack.params"),
     (_analysis("bribe", **dict(CLAIM1, delta=19, s=10 ** 17, mu=5.0,
                                p_success=0.5)), "attack.params"),
+    # a streak longer than the run, rejected before its flags are allocated
+    (_analysis("ppcoin-mk", k=10 ** 7, blocks=10), "attack.params"),
 ])
 def test_analysis_param_error_found_by_run_exits_2(tmp_path, capsys, attack,
                                                    field):
