@@ -329,16 +329,21 @@ def fork_rate_study(seconds: int = 4 * 10 ** 8, n_outputs: int = 600,
     ordered solver pair, sum k(k-1); expected ~ 1/rate^2 = 360000 s at the
     10-minute target. Multi-solve convention: mean seconds between seconds
     with >= 2 solves; expected ~ 2/rate^2 = 720000 s. The seconds are drawn
-    in chunks of ``FORK_CHUNK`` seconds on every usable core.
+    in chunks of ``FORK_CHUNK`` seconds on every usable core, or by numpy
+    a ``WORD_BLOCK`` at a time where it spends other than a word a second.
     """
     q = 1.0 - (1.0 - target_rate) ** (1.0 / n_outputs)
     rng = make_rng(seed, "forks", n_outputs, seconds)
 
-    def count(gen, m):
-        k = binomial_nonzero(gen, n_outputs, q, m)
-        return int((k * (k - 1)).sum()), int((k >= 2).sum())
+    def count(k):   # None (a chunk numpy draws otherwise) stays None
+        if k is not None:
+            return int((k * (k - 1)).sum()), int((k >= 2).sum())
 
-    counts = map_word_chunks(rng, seconds, FORK_CHUNK, count)
+    counts = map_word_chunks(rng, seconds, FORK_CHUNK, lambda blocks: count(
+        binomial_nonzero(blocks, n_outputs, q)))
+    if counts is None:
+        counts = [count(rng.binomial(n_outputs, q, min(WORD_BLOCK, seconds - s)))
+                  for s in range(0, seconds, WORD_BLOCK)]
     pair_events = sum(c[0] for c in counts)
     multi_seconds = sum(c[1] for c in counts)
     if not multi_seconds:   # then no pair either
@@ -382,7 +387,7 @@ def _issuance(p: dict, seed: int) -> dict:
     cost, steps = p["cost"], p["steps"]
     params = issuance.IssuanceParams(
         production_cost_per_coin=cost,
-        demand_value_fn=issuance.constant_demand(p["demand"]),
+        demand=p["demand"],
         fixed_difficulty=p["difficulty"], min_gap_seconds=p["min_gap"])
     value = issuance.simulate_issuance(params, steps, seed)["value"]
     tail = value[steps // 2:]   # after the burn-in

@@ -10,7 +10,7 @@ average gap keeps the rate bounded when too much equipment shows up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -20,19 +20,10 @@ COINS_PER_BLOCK = 50.0
 STEP_SECONDS = 3600.0     # the length of one simulated step
 
 
-def constant_demand(d: float) -> Callable[[float], float]:
-    """Coin value as a function of supply under fixed aggregate demand d."""
-    if d <= 0:
-        raise ValueError("demand must be positive")
-    def value(supply: float) -> float:
-        return d / max(supply, 1e-9)
-    return value
-
-
 @dataclass(frozen=True)
 class IssuanceParams:
     production_cost_per_coin: float
-    demand_value_fn: Callable[[float], float]
+    demand: float                    # fixed: a coin is worth demand / supply
     fixed_difficulty: float          # blocks per miner-second
     min_gap_seconds: float = 60.0
     adjust_rate: float = 0.25        # fraction of the miner-population gap closed per step
@@ -45,6 +36,8 @@ class IssuanceParams:
             raise ValueError("min_gap_seconds must be >= 0")
         if self.production_cost_per_coin <= 0 or self.fixed_difficulty <= 0:
             raise ValueError("production cost and difficulty must be positive")
+        if self.demand <= 0:
+            raise ValueError("demand must be positive")
 
 
 def block_rate(params: IssuanceParams, miners: float) -> float:
@@ -64,7 +57,7 @@ def simulate_issuance(params: IssuanceParams, steps: int, seed: int = 0,
 
     Each step mints block_rate*STEP_SECONDS blocks (under retargeting the
     rate is pinned at the 10-minute target instead), updates the coin value
-    from the demand function (optionally scaled by a shock series), and grows
+    from the fixed demand (optionally scaled by a shock series), and grows
     or shrinks the miner population by a clamped factor of the per-miner
     profitability ratio. While the min-gap floor (or a retarget) caps the
     block rate, the minted coins are shared across the population, so entry
@@ -90,7 +83,7 @@ def simulate_issuance(params: IssuanceParams, steps: int, seed: int = 0,
             minted = 0.0
         s += minted
         shock = float(demand_shock[t]) if demand_shock is not None else 1.0
-        v = params.demand_value_fn(s) * shock
+        v = params.demand / max(s, 1e-9) * shock
         # enter while a miner's share of the minted value beats its burn,
         # exit otherwise; unclamped this reduces to the sign of value - cost
         if m > 0 and per_miner_cost > 0:

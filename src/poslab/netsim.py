@@ -202,6 +202,8 @@ def config_from_dict(raw: dict, name: str = "scenario") -> ScenarioConfig:
     delays = DelayModel(**d)
     if delays.min < 0 or delays.max < delays.min:
         raise ConfigError("delays", "require 0 <= min <= max")
+    if delays.max >= 1 << 64:   # seconds, as u64 times
+        raise ConfigError("delays.max", "must be below 2^64")
     drift = raw.get("clock_drift_max", ScenarioConfig.clock_drift_max)
     if drift < 0:
         raise ConfigError("clock_drift_max", "must not be negative")

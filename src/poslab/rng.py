@@ -8,29 +8,24 @@ platforms.
 
 It is also the home of the exact batched samplers that let the per-second
 stake lotteries skip the seconds without a solve. Their contract: they read
-the same 64-bit words as the per-draw calls they replace, return the same
-values and leave the generator in the same state, so no digest depends on
-which ran. ``binomial_nonzero`` replays numpy's binomial inversion (one word
-per draw, U = (word >> 11) * 2^-53, and the draw is 0 iff U <= (1-p)^n);
-``quiet_rows`` reads the words of ``Generator.random``. Both rest on numpy's
-algorithms, not its API: the equivalence tests in ``tests/test_attacks.py``
-and ``tests/test_netsim.py`` compare them with the per-draw calls word for
-word, so a numpy upgrade that changes either algorithm fails there.
+the same 64-bit words as the per-draw calls they replace and return the
+same values, so no digest depends on which ran. ``binomial_nonzero``
+replays numpy's binomial inversion (one word per draw, U = (word >> 11) *
+2^-53, and the draw is 0 iff U <= (1-p)^n) on the words it is given, and
+returns None where numpy would spend other than one word per draw, so that
+its caller draws from numpy itself; ``quiet_rows`` reads the words of
+``Generator.random`` and leaves the generator where those draws do. Both
+rest on numpy's algorithms, not its API: the equivalence tests in
+``tests/test_attacks.py`` and ``tests/test_netsim.py`` compare them with
+the per-draw calls word for word, so a numpy upgrade that changes either
+algorithm fails there.
 
-``map_word_chunks`` runs such a sampler on every usable core. It cuts a
-stream into fixed chunks of words and gives each chunk a generator advanced
-to the chunk's first word, so the chunks read the same words as one serial
-loop over them. If a chunk ends anywhere but at its last word (a sampler
-that falls back to ``rng.binomial`` because numpy would restart a draw), the
-call runs that serial loop itself on the untouched stream. The results, and
-the words the stream reads next, are therefore the serial loop's, whatever
-the number of threads or their order. Only the state's stale ``uinteger``
-can differ, if fn draws uint32 halves; no draw reads it while
-``has_uint32`` is 0.
-Its memory does not grow with the stream: a generator lives only per
-thread, and a chunk keeps only its result. Nor does it grow with the chunk:
-a sampler reads its words a ``WORD_BLOCK`` at a time, so each thread holds
-one block of words and the hits it keeps.
+``map_word_chunks`` runs such a sampler on every usable core. It hands each
+fixed chunk of a stream its own words, read from a Philox advanced to the
+chunk's first word, so no result depends on the number of threads or their
+order. A thread holds one Philox and one ``WORD_BLOCK`` of words at a time,
+and a chunk keeps only its result, so memory grows with neither the stream
+nor the chunk.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ import hashlib
 import math
 import os
 import threading
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -68,40 +63,23 @@ def _zero_limit(qn: float) -> int:
     return min((int(qn * 2.0 ** 53) << 11) | 0x7FF, 2 ** 64 - 1)
 
 
-def binomial_nonzero(rng: np.random.Generator, n: int, p: float,
-                     size: int) -> np.ndarray:
-    """The non-zero entries of ``rng.binomial(n, p, size)`` in stream
-    order, drawn from the same words.
+def binomial_nonzero(blocks: Iterable[np.ndarray], n: int, p: float):
+    """The non-zero draws numpy's ``binomial(n, p)`` makes from the words
+    of `blocks`, one word a draw, in stream order; or None where numpy
+    would not spend exactly one word per draw.
 
-    In numpy's inversion regime (0 < p <= 1/2, 0 < n*p <= 30) each word is
-    tested against the integer threshold of U <= (1-p)^n, and only the hits
-    replay numpy's float recurrence. Elsewhere, or when a hit would pass
-    numpy's bound and make it draw again, the draws come from
-    ``rng.binomial`` itself. Either way the words are read a ``WORD_BLOCK``
-    at a time.
+    That holds in numpy's inversion regime (0 < p <= 1/2, 0 < n*p <= 30)
+    unless a draw passes numpy's bound and numpy draws it again. Only the
+    words above the integer threshold of U <= (1-p)^n are kept, a block at
+    a time, and replay numpy's float recurrence.
     """
-    if n > 0 and 0.0 < p <= 0.5 and p * n <= 30.0:
-        saved = rng.bit_generator.state
-        q = 1.0 - p
-        qn = math.exp(n * math.log(q))
-        words = _nonzero_by_block(size, rng.bit_generator.random_raw,
-                                  np.uint64(_zero_limit(qn)))
-        values = _inversion_values(words, n, p, q, qn)
-        if values is not None:
-            return values
-        rng.bit_generator.state = saved
-    return _nonzero_by_block(size, lambda m: rng.binomial(n, p, m), 0)
-
-
-def _nonzero_by_block(size: int, draw: Callable[[int], np.ndarray],
-                      limit) -> np.ndarray:
-    """The entries above `limit` of `size` draws, made ``draw(m)`` for m up
-    to a ``WORD_BLOCK`` at a time (once, empty, when size is 0)."""
-    kept = []
-    for start in range(0, max(size, 1), WORD_BLOCK):
-        block = draw(min(WORD_BLOCK, size - start))
-        kept.append(block[block > limit])
-    return np.concatenate(kept)
+    if not (n > 0 and 0.0 < p <= 0.5 and p * n <= 30.0):
+        return None
+    q = 1.0 - p
+    qn = math.exp(n * math.log(q))
+    limit = np.uint64(_zero_limit(qn))
+    hits = [np.empty(0, np.uint64)] + [b[b > limit] for b in blocks]
+    return _inversion_values(np.concatenate(hits), n, p, q, qn)
 
 
 def _inversion_values(words: np.ndarray, n: int, p: float, q: float,
@@ -151,29 +129,20 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _mark(state: dict) -> tuple:
-    """(counter as one integer, buffer_pos, has_uint32) of a Philox state."""
-    counter = int.from_bytes(state["state"]["counter"].astype("<u8").tobytes(),
-                             "little")
-    return counter, state["buffer_pos"], state["has_uint32"]
-
-
 def map_word_chunks(rng: np.random.Generator, words: int, chunk: int,
-                    fn: Callable[[np.random.Generator, int], object]) -> list:
-    """The serial loop ``[fn(rng, m) for m in sizes]`` over the chunks of
-    the next `words` words of `rng`: its results, and `rng` where it ends.
+                    fn: Callable[[Iterable[np.ndarray]], object]):
+    """``[fn(blocks) for each chunk]`` over the chunks of the next `words`
+    words of `rng`, leaving `rng` past those words; or None, with `rng`
+    untouched, if fn returns None for any chunk.
 
-    Chunk i holds words [i*chunk, i*chunk + m) with m = min(chunk, words -
-    i*chunk); fn should read exactly m words from the generator it is given.
-    The chunks run on the calling thread and ``usable_cores() - 1`` helper
-    threads, each on a generator advanced to the chunk's first word, so fn
-    must be thread-safe and should spend its time in numpy calls that
-    release the GIL. `rng` must be a Philox generator at the start of a
-    counter step (4 words), as a fresh one is.
-
-    If a chunk reads other than its m words, the parallel results are
-    dropped and the serial loop itself runs on `rng`, which the threads
-    never touched.
+    Chunk i holds words [i*chunk, min((i+1)*chunk, words)), and `blocks`
+    yields them as uint64 arrays of at most ``WORD_BLOCK`` words, so a
+    chunk reads its own words and no other. The chunks run on the calling
+    thread and ``usable_cores() - 1`` helper threads, each reading from a
+    Philox advanced to the chunk's first word, so fn must be thread-safe
+    and should spend its time in numpy calls that release the GIL. `rng`
+    must be a Philox generator at the start of a counter step (4 words), as
+    a fresh one is.
     """
     state = rng.bit_generator.state
     if chunk <= 0 or chunk % 4:
@@ -183,35 +152,30 @@ def map_word_chunks(rng: np.random.Generator, words: int, chunk: int,
         raise ValueError("map_word_chunks needs a Philox stream at a "
                          "counter step")
     starts = range(0, words, chunk)
-    sizes = [min(chunk, words - s) for s in starts]
-    if not sizes:
+    if not starts:
         return []
-    counter, n = _mark(state)[0], len(sizes)
-    results, errors, missed = [None] * n, [], []
-    todo = iter(range(n))
+    results, errors, todo = [None] * len(starts), [], iter(starts)
     lock = threading.Lock()
 
     def work():
         bits = np.random.Philox()
-        gen = np.random.Generator(bits)
         while not errors:
             with lock:
-                i = next(todo, None)
-            if i is None:
+                start = next(todo, None)
+            if start is None:
                 return
+            end = min(start + chunk, words)
             try:
                 bits.state = state
-                bits.advance(starts[i] // 4)
-                results[i] = fn(gen, sizes[i])
-                end = starts[i] + sizes[i]   # the stream read [0, end)?
-                if _mark(bits.state) != (counter + (end + 3) // 4,
-                                         (end - 1) % 4 + 1, 0):
-                    missed.append(i)
+                bits.advance(start // 4)
+                results[start // chunk] = fn(
+                    bits.random_raw(min(WORD_BLOCK, end - at))
+                    for at in range(start, end, WORD_BLOCK))
             except BaseException as exc:
                 errors.append(exc)
 
     helpers = [threading.Thread(target=work)
-               for _ in range(min(usable_cores(), n) - 1)]
+               for _ in range(min(usable_cores(), len(starts)) - 1)]
     for t in helpers:
         t.start()
     work()
@@ -219,8 +183,8 @@ def map_word_chunks(rng: np.random.Generator, words: int, chunk: int,
         t.join()
     if errors:
         raise errors[0]
-    if missed:
-        return [fn(rng, m) for m in sizes]
+    if any(r is None for r in results):
+        return None
     rng.bit_generator.advance((words - 1) // 4)   # to the last counter step,
     rng.bit_generator.random_raw((words - 1) % 4 + 1)   # then its words
     return results

@@ -309,7 +309,7 @@ def test_criterion_12_fork_rate_conventions():
 def test_criterion_13_issuance_equilibrium():
     params = issuance.IssuanceParams(
         production_cost_per_coin=1.0,
-        demand_value_fn=issuance.constant_demand(10 ** 6),
+        demand=10 ** 6,
         fixed_difficulty=2e-6)
     out = issuance.simulate_issuance(params, steps=800, seed=0)
     tail = out["value"][400:]

@@ -266,28 +266,33 @@ class CountingGenerator(np.random.Generator):
         return super().binomial(*args, **kwargs)
 
 
-def _pair(seed):
-    return tuple(CountingGenerator(np.random.Philox(key=derive_key(seed, "bin")))
-                 for _ in range(2))
-
-
 def _state(rng):
     return repr(rng.bit_generator.state)
+
+
+def _blocks(rng, words):
+    """The next `words` words of `rng`, a ``WORD_BLOCK`` at a time."""
+    for start in range(0, words, WORD_BLOCK):
+        yield rng.bit_generator.random_raw(min(WORD_BLOCK, words - start))
 
 
 @pytest.mark.parametrize("n, p", [(600, FORK_Q), (10, 0.3), (60, 0.5),
                                   (61, 0.5), (600, 0.7), (0, 0.3), (5, 0.0)])
 def test_binomial_nonzero_equals_numpy_word_for_word(n, p):
+    """In numpy's inversion regime the non-zero draws of the words are
+    numpy's, and numpy read exactly those words; elsewhere numpy spends
+    other than a word a draw, and the call returns None."""
+    inversion = n > 0 and 0 < p <= 0.5 and n * p <= 30
     for seed in range(3):
         for size in (1, 7, 1001, 2 ** 16 + 3, 3 * WORD_BLOCK + 5):
-            oracle, fast = _pair(seed)
+            oracle, fast = make_rng(seed, "bin"), make_rng(seed, "bin")
             k = oracle.binomial(n, p, size)
-            assert np.array_equal(binomial_nonzero(fast, n, p, size), k[k > 0])
+            values = binomial_nonzero(_blocks(fast, size), n, p)
+            if not inversion:
+                assert values is None
+                continue
+            assert np.array_equal(values, k[k > 0])
             assert _state(fast) == _state(oracle)
-            # the inversion regime reads the words itself; elsewhere numpy
-            # draws one block at a time
-            fallback = n == 0 or p == 0 or p > 0.5 or n * p > 30
-            assert fast.binomial_calls == fallback * -(-size // WORD_BLOCK)
 
 
 def test_zero_limit_is_the_last_word_that_draws_zero():
@@ -298,16 +303,27 @@ def test_zero_limit_is_the_last_word_that_draws_zero():
 
 
 def test_binomial_nonzero_redraws_when_numpy_would_restart(monkeypatch):
-    # with a bound of 0 every non-zero draw is one numpy would redraw
+    """Where numpy would draw again (with a bound of 0, every non-zero draw
+    would), binomial_nonzero returns None, and fork_rate_study takes numpy's
+    own draws instead, one ``rng.binomial`` call a word block."""
     monkeypatch.setattr(rng_module, "_inversion_bound", lambda n, p, q: 0)
     for n, p, size in ((10, 0.3, 1001), (600, FORK_Q, 2 ** 16 + 3),
                        (600, FORK_Q, 3 * WORD_BLOCK + 5)):
-        oracle, fast = _pair(4)
-        k = oracle.binomial(n, p, size)
-        values = binomial_nonzero(fast, n, p, size)
-        assert fast.binomial_calls == -(-size // WORD_BLOCK)   # one a block
-        assert np.array_equal(values, k[k > 0])
-        assert _state(fast) == _state(oracle)
+        assert binomial_nonzero(_blocks(make_rng(4, "bin"), size), n, p) \
+            is None
+    used = []
+    monkeypatch.setattr(attacks, "make_rng", lambda *labels: used.append(
+        CountingGenerator(np.random.Philox(key=derive_key(*labels))))
+        or used[-1])
+    seconds, n, rate = 3 * WORD_BLOCK + 5, 600, 0.1
+    out = fork_rate_study(seconds=seconds, n_outputs=n, target_rate=rate,
+                          seed=4)
+    oracle = make_rng(4, "forks", n, seconds)
+    k = oracle.binomial(n, 1.0 - (1.0 - rate) ** (1.0 / n), size=seconds)
+    assert out["pair_events"] == int((k * (k - 1)).sum()) > 0
+    assert out["multi_solve_seconds"] == int((k >= 2).sum())
+    assert used[0].binomial_calls == 4                   # one a block
+    assert _state(used[0]) == _state(oracle)
 
 
 def test_fork_rate_study_reads_the_words_of_per_second_binomials(monkeypatch):
@@ -330,13 +346,17 @@ def test_fork_rate_study_reads_the_words_of_per_second_binomials(monkeypatch):
 def test_fork_rate_study_in_many_chunks_reads_per_second_binomials(
         monkeypatch, cores):
     monkeypatch.setattr(rng_module, "usable_cores", lambda: cores)
-    used, calls = [], []
+    used, received = [], []
     monkeypatch.setattr(attacks, "make_rng",
                         lambda *labels: used.append(make_rng(*labels))
                         or used[-1])
-    monkeypatch.setattr(attacks, "binomial_nonzero",
-                        lambda *args: calls.append(args[3])
-                        or binomial_nonzero(*args))
+
+    def counted(blocks, *args):
+        blocks = list(blocks)
+        received.append(sum(len(b) for b in blocks))
+        return binomial_nonzero(blocks, *args)
+
+    monkeypatch.setattr(attacks, "binomial_nonzero", counted)
     monkeypatch.setattr(attacks, "FORK_CHUNK", 2 ** 12)
     # 41 chunks, the last one 151 words: a multiple of neither 2^12 nor 4
     seconds, n, rate = 40 * 2 ** 12 + 151, 50, 0.3
@@ -347,138 +367,76 @@ def test_fork_rate_study_in_many_chunks_reads_per_second_binomials(
     assert out["pair_events"] == int((k * (k - 1)).sum()) > 0
     assert out["multi_solve_seconds"] == int((k >= 2).sum()) > 0
     assert _state(used[0]) == _state(oracle)
-    # each chunk started at its own words, so none was drawn twice
-    assert sorted(calls) == [151] + [2 ** 12] * 40
-
-
-@pytest.mark.parametrize("cores", [1, 4])
-def test_map_word_chunks_redoes_the_chunks_after_an_over_read(
-        monkeypatch, cores):
-    monkeypatch.setattr(rng_module, "usable_cores", lambda: cores)
-    words, chunk = 9 * 64 + 22, 64                 # ten chunks
-    stream = make_rng(2, "map").bit_generator.random_raw(words + 1)
-    greedy = stream[4 * chunk]                     # chunk 4's first word
-    calls = []
-
-    def fn(gen, m):
-        calls.append(m)
-        got = gen.bit_generator.random_raw(m)
-        if got[0] == greedy:                       # read one word too many
-            gen.bit_generator.random_raw(1)
-        return got
-
-    serial = make_rng(2, "map")
-    want = [fn(serial, min(chunk, words - s)) for s in range(0, words, chunk)]
-    assert want[5][0] == stream[5 * chunk + 1]     # the serial loop shifted
-    rng = make_rng(2, "map")
-    calls.clear()
-    got = rng_module.map_word_chunks(rng, words, chunk, fn)
-    assert len(got) == len(want) == 10
-    assert len(calls) == 10 + 10                   # the serial loop ran
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert _state(rng) == _state(serial)
-
-
-@pytest.mark.parametrize("cores", [1, 4])
-def test_map_word_chunks_rebuilds_a_cached_half_word_for_the_redo(
-        monkeypatch, cores):
-    """A chunk that draws an odd number of uint32s ends at its last word
-    but holds half of it cached, so the call runs the serial loop, whose
-    next chunk reads the cached half first."""
-    monkeypatch.setattr(rng_module, "usable_cores", lambda: cores)
-    words, chunk = 9 * 64 + 22, 64                 # ten chunks
-    calls = []
-
-    def fn(gen, m):
-        calls.append(m)
-        at = int(gen.bit_generator.state["state"]["counter"][0])
-        if at == chunk:            # chunk 4 (word 4 * chunk): three halves
-            halves = gen.integers(2 ** 32, size=3, dtype=np.uint32)
-            return halves, gen.bit_generator.random_raw(m - 2)
-        halves = gen.integers(2 ** 32, size=2, dtype=np.uint32)
-        return halves, gen.bit_generator.random_raw(m - 1)
-
-    serial = make_rng(2, "map")
-    want = [fn(serial, min(chunk, words - s)) for s in range(0, words, chunk)]
-    assert serial.bit_generator.state["has_uint32"] == 1
-    rng = make_rng(2, "map")
-    calls.clear()
-    got = rng_module.map_word_chunks(rng, words, chunk, fn)
-    assert len(calls) == 10 + 10                   # the serial loop ran
-    assert all(np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1])
-               for g, w in zip(got, want))
-    assert _state(rng) == _state(serial)
-
-
-def _calls_of_map_as_serial(words, chunk, fn, calls):
-    """Run fn over the chunks of `words` words by the serial loop and by
-    ``map_word_chunks``, each on a fresh stream; check that both return the
-    same results and leave the same state, and return the number of calls
-    ``map_word_chunks`` made."""
-    serial = make_rng(2, "map")
-    want = [fn(serial, min(chunk, words - s)) for s in range(0, words, chunk)]
-    rng = make_rng(2, "map")
-    calls.clear()
-    got = rng_module.map_word_chunks(rng, words, chunk, fn)
-    assert len(got) == len(want)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert _state(rng) == _state(serial)
-    return len(calls)
-
-
-@pytest.mark.parametrize("cores", [1, 4])
-def test_map_word_chunks_runs_the_serial_loop_after_an_over_read_in_the_last_chunk(
-        monkeypatch, cores):
-    """No chunk follows the last one, so only its own end shows that it
-    read a word past the stream's share."""
-    monkeypatch.setattr(rng_module, "usable_cores", lambda: cores)
-    words, chunk = 9 * 64 + 22, 64                 # the last chunk 22 words
-    greedy = make_rng(2, "map").bit_generator.random_raw(words)[9 * chunk]
-    calls = []
-
-    def fn(gen, m):
-        calls.append(m)
-        got = gen.bit_generator.random_raw(m)
-        if got[0] == greedy:                       # read one word too many
-            gen.bit_generator.random_raw(1)
-        return got
-
-    assert _calls_of_map_as_serial(words, chunk, fn, calls) == 10 + 10
-
-
-@pytest.mark.parametrize("cores", [1, 4])
-def test_map_word_chunks_runs_the_serial_loop_after_an_under_read(
-        monkeypatch, cores):
-    monkeypatch.setattr(rng_module, "usable_cores", lambda: cores)
-    words, chunk = 9 * 64 + 22, 64
-    calls = []
-
-    def fn(gen, m):
-        calls.append(m)
-        first = 4 * int(gen.bit_generator.state["state"]["counter"][0])
-        short = first == 4 * chunk                 # chunk 4 reads m - 1 words
-        return gen.bit_generator.random_raw(m - short)
-
-    assert _calls_of_map_as_serial(words, chunk, fn, calls) == 10 + 10
+    # each chunk received its own words, so none was drawn twice
+    assert sorted(received) == [151] + [2 ** 12] * 40
 
 
 @pytest.mark.parametrize("cores", [1, 4])
 @pytest.mark.parametrize("tail", [0, 1, 2, 3])
 def test_map_word_chunks_ends_where_the_serial_loop_does(monkeypatch, cores,
                                                         tail):
-    """When every chunk reads its share, none runs twice and the stream
-    ends where the serial loop leaves it, with the words of its last counter
-    step buffered, whatever the word count mod 4."""
+    """Each chunk receives its own words, in blocks of at most
+    ``WORD_BLOCK``, and the stream ends where reading the words serially
+    leaves it, with the words of its last counter step buffered, whatever
+    the word count mod 4. A chunk that reads only part of its words (chunk
+    4 here) moves neither another chunk's words nor that end."""
     monkeypatch.setattr(rng_module, "usable_cores", lambda: cores)
-    calls = []
+    monkeypatch.setattr(rng_module, "WORD_BLOCK", 24)
+    short = make_rng(2, "map").bit_generator.random_raw(4 * 64 + 1)[-1]
 
-    def fn(gen, m):
-        calls.append(m)
-        return gen.bit_generator.random_raw(m)
+    def fn(blocks):
+        first = next(blocks)
+        return [first] + ([] if first[0] == short else list(blocks))
 
     for words in (20 + tail, 9 * 64 + 20 + tail):
-        chunks = -(-words // 64)
-        assert _calls_of_map_as_serial(words, 64, fn, calls) == chunks
+        serial = make_rng(2, "map")
+        stream = serial.bit_generator.random_raw(words)
+        rng = make_rng(2, "map")
+        got = rng_module.map_word_chunks(rng, words, 64, fn)
+        sizes = [[24, 24, 16]] * (words // 64) + [[20 + tail]]
+        if words > 64:
+            sizes[4] = [24]
+        assert [[len(b) for b in g] for g in got] == sizes
+        for start, g in zip(range(0, words, 64), got):
+            read = np.concatenate(g)
+            assert np.array_equal(read, stream[start:start + len(read)])
+        assert _state(rng) == _state(serial)
+
+
+def _counted_threads(monkeypatch) -> list:
+    """The helper threads ``map_word_chunks`` starts, as it starts them."""
+    import threading
+    helpers = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            helpers.append(self)
+            super().start()
+
+    monkeypatch.setattr(rng_module.threading, "Thread", CountedThread)
+    return helpers
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_map_word_chunks_returns_none_untouched_when_a_chunk_refuses(
+        monkeypatch, cores):
+    """A chunk for which fn returns None makes the call return None, with
+    the stream untouched and no helper thread alive."""
+    monkeypatch.setattr(rng_module, "usable_cores", lambda: cores)
+    helpers = _counted_threads(monkeypatch)
+    words, chunk = 9 * 64 + 22, 64                 # ten chunks
+    refused = make_rng(2, "map").bit_generator.random_raw(words)[4 * chunk]
+
+    def fn(blocks):
+        got = np.concatenate(list(blocks))
+        return None if got[0] == refused else got
+
+    rng = make_rng(2, "map")
+    before = _state(rng)
+    assert rng_module.map_word_chunks(rng, words, chunk, fn) is None
+    assert _state(rng) == before
+    assert len(helpers) == cores - 1
+    assert not any(t.is_alive() for t in helpers)
 
 
 def _peak_bytes(fn, *args, **kwargs) -> int:
@@ -518,13 +476,20 @@ def test_a_streak_longer_than_the_run_fails_before_it_allocates():
 @pytest.mark.parametrize("restart", [False, True])
 def test_binomial_nonzero_memory_does_not_grow_with_size(monkeypatch, restart):
     """The traced peak of a fork-rate draw is the same, within a fixed
-    margin, at 2 and at 32 word blocks, whether it inverts the words or
-    falls back to numpy because a draw would restart."""
+    margin, at 2 and at 32 word blocks, whether it inverts the words or a
+    draw would restart, so that the study draws from numpy instead."""
     if restart:
         monkeypatch.setattr(rng_module, "_inversion_bound", lambda n, p, q: 0)
-    binomial_nonzero(make_rng(0, "bin"), 600, FORK_Q, 1000)   # one-time costs
-    small, large = (_peak_bytes(binomial_nonzero, make_rng(0, "bin"), 600,
-                                FORK_Q, blocks * WORD_BLOCK)
+        monkeypatch.setattr(rng_module, "usable_cores", lambda: 2)
+        monkeypatch.setattr(attacks, "FORK_CHUNK", 2 ** 12)
+
+        def draw(words):
+            fork_rate_study(seconds=words, target_rate=0.1)
+    else:
+        def draw(words):
+            binomial_nonzero(_blocks(make_rng(0, "bin"), words), 600, FORK_Q)
+    draw(10 ** 4)                                  # one-time costs
+    small, large = (_peak_bytes(draw, blocks * WORD_BLOCK)
                     for blocks in (2, 32))
     assert large < small + MEMORY_MARGIN
 
@@ -572,27 +537,20 @@ def test_map_word_chunks_reraises_a_chunks_error_and_leaves_no_helper_alive(
     whether the chunk ran on a helper thread or on the calling thread, and
     no helper thread outlives the call."""
     import threading
-    helpers = []
-
-    class CountedThread(threading.Thread):
-        def start(self):
-            helpers.append(self)
-            super().start()
-
-    monkeypatch.setattr(rng_module.threading, "Thread", CountedThread)
+    helpers = _counted_threads(monkeypatch)
     monkeypatch.setattr(rng_module, "usable_cores", lambda: 2)
     caller, started = threading.current_thread(), set()
     both = threading.Barrier(2, timeout=10)     # each thread holds a chunk
     boom = RuntimeError("chunk failed")
 
-    def fn(gen, m):
+    def fn(blocks):
         me = threading.current_thread()
         if me not in started:
             started.add(me)
             both.wait()
         if (me is caller) == (failing == "caller"):
             raise boom
-        return gen.bit_generator.random_raw(m)
+        return list(blocks)
 
     with pytest.raises(RuntimeError) as raised:
         rng_module.map_word_chunks(make_rng(0, "map"), 8 * 64, 64, fn)
@@ -604,12 +562,11 @@ def test_map_word_chunks_reraises_a_chunks_error_and_leaves_no_helper_alive(
 def test_map_word_chunks_rejects_a_stream_inside_a_counter_step():
     rng = make_rng(0, "map")
     with pytest.raises(ValueError):
-        rng_module.map_word_chunks(rng, 16, 6, lambda gen, m: m)
+        rng_module.map_word_chunks(rng, 16, 6, list)
     rng.bit_generator.random_raw(1)
     with pytest.raises(ValueError):
-        rng_module.map_word_chunks(rng, 16, 8, lambda gen, m: m)
-    assert rng_module.map_word_chunks(make_rng(0, "map"), 0, 8,
-                                      lambda gen, m: m) == []
+        rng_module.map_word_chunks(rng, 16, 8, list)
+    assert rng_module.map_word_chunks(make_rng(0, "map"), 0, 8, list) == []
 
 
 NINE_BLOCKS = 8 * WORD_BLOCK + 1001   # streak blocks: eight word blocks and a part

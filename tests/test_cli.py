@@ -556,6 +556,9 @@ CLAIM1 = {"v": 100, "epsilon": 10, "rho_prime": 0.7, "delta": 20}
     (_config_with({"g0_seconds": 10 ** 400}, protocol="dense_coa"),
      "params.g0_seconds"),
     (_analysis("claim2", v=10 ** 400, epsilon=1, rho=0.7, k=1), "attack.params.v"),
+    (_config_with(delays={"min": 1, "max": 2 ** 64}), "delays.max"),
+    (_config_with(protocol="dense_coa", delays={"min": 1e308, "max": 1.7e308}),
+     "delays.max"),
 ])
 def test_rejected_config_names_field_in_validate_and_run(tmp_path, capsys,
                                                           config, field):
@@ -692,6 +695,9 @@ def test_an_engine_run_from_a_file_loads_only_the_engine_modules(tmp_path):
                                p_success=0.5)), "attack.params"),
     # a streak longer than the run, rejected before its flags are allocated
     (_analysis("ppcoin-mk", k=10 ** 7, blocks=10), "attack.params"),
+    # a metric that is not finite: metrics.json holds no inf
+    (_analysis("claim2", v=100, epsilon=10, rho=0.7, k=20, g0_seconds=1e308),
+     "attack.params"),
 ])
 def test_analysis_param_error_found_by_run_exits_2(tmp_path, capsys, attack,
                                                    field):

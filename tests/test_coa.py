@@ -201,6 +201,23 @@ def test_too_early_and_future_dated():
     assert b.apply(ok) == ACCEPT
 
 
+def test_a_block_failing_the_structural_checks_leaves_a_node_as_it_was():
+    """A block on a live parent that another holder signed, or whose index
+    is not above its parent's, is rejected for that by ``process_block`` and
+    by a node, whose state does not change."""
+    b = Builder(small_params(), [("alice", 6), ("bob", 5), ("carol", 5)])
+    b.extend(1)
+    node = b.node()
+    assert receive_chain(node, b.blocks) == 1
+    forged = b.craft(sign_as="mallory")
+    stale = replace(b.craft(), index=b.view.last_block.index).signed_by()
+    for block, reason in ((forged, "bad-signature"), (stale, "bad-index")):
+        assert process_block(b.view, block) == (None, reason)
+        tree, accepted = node.tree, set(node.accepted)
+        assert node.receive_block(block) == (False, reason)
+        assert node.tree is tree and node.accepted == accepted
+
+
 @pytest.mark.parametrize("fault", ["wrong-creator", "too-early"])
 def test_future_dated_is_decided_before_any_other_rule(monkeypatch, fault):
     """A block future-dated for the receiving node's clock is rejected as

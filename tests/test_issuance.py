@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from poslab.issuance import (IssuanceParams, block_rate, constant_demand,
-                             simulate_issuance)
+from poslab.issuance import IssuanceParams, block_rate, simulate_issuance
 
 
 def make_params(**kw):
     defaults = dict(production_cost_per_coin=1.0,
-                    demand_value_fn=constant_demand(10 ** 6),
+                    demand=10 ** 6,
                     fixed_difficulty=2e-6)
     defaults.update(kw)
     return IssuanceParams(**defaults)

@@ -61,7 +61,10 @@ def engine_configs(draw, protocols=tuple(ENGINES)):
         st.fixed_dictionaries({"strategy": st.sampled_from(
             ENGINES[protocol].strategies)})))
     low = draw(st.floats(0, 3))
-    network = {"delays": {"min": low, "max": low + draw(st.floats(0, 3))},
+    # now and then a delay that no u64 time can hold
+    far = draw(st.sampled_from((0.0, 0.0, 0.0, 0.0, 1e308, 2.0 ** 64)))
+    network = {"delays": {"min": far + low,
+                          "max": far + low + draw(st.floats(0, 3))},
                "clock_drift_max": draw(st.floats(0, 5))}
     return dict({key: network[key] for key in ENGINES[protocol].network},
                 protocol=protocol, params=dict(params, kappa=kappa),
@@ -149,7 +152,7 @@ def _slots(value):
 @st.composite
 def raw_configs(draw, kind):
     """A config of `kind` (an engine or an analysis kind), then maybe one
-    mutation of it."""
+    mutation of it, and whether one was made."""
     config = draw(engine_configs((kind,)) if kind in ENGINES
                   else analysis_configs(kind))
     mutation = draw(st.sampled_from(("none", "none", "none", "unknown-key",
@@ -161,7 +164,7 @@ def raw_configs(draw, kind):
             container[key] = draw(st.sampled_from(WRONG_VALUES))
         elif isinstance(container, dict):
             container["unknown_key"] = 1
-    return config
+    return config, mutation != "none"
 
 
 def _cli(*argv):
@@ -178,7 +181,9 @@ EXAMPLES_PER_KIND = 10  # 150 examples over the 15 kinds
 def test_validate_config_accepts_only_what_runs():
     """For each kind in turn, whatever `validate-config` accepts runs, and
     whatever it rejects fails to run, naming a field. Each kind runs to exit
-    0 at least once, so the property holds on successful runs of each."""
+    0 at least once, so the property holds on successful runs of each. An
+    unmutated config whose delays.max is not below 2^64 is rejected as
+    delays.max."""
     for kind in KINDS:
         exits = []
 
@@ -186,8 +191,10 @@ def test_validate_config_accepts_only_what_runs():
                   max_examples=EXAMPLES_PER_KIND,
                   suppress_health_check=[HealthCheck.too_slow])
         @given(raw_configs(kind))
-        def check(raw):
-            exits.append(_validate_then_run(raw))
+        def check(drawn):
+            raw, mutated = drawn
+            far = not mutated and raw.get("delays", {}).get("max", 0) >= 2 ** 64
+            exits.append(_validate_then_run(raw, "delays.max" if far else None))
 
         check()
         assert EXIT_OK in exits, kind
@@ -197,9 +204,10 @@ def _no_constant(name):
     raise ValueError("%s is not JSON" % name)
 
 
-def _validate_then_run(raw) -> int:
+def _validate_then_run(raw, rejected_as=None) -> int:
     """The exit code of `run` on `raw`, after checking it against that of
-    `validate-config`. A run that exits 0 writes strict JSON metrics."""
+    `validate-config`. A run that exits 0 writes strict JSON metrics. Given
+    `rejected_as`, both commands reject the config naming that field."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(raw))
@@ -212,6 +220,8 @@ def _validate_then_run(raw) -> int:
     for code, err in ((checked, check_err), (ran, run_err)):
         assert code in (EXIT_OK, EXIT_CONFIG_ERROR), (raw, err)
         assert code == EXIT_OK or FIELD.search(err), (raw, err)
+        assert rejected_as is None or \
+            "config error: %s: " % rejected_as in err, (raw, err)
     if checked == EXIT_OK and ran != EXIT_OK:
         # only an analysis can find a bad param by running
         assert "config error: attack.params" in run_err, (raw, run_err)
