@@ -110,9 +110,11 @@ def _timed_reproduction(repro_id: str, seed: int) -> tuple:
 def cmd_run(args) -> int:
     config = _resolve_config(args.config, args.seed)
     out_dir = _make_out_dir(args.out or ".")
-    # numpy loads numpy.random on first use, so a process's first run would
-    # time it; load it before the timer, not on import, which stays cheap
-    import numpy.random  # noqa: F401
+    if config.protocol != "coa":
+        # numpy loads numpy.random on first use, so a process's first run
+        # that draws from numpy would time it; load it before the timer, not
+        # on import, which stays cheap. A CoA run loads no numpy at all
+        import numpy.random  # noqa: F401
     start = time.perf_counter()
     if args.profile:
         import cProfile     # only here, so importing the CLI stays as cheap

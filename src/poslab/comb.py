@@ -5,14 +5,21 @@ Supported kinds: concatenation (w=1), per-group majority (odd w), and
 iterated 3-ary majority (w a power of 3), which is the extractor for
 non-oblivious bit-fixing sources. TRIBES is deliberately not offered: it
 has no known efficient deterministic construction.
+
+``comb_apply``, which the CoA engine calls once a group, combines its bits
+in Python. ``comb_apply_batch`` and the analyzers work on bit matrices in
+numpy, which each imports where it is called, so the engine loads none.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .ledger import ConfigError
 from .rng import make_rng
@@ -57,6 +64,7 @@ class CombSpec:
 
 def _group_bits(spec: CombSpec, bits: np.ndarray) -> np.ndarray:
     """Reduce (..., ell) input bits to (..., kappa) output bits."""
+    import numpy as np
     grouped = bits.reshape(bits.shape[:-1] + (spec.kappa, spec.w))
     if spec.kind == CONCAT:
         return grouped[..., 0]
@@ -70,17 +78,31 @@ def _group_bits(spec: CombSpec, bits: np.ndarray) -> np.ndarray:
 
 
 def comb_apply(spec: CombSpec, bits) -> int:
-    """Combine ell bits into a kappa-bit seed (first input group -> MSB)."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1 or arr.shape[0] != spec.ell:
-        raise ValueError("expected %d bits, got shape %r" % (spec.ell, arr.shape))
-    if not np.all((arr == 0) | (arr == 1)):
+    """Combine ell bits, each an integer 0 or 1, into a kappa-bit seed
+    (first input group -> MSB)."""
+    bits = list(bits)
+    if len(bits) != spec.ell:
+        raise ValueError("expected %d bits, got %d" % (spec.ell, len(bits)))
+    try:
+        bits = [operator.index(b) for b in bits]    # no floats, no rows
+    except TypeError:
+        bits = None
+    if bits is None or not set(bits) <= {0, 1}:
         raise ValueError("inputs must be bits")
-    return int(comb_apply_batch(spec, arr[None])[0])
+    seed = 0
+    for start in range(0, spec.ell, spec.w):
+        group = bits[start:start + spec.w]
+        if spec.kind == MAJORITY:
+            group = [2 * sum(group) > spec.w]
+        while len(group) > 1:       # iterated majority: one 3-ary vote a level
+            group = [sum(group[i:i + 3]) >= 2 for i in range(0, len(group), 3)]
+        seed = seed << 1 | group[0]
+    return seed
 
 
 def comb_apply_batch(spec: CombSpec, bits: np.ndarray) -> np.ndarray:
     """Vectorized comb over a (trials, ell) bit matrix; returns uint64 seeds."""
+    import numpy as np
     if bits.shape[-1] != spec.ell:
         raise ValueError("expected %d bits per row" % spec.ell)
     out = _group_bits(spec, bits.astype(np.uint8))
@@ -136,6 +158,7 @@ def undetermined_fraction(spec: CombSpec) -> float:
     w = spec.w
     if w > 20:
         raise ValueError("exhaustive enumeration limited to small w")
+    import numpy as np
     n = 1 << (w - 1)
     prefixes = ((np.arange(n)[:, None] >> np.arange(w - 2, -1, -1)) & 1).astype(np.uint8)
     return float(np.mean(_last_bit_decides(spec, prefixes)))
@@ -144,6 +167,7 @@ def undetermined_fraction(spec: CombSpec) -> float:
 def _last_bit_decides(spec: CombSpec, prefixes: np.ndarray) -> np.ndarray:
     """Per (w-1)-bit prefix row, whether the group's output differs between
     a last bit of 0 and of 1."""
+    import numpy as np
     one_group = CombSpec(spec.kind, 1, spec.w)
     n = len(prefixes)
     lo, hi = (_group_bits(one_group, np.concatenate(
@@ -169,6 +193,7 @@ def last_player_advantage(spec: CombSpec, p: float, trials: int,
         raise ValueError("require 0 < p < 1")
     if trials < 10 ** 3:
         raise ValueError("at least 10^3 trials required")
+    import numpy as np
     rng = make_rng(rng_seed, "mu", spec.kind, spec.kappa, spec.w, p)
     w = spec.w
     # Only the last group can change: the seed differs between the two
@@ -189,6 +214,7 @@ def exhaustive_strategy(spec: CombSpec, bits: np.ndarray,
     """Worst-case coalition play: enumerate all 2^c responses, steer the seed
     toward the smallest value (concentrating mass maximizes statistical
     distance). Returns the full bit matrix with coalition columns filled in."""
+    import numpy as np
     c = len(coalition)
     if c > 12:
         raise ValueError("exhaustive search limited to c <= 12")
@@ -211,6 +237,7 @@ def exhaustive_strategy(spec: CombSpec, bits: np.ndarray,
 def greedy_strategy(spec: CombSpec, bits: np.ndarray,
                     coalition: np.ndarray) -> np.ndarray:
     """Bit-by-bit steering toward the smallest seed; used above the exact regime."""
+    import numpy as np
     trial = bits.copy()
     for pos in coalition:
         trial[:, pos] = 0
@@ -231,6 +258,7 @@ def coalition_bias(spec: CombSpec, coalition, strategy=None, trials: int = 10 **
     the half-L1 distance of the empirical seed histogram from uniform, which
     equals max over events T of Pr[seed in T] - |T|/2^kappa.
     """
+    import numpy as np
     if spec.kappa > 16:
         raise ValueError("kappa too large for an exact output histogram")
     coalition = np.asarray(sorted(set(coalition)), dtype=np.int64)

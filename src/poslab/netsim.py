@@ -8,6 +8,8 @@ engine reads through ``strategy_of``, one of those its ``ENGINES`` entry
 lists; analysis scenarios run an entry of ``attacks.ANALYSES``. The
 analysis stack (``attacks`` and what it imports) and ``dense`` load only when
 an analysis or a Dense-CoA run needs them, so a CoA or PPCoin run never does.
+A CoA run reads its delay and drift words through ``rng.PhiloxStream``, so
+it loads no numpy either.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .ledger import Block, BlockTree, ConfigError, LedgerState
 # netsim calls no canonical_block_digest, but perfbench's tests assert that
 # the tracer's wrapper replaces this binding too: keep it
 from .ledger import canonical_block_digest  # noqa: F401
-from .rng import make_rng, quiet_rows
+from .rng import PhiloxStream, derive_key, make_rng, quiet_rows
 
 MAX_EVENTS = 2000   # PPCoin and Dense-CoA traces keep their first events only
 QUIET_BATCH = 32    # PPCoin seconds drawn per batch when skipping quiet ones
@@ -53,10 +55,10 @@ class DelayModel:
             raise ConfigError("delays.distribution",
                               "unknown distribution %r" % self.distribution)
 
-    def sample(self, rng, count: int) -> list:
-        """`count` delays drawn in one call: the same floats as `count`
-        single draws, leaving `rng` in the same state."""
-        return rng.uniform(self.min, self.max, count).tolist()
+    def sample(self, rng: PhiloxStream, count: int) -> list:
+        """The next `count` delays of `rng`: the floats numpy's
+        ``Generator.uniform(min, max, count)`` draws from the same words."""
+        return rng.uniform(self.min, self.max, count)
 
 
 @dataclass(frozen=True)
@@ -355,7 +357,7 @@ def _coa_time_limit(duration: dict, g0_seconds: int) -> int:
 def _run_coa(config: ScenarioConfig) -> SimTrace:
     params = CoaParams(**config.params)
     genesis, ledger0 = make_genesis(params, list(config.stake))
-    rng_delay = make_rng(config.seed, "delay")
+    rng_delay = PhiloxStream(derive_key(config.seed, "delay"))
     events: List[str] = []
     root = BlockTree(genesis, ChainView(params, genesis, ledger0), params.t1)
     # one record per node, bound once: rank (its place in the stake breaks
@@ -363,11 +365,11 @@ def _run_coa(config: ScenarioConfig) -> SimTrace:
     # held blocks (parent digest -> [(block, accept head)]), planned slots
     peers = []
     for rank, (name, _amount) in enumerate(config.stake):
-        drift_rng = make_rng(config.seed, "drift", name)
+        drift_rng = PhiloxStream(derive_key(config.seed, "drift", name))
         name_json = canonical_json(name)
         peers.append(SimpleNamespace(
-            name=name, rank=rank, node=CoaNode(root), drift=float(
-                drift_rng.uniform(-config.clock_drift_max, config.clock_drift_max)),
+            name=name, rank=rank, node=CoaNode(root), drift=drift_rng.uniform(
+                -config.clock_drift_max, config.clock_drift_max),
             name_json=name_json, accept_at=name_json + ACCEPT_AT, held={},
             planned=set(), creates=strategy_of(config, name) == "honest"))
     del root    # a state holds its successors: this name would keep every state
@@ -611,7 +613,7 @@ def _run_dense(config: ScenarioConfig) -> SimTrace:
         while True:
             members = dense.derive_committee(seed_val, i, t, ledger, ell, kappa)
             withholds = any(owner in idle for owner, _uid in members)
-            round_time = config.delays.sample(rng, 1)[0] * 2
+            round_time = rng.uniform(config.delays.min, config.delays.max) * 2
             if not withholds:
                 agg, seed_val = dense.run_round(i, t, members, rng, kappa)
                 now = start + t * g0 + round_time

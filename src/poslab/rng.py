@@ -6,19 +6,25 @@ scenario components can draw without coupling to each other's consumption
 order. Philox is counter-based, which keeps runs bit-reproducible across
 platforms.
 
-It is also the home of the exact batched samplers that let the per-second
-stake lotteries skip the seconds without a solve. Their contract: they read
-the same 64-bit words as the per-draw calls they replace and return the
-same values, so no digest depends on which ran. ``binomial_nonzero``
-replays numpy's binomial inversion (one word per draw, U = (word >> 11) *
-2^-53, and the draw is 0 iff U <= (1-p)^n) on the words it is given, and
-returns None where numpy would spend other than one word per draw, so that
-its caller draws from numpy itself; ``quiet_rows`` reads the words of
-``Generator.random`` and leaves the generator where those draws do. Both
-rest on numpy's algorithms, not its API: the equivalence tests in
-``tests/test_attacks.py`` and ``tests/test_netsim.py`` compare them with
-the per-draw calls word for word, so a numpy upgrade that changes either
-algorithm fails there.
+The CoA engine reads its substreams through ``PhiloxStream``: numpy's
+Philox4x64-10 words, and the floats ``Generator.uniform`` makes of them,
+computed in Python, so a CoA run loads no numpy. The other engines and the
+analyses draw from numpy generators (``make_rng``), and numpy serves the
+batched samplers below; each of these imports numpy where it is called.
+
+The exact batched samplers let the per-second stake lotteries skip the
+seconds without a solve. Their contract: they read the same 64-bit words
+as the per-draw calls they replace and return the same values, so no
+digest depends on which ran. ``binomial_nonzero`` replays numpy's binomial
+inversion (one word per draw, U = (word >> 11) * 2^-53, and the draw is 0
+iff U <= (1-p)^n) on the words it is given, and returns None where numpy
+would spend other than one word per draw, so that its caller draws from
+numpy itself; ``quiet_rows`` reads the words of ``Generator.random`` and
+leaves the generator where those draws do. ``PhiloxStream`` and both
+samplers rest on numpy's algorithms, not its API: the equivalence tests in
+``tests/test_rng.py``, ``tests/test_attacks.py`` and ``tests/test_netsim.py``
+compare them with numpy word for word, so a numpy upgrade that changes one
+fails there.
 
 ``map_word_chunks`` runs such a sampler on every usable core. It hands each
 fixed chunk of a stream its own words, read from a Philox advanced to the
@@ -33,10 +39,13 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import struct
+import sys
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def derive_key(seed: int, *labels: object) -> int:
@@ -47,7 +56,98 @@ def derive_key(seed: int, *labels: object) -> int:
 
 def make_rng(seed: int, *labels: object) -> np.random.Generator:
     """Create a deterministic generator for the given seed and substream labels."""
+    import numpy as np
     return np.random.Generator(np.random.Philox(key=derive_key(seed, *labels)))
+
+
+MASK64 = 2 ** 64 - 1
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # Philox4x64 multipliers
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # and key increments
+PHILOX_FILL = 256   # blocks of 4 words a PhiloxStream computes at most at once
+
+
+def _philox_lanes(key: int, n: int) -> tuple:
+    """What ``_philox_blocks`` reads to make n blocks under `key` (below
+    2^128): n, the struct format of n lanes of 128 bits, and in each lane a
+    1, the low 64 bits, the lane's index and the ten round keys.
+
+    Block j's four counter words ride in bits [128j, 128j + 64) of four
+    Python ints, so a round is two big-int multiplies (each lane's product
+    fills its 128 bits) and a few shifts, masks and XORs over all n blocks.
+    """
+    ones, fmt = ((1 << 128 * n) - 1) // ((1 << 128) - 1), "<%dQ" % (2 * n)
+    index = [0] * (2 * n)
+    index[::2] = range(n)
+    k0, k1, keys = key & MASK64, key >> 64, []
+    for _ in range(10):
+        keys.append((k0 * ones, k1 * ones))
+        k0, k1 = (k0 + PHILOX_W[0]) & MASK64, (k1 + PHILOX_W[1]) & MASK64
+    return (n, fmt, ones, ones * MASK64,
+            int.from_bytes(struct.pack(fmt, *index), "little"), keys)
+
+
+def _philox_blocks(lanes: tuple, first: int) -> list:
+    """The words of Philox4x64-10 blocks `first` .. `first` + n - 1, in
+    stream order, for the n and key of `lanes`; each counter is below 2^64."""
+    n, fmt, ones, low, index, keys = lanes
+    x0, x1, x2, x3 = first * ones + index, 0, 0, 0
+    for k0, k1 in keys:
+        p0, p1 = x0 * PHILOX_M[0], x2 * PHILOX_M[1]
+        x0, x1, x2, x3 = ((p1 >> 64) & low ^ x1 ^ k0, p1 & low,
+                          (p0 >> 64) & low ^ x3 ^ k1, p0 & low)
+    words = [0] * (4 * n)
+    for i, x in enumerate((x0, x1, x2, x3)):
+        words[i::4] = struct.unpack(fmt, x.to_bytes(16 * n, "little"))[::2]
+    return words
+
+
+class PhiloxStream:
+    """The stream of ``np.random.Philox(key=key)``, read without numpy.
+
+    ``random_raw(n)`` returns the words numpy's ``random_raw(n)`` does, and
+    ``uniform`` the floats of a ``Generator`` on that Philox. ``counter``
+    counts the blocks (4 words) made so far, as numpy's state does: set it
+    to d before the first read to read a Philox advanced by d. The stream
+    computes the blocks a read needs, the first time no more, then twice as
+    many as the last time, up to ``PHILOX_FILL``; words made ahead are kept
+    for the next read. It raises OverflowError rather than let a block's
+    counter pass 2^64 - 1, where numpy would carry into the next word.
+    """
+
+    def __init__(self, key: int):
+        self.key = key
+        self.counter = 0
+        self._words: list = []
+        self._pos = 0           # the next word of _words to read
+        self._lanes = (0,)      # the last fill's _philox_lanes
+
+    def random_raw(self, n: int) -> list:
+        """The next `n` words, as ints."""
+        have = len(self._words) - self._pos
+        if have < n:
+            need, room = -(-(n - have) // 4), MASK64 - self.counter
+            if need > room:
+                raise OverflowError("a Philox counter would pass 2^64 - 1")
+            fill = min(max(need, min(2 * self._lanes[0], PHILOX_FILL)), room)
+            if fill != self._lanes[0]:
+                self._lanes = _philox_lanes(self.key, fill)
+            self._words = self._words[self._pos:] + _philox_blocks(
+                self._lanes, self.counter + 1)
+            self._pos, self.counter = 0, self.counter + fill
+        self._pos += n
+        return self._words[self._pos - n:self._pos]
+
+    def uniform(self, low: float, high: float, size: Optional[int] = None):
+        """``Generator.uniform(low, high, size)``: `size` floats as a list,
+        or one float, each low + (high - low) * (word >> 11) * 2^-53 in
+        doubles."""
+        low, high = float(low), float(high)
+        span = high - low
+        if not 0 <= span <= sys.float_info.max:
+            raise ValueError("uniform needs low <= high and a finite high - low")
+        draws = [low + span * ((w >> 11) * 2.0 ** -53)
+                 for w in self.random_raw(1 if size is None else size)]
+        return draws[0] if size is None else draws
 
 
 WORD_BLOCK = 2 ** 16   # words a sampler reads at a time: 512 KB of uint64
@@ -75,6 +175,7 @@ def binomial_nonzero(blocks: Iterable[np.ndarray], n: int, p: float):
     """
     if not (n > 0 and 0.0 < p <= 0.5 and p * n <= 30.0):
         return None
+    import numpy as np
     q = 1.0 - p
     qn = math.exp(n * math.log(q))
     limit = np.uint64(_zero_limit(qn))
@@ -87,6 +188,7 @@ def _inversion_values(words: np.ndarray, n: int, p: float, q: float,
     """The draws numpy's inversion makes from `words`, each above the zero
     limit of ``qn`` = (1-p)^n, or None if one of them would need another
     word."""
+    import numpy as np
     bound = _inversion_bound(n, p, q)
     u = (words >> np.uint64(11)) * 2.0 ** -53
     x = np.zeros(len(words), np.int64)
@@ -144,6 +246,7 @@ def map_word_chunks(rng: np.random.Generator, words: int, chunk: int,
     must be a Philox generator at the start of a counter step (4 words), as
     a fresh one is.
     """
+    import numpy as np
     state = rng.bit_generator.state
     if chunk <= 0 or chunk % 4:
         raise ValueError("chunk must be a positive multiple of 4 words")

@@ -606,15 +606,43 @@ def test_digest_does_not_depend_on_the_hash_seed(tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_importing_the_cli_leaves_numpy_random_unloaded():
-    """``poslab run`` loads numpy.random before it starts its timer, so
-    ``run_seconds`` times only the run; importing the CLI must not load it,
-    or every start-up would pay for it."""
+def test_importing_the_cli_leaves_numpy_unloaded():
+    """Importing the CLI loads neither numpy nor numpy.random: the CoA
+    engine reads its words without numpy, and the other engines and the
+    analyses import it where they are called, so no start-up pays for it."""
     probe = subprocess.run(
         [sys.executable, "-c", "import sys, poslab.cli; "
          "print('numpy' in sys.modules, 'numpy.random' in sys.modules)"],
         env=_fresh_env(), check=True, capture_output=True, text=True)
-    assert probe.stdout.split() == ["True", "False"]
+    assert probe.stdout.split() == ["False", "False"]
+
+
+_NUMPY_AT_RUN = """
+import sys
+import poslab.cli
+run = poslab.cli.run_scenario
+def entered(config):
+    print("numpy" in sys.modules, "numpy.random" in sys.modules)
+    return run(config)
+poslab.cli.run_scenario = entered
+poslab.cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+"""
+
+
+@pytest.mark.parametrize("name, loaded", [
+    ("coa-offline", ["False", "False"]),
+    ("ppcoin-honest", ["True", "True"]),
+    ("dense-baseline", ["True", "True"])])
+def test_a_run_times_no_numpy_import(tmp_path, name, loaded):
+    """``run_seconds`` times only the run: a fresh ``poslab run`` of a
+    PPCoin or Dense-CoA file has loaded numpy.random before it enters
+    ``run_scenario``, and a CoA file run has loaded no numpy at all."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SCENARIOS[name].to_dict()))
+    probe = subprocess.run(
+        [sys.executable, "-c", _NUMPY_AT_RUN, str(path), str(tmp_path / "out")],
+        env=_fresh_env(), check=True, capture_output=True, text=True)
+    assert probe.stdout.splitlines()[0].split() == loaded
 
 
 ENGINE_MODULES = ["cli", "coa", "comb", "fts", "ledger", "netsim", "rng"]
@@ -623,9 +651,9 @@ import json, sys
 def loaded():
     return sorted(k[len("poslab."):] for k in sys.modules if k.startswith("poslab."))
 import poslab.cli
-steps = [[None, loaded()]]
+steps = [[None, loaded(), "numpy" in sys.modules]]
 for argv in json.loads(sys.argv[1]):
-    steps.append([poslab.cli.main(argv), loaded()])
+    steps.append([poslab.cli.main(argv), loaded(), "numpy" in sys.modules])
 print(json.dumps(steps))
 """
 
@@ -635,7 +663,8 @@ def test_an_engine_run_from_a_file_loads_only_the_engine_modules(tmp_path):
     a CoA or PPCoin config file load no ``poslab`` module beyond the
     engines'; an analysis file loads the analysis stack, a Dense-CoA file
     ``dense``, and a bundled name or ``reproduce`` the scenarios, and each
-    exits 0. A stray top-level import would load them all at start-up."""
+    exits 0. A stray top-level import would load them all at start-up. No
+    numpy loads until the PPCoin run, the first to draw from it."""
     paths = {}
     for name, raw in (("coa", SCENARIOS["coa-offline"].to_dict()),
                       ("ppcoin", SCENARIOS["ppcoin-honest"].to_dict()),
@@ -654,14 +683,14 @@ def test_an_engine_run_from_a_file_loads_only_the_engine_modules(tmp_path):
                            text=True)
     steps = json.loads(probe.stdout.splitlines()[-1])
     analysis = sorted(ENGINE_MODULES + ["attacks", "issuance", "ppcoin"])
-    assert steps == [[None, ENGINE_MODULES],
-                     [EXIT_OK, ENGINE_MODULES],     # validate-config coa
-                     [EXIT_OK, ENGINE_MODULES],     # run coa
-                     [EXIT_OK, ENGINE_MODULES],     # run ppcoin
-                     [EXIT_OK, analysis],
-                     [EXIT_OK, sorted(analysis + ["dense"])],
-                     [EXIT_OK, sorted(analysis + ["dense", "scenarios"])],
-                     [EXIT_OK, sorted(analysis + ["dense", "scenarios"])]]
+    assert steps == [[None, ENGINE_MODULES, False],
+                     [EXIT_OK, ENGINE_MODULES, False],  # validate-config coa
+                     [EXIT_OK, ENGINE_MODULES, False],  # run coa
+                     [EXIT_OK, ENGINE_MODULES, True],   # run ppcoin
+                     [EXIT_OK, analysis, True],
+                     [EXIT_OK, sorted(analysis + ["dense"]), True],
+                     [EXIT_OK, sorted(analysis + ["dense", "scenarios"]), True],
+                     [EXIT_OK, sorted(analysis + ["dense", "scenarios"]), True]]
 
 
 @pytest.mark.parametrize("attack, field", [

@@ -63,6 +63,42 @@ def test_wrong_length_rejected():
         comb_apply(CombSpec("concat", 4, 1), [0, 1, 2, 1])
 
 
+@pytest.mark.parametrize("bad", [[0.5, 0, 0, 0], [256, 0, 0, 0], [-1, 0, 0, 0],
+                                 [1.0, 0, 0, 0], np.zeros((4, 1), np.uint8)])
+def test_anything_but_integer_bits_is_rejected(bad):
+    """A fraction is not truncated, an integer out of range does not wrap,
+    and neither a float that equals a bit nor a row counts as one."""
+    with pytest.raises(ValueError, match="inputs must be bits"):
+        comb_apply(CombSpec("concat", 4, 1), bad)
+
+
+def test_a_two_dimensional_input_is_rejected():
+    with pytest.raises(ValueError):
+        comb_apply(CombSpec("concat", 4, 1), np.zeros((1, 4), np.uint8))
+    with pytest.raises(ValueError):
+        comb_apply(CombSpec("concat", 4, 1), [[0, 1], [1, 0]])
+
+
+def test_bools_and_numpy_integers_are_bits():
+    spec = CombSpec("concat", 4, 1)
+    assert comb_apply(spec, [True, False, True, True]) == 0b1011
+    assert comb_apply(spec, np.array([1, 0, 1, 1], np.int64)) == 0b1011
+
+
+@pytest.mark.parametrize("kind, w", [("concat", 1), *(("majority", w) for w in (1, 3, 5, 7)),
+                                     *(("iterated_majority", w) for w in (1, 3, 9))])
+@pytest.mark.parametrize("kappa", [1, 3, 16])
+def test_comb_apply_equals_the_batch_row_by_row(kind, w, kappa):
+    """The engine's pure-Python comb and the analyzers' numpy comb agree on
+    random rows and on the all-zero and all-one rows."""
+    spec = CombSpec(kind, kappa, w)
+    bits = make_rng(9, "comb-rows", kind, w, kappa).integers(
+        0, 2, size=(300, spec.ell), dtype=np.uint8)
+    bits[0], bits[1] = 0, 1
+    assert [comb_apply(spec, row.tolist()) for row in bits] == \
+        comb_apply_batch(spec, bits).tolist()
+
+
 def test_kz_width_power_of_three():
     # c/eps = 2 -> 3 * 2^(1/alpha) = 9 exactly
     assert kz_width(0.2, 0.1) == 9

@@ -22,7 +22,7 @@ from poslab.netsim import (ACCEPT_LINE, ENGINES, SEND_LINE, SOLIDIFICATION_LINE,
                            MAX_EVENTS, ConfigError, DelayModel, SimTrace,
                            canonical_json, config_from_dict, load_config,
                            run_scenario, strategy_of)
-from poslab.rng import make_rng
+from poslab.rng import PhiloxStream, derive_key, make_rng
 from poslab.scenarios import SCENARIOS
 
 
@@ -432,8 +432,7 @@ def test_trace_serialization_formats(tmp_path):
 
 def test_delay_model():
     d = DelayModel(0.5, 1.5)
-    from poslab.rng import make_rng
-    rng = make_rng(0, "delay-test")
+    rng = PhiloxStream(derive_key(0, "delay-test"))
     assert all(0.5 <= s <= 1.5 for s in d.sample(rng, 100))
     with pytest.raises(ConfigError):
         DelayModel(0.5, 1.5, "pareto")
@@ -786,14 +785,16 @@ def test_time_text_is_the_repr_of_the_time_rounded_to_six_places(t):
 
 @pytest.mark.parametrize("n", [0, 1, 5, 99])
 def test_batched_delays_equal_scalar_draws(n):
+    """The CoA engine's `n` delays from its word reader are the floats of
+    `n` single draws of numpy's generator on the same substream, and the
+    reader goes on where that generator does."""
     d = DelayModel(0.2, 2.0)
-    batched, scalar = make_rng(3, "delay"), make_rng(3, "delay")
+    batched, scalar = PhiloxStream(derive_key(3, "delay")), make_rng(3, "delay")
     drawn = d.sample(batched, n)
     assert drawn == [float(scalar.uniform(d.min, d.max))
                      for _ in range(n)]
     assert all(type(x) is float for x in drawn)
-    # the Philox state holds short arrays: their repr shows every word
-    assert repr(batched.bit_generator.state) == repr(scalar.bit_generator.state)
+    assert batched.random_raw(9) == scalar.bit_generator.random_raw(9).tolist()
 
 
 def test_analysis_config_is_name_seed_and_attack():
@@ -959,7 +960,8 @@ def run_coa_per_delivery(config):
     outcome is shared between nodes), a re-plan after every accepted block,
     events built as dicts, and metrics recomputed from each node's chain.
     The oracle for ``netsim._run_coa``'s queue order, planning, clocks,
-    holds and event lines."""
+    holds and event lines; it draws its delays and drifts from numpy's
+    generators, which the engine's own word reader must match."""
     params = CoaParams(**config.params)
     genesis, ledger0 = make_genesis(params, list(config.stake))
     rng_delay = make_rng(config.seed, "delay")
@@ -1018,8 +1020,8 @@ def run_coa_per_delivery(config):
                            "time": round(when, 6)})
             push(when, name, name, block)
             peers = [peer for peer in names if peer != name]
-            for peer, delay in zip(peers, config.delays.sample(rng_delay,
-                                                               len(peers))):
+            for peer, delay in zip(peers, rng_delay.uniform(
+                    config.delays.min, config.delays.max, len(peers)).tolist()):
                 push(when + delay, name, peer, block)
             continue
         if item.prev_digest not in node.accepted:
